@@ -120,6 +120,15 @@ def _pfq_nodes(uppers, lowers, z, t, nmax: int) -> np.ndarray:
     return np.power(np.multiply.outer(t, np.ones(nmax)) * z, np.arange(nmax)[None, :]) @ coef
 
 
+def _powers(x, n: int) -> np.ndarray:
+    """[x^0, ..., x^n] along a new last axis, by running product."""
+    x = np.asarray(x)
+    out = np.ones(x.shape + (n + 1,), dtype=np.result_type(x, np.float64))
+    if n:
+        np.cumprod(np.broadcast_to(x[..., None], x.shape + (n,)), axis=-1, out=out[..., 1:])
+    return out
+
+
 def _series_len(ratio: float, tol: float, lo=24, hi=220) -> int:
     if ratio <= 0.0:
         return lo
@@ -462,17 +471,15 @@ def _rhs_manocha(pt, s):
     W = tw[None, :]
     Q = 1.0 - V * y - W * z
     MA = _series_len(abs(y) + abs(z), s.series_tol, lo=24, hi=160)
-    ma = np.arange(MA + 1, dtype=np.float64)
     ca = f2_coeff_table(v["a"] - v["ap"], v["b"], v["c"], v["lam"], v["eta"], MA, MA)
-    pv = np.power((tv * y)[:, None], ma[None, :])
-    pw = np.power((tw * z)[:, None], ma[None, :])
-    f2a = np.einsum("vm,mn,wn->vw", pv, ca, pw)
+    f2a = _powers(tv * y, MA) @ ca @ _powers(tw * z, MA).T
     cb = f2_coeff_table(v["ap"], v["b"] - v["lam"], v["c"] - v["eta"],
                         v["d"] - v["lam"], v["e"] - v["eta"], MA, MA)
-    rvp = np.power(((1.0 - V) * y / Q)[:, :, None], ma[None, None, :])
-    rwp = np.power(((1.0 - W) * z / Q)[:, :, None], ma[None, None, :])
-    f2b = np.einsum("vwm,mn,vwn->vw", rvp, cb, rwp)
-    return complex(np.einsum("v,w,vw->", wv, ww, np.power(Q, -v["ap"]) * f2a * f2b))
+    # Flattened over the (v, w) grid, so the contraction is one large matmul.
+    rvp = _powers(((1.0 - V) * y / Q).ravel(), MA)
+    rwp = _powers(((1.0 - W) * z / Q).ravel(), MA)
+    f2b = ((rvp @ cb) * rwp).sum(axis=-1).reshape(Q.shape)
+    return complex(wv @ (np.power(Q, -v["ap"]) * f2a * f2b) @ ww)
 
 
 def _sample_manocha_reduced(rng) -> ParameterPoint:
@@ -554,7 +561,7 @@ def _fa_combined_sequence(v: dict):
     r3 = _ratio_table(v["g3"], v["tau3"], nrt)
     r4 = _ratio_table(v["g4"], v["tau4"], nrt)
     return a, b, CoeffSequence2D(
-        lambda m, n: r3[m] * r4[n] * conv(m, n),
+        None,
         conv.decay_bound,
         table_builder=lambda M, N: np.outer(r3[: M + 1], r4[: N + 1]) * conv.table(M, N),
     )

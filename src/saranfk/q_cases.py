@@ -665,19 +665,23 @@ def _rhs_fk_limits(pt, s: EvalSettings):
     def w_tail(which, cap=500):
         # The effective decay exponent is the measure's mass exponent (the
         # base parameter), not mu: the terminating 3phi1 inside the weight
-        # grows when the base is smaller than mu.  Extend until negligible.
-        out = []
+        # grows when the base is smaller than mu.  Extend until three
+        # consecutive weights are negligible, evaluating them in doubling
+        # blocks.
+        thresh = 1e-14 * max(1.0, s.jackson_scale)
+        blocks = []
         small = 0
-        for i in range(cap):
-            w = discrete_weight_limit(which, i, p, ctx)
-            out.append(w)
-            if abs(w) < 1e-14 * max(1.0, s.jackson_scale):
-                small += 1
+        start, size = 0, 64
+        while start < cap:
+            block = discrete_weight_limit(which, np.arange(start, min(start + size, cap)), p, ctx)
+            for k, w in enumerate(block):
+                small = small + 1 if abs(w) < thresh else 0
                 if small >= 3:
-                    break
-            else:
-                small = 0
-        return np.array(out)
+                    return np.concatenate(blocks + [block[: k + 1]])
+            blocks.append(block)
+            start += len(block)
+            size *= 2
+        return np.concatenate(blocks)
 
     W1 = w_tail("w1")
     W2 = w_tail("w2")

@@ -782,9 +782,24 @@ def discrete_weight(which: str, i: int, r: int, p: DiscreteFkParams, ctx: QConte
     raise DomainError(f"unknown weight {which!r}")
 
 
-def discrete_weight_limit(which: str, i: int, p: DiscreteFkParams, ctx: QContext):
-    """Limits of w(r-i, r; q) as the truncation index r grows without bound."""
+def discrete_weight_limit(which: str, i, p: DiscreteFkParams, ctx: QContext):
+    """Limits of w(r-i, r; q) as the truncation index r grows without bound.
+
+    i is an int or an integer array; an array is evaluated in one batched
+    terminating series, and the result has its shape.
+    """
     q = ctx.q
+    idx = np.asarray(i)
+    if idx.dtype.kind not in "iu":
+        raise DomainError("weight index must be an int or an integer array")
+    if idx.size and idx.min() < 0:
+        raise DomainError("weight index must be non-negative")
+    top = int(idx.max()) if idx.size else 0
+    fi = idx.astype(np.float64)
+
+    def ratio_at(base):
+        # (base; q)_i / (q; q)_i for every requested i
+        return (q_pochhammer_table(base, top, q) / q_pochhammer_table(q, top, q))[idx]
 
     def lim_generic(a, g, lam, mu):
         gl = g + lam - a - mu
@@ -793,29 +808,29 @@ def discrete_weight_limit(which: str, i: int, p: DiscreteFkParams, ctx: QContext
             * q_pochhammer_inf(q**mu, ctx)
             / (q_pochhammer_inf(q**g, ctx) * q_pochhammer_inf(q**lam, ctx))
         )
-        mid = _qp(q**gl, i, q) / _qp(q, i, q) * q ** (i * mu)
         phi, *_ = _rphis_array(
-            [q ** (lam - a), q ** (g - a), q ** float(-i)],
+            [q ** (lam - a), q ** (g - a), q ** (-fi)],
             [q**gl],
-            q ** (a - mu + i),
+            q ** (a - mu + fi),
             ctx,
-            terminate_after=i,
+            terminate_after=idx,
         )
-        return pref * mid * float(phi[()])
+        return pref * ratio_at(q**gl) * q ** (fi * mu) * phi
 
     if which == "w1":
-        return lim_generic(p.alpha1, p.gamma1, p.lam1, p.mu1)
-    if which == "w2":
-        return lim_generic(p.beta2, p.gamma2, p.lam2, p.mu2)
-    if which == "w3":
-        return (
+        out = lim_generic(p.alpha1, p.gamma1, p.lam1, p.mu1)
+    elif which == "w2":
+        out = lim_generic(p.beta2, p.gamma2, p.lam2, p.mu2)
+    elif which == "w3":
+        out = (
             q_pochhammer_inf(q**p.mu3, ctx)
             / q_pochhammer_inf(q**p.gamma3, ctx)
-            * _qp(q ** (p.gamma3 - p.mu3), i, q)
-            / _qp(q, i, q)
-            * q ** (i * p.mu3)
+            * ratio_at(q ** (p.gamma3 - p.mu3))
+            * q ** (fi * p.mu3)
         )
-    raise DomainError(f"unknown weight {which!r}")
+    else:
+        raise DomainError(f"unknown weight {which!r}")
+    return float(out) if idx.ndim == 0 else out
 
 
 def gasper_discrete_3phi2(alpha, beta, gamma_, delta, lam, mu, nu, n: int, ctx: QContext):

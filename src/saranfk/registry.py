@@ -9,6 +9,7 @@ failures, never aborting the batch.
 
 from __future__ import annotations
 
+import cmath
 import os
 import time
 import zlib
@@ -197,8 +198,9 @@ def verify_identity(
     settings: EvalSettings | None = None,
 ) -> VerificationResult:
     """Evaluate LHS and RHS at sampled points; the residual is
-    |LHS-RHS| / (1 + |LHS|).  Per-point evaluator errors become failures with
-    a diagnostic instead of aborting the batch."""
+    |LHS-RHS| / (1 + |LHS|).  Per-point evaluator errors and non-finite sides
+    or residuals become failures with a diagnostic instead of aborting the
+    batch."""
     settings = settings or EvalSettings.default()
     count = count if count is not None else case.default_samples
     tol = tol_override if tol_override is not None else case.tol
@@ -214,6 +216,11 @@ def verify_identity(
             failures.append(Failure(pt, float("nan"), f"{type(exc).__name__}: {exc}"))
             continue
         residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+        bad = [k for k, x in (("LHS", lhs), ("RHS", rhs), ("residual", residual))
+               if not cmath.isfinite(x)]
+        if bad:
+            failures.append(Failure(pt, float("nan"), f"non-finite {', '.join(bad)}"))
+            continue
         worst = max(worst, residual)
         if residual > tol:
             failures.append(Failure(pt, residual, "residual above tolerance"))

@@ -14,7 +14,7 @@ failure).  Criteria:
   7. Limit coherence: discrete weights -> infinite-product forms, q -> 1
      classical limits
   8. Refinement monotonicity under doubled quadrature/lattice resolution
-  9. Harness self-test on a corrupted identity
+  9. Harness self-test on a corrupted and a NaN-valued identity
 """
 
 import dataclasses
@@ -274,3 +274,11 @@ def test_criterion_9_harness_self_test():
     ok = (not res.passed) and 1e-5 <= res.max_rel_residual <= 1e-3
     report(9, "corrupted identity flagged with the expected residual", ok,
            f"residual {res.max_rel_residual:.2e}")
+
+    nan_rhs = dataclasses.replace(base, id="euler-1-nan", rhs=lambda pt, s: complex("nan"))
+    res = verify_identity(nan_rhs, seed=SEED, count=10)
+    ok = (not res.passed) and len(res.failures) == 10 and all(
+        "non-finite" in f.message for f in res.failures
+    )
+    report(9, "NaN evaluator flagged at every point", ok,
+           f"{len(res.failures)} of {res.samples} failed")

@@ -357,6 +357,21 @@ class TestDiscreteWeights:
         lim = discrete_weight_limit(which, i, self.P, ctx05)
         assert abs(fin - lim) < 1e-6 * abs(lim)
 
+    @pytest.mark.parametrize("which", ["w1", "w2", "w3"])
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_limit_array_matches_scalar(self, which, q):
+        ctx = QContext(q=q)
+        idx = np.arange(81)
+        batch = discrete_weight_limit(which, idx, self.P, ctx)
+        assert batch.shape == idx.shape
+        scalar = np.array([discrete_weight_limit(which, int(i), self.P, ctx) for i in idx])
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0.0)
+
+    def test_limit_rejects_bad_index(self, ctx05):
+        for bad in (-1, 1.5, np.array([0, -2])):
+            with pytest.raises(DomainError):
+                discrete_weight_limit("w1", bad, self.P, ctx05)
+
 
 class TestGasperDiscrete:
     ARGS = dict(alpha=0.3, beta=0.7, gamma_=0.25, delta=0.4, lam=0.6, mu=0.8, nu=0.65)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from saranfk import (
@@ -333,6 +334,19 @@ class TestConvolutionFamily:
                     for j in range(n + 1)
                 )
                 assert complex(conv(m, n)) == pytest.approx(brute, rel=1e-12)
+
+    def test_fft_table_matches_direct_sum(self):
+        # A size the fa-erdelyi sampler reaches; the FFT error is absolute.
+        a = fk_diagonal_sequence(0.5, 0.8, 1.4)
+        b = geometric_sequence(0.3)
+        M = N = 150
+        ta, tb = a.table(M, N), b.table(M, N)
+        direct = np.zeros((M + 1, N + 1))
+        for i, j in zip(*np.nonzero(ta)):
+            direct[i:, j:] += ta[i, j] * tb[: M + 1 - i, : N + 1 - j]
+        got = convolve2d(a, b).table(M, N)
+        assert got.shape == direct.shape
+        assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
