@@ -11,7 +11,6 @@ series engines.  The two sides never share a code path beyond the scalar
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import scipy.special as sps
@@ -23,6 +22,7 @@ from .series import (
     CoeffSequence2D,
     FkParams,
     _eval_2f1,
+    _series_len,
     appell_f2,
     convolve2d,
     delta_sequence,
@@ -127,12 +127,6 @@ def _powers(x, n: int) -> np.ndarray:
     if n:
         np.cumprod(np.broadcast_to(x[..., None], x.shape + (n,)), axis=-1, out=out[..., 1:])
     return out
-
-
-def _series_len(ratio: float, tol: float, lo=24, hi=220) -> int:
-    if ratio <= 0.0:
-        return lo
-    return int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(min(ratio, 0.98))) + 8, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +334,18 @@ def _lhs_fk_erdelyi(pt, s):
     return complex(saran_fk_reexpand(p, v["x"], v["y"], v["z"], s.series_tol).value)
 
 
+def _shifted_pair_table(t, w, x, m, first, second, tol):
+    """Quadrature table sum_u w_u 2F1(a+m, b; c; t_u x) 2F1(l+n, e; f; xi_u)
+    (1 - t_u x)^-(l+n) over (m, n), with xi = (1-t) x / (1 - t x),
+    first = (a, b, c) and second = (l, e, f)."""
+    (a, b, c), (lam, e, f) = first, second
+    g1, *_ = _eval_2f1(a + m[None, :], b, c, (t * x)[:, None], tol)
+    xi = ((1.0 - t) * x / (1.0 - t * x))[:, None]
+    g2, *_ = _eval_2f1(lam + m[None, :], e, f, xi, tol)
+    g2 = g2 * np.power((1.0 - t * x)[:, None], -(lam + m[None, :]))
+    return np.einsum("u,um,un->mn", w, g1, g2)
+
+
 def fk_erdelyi_inner_tables(pt, s):
     """Quadrature contractions IU(m,n), IV(m,n) and the w-moment table for the
     F_K Erdelyi integral; also used by the proof-step consistency checks."""
@@ -353,19 +359,12 @@ def fk_erdelyi_inner_tables(pt, s):
     M = _series_len(zeff, s.series_tol, lo=16, hi=140)
     m = np.arange(M, dtype=np.float64)
 
-    fu1, *_ = _eval_2f1(v["beta1"] - v["lam3"] + m[None, :], v["alpha1"],
-                        v["alpha1"] - v["lam1"] + v["eta1"], (tu * x)[:, None], s.series_tol)
-    xiu = ((1.0 - tu) * x / (1.0 - tu * x))[:, None]
-    fu2, *_ = _eval_2f1(v["lam3"] + m[None, :], v["lam1"] - v["eta1"], v["lam1"], xiu, s.series_tol)
-    fu2 = fu2 * np.power((1.0 - tu * x)[:, None], -(v["lam3"] + m[None, :]))
-    IU = np.einsum("u,um,un->mn", wu, fu1, fu2)
-
-    fv1, *_ = _eval_2f1(v["alpha2"] - v["eta2"] + m[None, :], v["beta2"],
-                        v["beta2"] - v["lam2"] + v["mu2"], (tv * y)[:, None], s.series_tol)
-    xiv = ((1.0 - tv) * y / (1.0 - tv * y))[:, None]
-    fv2, *_ = _eval_2f1(v["eta2"] + m[None, :], v["lam2"] - v["mu2"], v["lam2"], xiv, s.series_tol)
-    fv2 = fv2 * np.power((1.0 - tv * y)[:, None], -(v["eta2"] + m[None, :]))
-    IV = np.einsum("v,vm,vn->mn", wv, fv1, fv2)
+    IU = _shifted_pair_table(
+        tu, wu, x, m, (v["beta1"] - v["lam3"], v["alpha1"], v["alpha1"] - v["lam1"] + v["eta1"]),
+        (v["lam3"], v["lam1"] - v["eta1"], v["lam1"]), s.series_tol)
+    IV = _shifted_pair_table(
+        tv, wv, y, m, (v["alpha2"] - v["eta2"], v["beta2"], v["beta2"] - v["lam2"] + v["mu2"]),
+        (v["eta2"], v["lam2"] - v["mu2"], v["lam2"]), s.series_tol)
 
     Mw = (ww[:, None] * np.power(tw[:, None], np.arange(2 * M - 1)[None, :])).sum(axis=0)
     return IU, IV, Mw, M
@@ -598,17 +597,10 @@ def _rhs_fa_erdelyi(pt, s):
     MM = _series_len(ratio, s.series_tol, lo=16, hi=64)
     m = np.arange(MM, dtype=np.float64)
 
-    f1a, *_ = _eval_2f1(v["alpha1"] + m[None, :], v["beta1"], v["g1"], (t1 * x1)[:, None], s.series_tol)
-    xi1 = ((1.0 - t1) * x1 / (1.0 - t1 * x1))[:, None]
-    f1b, *_ = _eval_2f1(v["lam1"] + m[None, :], v["beta1"] - v["g1"], v["tau1"] - v["g1"], xi1, s.series_tol)
-    f1b = f1b * np.power((1.0 - t1 * x1)[:, None], -(v["lam1"] + m[None, :]))
-    SU1 = np.einsum("u,um,un->mn", w1, f1a, f1b)
-
-    f2a, *_ = _eval_2f1(v["alpha2"] + m[None, :], v["beta2"], v["g2"], (t2 * x2)[:, None], s.series_tol)
-    xi2 = ((1.0 - t2) * x2 / (1.0 - t2 * x2))[:, None]
-    f2b, *_ = _eval_2f1(v["lam2"] + m[None, :], v["beta2"] - v["g2"], v["tau2"] - v["g2"], xi2, s.series_tol)
-    f2b = f2b * np.power((1.0 - t2 * x2)[:, None], -(v["lam2"] + m[None, :]))
-    SU2 = np.einsum("u,um,un->mn", w2, f2a, f2b)
+    SU1 = _shifted_pair_table(t1, w1, x1, m, (v["alpha1"], v["beta1"], v["g1"]),
+                              (v["lam1"], v["beta1"] - v["g1"], v["tau1"] - v["g1"]), s.series_tol)
+    SU2 = _shifted_pair_table(t2, w2, x2, m, (v["alpha2"], v["beta2"], v["g2"]),
+                              (v["lam2"], v["beta2"] - v["g2"], v["tau2"] - v["g2"]), s.series_tol)
 
     span = np.arange(2 * MM - 1)
     SU3 = (w3[:, None] * np.power((t3 * x3)[:, None], span[None, :])).sum(axis=0)

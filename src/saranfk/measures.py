@@ -29,8 +29,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special as sp
 
+from .core import _as_scalar
 from .errors import DomainError
-from .series import _series_2f1_raw
+from .series import _connection_coeffs, _connection_ok, _series_2f1_near_one, _series_2f1_raw
 
 __all__ = [
     "DirichletMeasure",
@@ -131,42 +132,42 @@ def dirichlet_density(spec: DirichletMeasure, t):
 LOG_ENDPOINT_MARGIN = 0.05
 
 
-def _hyp_connection_coeffs(a, b, g):
-    """Coefficients (A, B) of 2F1(a,b;g;1-t) = A F1(t) + B t^(g-a-b) F2(t)."""
-    cab = g - a - b
-    if abs(cab - round(cab.real)) < 1e-6 and abs(cab.imag) < 1e-12:
-        raise DomainError(
-            "gamma - alpha - beta too close to an integer for the endpoint expansion"
-        )
-    # rgamma sends the denominator poles (upper parameter in Z_{<=0}) to a
-    # clean zero coefficient instead of a NaN.
-    A = np.exp(sp.loggamma(g) + sp.loggamma(cab)) * sp.rgamma(g - a) * sp.rgamma(g - b)
-    B = np.exp(sp.loggamma(g) + sp.loggamma(-cab)) * sp.rgamma(a) * sp.rgamma(b)
-    return complex(A), complex(B)
-
-
-def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-13):
-    """Pointwise hypergeometric-measure density.
-
-    Rejects parameter sets with Re(gamma - alpha - beta) <= 0.05: there the
-    2F1 factor develops a (near-)logarithmic endpoint at t = 0 that the
-    quadrature pipeline is not meant to chase.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0.0) or np.any(t >= 1.0):
-        raise DomainError("density defined on the open interval (0,1)")
-    a, b, g, e = (complex(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
+def _hyp_measure_const(a, b, g, e):
+    """Normalising constant of the hypergeometric measure.  Rejects
+    Re(gamma - alpha - beta) <= 0.05: there the 2F1 factor develops a
+    (near-)logarithmic endpoint at t = 0 that the quadrature pipeline is not
+    meant to chase."""
     if (g - a - b).real <= LOG_ENDPOINT_MARGIN:
         raise DomainError(
             "hypergeometric density needs Re(gamma-alpha-beta) > 0.05 away from t=0"
         )
-    const = np.exp(
+    return np.exp(
         sp.loggamma(e + g - a)
         + sp.loggamma(e + g - b)
         - sp.loggamma(e)
         - sp.loggamma(g)
         - sp.loggamma(e + g - a - b)
     )
+
+
+def _check_endpoint_expansion(a, b, g):
+    if not _connection_ok(a, b, g):
+        raise DomainError(
+            "gamma - alpha - beta too close to an integer for the endpoint expansion"
+        )
+
+
+def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-13):
+    """Pointwise hypergeometric-measure density.
+
+    Rejects parameter sets with Re(gamma - alpha - beta) <= 0.05 (see
+    _hyp_measure_const).
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t <= 0.0) or np.any(t >= 1.0):
+        raise DomainError("density defined on the open interval (0,1)")
+    a, b, g, e = (complex(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
+    const = _hyp_measure_const(a, b, g, e)
     w = 1.0 - t
     small = t <= 0.5
     f = np.empty(t.shape if t.ndim else (1,), dtype=np.complex128)
@@ -174,11 +175,9 @@ def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-13):
     ww = np.atleast_1d(w)
     sm = np.atleast_1d(small)
     if np.any(sm):
-        A, B = _hyp_connection_coeffs(a, b, g)
-        cab = g - a - b
-        s1, *_ = _series_2f1_raw(a, b, a + b - g + 1.0, tt[sm], tol, 100_000)
-        s2, *_ = _series_2f1_raw(g - a, g - b, cab + 1.0, tt[sm], tol, 100_000)
-        f[sm] = A * s1 + B * np.power(tt[sm].astype(np.complex128), cab) * s2
+        # 2F1(alpha, beta; gamma; 1 - t) from t itself.
+        _check_endpoint_expansion(a, b, g)
+        f[sm], *_ = _series_2f1_near_one(a, b, g, tt[sm], tol, 100_000)
     if np.any(~sm):
         s0, *_ = _series_2f1_raw(a, b, g, ww[~sm], tol, 100_000)
         f[~sm] = s0
@@ -203,82 +202,35 @@ def _dirichlet_rule(spec: DirichletMeasure, order: int):
 
 def _hypergeometric_rule(spec: HypergeometricMeasure, order: int, tol: float = 1e-14):
     a, b, g, e = (complex(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
-    if (g - a - b).real <= LOG_ENDPOINT_MARGIN:
-        raise DomainError(
-            "hypergeometric density needs Re(gamma-alpha-beta) > 0.05 away from t=0"
-        )
-    const = np.exp(
-        sp.loggamma(e + g - a)
-        + sp.loggamma(e + g - b)
-        - sp.loggamma(e)
-        - sp.loggamma(g)
-        - sp.loggamma(e + g - a - b)
-    )
-    A, B = _hyp_connection_coeffs(a, b, g)
+    const = _hyp_measure_const(a, b, g, e)
+    _check_endpoint_expansion(a, b, g)
+    A, B = _connection_coeffs(a, b, g)
     cab = g - a - b
     real_params = all(v.imag == 0.0 for v in (a, b, g, e))
 
-    nodes, weights = [], []
+    def piece(expo, far, coef, upper, lower):
+        # Substitute s/2 for the distance to the piece's endpoint: the power
+        # of exponent expo-1 there goes into the rule, the power of exponent
+        # far-1 at the other endpoint and the 2F1 factor, an analytic series
+        # in s/2, into the weights.
+        r = gauss_jacobi_rule(expo.real - 1.0, 0.0, order)
+        half = r.nodes / 2.0
+        f, *_ = _series_2f1_raw(*upper, lower, half, tol, 100_000)
+        w = r.weights * 2.0 ** (-expo.real) * const * coef * np.power(1.0 - half, far - 1.0) * f
+        if expo.imag != 0.0:
+            w = w * np.power(half, 1j * expo.imag)
+        return half, w
 
-    # Right half [1/2, 1]: substitute 1-t = s/2; the (1-t)^(gamma-1) endpoint
-    # goes into the rule, the 2F1 factor is an analytic series in s/2.
-    r = gauss_jacobi_rule(g.real - 1.0, 0.0, order)
-    s = r.nodes
-    t_right = 1.0 - s / 2.0
-    f0, *_ = _series_2f1_raw(a, b, g, s / 2.0, tol, 100_000)
-    w_right = (
-        r.weights
-        * 2.0 ** (-g.real)
-        * const
-        * np.power(t_right, e - 1.0)
-        * f0
-    )
-    if g.imag != 0.0:
-        w_right = w_right * np.power(s / 2.0, 1j * g.imag)
-    nodes.append(t_right)
-    weights.append(w_right)
-
-    # Left half [0, 1/2], analytic branch of the connection formula:
-    # substitute t = s/2 with the t^(eta-1) endpoint in the rule.
-    r1 = gauss_jacobi_rule(e.real - 1.0, 0.0, order)
-    s = r1.nodes
-    t_left = s / 2.0
-    f1, *_ = _series_2f1_raw(a, b, a + b - g + 1.0, t_left, tol, 100_000)
-    w1 = (
-        r1.weights
-        * 2.0 ** (-e.real)
-        * const
-        * A
-        * np.power(1.0 - t_left, g - 1.0)
-        * f1
-    )
-    if e.imag != 0.0:
-        w1 = w1 * np.power(t_left, 1j * e.imag)
-    nodes.append(t_left)
-    weights.append(w1)
-
+    # Right half [1/2, 1], 1-t = s/2, with the (1-t)^(gamma-1) endpoint.
+    s0, w0 = piece(g, e, 1.0, (a, b), g)
+    # Left half [0, 1/2], t = s/2, analytic branch of the connection formula
+    # with the t^(eta-1) endpoint.
+    s1, w1 = piece(e, g, A, (a, b), a + b - g + 1.0)
     # Left half, t^(gamma-alpha-beta) branch: the fractional power joins the
     # rule exponent, keeping the remainder analytic.
-    exp2 = (e + cab).real - 1.0
-    r2 = gauss_jacobi_rule(exp2, 0.0, order)
-    s = r2.nodes
-    t_frac = s / 2.0
-    f2, *_ = _series_2f1_raw(g - a, g - b, cab + 1.0, t_frac, tol, 100_000)
-    w2 = (
-        r2.weights
-        * 2.0 ** (-(e + cab).real)
-        * const
-        * B
-        * np.power(1.0 - t_frac, g - 1.0)
-        * f2
-    )
-    if (e + cab).imag != 0.0:
-        w2 = w2 * np.power(t_frac, 1j * (e + cab).imag)
-    nodes.append(t_frac)
-    weights.append(w2)
-
-    t = np.concatenate(nodes)
-    w = np.concatenate(weights)
+    s2, w2 = piece(e + cab, g, B, (g - a, g - b), cab + 1.0)
+    t = np.concatenate([1.0 - s0, s1, s2])
+    w = np.concatenate([w0, w1, w2])
     if real_params and np.iscomplexobj(w):
         w = w.real
     return t, w
@@ -309,8 +261,7 @@ def integrate_measure(f: Callable, spec: MeasureSpec, order: int = 64):
     """integral(f(t) d mu(t), t=0..1) by the effective measure rule."""
     t, w = measure_rule(spec, order)
     vals = _apply(f, t)
-    out = complex(np.sum(w * vals))
-    return out.real if out.imag == 0.0 else out
+    return _as_scalar(np.sum(w * vals))
 
 
 def integrate_product(f: Callable, specs: Sequence[MeasureSpec], order: int = 32):
@@ -334,5 +285,4 @@ def integrate_product(f: Callable, specs: Sequence[MeasureSpec], order: int = 32
         shape = [1] * k
         shape[i] = w.size
         wgrid = wgrid * w.reshape(shape)
-    out = complex(np.sum(wgrid * vals))
-    return out.real if out.imag == 0.0 else out
+    return _as_scalar(np.sum(wgrid * vals))

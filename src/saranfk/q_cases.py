@@ -59,7 +59,7 @@ def _k_table(base, K: int, q: float) -> np.ndarray:
 
 
 def _phi_k_value(p: FkParams, x, y, z, s: EvalSettings) -> complex:
-    value, _, _ = _phi_k_reexpand(p, x, y, z, s.qctx, s.series_tol)
+    value, *_ = _phi_k_reexpand(p, x, y, z, s.qctx, s.series_tol)
     return complex(value)
 
 
@@ -192,7 +192,7 @@ def _phi_k_integral(inner: FkParams, rules, x, y, z, s: EvalSettings) -> complex
     measure rules, contracted through the third-index decomposition."""
     (t1, w1), (t2, w2), (t3, w3) = rules
     pmax = _phi_k_pmax(abs(z), s.series_tol)
-    coef, A, B = phi_k_p_tables(inner, x * t1, y * t2, s.qctx, pmax, tol=s.series_tol * 1e-2)
+    coef, A, B, *_ = phi_k_p_tables(inner, x * t1, y * t2, s.qctx, pmax, tol=s.series_tol * 1e-2)
     SA = w1 @ A
     SB = w2 @ B
     SC = _moment_powers(t3, w3, z, pmax)
@@ -692,7 +692,7 @@ def _rhs_fk_limits(pt, s: EvalSettings):
         gamma1=v["mu1"], gamma2=v["mu2"], gamma3=v["mu3"],
     )
     pmax = _phi_k_pmax(abs(v["z"]), s.series_tol)
-    coef, A, B = phi_k_p_tables(
+    coef, A, B, *_ = phi_k_p_tables(
         inner,
         v["x"] * q ** np.arange(I, dtype=np.float64),
         v["y"] * q ** np.arange(J, dtype=np.float64),
@@ -815,7 +815,7 @@ def _rhs_qfk_erdelyi(pt, s: EvalSettings):
         gamma3=v["beta1"] - v["lam3"],
     )
     pmax = _phi_k_pmax(abs(z), s.series_tol)
-    coef, FA, FB = phi_k_p_tables(
+    coef, FA, FB, *_ = phi_k_p_tables(
         inner,
         uu * x * (q ** (ks + v["lam3"]))[None, :],
         vv * y * (q ** (ks + v["eta2"]))[None, :],

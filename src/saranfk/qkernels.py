@@ -26,13 +26,14 @@ import numpy as np
 
 from .core import (
     QContext,
+    _as_scalar,
     q_gamma,
     q_pochhammer_inf,
     q_pochhammer_inf_ratio,
     q_pochhammer_table,
 )
 from .errors import ConvergenceError, DomainError, PoleError
-from .series import FkParams, SeriesResult, _as_value
+from .series import FkParams, SeriesResult, _face_tails, _grow, _series_len, _tail_est
 
 __all__ = [
     "Phi3Spec",
@@ -111,7 +112,7 @@ def _rphis_array(
     total = np.ones(shape, dtype=dtype)
     small = 0
     converged = ta is not None
-    tmax = 0.0
+    est = 0.0
     ell = 0
     while ell < nsteps:
         ql = q**ell
@@ -136,17 +137,15 @@ def _rphis_array(
         if ta is not None:
             term = np.where(ell <= ta, term, 0.0)
         total = total + term
-        tmax = float(np.max(np.abs(term)))
         if ta is None:
-            if tmax <= tol * (1.0 + float(np.max(np.abs(total)))) * 0.25:
+            est = _tail_est(float(np.max(np.abs(term))), 0.25, float(np.max(np.abs(total))))
+            if est <= tol:
                 small += 1
                 if small >= 3 and ell >= 8:
                     converged = True
                     break
             else:
                 small = 0
-    scale = 1.0 + float(np.max(np.abs(total)))
-    est = 0.0 if ta is not None else (4.0 * tmax) / scale
     return total, ell, converged, est
 
 
@@ -168,7 +167,7 @@ def rphis(upper, lower, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
         if r == s + 1 and abs(z) >= 1.0:
             raise DomainError("r_phi_s with r = s+1 requires |z| < 1")
     value, n, ok, est = _rphis_array(upper, lower, z, ctx, tol=tol, terminate_after=n_stop)
-    return SeriesResult(_as_value(value[()]), n + 1, ok, est)
+    return SeriesResult(_as_scalar(value[()]), n + 1, ok, est)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +209,13 @@ def _group_terminations(group, q: float):
     return [t for t in (q_termination_index(v, q) for v in group) if t is not None]
 
 
-def _axis_size(zval, q: float, tol: float, terminations, cap: int = 64) -> int:
+def _axis_size(zval, tol: float, terminations) -> int:
     if terminations:
         return min(terminations) + 1
     az = abs(complex(zval))
-    if az == 0.0:
-        return 1
     if az >= 1.0:
         raise DomainError("phi3 argument must satisfy |arg| < 1 unless terminating")
-    return int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(az)) + 8, 10, cap))
+    return _series_len(az, tol, 10, 64)
 
 
 def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
@@ -231,9 +228,9 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
     tm = _group_terminations((*spec.c, *spec.a, *spec.b, *spec.bpp), q)
     tn = _group_terminations((*spec.cp, *spec.a, *spec.b, *spec.bp), q)
     tp = _group_terminations((*spec.cpp, *spec.a, *spec.bp, *spec.bpp), q)
-    M = _axis_size(x, q, tol, tm)
-    N = _axis_size(y, q, tol, tn)
-    P = _axis_size(z, q, tol, tp)
+    sizes = [_axis_size(v, tol, t) for v, t in ((x, tm), (y, tn), (z, tp))]
+    # A terminating axis is summed to its last nonzero term already.
+    complete = [i for i, t in enumerate((tm, tn, tp)) if t]
 
     def tab(group, upto):
         out = None
@@ -242,11 +239,11 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
             out = t if out is None else out * t
         return out
 
-    terms_used = 0
-    for _ in range(3):
-        m = np.arange(M)
-        n = np.arange(N)
-        p = np.arange(P)
+    def build(sizes):
+        M, N, P = sizes
+        m = np.arange(M)[:, None, None]
+        n = np.arange(N)[None, :, None]
+        p = np.arange(P)[None, None, :]
         qfact = q_pochhammer_table(q, max(M, N, P) - 1, q)
 
         def axis_vec(val, length, num_group, den_group):
@@ -265,7 +262,8 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
         vz = axis_vec(z, P, spec.cpp, spec.hpp)
         tensor = vx[:, None, None] * vy[None, :, None] * vz[None, None, :]
 
-        def joint(num_group, den_group, idx, upto):
+        def joint(num_group, den_group, idx):
+            upto = sum(idx.shape) - idx.ndim  # the largest index in idx
             tnum = tab(num_group, upto)
             tden = tab(den_group, upto)
             if tnum is None and tden is None:
@@ -275,41 +273,16 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
                 vals = vals / tden
             return vals[idx]
 
-        j = joint(spec.a, spec.e, m[:, None, None] + n[None, :, None] + p[None, None, :], M + N + P - 3)
-        if j is not None:
-            tensor = tensor * j
-        j = joint(spec.b, spec.g, m[:, None] + n[None, :], M + N - 2)
-        if j is not None:
-            tensor = tensor * j[:, :, None]
-        j = joint(spec.bp, spec.gp, n[:, None] + p[None, :], N + P - 2)
-        if j is not None:
-            tensor = tensor * j[None, :, :]
-        j = joint(spec.bpp, spec.gpp, m[:, None] + p[None, :], M + P - 2)
-        if j is not None:
-            tensor = tensor * j[:, None, :]
+        for num_group, den_group, idx in (
+            (spec.a, spec.e, m + n + p), (spec.b, spec.g, m + n),
+            (spec.bp, spec.gp, n + p), (spec.bpp, spec.gpp, m + p),
+        ):
+            j = joint(num_group, den_group, idx)
+            if j is not None:
+                tensor = tensor * j
+        return tensor.sum(), _face_tails(tensor, complete), True, tensor.size
 
-        total = tensor.sum()
-        terms_used += tensor.size
-        grow = []
-        worst = 0.0
-        for axis, (size, t_axis) in enumerate(((M, tm), (N, tn), (P, tp))):
-            if t_axis or size < 2:
-                continue
-            face = float(np.abs(np.take(tensor, size - 1, axis=axis)).sum())
-            worst = max(worst, face)
-            if face > tol * (1.0 + abs(total)) * 0.2:
-                grow.append(axis)
-        if not grow:
-            est = worst * 4.0 / (1.0 + abs(total))
-            return SeriesResult(_as_value(total), terms_used, True, est)
-        if 0 in grow:
-            M = min(96, int(M * 1.5) + 4)
-        if 1 in grow:
-            N = min(96, int(N * 1.5) + 4)
-        if 2 in grow:
-            P = min(96, int(P * 1.5) + 4)
-    est = worst * 4.0 / (1.0 + abs(total))
-    return SeriesResult(_as_value(total), terms_used, False, est)
+    return _grow(build, sizes, [96, 96, 96], tol, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +308,7 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
         Phi_K(X, Y, Z) = sum_p coef[p] A[..., p] B[..., p] Z^p
 
     with A, B shifted 2phi1 tables over argument arrays X, Y; parameters are
-    exponents.
+    exponents.  Returns (coef, A, B, A converged, B converged).
     """
     q = ctx.q
     ps = np.arange(pmax + 1, dtype=np.float64)
@@ -349,21 +322,21 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
         )
     )
     shifts = q**ps
-    A, *_ = _rphis_array(
+    A, _, okA, _ = _rphis_array(
         [qb1 * shifts, q ** complex(p.alpha1)],
         [q ** complex(p.gamma1)],
         np.asarray(X)[..., None],
         ctx,
         tol=tol,
     )
-    B, *_ = _rphis_array(
+    B, _, okB, _ = _rphis_array(
         [qa2 * shifts, q ** complex(p.beta2)],
         [q ** complex(p.gamma2)],
         np.asarray(Y)[..., None],
         ctx,
         tol=tol,
     )
-    return coef, A, B
+    return coef, A, B, okA, okB
 
 
 def _phi_k_pmax(z_mag: float, tol: float) -> int:
@@ -382,11 +355,11 @@ def _zpowers(z: complex, pmax: int) -> np.ndarray:
 
 def _phi_k_reexpand(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12):
     pmax = _phi_k_pmax(abs(complex(z)), tol)
-    coef, A, B = phi_k_p_tables(p, complex(x), complex(y), ctx, pmax, tol=tol * 1e-2)
+    coef, A, B, okA, okB = phi_k_p_tables(p, complex(x), complex(y), ctx, pmax, tol=tol * 1e-2)
     rows = coef * A * B * _zpowers(complex(z), pmax)
     total = rows.sum()
     tail = float(np.abs(rows[-1])) if pmax else 0.0
-    return _as_value(total), rows.size, tail / (1.0 + abs(total))
+    return _as_scalar(total), rows.size, okA and okB, tail / (1.0 + abs(total))
 
 
 def phi_k_q(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
@@ -394,19 +367,20 @@ def phi_k_q(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
 
     Evaluates both the triple series and the 2phi1 reexpansion, cross-checks
     them, and returns the reexpansion value; a mismatch beyond 100*tol raises
-    ConvergenceError.
+    ConvergenceError.  converged holds only when the triple series and both
+    2phi1 tables of the reexpansion converged.
     """
     x, y, z = complex(x), complex(y), complex(z)
     if max(abs(x), abs(y), abs(z)) >= 1.0:
         raise DomainError("Phi_K requires |x| < 1, |y| < 1, |z| < 1")
-    value, nterms, est = _phi_k_reexpand(p, x, y, z, ctx, tol)
+    value, nterms, ok, est = _phi_k_reexpand(p, x, y, z, ctx, tol)
     triple = phi3(_phi_k_spec(p, ctx.q), x, y, z, ctx, tol)
     diff = abs(complex(value) - complex(triple.value)) / (1.0 + abs(complex(value)))
     if diff > 100.0 * tol:
         raise ConvergenceError(
             f"Phi_K cross-form mismatch {diff:.3e} beyond {100.0 * tol:.1e}"
         )
-    return SeriesResult(value, nterms + triple.terms_used, True, max(est, diff))
+    return SeriesResult(value, nterms + triple.terms_used, ok and triple.converged, max(est, diff))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +430,7 @@ def jackson_integral(f, k: int, ctx: QContext, scale: float = 1.0, vectorized: b
             float(np.abs(np.take(weighted, N - 1, axis=axis)).sum()) for axis in range(k)
         )
         if tail <= ctx.jackson_tail_tol * (1.0 + abs(total)):
-            out = complex(total)
-            return out.real if out.imag == 0.0 else out
+            return _as_scalar(total)
         if N >= cap:
             raise ConvergenceError("Jackson lattice tail bound not met at cutoff cap")
         N = min(cap, N * 2)
@@ -509,23 +482,17 @@ def _lattice_index(t, q: float) -> int:
     return n
 
 
-def _realize(c):
-    """Drop a zero imaginary part so real parameters stay on float paths."""
-    c = complex(c)
-    return c.real if c.imag == 0.0 else c
-
-
 def _q_density_lattice(spec: QMeasureSpec, n: np.ndarray):
     """Density values at lattice points t = q^n, vectorized over n."""
     ctx = spec.ctx
     q = ctx.q
     t = q ** n.astype(np.float64)
     if isinstance(spec, QDirichletMeasure):
-        a, b = _realize(spec.alpha), _realize(spec.beta)
+        a, b = _as_scalar(spec.alpha), _as_scalar(spec.beta)
         const = q_gamma(a + b, ctx) / (q_gamma(a, ctx) * q_gamma(b, ctx))
         ratio = q_pochhammer_inf_ratio(t * q, t * q**b, ctx)
         return const * np.power(t, a - 1.0) * ratio
-    a, b, g, e = (_realize(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
+    a, b, g, e = (_as_scalar(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
     const = (
         q_gamma(e + g - a, ctx)
         * q_gamma(e + g - b, ctx)
@@ -547,8 +514,7 @@ def _q_density_lattice(spec: QMeasureSpec, n: np.ndarray):
 def q_measure_density(spec: QMeasureSpec, t):
     """Density at a q-lattice point t = q^n (q-integrals only sample these)."""
     n = _lattice_index(t, spec.ctx.q)
-    out = complex(_q_density_lattice(spec, np.asarray([n]))[0])
-    return out.real if out.imag == 0.0 else out
+    return _as_scalar(_q_density_lattice(spec, np.asarray([n]))[0])
 
 
 def _measure_decay(spec: QMeasureSpec) -> float:
@@ -588,7 +554,7 @@ def q_moment(spec: QMeasureSpec, ell: int):
         a, b = complex(spec.alpha), complex(spec.beta)
         num = q_pochhammer_table(q**a, ell, q)[ell]
         den = q_pochhammer_table(q ** (a + b), ell, q)[ell]
-        return _as_value(num / den)
+        return _as_scalar(num / den)
     a, b, g, e = (complex(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
     # Slot solve: the measure was built from (eta-lam, gam-lam,
     # gam-lam+eta-nu, nu); recover the original exponents.
@@ -601,7 +567,7 @@ def q_moment(spec: QMeasureSpec, ell: int):
         q_pochhammer_table(q**gam_big, ell, q)[ell]
         * q_pochhammer_table(q**eta_big, ell, q)[ell]
     )
-    return _as_value(num / den)
+    return _as_scalar(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +669,7 @@ def qshift_operator_kernel(
         gamma3=p.beta1 - p.lam3,
     )
     pmax = _phi_k_pmax(abs(wz), tol)
-    coef, FA, FB = phi_k_p_tables(
+    coef, FA, FB, *_ = phi_k_p_tables(
         inner,
         u * x * q ** (ks + p.lam3),
         v * y * q ** (ks + p.eta2),
@@ -712,7 +678,7 @@ def qshift_operator_kernel(
         tol=tol * 1e-2,
     )
     phik = (coef[None, :] * FA * FB * _zpowers(wz, pmax)[None, :]).sum(axis=1)
-    return _as_value((ck * A * B * phik).sum())
+    return _as_scalar((ck * A * B * phik).sum())
 
 
 # ---------------------------------------------------------------------------

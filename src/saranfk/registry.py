@@ -10,6 +10,8 @@ failures, never aborting the batch.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import functools
 import os
 import time
 import zlib
@@ -72,26 +74,16 @@ class EvalSettings:
         a series changes the residual by noise, which is what the refinement
         comparison must not measure.
         """
-        return EvalSettings(
-            q=self.q,
+        return dataclasses.replace(
+            self,
             quad_order=min(256, self.quad_order * 2),
             quad_order_triple=min(256, self.quad_order_triple * 2),
             quad_order_quad=min(128, self.quad_order_quad * 2),
-            series_tol=self.series_tol,
-            jackson_tail_tol=self.jackson_tail_tol,
             jackson_scale=self.jackson_scale * 2.0,
         )
 
     def with_q(self, q: float) -> "EvalSettings":
-        return EvalSettings(
-            q=q,
-            quad_order=self.quad_order,
-            quad_order_triple=self.quad_order_triple,
-            quad_order_quad=self.quad_order_quad,
-            series_tol=self.series_tol,
-            jackson_tail_tol=self.jackson_tail_tol,
-            jackson_scale=self.jackson_scale,
-        )
+        return dataclasses.replace(self, q=q)
 
     @staticmethod
     def default() -> "EvalSettings":
@@ -234,8 +226,10 @@ def verify_identity(
     )
 
 
+@functools.cache
 def builtin_registry() -> tuple[IdentityCase, ...]:
-    """Every verifiable identity, one immutable entry per id."""
+    """Every verifiable identity, one immutable entry per id.  Built once per
+    process; the tuple and its frozen cases are shared by every caller."""
     from . import classical_cases, q_cases
 
     cases = (*classical_cases.build(), *q_cases.build())

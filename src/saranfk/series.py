@@ -5,11 +5,15 @@ Appell F2, Saran's three-variable F_K in both its triple-series and
 2F1-reexpanded forms, the L-variable extension of F_K, and the convolution
 family built from shifted 2F1 products.
 
-All engines share the same truncation discipline: stop once three consecutive
-terms (or index shells) each contribute less than tol * (1 + |partial sum|)
-scaled by a conservative geometric ratio, with a minimum of eight terms per
-index.  SeriesResult.est_trunc_error is reported relative to (1 + |value|),
-matching that stopping rule.
+Truncation follows one rule.  An engine measures the part of the series it
+summed last (a term, the largest of the last three rows, or the summed
+boundary faces of an index box), and _tail_est turns it into the estimate
+tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling like r^n,
+0.2 for box faces.  A series has converged only once that estimate is at most
+tol, so converged=True implies est_trunc_error <= tol.  Term loops stop after
+three such terms in a row (eight at least).  Block engines go through _grow,
+with a cap per axis of 2000 for row sums, 320 for the convolution box and 48
+for the L-variable box (96 for phi3 in qkernels).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.special as sp
 
-from .core import is_nonpositive_integer, pochhammer_table
+from .core import _as_scalar, is_nonpositive_integer, pochhammer_table
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -79,11 +83,6 @@ class FkParams:
                 raise PoleError(f"F_K parameter {name} is a non-positive integer")
 
 
-def _as_value(x):
-    x = complex(x)
-    return x.real if x.imag == 0.0 else x
-
-
 def _snap_terminating(a):
     """Round an upper parameter onto Z_{<=0} when it is within pole tolerance,
     so terminating series cut off exactly."""
@@ -94,6 +93,61 @@ def _snap_terminating(a):
 
 def _is_terminating(a) -> bool:
     return is_nonpositive_integer(a)
+
+
+# ---------------------------------------------------------------------------
+# Truncation core
+# ---------------------------------------------------------------------------
+
+
+def _tail_est(tail, margin: float, total) -> float:
+    """Relative truncation estimate tail / (margin (1 + |total|)).
+
+    Every stopping test compares this value with tol, so a series reported
+    as converged never reports an estimate above tol."""
+    return tail / (margin * (1.0 + abs(total)))
+
+
+def _series_len(ratio: float, tol: float, lo=24, hi=220) -> int:
+    """First truncation length of a series whose terms fall like ratio^n:
+    where ratio^n reaches tol/100, plus 8, clipped to [lo, hi].  A zero ratio
+    leaves only the constant term."""
+    if ratio <= 0.0:
+        return 1
+    return int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(min(ratio, 0.98))) + 8, lo, hi))
+
+
+def _grow(build, sizes, caps, tol: float, margin: float) -> SeriesResult:
+    """Sum a block, growing it until it is accepted.
+
+    build(sizes) returns (total, tails, ok, terms): a tail measure per axis
+    (0.0 once an axis is complete) and whether the inner series converged.
+    The block is accepted when ok holds and every axis has an estimate
+    _tail_est(tail, margin, total) <= tol.  Otherwise each failing axis grows
+    to min(cap, int(1.5 n) + 8) until acceptance or until every failing axis
+    sits at its cap."""
+    sizes = list(sizes)
+    terms = 0
+    while True:
+        total, tails, ok, n = build(sizes)
+        terms += n
+        ests = [_tail_est(t, margin, total) for t in tails]
+        failing = [i for i, e in enumerate(ests) if e > tol]
+        converged = ok and not failing
+        grow = [i for i in failing if sizes[i] < caps[i]]
+        if converged or not grow:
+            return SeriesResult(_as_scalar(total), terms, converged, float(max(ests)))
+        for i in grow:
+            sizes[i] = min(caps[i], int(1.5 * sizes[i]) + 8)
+
+
+def _face_tails(tensor: np.ndarray, complete=()) -> list:
+    """Summed absolute terms on the last slab of each axis of an index box;
+    0.0 for an axis of length one or one listed in complete."""
+    return [
+        0.0 if n < 2 or i in complete else float(np.abs(np.take(tensor, n - 1, axis=i)).sum())
+        for i, n in enumerate(tensor.shape)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +168,21 @@ def _series_2f1_raw(a, b, c, z, tol, max_terms, min_terms=8):
 
     term = np.ones(shape, dtype=dtype)
     total = np.ones(shape, dtype=dtype)
-    rhat = min(0.97, float(np.max(np.abs(z))))
-    margin = 1.0 - rhat
+    margin = 1.0 - min(0.97, float(np.max(np.abs(z))))
     small = 0
     n = 0
-    tmax = 1.0
+    est = math.inf
     while n < max_terms:
         term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * z
         total = total + term
         n += 1
-        tmax = float(np.max(np.abs(term)))
-        scale = 1.0 + float(np.max(np.abs(total)))
-        if tmax <= tol * scale * margin:
+        est = _tail_est(float(np.max(np.abs(term))), margin, float(np.max(np.abs(total))))
+        if est <= tol:
             small += 1
             if small >= 3 and n >= min_terms:
                 break
         else:
             small = 0
-    scale = 1.0 + float(np.max(np.abs(total)))
-    est = tmax * rhat / (1.0 - rhat) / scale + tmax / scale
     return total, n, small >= 3, est
 
 
@@ -145,19 +195,28 @@ def _connection_ok(a, b, c) -> bool:
     return True
 
 
-def _series_2f1_near_one(a, b, c, z, tol, max_terms):
-    """2F1 through the standard two-term expansion around z = 1."""
+def _connection_coeffs(a, b, c):
+    """(A, B) of 2F1(a,b;c;1-w) = A 2F1(a,b;a+b-c+1;w) + B w^(c-a-b)
+    2F1(c-a,c-b;c-a-b+1;w).  rgamma sends the denominator poles (an upper
+    parameter in Z_{<=0}) to a clean zero coefficient instead of a NaN."""
+    cab = c - a - b
+    A = np.exp(sp.loggamma(c) + sp.loggamma(cab)) * sp.rgamma(c - a) * sp.rgamma(c - b)
+    B = np.exp(sp.loggamma(c) + sp.loggamma(-cab)) * sp.rgamma(a) * sp.rgamma(b)
+    return A, B
+
+
+def _series_2f1_near_one(a, b, c, w, tol, max_terms):
+    """2F1(a, b; c; 1-w) by the connection formula, for small |w|.  Taking w
+    itself spares callers that hold it exactly the rounding of 1 - (1 - w)."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
     cab = c - a - b
-    w = 1.0 - z
-    coef1 = np.exp(sp.loggamma(c) + sp.loggamma(cab)) * sp.rgamma(c - a) * sp.rgamma(c - b)
-    coef2 = np.exp(sp.loggamma(c) + sp.loggamma(-cab)) * sp.rgamma(a) * sp.rgamma(b)
+    A, B = _connection_coeffs(a, b, c)
     s1, n1, ok1, e1 = _series_2f1_raw(a, b, a + b - c + 1.0, w, tol, max_terms)
     s2, n2, ok2, e2 = _series_2f1_raw(c - a, c - b, cab + 1.0, w, tol, max_terms)
-    out = coef1 * s1 + coef2 * np.power(w, cab) * s2
+    out = A * s1 + B * np.power(w, cab) * s2
     return out, n1 + n2, ok1 and ok2, e1 + e2
 
 
@@ -234,7 +293,7 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
         return pref * v, n, ok, e
 
     do(m_pfaff, pfaff)
-    do(m_conn, lambda A, B, C, Z: _series_2f1_near_one(A, B, C, Z, tol, max_terms))
+    do(m_conn, lambda A, B, C, Z: _series_2f1_near_one(A, B, C, 1.0 - Z, tol, max_terms))
     do(m_slow, lambda A, B, C, Z: _series_2f1_raw(A, B, C, Z, tol, max_terms))
     do(m_pfaff_slow, pfaff)
 
@@ -255,7 +314,7 @@ def gauss_2f1(a, b, c, z, tol: float = 1e-12) -> SeriesResult:
     transform applies, PoleError for c in Z_{<=0}.
     """
     value, terms, converged, est = _eval_2f1(a, b, c, complex(z), tol)
-    return SeriesResult(_as_value(value), terms, converged, est)
+    return SeriesResult(_as_scalar(value), terms, converged, est)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +341,10 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
 
     term = complex(1.0)
     total = complex(1.0)
-    rhat = min(0.97, abs(z)) if len(upper) == len(lower) + 1 else 0.5
-    margin = 1.0 - rhat
+    margin = (1.0 - min(0.97, abs(z))) if len(upper) == len(lower) + 1 else 0.5
     small = 0
     n = 0
+    est = math.inf
     while n < max_terms:
         num = 1.0
         for u in upper:
@@ -296,15 +355,14 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
         term = term * num / den * z
         total += term
         n += 1
-        if abs(term) <= tol * (1.0 + abs(total)) * margin:
+        est = _tail_est(abs(term), margin, total)
+        if est <= tol:
             small += 1
             if small >= 3 and n >= 8:
                 break
         else:
             small = 0
-    scale = 1.0 + abs(total)
-    est = (abs(term) * rhat / (1.0 - rhat) + abs(term)) / scale
-    return SeriesResult(_as_value(total), n, small >= 3, est)
+    return SeriesResult(_as_scalar(total), n, small >= 3, est)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +388,10 @@ def appell_f2(a, b1, b2, c1, c2, y, z, tol: float = 1e-12) -> SeriesResult:
 
     r = abs(y) / (1.0 - abs(z))
     if r == 0.0:
-        inner = gauss_2f1(a, b2, c2, z, tol)
-        return inner
-    M = int(np.clip(math.ceil(math.log(max(tol, 1e-300)) / math.log(r)) + 16, 24, 800))
+        return gauss_2f1(a, b2, c2, z, tol)
 
-    terms = 0
-    for _ in range(3):
+    def build(sizes):
+        (M,) = sizes
         m = np.arange(M + 1, dtype=np.float64)
         # Row coefficients (a)_m (b1)_m y^m / ((c1)_m m!) by the term-ratio
         # recurrence; separate Pochhammer tables overflow at a few hundred m.
@@ -344,17 +400,10 @@ def appell_f2(a, b1, b2, c1, c2, y, z, tol: float = 1e-12) -> SeriesResult:
         np.cumprod(step, out=coef[1:])
         inner, n_in, ok, _ = _eval_2f1(np.asarray(a) + m, b2, c2, z, tol * 0.1)
         rows = coef * inner
-        terms += n_in + M
-        total = rows.sum()
-        tail = np.abs(rows[-3:]).max()
-        if tail <= tol * (1.0 + abs(total)) * (1.0 - r) and ok:
-            est = (tail * r / (1.0 - r) + tail) / (1.0 + abs(total))
-            return SeriesResult(_as_value(total), terms, True, est)
-        M = int(M * 1.6) + 8
-        if M > 2000:
-            break
-    est = (tail * r / (1.0 - r) + tail) / (1.0 + abs(total))
-    return SeriesResult(_as_value(total), terms, False, est)
+        return rows.sum(), [np.abs(rows[-3:]).max()], ok, n_in + M
+
+    M = int(np.clip(math.ceil(math.log(max(tol, 1e-300)) / math.log(r)) + 16, 24, 800))
+    return _grow(build, [M], [2000], tol, 1.0 - r)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +545,9 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         terms += N * N * N
         total, stop_at, est = _sum_shells(shells[:N], tol, rho)
         if stop_at is not None:
-            return SeriesResult(_as_value(total), terms, True, est)
+            return SeriesResult(_as_scalar(total), terms, True, est)
         if N >= 560:
-            return SeriesResult(_as_value(total), terms, False, est)
+            return SeriesResult(_as_scalar(total), terms, False, est)
         N = min(560, int(N * 1.5) + 8)
 
 
@@ -512,16 +561,15 @@ def saran_fk_reexpand(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         f1 = gauss_2f1(p.beta1, p.alpha1, p.gamma1, x, tol)
         f2 = gauss_2f1(p.alpha2, p.beta2, p.gamma2, y, tol)
         return SeriesResult(
-            _as_value(complex(f1.value) * complex(f2.value)),
+            _as_scalar(complex(f1.value) * complex(f2.value)),
             f1.terms_used + f2.terms_used,
             f1.converged and f2.converged,
             f1.est_trunc_error + f2.est_trunc_error,
         )
     rho = abs(z) / ((1.0 - abs(x)) * (1.0 - abs(y)))
-    P = int(np.clip(math.ceil(math.log(max(tol * 1e-2, 1e-300)) / math.log(rho)) + 12, 16, 700))
 
-    terms = 0
-    for _ in range(3):
+    def build(sizes):
+        (P,) = sizes
         k = np.arange(P + 1, dtype=np.float64)
         # (alpha2)_k (beta1)_k z^k / ((gamma3)_k k!) via the term-ratio
         # recurrence, which stays bounded at any truncation depth.
@@ -535,17 +583,10 @@ def saran_fk_reexpand(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         f1, n1, ok1, _ = _eval_2f1(np.asarray(p.beta1) + k, p.alpha1, p.gamma1, x, tol * 1e-2)
         f2, n2, ok2, _ = _eval_2f1(np.asarray(p.alpha2) + k, p.beta2, p.gamma2, y, tol * 1e-2)
         rows = coef * f1 * f2
-        total = rows.sum()
-        terms += n1 + n2 + P
-        tail = np.abs(rows[-3:]).max()
-        if tail <= tol * (1.0 + abs(total)) * (1.0 - min(rho, 0.97)) and ok1 and ok2:
-            est = (tail * rho / (1.0 - min(rho, 0.97)) + tail) / (1.0 + abs(total))
-            return SeriesResult(_as_value(total), terms, True, est)
-        P = int(P * 1.5) + 8
-        if P > 2000:
-            break
-    est = (tail * rho / (1.0 - min(rho, 0.97)) + tail) / (1.0 + abs(total))
-    return SeriesResult(_as_value(total), terms, False, est)
+        return rows.sum(), [np.abs(rows[-3:]).max()], ok1 and ok2, n1 + n2 + P
+
+    P = int(np.clip(math.ceil(math.log(max(tol * 1e-2, 1e-300)) / math.log(rho)) + 12, 16, 700))
+    return _grow(build, [P], [2000], tol, 1.0 - min(rho, 0.97))
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +613,8 @@ def fk_L(a1, a2, b, c, zs, tol: float = 1e-12) -> SeriesResult:
     """L-variable chain-coupled F_K, for L in {3, 4, 5}.
 
     The coefficient chains (a1)_{n1} (b_i)_{n_i + n_{i+1}} (a2)_{nL} over
-    per-variable denominators (c_i)_{n_i} n_i!.  Truncation is a per-axis
-    adaptive box with boundary-slab tail checks.
+    per-variable denominators (c_i)_{n_i} n_i!.  Summed over an index box
+    that _grow enlarges axis by axis from its boundary slabs.
     """
     L = len(zs)
     if L not in (3, 4, 5):
@@ -589,15 +630,7 @@ def fk_L(a1, a2, b, c, zs, tol: float = 1e-12) -> SeriesResult:
     if all(v == 0 for v in zs):
         return SeriesResult(1.0, 1, True, 0.0)
 
-    def axis_n(zi):
-        azi = abs(zi)
-        if azi == 0.0:
-            return 1
-        return int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(azi)) + 8, 10, 48))
-
-    sizes = [axis_n(v) for v in zs]
-    terms = 0
-    for _ in range(4):
+    def build(sizes):
         axes = []
         for i, (Ni, zi, ci) in enumerate(zip(sizes, zs, c)):
             f = np.arange(Ni, dtype=np.float64)
@@ -619,25 +652,10 @@ def fk_L(a1, a2, b, c, zs, tol: float = 1e-12) -> SeriesResult:
             shape[i] = sizes[i]
             shape[i + 1] = sizes[i + 1]
             tensor = tensor * tab[ii].reshape(shape)
-        total = tensor.sum()
-        terms += tensor.size
-        # Boundary slabs: the summed absolute contribution of each face.
-        grow = []
-        worst = 0.0
-        for i in range(L):
-            if sizes[i] < 2:
-                continue
-            face = abs(np.take(tensor, sizes[i] - 1, axis=i)).sum()
-            worst = max(worst, face)
-            if face > tol * (1.0 + abs(total)) * 0.2:
-                grow.append(i)
-        if not grow:
-            est = worst * 4.0 / (1.0 + abs(total))
-            return SeriesResult(_as_value(total), terms, True, est)
-        for i in grow:
-            sizes[i] = min(48, int(sizes[i] * 1.5) + 4)
-    est = worst * 4.0 / (1.0 + abs(total))
-    return SeriesResult(_as_value(total), terms, False, est)
+        return tensor.sum(), _face_tails(tensor), True, tensor.size
+
+    sizes = [_series_len(abs(v), tol, 10, 48) for v in zs]
+    return _grow(build, sizes, [48] * L, tol, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +708,25 @@ class CoeffSequence2D:
 
 
 def delta_sequence() -> CoeffSequence2D:
-    return CoeffSequence2D(lambda m, n: 1.0 if (m == 0 and n == 0) else 0.0, 1.0)
+    def build(M, N):
+        t = np.zeros((M + 1, N + 1))
+        t[0, 0] = 1.0
+        return t
+
+    return CoeffSequence2D(None, 1.0, table_builder=build)
 
 
 def geometric_sequence(r: float) -> CoeffSequence2D:
     if not (0 <= r < 1):
         raise ValueError("geometric ratio must lie in [0,1)")
-    return CoeffSequence2D(lambda m, n: r ** (m + n), max(r, 1e-9))
+
+    def build(M, N):
+        # Python's r**k, gathered: np.power differs from it by an ulp on
+        # some k, which would move downstream digits.
+        powers = np.array([r**k for k in range(M + N + 1)], dtype=np.float64)
+        return powers[np.add.outer(np.arange(M + 1), np.arange(N + 1))]
+
+    return CoeffSequence2D(None, max(r, 1e-9), table_builder=build)
 
 
 def fk_diagonal_sequence(a1, a2, g3, probe: int = 60) -> CoeffSequence2D:
@@ -708,19 +738,22 @@ def fk_diagonal_sequence(a1, a2, g3, probe: int = 60) -> CoeffSequence2D:
     fact = sp.gamma(np.arange(probe + 1, dtype=np.float64) + 1.0)
     diag = t1 * t2 / (t3 * fact)
 
-    def ev(m, n):
-        if m != n:
-            return 0.0
-        if m <= probe:
-            return complex(diag[m])
-        v = diag[probe]
-        for j in range(probe, m):
-            v *= (a1 + j) * (a2 + j) / ((g3 + j) * (j + 1.0))
-        return complex(v)
+    def build(M, N):
+        K = min(M, N) + 1
+        d = diag[:K]
+        if K > probe + 1:
+            # Past the probe, a running product of term ratios from the last
+            # probed entry, multiplied in the same order as a scalar loop.
+            j = np.arange(probe, K - 1, dtype=np.float64)
+            step = (a1 + j) * (a2 + j) / ((g3 + j) * (j + 1.0))
+            d = np.concatenate([diag[:probe], np.cumprod(np.concatenate([diag[probe:], step]))])
+        t = np.zeros((M + 1, N + 1), dtype=d.dtype)
+        t[np.arange(K), np.arange(K)] = d
+        return t
 
     vals = np.abs(diag[1:])
     bound = float(np.max(vals ** (1.0 / (2.0 * np.arange(1, probe + 1))))) if len(vals) else 1.0
-    return CoeffSequence2D(ev, max(1.0, bound) * 1.05)
+    return CoeffSequence2D(None, max(1.0, bound) * 1.05, table_builder=build)
 
 
 def convolve2d(a: CoeffSequence2D, b: CoeffSequence2D) -> CoeffSequence2D:
@@ -778,32 +811,15 @@ def generic_f_a(
     r3 = min(0.95, a.decay_bound * abs(x3) / (1.0 - abs(x1)))
     r4 = min(0.95, a.decay_bound * abs(x4) / (1.0 - abs(x2)))
 
-    def axis_n(r):
-        if r == 0.0:
-            return 1
-        return int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(r)) + 8, 12, 220))
-
-    M, N = axis_n(r3), axis_n(r4)
-    terms = 0
-    for _ in range(3):
+    def build(sizes):
+        M, N = sizes
         fm = np.arange(M, dtype=np.float64)
         fn = np.arange(N, dtype=np.float64)
         f1, n1, ok1, _ = _eval_2f1(np.asarray(alpha1) + fm, beta1, gamma1, x1, tol * 1e-2)
         f2, n2, ok2, _ = _eval_2f1(np.asarray(alpha2) + fn, beta2, gamma2, x2, tol * 1e-2)
         coefs = a.table(M - 1, N - 1)
         tensor = coefs * np.outer(f1 * np.power(x3, fm), f2 * np.power(x4, fn))
-        total = tensor.sum()
-        terms += n1 + n2 + tensor.size
-        tails = []
-        if M > 1:
-            tails.append(abs(tensor[-1, :]).sum())
-        if N > 1:
-            tails.append(abs(tensor[:, -1]).sum())
-        worst = max(tails) if tails else 0.0
-        if worst <= tol * (1.0 + abs(total)) * 0.2 and ok1 and ok2:
-            est = worst * 4.0 / (1.0 + abs(total))
-            return SeriesResult(_as_value(total), terms, True, est)
-        M = min(320, int(M * 1.5) + 4)
-        N = min(320, int(N * 1.5) + 4)
-    est = worst * 4.0 / (1.0 + abs(total))
-    return SeriesResult(_as_value(total), terms, False, est)
+        return tensor.sum(), _face_tails(tensor), ok1 and ok2, n1 + n2 + tensor.size
+
+    sizes = [_series_len(r3, tol, 12, 220), _series_len(r4, tol, 12, 220)]
+    return _grow(build, sizes, [320, 320], tol, 0.2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,19 @@ class TestPhiKq:
         p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
         r = phi_k_q(p, 0.3, 0.25, 0.2, ctx05)
         assert r.converged
+
+    def test_unconverged_part_is_reported(self, ctx05, monkeypatch):
+        from saranfk import qkernels
+
+        p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
+        real_phi3 = qkernels.phi3
+
+        def stalled_phi3(*args, **kwargs):
+            r = real_phi3(*args, **kwargs)
+            return dataclasses.replace(r, converged=False)
+
+        monkeypatch.setattr(qkernels, "phi3", stalled_phi3)
+        assert not phi_k_q(p, 0.3, 0.25, 0.2, ctx05).converged
 
     def test_classical_limit(self):
         ctx = QContext(q=0.999)

@@ -43,6 +43,9 @@ class TestRegistryShape:
         with pytest.raises(ConfigError):
             registry_lookup("bogus-id")
 
+    def test_registry_built_once(self):
+        assert builtin_registry() is builtin_registry()
+
     def test_cost_classes_are_known(self):
         allowed = {"cheap", "single-integral", "triple-integral", "q-lattice"}
         assert {c.cost_class for c in builtin_registry()} <= allowed

@@ -7,7 +7,9 @@ from saranfk import (
     CoeffSequence2D,
     DomainError,
     FkParams,
+    Phi3Spec,
     PoleError,
+    QContext,
     appell_f2,
     convolve2d,
     delta_sequence,
@@ -18,6 +20,9 @@ from saranfk import (
     geometric_sequence,
     hyper_pfq,
     in_domain_fk,
+    phi3,
+    phi_k_q,
+    rphis,
     saran_fk_reexpand,
     saran_fk_triple,
 )
@@ -348,6 +353,15 @@ class TestConvolutionFamily:
         assert got.shape == direct.shape
         assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
 
+    def test_diagonal_past_probe_matches_rising_factorials(self):
+        mpmath = pytest.importorskip("mpmath")
+        a1, a2, g3 = 0.5, 0.8, 1.4
+        t = fk_diagonal_sequence(a1, a2, g3).table(150, 150)
+        for n in (0, 60, 61, 100, 150):
+            want = mpmath.rf(a1, n) * mpmath.rf(a2, n) / (mpmath.rf(g3, n) * mpmath.factorial(n))
+            assert t[n, n] == pytest.approx(float(want), rel=1e-12)
+        assert np.count_nonzero(t) == 151
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             generic_f_a(delta_sequence(), 0.5, 0.7, 1.5, 0.8, 0.9, 1.7, 1.1, 0.2, 0.1, 0.1)
@@ -360,6 +374,10 @@ class TestConvergedImpliesEstimateWithinTol:
     def test_across_engines(self):
         p = FkParams(0.7, 0.9, 1.1, 0.6, 1.8, 2.0, 1.4)
         tol = 1e-10
+        ctx = QContext(q=0.5)
+        q = ctx.q
+        spec = Phi3Spec(bp=(q**0.9,), bpp=(q**1.1,), c=(q**0.7,), cp=(q**0.6,),
+                        h=(q**1.8,), hp=(q**2.0,), hpp=(q**1.4,))
         results = [
             gauss_2f1(0.8, 1.1, 1.9, 0.62, tol),
             hyper_pfq([0.4, 0.9, 1.3], [1.7, 0.8], 0.3, tol),
@@ -369,6 +387,11 @@ class TestConvergedImpliesEstimateWithinTol:
             fk_L(0.5, 0.8, [1.0, 1.2, 0.9], [1.5, 1.1, 1.3, 1.7], [0.25, 0.2, 0.15, 0.3], tol),
             generic_f_a(geometric_sequence(0.3), 0.5, 0.7, 1.5, 0.8, 0.9, 1.7,
                         0.3, 0.2, 0.2, 0.2, tol),
+            # An L = 3 chain whose first box is too small, so the box grows.
+            fk_L(2.23, 0.61, [2.05, 1.79], [1.22, 1.52, 0.65], [0.2, 0.28, 0.14], tol),
+            phi3(spec, 0.25, 0.2, 0.3, ctx, tol),
+            rphis([q**0.4, q**0.9], [q**1.3], 0.3, ctx, tol),
+            phi_k_q(p, 0.25, 0.2, 0.3, ctx, tol),
         ]
         for r in results:
             assert r.converged
