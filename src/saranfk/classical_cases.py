@@ -606,15 +606,10 @@ def _rhs_fa_erdelyi(pt, s):
     SU3 = (w3[:, None] * np.power((t3 * x3)[:, None], span[None, :])).sum(axis=0)
     SU4 = (w4[:, None] * np.power((t4 * x4)[:, None], span[None, :])).sum(axis=0)
     idx = np.add.outer(np.arange(MM), np.arange(MM))
-    return complex(
-        np.einsum(
-            "mn,MN,mM,nN->",
-            aseq.table(MM - 1, MM - 1),
-            bseq.table(MM - 1, MM - 1),
-            SU1 * SU3[idx],
-            SU2 * SU4[idx],
-        )
-    )
+    # sum_{m,n,M,N} a[m,n] b[M,N] P[m,M] Q[n,N] as two matmuls
+    P = SU1 * SU3[idx]
+    Q = SU2 * SU4[idx]
+    return complex(np.sum(P * (aseq.table(MM - 1, MM - 1) @ Q @ bseq.table(MM - 1, MM - 1).T)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ Right-hand sides are Jackson lattice sums built from q-measure rules
 (effective nodes and weights); the series factors inside every integrand are
 vectorized over the lattice through the broadcasting term recurrence, with
 terminating series cut exactly at their lattice-index bound.
+
+Shared sums.  `_phi_k_integral` contracts Phi_K against three lattice rules
+through its third-index decomposition; it is the right-hand side of
+ernst-q-bateman and qfk-lr, and of fk-discrete-limits with the limit weights
+as rules on the lattice q^n.  The qfk-erdelyi right-hand side contracts the
+shift-operator tables of `qkernels._shift_tables`, the builder behind
+`qshift_operator_kernel`, against its three measure rules.
 """
 
 from __future__ import annotations
@@ -16,17 +23,20 @@ import math
 import numpy as np
 
 from .core import q_pochhammer_inf, q_pochhammer_table
-from .errors import DomainError
 from .qkernels import (
     DiscreteFkParams,
     Phi3Spec,
     QDirichletMeasure,
+    QfkShiftParams,
     QHypergeometricMeasure,
     _phi_k_pmax,
     _phi_k_reexpand,
+    _phi_k_spec,
     _rphis_array,
+    _shift_tables,
     discrete_weight,
     discrete_weight_limit,
+    gasper_discrete_3phi2,
     phi3,
     phi_k_p_tables,
     q_measure_rule,
@@ -61,6 +71,10 @@ def _k_table(base, K: int, q: float) -> np.ndarray:
 def _phi_k_value(p: FkParams, x, y, z, s: EvalSettings) -> complex:
     value, *_ = _phi_k_reexpand(p, x, y, z, s.qctx, s.series_tol)
     return complex(value)
+
+
+def _dirichlet_rule(a, b, s: EvalSettings):
+    return q_measure_rule(QDirichletMeasure(a, b, s.qctx), s.jackson_scale)
 
 
 def _moment_powers(t, w, z, pmax: int) -> np.ndarray:
@@ -99,7 +113,7 @@ def _rhs_gasper1(pt, s: EvalSettings):
     q = s.q
     ctx = s.qctx
     x = v["x"]
-    t, w = q_measure_rule(QDirichletMeasure(v["lam"], v["gamma"] - v["lam"], ctx), s.jackson_scale)
+    t, w = _dirichlet_rule(v["lam"], v["gamma"] - v["lam"], s)
     ii = np.arange(len(t))
     pref = q_pochhammer_inf(x * t * q ** v["alphap"], ctx) / q_pochhammer_inf(x * t, ctx)
     f1, *_ = _rphis_array(
@@ -133,18 +147,18 @@ def _sample_gasper3(rng) -> ParameterPoint:
     )
 
 
-def _gasper3_measure(v, ctx) -> QHypergeometricMeasure:
-    return QHypergeometricMeasure(
-        v["eta"] - v["lam"], v["gamma"] - v["lam"],
-        v["gamma"] - v["lam"] + v["eta"] - v["nu"], v["nu"], ctx,
-    )
+def _slot_rule(eta, gamma, lam, nu, s: EvalSettings):
+    """Lattice rule of the hypergeometric q-measure in the slots of Gasper's
+    (2.3): (eta - lam, gamma - lam, gamma - lam + eta - nu, nu)."""
+    spec = QHypergeometricMeasure(eta - lam, gamma - lam, gamma - lam + eta - nu, nu, s.qctx)
+    return q_measure_rule(spec, s.jackson_scale)
 
 
 def _rhs_gasper3(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
     ctx = s.qctx
-    t, w = q_measure_rule(_gasper3_measure(v, ctx), s.jackson_scale)
+    t, w = _slot_rule(v["eta"], v["gamma"], v["lam"], v["nu"], s)
     f, *_ = _rphis_array(
         [q ** v["alpha"], q ** v["beta"], q ** v["eta"]],
         [q ** v["lam"], q ** v["nu"]],
@@ -201,11 +215,7 @@ def _phi_k_integral(inner: FkParams, rules, x, y, z, s: EvalSettings) -> complex
 
 def _rhs_ernst(pt, s: EvalSettings):
     v = pt.flat()
-    ctx = s.qctx
-    rules = [
-        q_measure_rule(QDirichletMeasure(v[f"nu{j}"], v[f"gamma{j}"] - v[f"nu{j}"], ctx), s.jackson_scale)
-        for j in (1, 2, 3)
-    ]
+    rules = [_dirichlet_rule(v[f"nu{j}"], v[f"gamma{j}"] - v[f"nu{j}"], s) for j in (1, 2, 3)]
     inner = FkParams(
         alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
         gamma1=v["nu1"], gamma2=v["nu2"], gamma3=v["nu3"],
@@ -302,18 +312,10 @@ def _rhs_joshi_vyas(pt, s: EvalSettings):
     # sum against the measure rule, never the closed form.
     v = pt.flat()
     k, mode = JV_VARIANTS[int(v["variant"])]
-    ctx = s.qctx
     sizes = _jv_sizes(v, k, mode, s.series_tol)
     tensor = _jv_coeff_tensor(v, k, mode, sizes, s.q)
     for j in range(1, k + 1):
-        spec = QHypergeometricMeasure(
-            v[f"eta{j}"] - v[f"lam{j}"],
-            v[f"gamma{j}"] - v[f"lam{j}"],
-            v[f"gamma{j}"] - v[f"lam{j}"] + v[f"eta{j}"] - v[f"nu{j}"],
-            v[f"nu{j}"],
-            ctx,
-        )
-        t, w = q_measure_rule(spec, s.jackson_scale)
+        t, w = _slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s)
         vec = _moment_powers(t, w, v[f"z{j}"], sizes[j - 1] - 1)
         shape = [1] * k
         shape[j - 1] = sizes[j - 1]
@@ -366,32 +368,11 @@ _QFK_PHI3_CONSTRAINTS = tuple(
 )
 
 
-def _lhs_qfk_phi3(pt, s: EvalSettings):
-    v = pt.flat()
-    p = FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["gamma1"], gamma2=v["gamma2"], gamma3=v["gamma3"],
-    )
-    return _phi_k_value(p, v["x"], v["y"], v["z"], s)
-
-
 def _rhs_qfk_phi3(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
     ctx = s.qctx
-    rules = [
-        q_measure_rule(
-            QHypergeometricMeasure(
-                v[f"eta{j}"] - v[f"lam{j}"],
-                v[f"gamma{j}"] - v[f"lam{j}"],
-                v[f"gamma{j}"] - v[f"lam{j}"] + v[f"eta{j}"] - v[f"nu{j}"],
-                v[f"nu{j}"],
-                ctx,
-            ),
-            s.jackson_scale,
-        )
-        for j in (1, 2, 3)
-    ]
+    rules = [_slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s) for j in (1, 2, 3)]
     (t1, w1), (t2, w2), (t3, w3) = rules
     pmax = _phi_k_pmax(abs(v["z"]), s.series_tol)
     shifts = q ** np.arange(pmax + 1, dtype=np.float64)
@@ -450,23 +431,10 @@ _QFK_LR_CONSTRAINTS = (
 
 def _rhs_qfk_lr(pt, s: EvalSettings):
     v = pt.flat()
-    ctx = s.qctx
     rules = [
-        q_measure_rule(
-            QHypergeometricMeasure(
-                v["eta1"] - v["alpha1"], v["gamma1"] - v["alpha1"],
-                v["gamma1"] - v["alpha1"] + v["eta1"] - v["nu1"], v["nu1"], ctx,
-            ),
-            s.jackson_scale,
-        ),
-        q_measure_rule(
-            QHypergeometricMeasure(
-                v["eta2"] - v["beta2"], v["gamma2"] - v["beta2"],
-                v["gamma2"] - v["beta2"] + v["eta2"] - v["nu2"], v["nu2"], ctx,
-            ),
-            s.jackson_scale,
-        ),
-        q_measure_rule(QDirichletMeasure(v["nu3"], v["gamma3"] - v["nu3"], ctx), s.jackson_scale),
+        _slot_rule(v["eta1"], v["gamma1"], v["alpha1"], v["nu1"], s),
+        _slot_rule(v["eta2"], v["gamma2"], v["beta2"], v["nu2"], s),
+        _dirichlet_rule(v["nu3"], v["gamma3"] - v["nu3"], s),
     ]
     inner = FkParams(
         alpha1=v["eta1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["eta2"],
@@ -533,8 +501,6 @@ def _lhs_gasper_discrete(pt, s: EvalSettings):
 
 
 def _rhs_gasper_discrete(pt, s: EvalSettings):
-    from .qkernels import gasper_discrete_3phi2
-
     v = pt.flat()
     return complex(
         gasper_discrete_3phi2(
@@ -683,28 +649,12 @@ def _rhs_fk_limits(pt, s: EvalSettings):
             size *= 2
         return np.concatenate(blocks)
 
-    W1 = w_tail("w1")
-    W2 = w_tail("w2")
-    W3 = w_tail("w3")
-    I, J, K = len(W1), len(W2), len(W3)
     inner = FkParams(
         alpha1=v["lam1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["lam2"],
         gamma1=v["mu1"], gamma2=v["mu2"], gamma3=v["mu3"],
     )
-    pmax = _phi_k_pmax(abs(v["z"]), s.series_tol)
-    coef, A, B, *_ = phi_k_p_tables(
-        inner,
-        v["x"] * q ** np.arange(I, dtype=np.float64),
-        v["y"] * q ** np.arange(J, dtype=np.float64),
-        ctx,
-        pmax,
-        tol=s.series_tol * 1e-2,
-    )
-    SA = W1 @ A
-    SB = W2 @ B
-    zk = v["z"] * q ** np.arange(K, dtype=np.float64)
-    SC = W3 @ np.power(zk[:, None], np.arange(pmax + 1)[None, :])
-    return complex((coef * SA * SB * SC).sum())
+    rules = [(q ** np.arange(len(W), dtype=np.float64), W) for W in map(w_tail, ("w1", "w2", "w3"))]
+    return _phi_k_integral(inner, rules, v["x"], v["y"], v["z"], s)
 
 
 # ---------------------------------------------------------------------------
@@ -756,79 +706,18 @@ def _lhs_qfk_erdelyi(pt, s: EvalSettings):
 
 def _rhs_qfk_erdelyi(pt, s: EvalSettings):
     v = pt.flat()
-    q = s.q
-    ctx = s.qctx
     x, y, z = v["x"], v["y"], v["z"]
-    tu, wu = q_measure_rule(
-        QDirichletMeasure(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"], ctx), s.jackson_scale
-    )
-    tv, wv = q_measure_rule(
-        QDirichletMeasure(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"], ctx), s.jackson_scale
-    )
-    tw, ww = q_measure_rule(
-        QDirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"], ctx), s.jackson_scale
-    )
-    base = abs(z) * q ** (v["alpha2"] - v["eta2"])
-    if base >= 0.999:
-        raise DomainError("shift-operator series non-convergent at this point")
-    kmax = 0 if z == 0 else int(
-        np.clip(math.ceil(math.log(s.series_tol * 1e-2) / math.log(max(base, 1e-12))), 8, 240)
-    )
-    ks = np.arange(kmax + 1, dtype=np.float64)
-    C1 = (
-        q_pochhammer_table(q ** v["eta2"], kmax, q)
-        / q_pochhammer_table(q, kmax, q)
-        * (q ** (v["alpha2"] - v["eta2"])) ** ks
-    )
-
-    iu = np.arange(len(tu))[:, None]
-    shiftA = (q ** (v["lam3"] + ks))[None, :]
-    uu = tu[:, None]
-    prefA = q_pochhammer_inf(uu * x * shiftA, ctx) / q_pochhammer_inf(uu * x, ctx)
-    phiA, *_ = _rphis_array(
-        [shiftA, q ** (v["lam1"] - v["eta1"]), 1.0 / uu],
-        [q ** v["lam1"], q / (uu * x)],
-        q,
-        ctx,
-        terminate_after=iu,
-    )
-    A = prefA * phiA
-
-    iv = np.arange(len(tv))[:, None]
-    shiftB = (q ** (v["eta2"] + ks))[None, :]
-    vv = tv[:, None]
-    prefB = q_pochhammer_inf(vv * y * shiftB, ctx) / q_pochhammer_inf(vv * y, ctx)
-    phiB, *_ = _rphis_array(
-        [shiftB, q ** (v["lam2"] - v["mu2"]), 1.0 / vv],
-        [q ** v["lam2"], q / (vv * y)],
-        q,
-        ctx,
-        terminate_after=iv,
-    )
-    B = prefB * phiB
-
-    inner = FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"] - v["eta2"],
-        beta1=v["beta1"] - v["lam3"], beta2=v["beta2"],
-        gamma1=v["alpha1"] - v["lam1"] + v["eta1"],
-        gamma2=v["beta2"] - v["lam2"] + v["mu2"],
-        gamma3=v["beta1"] - v["lam3"],
-    )
-    pmax = _phi_k_pmax(abs(z), s.series_tol)
-    coef, FA, FB, *_ = phi_k_p_tables(
-        inner,
-        uu * x * (q ** (ks + v["lam3"]))[None, :],
-        vv * y * (q ** (ks + v["eta2"]))[None, :],
-        ctx,
-        pmax,
-        tol=s.series_tol * 1e-2,
+    tu, wu = _dirichlet_rule(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"], s)
+    tv, wv = _dirichlet_rule(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"], s)
+    tw, ww = _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s)
+    ck, coef, A, FA, B, FB = _shift_tables(
+        QfkShiftParams(**pt.values), tu, tv, x, y, abs(z), s.qctx, s.series_tol
     )
     SU = np.einsum("i,ik,ikp->kp", wu, A, FA)
     SV = np.einsum("j,jk,jkp->kp", wv, B, FB)
-    smax = kmax + pmax
-    SW_s = (ww[:, None] * np.power(tw[:, None] * z, np.arange(smax + 1)[None, :])).sum(axis=0)
-    SW = SW_s[np.add.outer(np.arange(kmax + 1), np.arange(pmax + 1))]
-    return complex(np.einsum("k,p,kp,kp,kp->", C1, coef, SU, SV, SW))
+    kp = np.add.outer(np.arange(len(ck)), np.arange(len(coef)))
+    SW = _moment_powers(tw, ww, z, int(kp.max()))[kp]
+    return complex(np.einsum("k,p,kp,kp,kp->", ck, coef, SU, SV, SW))
 
 
 def _sample_qfk_simplified(rng) -> ParameterPoint:
@@ -853,25 +742,14 @@ _QFK_SIMPLIFIED_CONSTRAINTS = (
 )
 
 
-def _lhs_qfk_simplified(pt, s: EvalSettings):
-    v = pt.flat()
-    p = FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["alpha1"] + v["eta1"], gamma2=v["beta2"] + v["mu2"], gamma3=v["gamma3"],
-    )
-    return _phi_k_value(p, v["x"], v["y"], v["z"], s)
-
-
 def _rhs_qfk_simplified(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
     ctx = s.qctx
     x, y, z = v["x"], v["y"], v["z"]
-    tu, wu = q_measure_rule(QDirichletMeasure(v["alpha1"], v["eta1"], ctx), s.jackson_scale)
-    tv, wv = q_measure_rule(QDirichletMeasure(v["beta2"], v["mu2"], ctx), s.jackson_scale)
-    tw, ww = q_measure_rule(
-        QDirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"], ctx), s.jackson_scale
-    )
+    tu, wu = _dirichlet_rule(v["alpha1"], v["eta1"], s)
+    tv, wv = _dirichlet_rule(v["beta2"], v["mu2"], s)
+    tw, ww = _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s)
     K = 0 if z == 0 else int(
         np.clip(math.ceil(math.log(s.series_tol * 1e-2) / math.log(abs(z))), 8, 240)
     )
@@ -905,15 +783,8 @@ def _sample_phik_cross(rng) -> ParameterPoint:
 
 
 def _lhs_phik_cross(pt, s: EvalSettings):
-    from .qkernels import _phi_k_spec
-
     v = pt.flat()
     return complex(phi3(_phi_k_spec(_outer_fk(v), s.q), v["x"], v["y"], v["z"], s.qctx, s.series_tol).value)
-
-
-def _rhs_phik_cross(pt, s: EvalSettings):
-    v = pt.flat()
-    return _phi_k_value(_outer_fk(v), v["x"], v["y"], v["z"], s)
 
 
 # ---------------------------------------------------------------------------
@@ -960,20 +831,20 @@ def build() -> tuple[IdentityCase, ...]:
         IdentityCase(
             id="qfk-phi3", anchor="Corollary 4.2",
             constraints=_QFK_PHI3_CONSTRAINTS,
-            sampler=_sample_qfk_phi3, lhs=_lhs_qfk_phi3, rhs=_rhs_qfk_phi3,
+            sampler=_sample_qfk_phi3, lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="qfk-phi3-x0", anchor="Corollary 4.2 at x=0",
             constraints=_QFK_PHI3_CONSTRAINTS,
             sampler=lambda rng: _sample_qfk_phi3(rng, x_zero=True),
-            lhs=_lhs_qfk_phi3, rhs=_rhs_qfk_phi3,
+            lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="qfk-lr", anchor="Corollary 4.3",
             constraints=_QFK_LR_CONSTRAINTS,
-            sampler=_sample_qfk_lr, lhs=_lhs_qfk_phi3, rhs=_rhs_qfk_lr,
+            sampler=_sample_qfk_lr, lhs=_lhs_phi_k, rhs=_rhs_qfk_lr,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
@@ -991,7 +862,7 @@ def build() -> tuple[IdentityCase, ...]:
         IdentityCase(
             id="fk-discrete-limits", anchor="Eqs. (4.6)-(4.9)",
             constraints=_FK_LIMITS_CONSTRAINTS,
-            sampler=_sample_fk_limits, lhs=_lhs_qfk_phi3, rhs=_rhs_fk_limits,
+            sampler=_sample_fk_limits, lhs=_lhs_phi_k, rhs=_rhs_fk_limits,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=5,
         ),
         IdentityCase(
@@ -1003,13 +874,13 @@ def build() -> tuple[IdentityCase, ...]:
         IdentityCase(
             id="qfk-erdelyi-simplified", anchor="Corollary 4.7",
             constraints=_QFK_SIMPLIFIED_CONSTRAINTS,
-            sampler=_sample_qfk_simplified, lhs=_lhs_qfk_simplified, rhs=_rhs_qfk_simplified,
+            sampler=_sample_qfk_simplified, lhs=_lhs_qfk_erdelyi, rhs=_rhs_qfk_simplified,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="phik-cross-form", anchor="Eqs. (1.15)/(1.16)",
             constraints=(Constraint("|args| < 1", lambda pt: max(abs(a) for a in pt.arguments.values()) < 1),),
-            sampler=_sample_phik_cross, lhs=_lhs_phik_cross, rhs=_rhs_phik_cross,
+            sampler=_sample_phik_cross, lhs=_lhs_phik_cross, rhs=_lhs_phi_k,
             tol=1e-10, cost_class="cheap", uses_q=True, default_samples=15,
         ),
     )

@@ -592,6 +592,66 @@ class QfkShiftParams:
     lam3: float
 
 
+def _shift_tables(
+    p: QfkShiftParams, u, v, x, y, zmag: float, ctx: QContext, tol: float, kmax: int | None = None
+):
+    """Factors of the shift-operator k-sum at lattice points u, v (scalars or
+    arrays; a trailing k axis is appended).  Returns (ck, coef, A, FA, B, FB):
+
+        ck[k]     = (q^eta2; q)_k / (q; q)_k q^((alpha2 - eta2) k),
+        A[..., k] = (u x q^(k + lam3); q)_inf / (u x; q)_inf
+                    3phi2(q^(k + lam3), q^(lam1 - eta1), 1/u; q^lam1, q/(u x); q, q),
+
+    B likewise with (v, y, eta2, lam2 - mu2, lam2), and coef, FA, FB the
+    third-index decomposition (`phi_k_p_tables`) of the inner Phi_K at
+    (u x q^(k + lam3), v y q^(k + eta2)).  The powers of w z are left to the
+    caller; zmag bounds |w z| and sets both cutoffs, and an explicit kmax
+    overrides the k one.
+    """
+    q = ctx.q
+    base = zmag * q ** (p.alpha2 - p.eta2)
+    if zmag != 0 and base >= 0.999:
+        raise ConvergenceError("shift-operator k-sum is non-convergent: |wz| q^(a2-e2) >= 1")
+    if kmax is None:
+        kmax = 0 if zmag == 0 else int(
+            np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(base, 1e-12))), 8, 300)
+        )
+    ks = np.arange(kmax + 1, dtype=np.float64)
+    ck = (
+        q_pochhammer_table(q**p.eta2, kmax, q)
+        / q_pochhammer_table(q, kmax, q)
+        * (q ** (p.alpha2 - p.eta2)) ** ks
+    )
+
+    def factor(t, arg, shift, upper, lower):
+        # The 3phi2 has the upper entry 1/t = q^-n at t = q^n and stops there.
+        t = np.asarray(t, dtype=np.float64)[..., None]
+        shifted = q ** (shift + ks)
+        pref = q_pochhammer_inf(t * arg * shifted, ctx) / q_pochhammer_inf(t * arg, ctx)
+        phi, *_ = _rphis_array(
+            [shifted, q**upper, 1.0 / t],
+            [q**lower, q / (t * arg)],
+            q,
+            ctx,
+            terminate_after=np.rint(np.log(t) / math.log(q)).astype(np.int64),
+        )
+        return pref * phi, t * arg * shifted
+
+    A, XA = factor(u, x, p.lam3, p.lam1 - p.eta1, p.lam1)
+    B, YB = factor(v, y, p.eta2, p.lam2 - p.mu2, p.lam2)
+    inner = FkParams(
+        alpha1=p.alpha1,
+        alpha2=p.alpha2 - p.eta2,
+        beta1=p.beta1 - p.lam3,
+        beta2=p.beta2,
+        gamma1=p.alpha1 - p.lam1 + p.eta1,
+        gamma2=p.beta2 - p.lam2 + p.mu2,
+        gamma3=p.beta1 - p.lam3,
+    )
+    coef, FA, FB, *_ = phi_k_p_tables(inner, XA, YB, ctx, _phi_k_pmax(zmag, tol), tol=tol * 1e-2)
+    return ck, coef, A, FA, B, FB
+
+
 def qshift_operator_kernel(
     p: QfkShiftParams,
     u,
@@ -613,72 +673,14 @@ def qshift_operator_kernel(
     have upper entries 1/u and 1/v and therefore terminate exactly there.
     """
     q = ctx.q
-    iu = _lattice_index(u, q)
-    iv = _lattice_index(v, q)
-    _lattice_index(w, q)
-    u = float(np.real(u))
-    v = float(np.real(v))
-    wv = float(np.real(w))
-    x, y, z = complex(x), complex(y), complex(z)
-    wz = wv * z
-    base = abs(wz) * q ** (p.alpha2 - p.eta2)
-    if wz != 0 and base >= 0.999:
-        raise ConvergenceError("shift-operator k-sum is non-convergent: |wz| q^(a2-e2) >= 1")
-    if kmax is None:
-        kmax = 0 if wz == 0 else int(
-            np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(base, 1e-12))), 8, 300)
-        )
-    ks = np.arange(kmax + 1, dtype=np.float64)
-    ck = (
-        q_pochhammer_table(q**p.eta2, kmax, q)
-        / q_pochhammer_table(q, kmax, q)
-        * _zpowers(wz * q ** (p.alpha2 - p.eta2), kmax)
+    for t in (u, v, w):
+        _lattice_index(t, q)
+    wz = float(np.real(w)) * complex(z)
+    ck, coef, A, FA, B, FB = _shift_tables(
+        p, float(np.real(u)), float(np.real(v)), complex(x), complex(y), abs(wz), ctx, tol, kmax
     )
-
-    shiftA = q ** (p.lam3 + ks)
-    prefA = q_pochhammer_inf(u * x * shiftA, ctx) / q_pochhammer_inf(u * x, ctx)
-    phiA, *_ = _rphis_array(
-        [shiftA, q ** (p.lam1 - p.eta1), 1.0 / u],
-        [q**p.lam1, q / (u * x)],
-        q,
-        ctx,
-        tol=tol,
-        terminate_after=iu,
-    )
-    A = prefA * phiA
-
-    shiftB = q ** (p.eta2 + ks)
-    prefB = q_pochhammer_inf(v * y * shiftB, ctx) / q_pochhammer_inf(v * y, ctx)
-    phiB, *_ = _rphis_array(
-        [shiftB, q ** (p.lam2 - p.mu2), 1.0 / v],
-        [q**p.lam2, q / (v * y)],
-        q,
-        ctx,
-        tol=tol,
-        terminate_after=iv,
-    )
-    B = prefB * phiB
-
-    inner = FkParams(
-        alpha1=p.alpha1,
-        alpha2=p.alpha2 - p.eta2,
-        beta1=p.beta1 - p.lam3,
-        beta2=p.beta2,
-        gamma1=p.alpha1 - p.lam1 + p.eta1,
-        gamma2=p.beta2 - p.lam2 + p.mu2,
-        gamma3=p.beta1 - p.lam3,
-    )
-    pmax = _phi_k_pmax(abs(wz), tol)
-    coef, FA, FB, *_ = phi_k_p_tables(
-        inner,
-        u * x * q ** (ks + p.lam3),
-        v * y * q ** (ks + p.eta2),
-        ctx,
-        pmax,
-        tol=tol * 1e-2,
-    )
-    phik = (coef[None, :] * FA * FB * _zpowers(wz, pmax)[None, :]).sum(axis=1)
-    return _as_scalar((ck * A * B * phik).sum())
+    phik = (coef * FA * FB * _zpowers(wz, len(coef) - 1)).sum(axis=-1)
+    return _as_scalar((ck * _zpowers(wz, len(ck) - 1) * A * B * phik).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,6 @@ def _snap_terminating(a):
     return a
 
 
-def _is_terminating(a) -> bool:
-    return is_nonpositive_integer(a)
-
-
 # ---------------------------------------------------------------------------
 # Truncation core
 # ---------------------------------------------------------------------------
@@ -233,8 +229,8 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
 
     zarr = np.asarray(z)
     az = np.abs(zarr)
-    terminating = (np.ndim(a) == 0 and _is_terminating(a)) or (
-        np.ndim(b) == 0 and _is_terminating(b)
+    terminating = (np.ndim(a) == 0 and is_nonpositive_integer(a)) or (
+        np.ndim(b) == 0 and is_nonpositive_integer(b)
     )
     if terminating:
         return _series_2f1_raw(a, b, c, z, tol, max_terms)
@@ -313,7 +309,7 @@ def gauss_2f1(a, b, c, z, tol: float = 1e-12) -> SeriesResult:
     expansion around z = 1 otherwise.  Raises DomainError when |z| >= 1 and no
     transform applies, PoleError for c in Z_{<=0}.
     """
-    value, terms, converged, est = _eval_2f1(a, b, c, complex(z), tol)
+    value, terms, converged, est = _eval_2f1(a, b, c, z, tol)
     return SeriesResult(_as_scalar(value), terms, converged, est)
 
 
@@ -333,7 +329,7 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
         if is_nonpositive_integer(ell):
             raise PoleError(f"pFq lower parameter {ell} is a non-positive integer")
     z = complex(z)
-    terminating = any(_is_terminating(u) for u in upper)
+    terminating = any(is_nonpositive_integer(u) for u in upper)
     if len(upper) > len(lower) + 1 and not terminating and z != 0:
         raise DomainError("pFq with p > q+1 diverges for z != 0")
     if len(upper) == len(lower) + 1 and abs(z) >= 1.0 and not terminating:
@@ -421,16 +417,6 @@ def in_domain_fk(x, y, z) -> bool:
 def _fk_domain_ratio(x, y, z) -> float:
     ax, ay, az = abs(complex(x)), abs(complex(y)), abs(complex(z))
     return max(ax, ay, az / ((1.0 - ax) * (1.0 - ay)))
-
-
-def _shell_sums(tensor: np.ndarray, shell_index: np.ndarray, smax: int) -> np.ndarray:
-    flat = tensor.ravel()
-    idx = shell_index.ravel()
-    if np.iscomplexobj(flat):
-        re = np.bincount(idx, weights=flat.real, minlength=smax + 1)
-        im = np.bincount(idx, weights=flat.imag, minlength=smax + 1)
-        return re + 1j * im
-    return np.bincount(idx, weights=flat, minlength=smax + 1)
 
 
 def _shell_rate(shells: np.ndarray, s: int, fallback: float) -> float:

@@ -289,22 +289,15 @@ class TestShiftKernel:
         eta1=0.9, eta2=0.6, mu2=1.0, lam1=0.5, lam2=0.8, lam3=0.4,
     )
 
-    def test_z_zero_collapse(self, ctx05):
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    def test_z_zero_collapse(self, ctx05, z):
+        # Reference: the explicit k-sum of scalar factors up to k = 30; at
+        # z = 0 only the k = 0 term survives.
         q = ctx05.q
         sp = self.SP
         u, v, w = q**1, q**2, q**1
         x, y = 0.27, 0.21
-        got = qshift_operator_kernel(sp, u, v, w, x, y, 0.0, ctx05)
-        a0 = (
-            q_pochhammer_inf(u * x * q**sp.lam3, ctx05) / q_pochhammer_inf(u * x, ctx05)
-            * complex(rphis([q**sp.lam3, q**(sp.lam1 - sp.eta1), 1 / u],
-                            [q**sp.lam1, q / (u * x)], q, ctx05).value)
-        )
-        b0 = (
-            q_pochhammer_inf(v * y * q**sp.eta2, ctx05) / q_pochhammer_inf(v * y, ctx05)
-            * complex(rphis([q**sp.eta2, q**(sp.lam2 - sp.mu2), 1 / v],
-                            [q**sp.lam2, q / (v * y)], q, ctx05).value)
-        )
+        got = qshift_operator_kernel(sp, u, v, w, x, y, z, ctx05)
         inner = FkParams(
             alpha1=sp.alpha1, alpha2=sp.alpha2 - sp.eta2,
             beta1=sp.beta1 - sp.lam3, beta2=sp.beta2,
@@ -312,8 +305,26 @@ class TestShiftKernel:
             gamma2=sp.beta2 - sp.lam2 + sp.mu2,
             gamma3=sp.beta1 - sp.lam3,
         )
-        pk0 = complex(phi_k_q(inner, u * x * q**sp.lam3, v * y * q**sp.eta2, 0.0, ctx05).value)
-        assert got == pytest.approx(a0 * b0 * pk0, rel=1e-12)
+        want = 0.0
+        for k in range(31 if z else 1):
+            sa, sb = q ** (k + sp.lam3), q ** (k + sp.eta2)
+            a_k = (
+                q_pochhammer_inf(u * x * sa, ctx05) / q_pochhammer_inf(u * x, ctx05)
+                * complex(rphis([sa, q**(sp.lam1 - sp.eta1), 1 / u],
+                                [q**sp.lam1, q / (u * x)], q, ctx05).value)
+            )
+            b_k = (
+                q_pochhammer_inf(v * y * sb, ctx05) / q_pochhammer_inf(v * y, ctx05)
+                * complex(rphis([sb, q**(sp.lam2 - sp.mu2), 1 / v],
+                                [q**sp.lam2, q / (v * y)], q, ctx05).value)
+            )
+            c_k = (
+                q_pochhammer(q**sp.eta2, k, ctx05) / q_pochhammer(q, k, ctx05)
+                * (w * z * q ** (sp.alpha2 - sp.eta2)) ** k
+            )
+            pk = complex(phi_k_q(inner, u * x * sa, v * y * sb, w * z, ctx05).value)
+            want += c_k * a_k * b_k * pk
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_eta2_zero_single_term(self, ctx05):
         # (1;q)_k vanishes for k >= 1, so only the k = 0 term survives even
