@@ -13,7 +13,10 @@ factorials overflow (upper parameters q^{-n} with large n), so terminating
 series on the q-lattice evaluate stably.  Terminating series are cut off
 explicitly (`terminate_after`): past the termination index the analytic terms
 are zero, but rounding residue would be re-amplified by the q^{-l} step
-factors of series with fewer denominator than numerator parameters.
+factors of series with fewer denominator than numerator parameters.  The
+r_phi_s terms are formed in blocks by series._sum_terms, with the ratios of a
+block built in one vectorized expression; the stopping index, the pole check
+and the termination cut-off are those of a term-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .core import (
     q_pochhammer_table,
 )
 from .errors import ConvergenceError, DomainError, PoleError
-from .series import FkParams, SeriesResult, _face_tails, _grow, _series_len, _tail_est
+from .series import FkParams, SeriesResult, _face_tails, _grow, _series_len, _sum_terms
 
 __all__ = [
     "Phi3Spec",
@@ -106,47 +109,46 @@ def _rphis_array(
         nsteps = max_terms
     cplx = any(np.iscomplexobj(a) for a in arrays)
     dtype = np.complex128 if cplx else np.float64
-    zb = np.broadcast_to(np.asarray(z), shape).astype(dtype)
+    zc = np.asarray(z).astype(dtype)
+    sign = -1.0 if spow % 2 else 1.0
+    # Ratios span the parameters' axes, or all axes when terminate_after does.
+    pdim = len(shape) if ta is not None else max((a.ndim for a in arrays[:-1]), default=0)
 
-    term = np.ones(shape, dtype=dtype)
-    total = np.ones(shape, dtype=dtype)
-    small = 0
-    converged = ta is not None
-    est = 0.0
-    ell = 0
-    while ell < nsteps:
-        ql = q**ell
-        num = np.ones(shape, dtype=dtype)
+    def block(n0, W):
+        ells = range(n0, n0 + W)
+        col = (W,) + (1,) * pdim
+        ql = np.array([q**ell for ell in ells]).reshape(col)
+        num = np.ones(col, dtype=dtype)
         for u in uppers:
             num = num * (1.0 - np.asarray(u) * ql)
-        den = np.full(shape, 1.0 - q ** (ell + 1), dtype=dtype)
+        den = np.array([1.0 - q ** (ell + 1) for ell in ells], dtype=dtype).reshape(col)
         for b in lowers:
             den = den * (1.0 - np.asarray(b) * ql)
         if ta is not None:
             # Elements already past their termination index produce zero terms;
             # keep their denominators off the pole lattice so the batch step
             # stays finite.
-            den = np.where(ell + 1 <= ta, den, 1.0)
-        if np.any(np.abs(den) < 1e-280):
-            raise PoleError("q-series denominator factor vanished")
-        term = term * (num / den) * zb
-        if spow:
-            sign = -1.0 if spow % 2 else 1.0
-            term = term * (sign * q ** (ell * spow))
-        ell += 1
+            live = np.arange(n0 + 1, n0 + W + 1).reshape(col) <= ta
+            den = np.where(live, den, 1.0)
+        # A vanished denominator raises only if the sum reaches its row, so
+        # it is not divided by here.
+        dead = np.abs(den) < 1e-280
+        poles = dead.reshape(W, -1).any(axis=1)
+        if poles.any():
+            den = np.where(dead, 1.0, den)
+        ratio = num / den
         if ta is not None:
-            term = np.where(ell <= ta, term, 0.0)
-        total = total + term
-        if ta is None:
-            est = _tail_est(float(np.max(np.abs(term))), 0.25, float(np.max(np.abs(total))))
-            if est <= tol:
-                small += 1
-                if small >= 3 and ell >= 8:
-                    converged = True
-                    break
-            else:
-                small = 0
-    return total, ell, converged, est
+            ratio = np.where(live, ratio, 0.0)
+        ops = [(np.multiply, ratio), (np.multiply, [zc] * W)]
+        if spow:
+            ops.append((np.multiply, [sign * q ** (ell * spow) for ell in ells]))
+        return ops, poles
+
+    if ta is not None:
+        total, ell, _, _ = _sum_terms(block, shape, dtype, nsteps)
+        return total, ell, True, 0.0
+    total, ell, small, est = _sum_terms(block, shape, dtype, nsteps, tol, 0.25)
+    return total, ell, small >= 3 and ell >= 8, est
 
 
 def rphis(upper, lower, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:

@@ -14,6 +14,13 @@ tol, so converged=True implies est_trunc_error <= tol.  Term loops stop after
 three such terms in a row (eight at least).  Block engines go through _grow,
 with a cap per axis of 2000 for row sums, 320 for the convolution box and 48
 for the L-variable box (96 for phi3 in qkernels).
+
+The term recurrences of the array 2F1 series and, in qkernels, of r_phi_s go
+through _sum_terms.  It forms the terms in blocks of 8, 16, 32, ... from one
+vectorized ratio expression per block and a short loop over its rows, then
+applies the stopping rule to the rows in order, so a series stops at the
+same term as when summed one term at a time.  The block width is capped so
+that width times array size stays within 2^15 elements.
 """
 
 from __future__ import annotations
@@ -146,6 +153,72 @@ def _face_tails(tensor: np.ndarray, complete=()) -> list:
     ]
 
 
+# A block of W terms holds at most this many elements per array, so an input
+# of this size or more is summed one term per block.
+_BLOCK_ELEMS = 1 << 15
+
+
+def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8):
+    """Partial sums 1 + t_1 + ... + t_n of a term-ratio recurrence, formed W
+    terms at a time.
+
+    block(n0, W) describes the steps from term n to term n+1 for n = n0 ..
+    n0+W-1 as (ops, poles).  ops lists (ufunc, operand) pairs, applied in
+    order to term n, each operand with one leading row per step; poles is
+    None or a bool per row, True where that step's denominator vanished.  A
+    short loop over the rows forms each term with the same operations, in the
+    same order, as a term-at-a-time loop over arrays, so real series keep
+    their values to the bit.
+
+    With tol given, the sum stops at the first n >= min_terms that ends a run
+    of three terms with _tail_est(max|t_n|, margin, max|S_n|) <= tol; the
+    rule runs in Python over the per-row maxima.  Otherwise it runs max_terms
+    steps.  A pole row reached before the stop raises PoleError; its
+    denominators are not divided by.  W starts at 8 and doubles per block,
+    capped so that W times the broadcast size stays within _BLOCK_ELEMS.
+
+    Returns (partial sum, n, trailing run of small terms, last estimate).
+    """
+    term = np.ones(shape, dtype=dtype)
+    total = np.ones(shape, dtype=dtype)
+    cap = max(1, _BLOCK_ELEMS // max(1, term.size))
+    width = 8
+    small = 0
+    n = 0
+    est = math.inf
+    while n < max_terms:
+        W = min(width, cap, max_terms - n)
+        width *= 2
+        ops, poles = block(n, W)
+        steps = np.empty((W,) + shape, dtype=dtype)
+        sums = np.empty_like(steps)
+        (first, f0), *rest = ops
+        for j in range(W):
+            # [j, ...] keeps a 0-d view for scalar series, which out= needs.
+            step = steps[j, ...]
+            first(term, f0[j], out=step)
+            for uf, f in rest:
+                uf(step, f[j], out=step)
+            term = step
+            total = np.add(total, step, out=sums[j, ...])
+        rows = int(np.argmax(poles)) if poles is not None and poles.any() else W
+        if tol is not None and rows:
+            tails = np.abs(steps[:rows]).reshape(rows, -1).max(axis=1).tolist()
+            tops = np.abs(sums[:rows]).reshape(rows, -1).max(axis=1).tolist()
+            for j in range(rows):
+                est = _tail_est(tails[j], margin, tops[j])
+                if est <= tol:
+                    small += 1
+                    if small >= 3 and n + j + 1 >= min_terms:
+                        return sums[j].copy(), n + j + 1, small, est
+                else:
+                    small = 0
+        if rows < W:
+            raise PoleError("series denominator factor vanished")
+        n += W
+    return total.copy()[()], n, small, est
+
+
 # ---------------------------------------------------------------------------
 # Gauss 2F1
 # ---------------------------------------------------------------------------
@@ -160,25 +233,22 @@ def _series_2f1_raw(a, b, c, z, tol, max_terms, min_terms=8):
     shape = np.broadcast_shapes(*(v.shape for v in arrs))
     cplx = any(np.iscomplexobj(v) for v in arrs)
     dtype = np.complex128 if cplx else np.float64
-    a, b, c, z = (np.broadcast_to(v, shape).astype(dtype) for v in arrs)
-
-    term = np.ones(shape, dtype=dtype)
-    total = np.ones(shape, dtype=dtype)
+    a, b, c, z = (v.astype(dtype) for v in arrs)
     margin = 1.0 - min(0.97, float(np.max(np.abs(z))))
-    small = 0
-    n = 0
-    est = math.inf
-    while n < max_terms:
-        term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * z
-        total = total + term
-        n += 1
-        est = _tail_est(float(np.max(np.abs(term))), margin, float(np.max(np.abs(total))))
-        if est <= tol:
-            small += 1
-            if small >= 3 and n >= min_terms:
-                break
-        else:
-            small = 0
+    col = (1,) * max(a.ndim, b.ndim, c.ndim)
+
+    def block(n0, W):
+        # One row per term index over the parameters' axes only; with scalar
+        # parameters a row is a numpy scalar, the cheapest ufunc operand.
+        n = np.arange(n0, n0 + W, dtype=np.float64).reshape((W,) + col)
+        ops = [
+            (np.multiply, (a + n) * (b + n)),
+            (np.true_divide, (c + n) * (n + 1.0)),
+            (np.multiply, [z] * W),
+        ]
+        return ops, None
+
+    total, n, small, est = _sum_terms(block, shape, dtype, max_terms, tol, margin, min_terms)
     return total, n, small >= 3, est
 
 
@@ -469,8 +539,9 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         TJ1[n,p] = (a2)_{n+p} / (n! p!)  TJ2[m,p] = (b1)_{m+p} / (m! p!)
 
     whose factors all stay inside double range; the raw joint Pochhammers and
-    bare inverse factorials separately do not.  Planes of constant m are
-    streamed so memory stays quadratic in the truncation depth.
+    bare inverse factorials separately do not.  Only the shells s < N are
+    summed, so plane m is formed over the square n, p < N - m alone, one
+    plane at a time, and memory stays quadratic in the truncation depth.
     """
     if not in_domain_fk(x, y, z):
         raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
@@ -516,19 +587,20 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         tj2 = over_fact(p.beta1)[np_idx] * binom
 
         plane0 = (yn[:, None] * zp[None, :]) * tj1
-        np_flat = np_idx.ravel()
-        shells = np.zeros(3 * N - 2, dtype=np.complex128 if cplx else np.float64)
+        shells = np.zeros(2 * N - 1, dtype=np.complex128 if cplx else np.float64)
         for m in range(N):
-            plane = plane0 * (xm[m] * tj2[m, :])[None, :]
+            K = N - m
+            plane = plane0[:K, :K] * (xm[m] * tj2[m, :K])[None, :]
+            np_flat = np_idx[:K, :K].ravel()
             if cplx:
-                re = np.bincount(np_flat, weights=plane.real.ravel(), minlength=2 * N - 1)
-                im = np.bincount(np_flat, weights=plane.imag.ravel(), minlength=2 * N - 1)
-                shells[m : m + 2 * N - 1] += re + 1j * im
+                re = np.bincount(np_flat, weights=plane.real.ravel(), minlength=2 * K - 1)
+                im = np.bincount(np_flat, weights=plane.imag.ravel(), minlength=2 * K - 1)
+                shells[m : m + 2 * K - 1] += re + 1j * im
             else:
-                shells[m : m + 2 * N - 1] += np.bincount(
-                    np_flat, weights=plane.ravel(), minlength=2 * N - 1
+                shells[m : m + 2 * K - 1] += np.bincount(
+                    np_flat, weights=plane.ravel(), minlength=2 * K - 1
                 )
-        terms += N * N * N
+            terms += K * K
         total, stop_at, est = _sum_shells(shells[:N], tol, rho)
         if stop_at is not None:
             return SeriesResult(_as_scalar(total), terms, True, est)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,16 @@ class TestList:
         code, out, _ = run_cli(capsys, "list", "--format", "json")
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert {"id", "anchor", "cost_class", "tol"} <= set(rows[0])
+
+    def test_python_m_saranfk(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "saranfk", "list"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fk-erdelyi" in proc.stdout
 
 
 class TestVerify:
