@@ -146,7 +146,7 @@ def _rphis_array(
 
     if ta is not None:
         total, ell, _, _ = _sum_terms(block, shape, dtype, nsteps)
-        return total, ell, True, 0.0
+        return total, ell, bool(np.isfinite(total).all()), 0.0
     total, ell, small, est = _sum_terms(block, shape, dtype, nsteps, tol, 0.25)
     return total, ell, small >= 3 and ell >= 8, est
 
@@ -156,7 +156,8 @@ def rphis(upper, lower, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
 
     A terminating upper entry q^{-N} is detected and the series summed
     exactly in N+1 terms; otherwise |z| < 1 is required for r = s+1, r <= s
-    converges everywhere, and r > s+1 is rejected for z != 0.
+    converges everywhere, and r > s+1 is rejected for z != 0.  A sum that
+    overflows raises ConvergenceError.
     """
     z = complex(z)
     known = [t for t in (q_termination_index(u, ctx.q) for u in upper) if t is not None]
@@ -169,6 +170,8 @@ def rphis(upper, lower, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
         if r == s + 1 and abs(z) >= 1.0:
             raise DomainError("r_phi_s with r = s+1 requires |z| < 1")
     value, n, ok, est = _rphis_array(upper, lower, z, ctx, tol=tol, terminate_after=n_stop)
+    if not np.isfinite(value):
+        raise ConvergenceError(f"r_phi_s sum is not finite after {n + 1} terms")
     return SeriesResult(_as_scalar(value[()]), n + 1, ok, est)
 
 
@@ -282,7 +285,7 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
             j = joint(num_group, den_group, idx)
             if j is not None:
                 tensor = tensor * j
-        return tensor.sum(), _face_tails(tensor, complete), True, tensor.size
+        return tensor.sum(), _face_tails(tensor, complete), 0.0, tensor.size
 
     return _grow(build, sizes, [96, 96, 96], tol, 0.2)
 

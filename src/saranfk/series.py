@@ -1,19 +1,20 @@
 """Classical hypergeometric series engines.
 
 Covers Gauss 2F1 (with Pfaff and argument-near-one routes), generalized pFq,
-Appell F2, Saran's three-variable F_K in both its triple-series and
-2F1-reexpanded forms, the L-variable extension of F_K, and the convolution
-family built from shifted 2F1 products.
+the chain-coupled series (Appell F2, Saran's F_K and its L-variable
+extension) through one chain engine, F_K again as a triple series, and the
+convolution family built from shifted 2F1 products.
 
 Truncation follows one rule.  An engine measures the part of the series it
-summed last (a term, the largest of the last three rows, or the summed
-boundary faces of an index box), and _tail_est turns it into the estimate
-tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling like r^n,
-0.2 for box faces.  A series has converged only once that estimate is at most
-tol, so converged=True implies est_trunc_error <= tol.  Term loops stop after
-three such terms in a row (eight at least).  Block engines go through _grow,
-with a cap per axis of 2000 for row sums, 320 for the convolution box and 48
-for the L-variable box (96 for phi3 in qkernels).
+summed last (a term, the summed boundary faces of an index box, or the last
+slab of a chain axis), and _tail_est turns it into the estimate
+tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling like r^n
+(r observed for F_K shells and chain slabs, times 0.25 and 0.025), 0.2 for box
+faces.  A series has converged only once that estimate is at most tol, so
+converged=True implies est_trunc_error <= tol.  Term loops stop after three
+such terms in a row (eight at least).  Block engines go through _grow, which
+also takes an error floor no growth reduces (the chain's rounding), with a cap
+per axis of 2000 for the chain, 320 for the convolution box (96 for phi3).
 
 The term recurrences of the array 2F1 series and, in qkernels, of r_phi_s go
 through _sum_terms.  It forms the terms in blocks of 8, 16, 32, ... from one
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -117,29 +119,29 @@ def _series_len(ratio: float, tol: float, lo=24, hi=220) -> int:
     leaves only the constant term."""
     if ratio <= 0.0:
         return 1
-    return int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(min(ratio, 0.98))) + 8, lo, hi))
+    return min(max(math.ceil(math.log(tol * 1e-2) / math.log(min(ratio, 0.98))) + 8, lo), hi)
 
 
 def _grow(build, sizes, caps, tol: float, margin: float) -> SeriesResult:
     """Sum a block, growing it until it is accepted.
 
-    build(sizes) returns (total, tails, ok, terms): a tail measure per axis
-    (0.0 once an axis is complete) and whether the inner series converged.
-    The block is accepted when ok holds and every axis has an estimate
-    _tail_est(tail, margin, total) <= tol.  Otherwise each failing axis grows
-    to min(cap, int(1.5 n) + 8) until acceptance or until every failing axis
-    sits at its cap."""
+    build(sizes) returns (total, tails, floor, terms): a tail measure per axis
+    (0.0 once complete) and the relative error no growth reduces (rounding,
+    or inf where an inner series failed).  The block is accepted when its
+    total is finite and floor and each _tail_est(tail, margin, total) are
+    <= tol (a NaN fails); the largest is reported.  Each failing axis grows to
+    min(cap, int(1.5 n) + 8) until then or until all failing axes are capped."""
     sizes = list(sizes)
     terms = 0
     while True:
-        total, tails, ok, n = build(sizes)
+        total, tails, floor, n = build(sizes)
         terms += n
         ests = [_tail_est(t, margin, total) for t in tails]
-        failing = [i for i, e in enumerate(ests) if e > tol]
-        converged = ok and not failing
+        failing = [i for i, e in enumerate(ests) if not e <= tol]
+        converged = floor <= tol and not failing and bool(np.isfinite(total))
         grow = [i for i in failing if sizes[i] < caps[i]]
         if converged or not grow:
-            return SeriesResult(_as_scalar(total), terms, converged, float(max(ests)))
+            return SeriesResult(_as_scalar(total), terms, converged, float(max(np.max(ests), floor)))
         for i in grow:
             sizes[i] = min(caps[i], int(1.5 * sizes[i]) + 8)
 
@@ -432,44 +434,144 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
 
 
 # ---------------------------------------------------------------------------
-# Appell F2
+# Chain-coupled series: Appell F2, Saran F_K and its L-variable extension
 # ---------------------------------------------------------------------------
+
+# Axis cap of the chain engine; a link between two capped axes holds 4M entries.
+_CHAIN_CAP = 2000
+# Exponent of a zero entry: below any real one, so it never sets a scale.
+_ZERO_EXP = -(1 << 40)
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _scaled(v):
+    """v as m 2^e with |m| in [0.5, 1); a zero gets e = _ZERO_EXP, a subnormal
+    keeps e = -1021 and a smaller m."""
+    e = np.maximum(np.frexp(np.abs(v))[1], -1021)
+    return v * np.ldexp(1.0, -e), np.where(v == 0, _ZERO_EXP, e)
+
+
+def _scaled_prods(ratios, block: int = 16):
+    """Prefix products 1, r_0, r_0 r_1, ... of each row as _scaled pairs, formed
+    in blocks carried by exact powers of two (their mantissas, by a product
+    that stays above 2^-(number of blocks)), so no entry overflows."""
+    T, n = ratios.shape
+    r = np.concatenate([np.ones((T, 1)), ratios, np.ones((T, block - 1 - n % block))], axis=1)
+    blocks = np.cumprod(r.reshape(T, -1, block), axis=2)
+    bm, be = _scaled(blocks[:, :-1, -1])
+    m, e = _scaled(blocks * np.cumprod(np.concatenate([np.ones((T, 1)), bm], 1), axis=1)[:, :, None])
+    e = e + np.cumsum(np.concatenate([np.zeros((T, 1), np.int64), be], 1), axis=1)[:, :, None]
+    return m.reshape(T, -1)[:, : n + 1], e.reshape(T, -1)[:, : n + 1]
+
+
+def _link(hm, he, ve, ks: range, absv, signed=None):
+    """sum_j v_j h_{j+k} for k in ks, where v = absv 2^ve and h = hm 2^he, each
+    k under its largest power: (absolute sum, signed sum of signed, powers).
+    A sum's mantissa lies within a factor len(ve) of its leading term's, so
+    messages passed on need no renormalising."""
+    shape = (len(ve), len(ks))
+    X = np.ndarray(shape, he.dtype, he[ks.start :], 0, he.strides * 2) + ve[:, None]
+    top = X.max(axis=0)
+    A = np.ndarray(shape, hm.dtype, hm[ks.start :], 0, hm.strides * 2) * np.ldexp(1.0, np.subtract(X, top, out=X))
+    return absv @ np.abs(A), None if signed is None else signed @ A, top
+
+
+def _chain_sum(a1, a2, b, c, zs, tol: float) -> SeriesResult:
+    """sum over n_1..n_L of (a1)_{n_1} (b_1)_{n_1+n_2} ... (b_{L-1})_{n_{L-1}+n_L}
+    (a2)_{n_L} prod_i z_i^{n_i} / ((c_i)_{n_i} n_i!), L >= 2, in its domain.
+
+    Node i multiplies a message by z^n / ((c)_n n!) (and (a1)_n, (a2)_n at the
+    ends), the Hankel link (b_i)_{j+k} carries it on; tables are mantissas and
+    powers of two, so no box n_i < N_i overflows.  The forward pass sums, the
+    backward one gives each axis's last slabs: an axis reports its last slab
+    over 1 - r, r as _shell_rate reads them, with _grow's margin 0.025, a tenth
+    of _sum_shells', so engines converged at tol agree well within it.  The
+    estimate also covers rounding, 4 eps (sqrt(sum N_i) |S| + sum |t|) /
+    (1 + |S|), which no growth reduces."""
+    L, v = len(zs), np.array([a1, a2, *b, *c, *zs]) + 0.0
+    a1, a2, b, c, zs = v[0], v[1], v[2 : L + 1], v[L + 1 : 2 * L + 1], v[2 * L + 1 :]
+    # First sizes: each side of node i sums like a geometric series.
+    def side(az):
+        return np.array(list(accumulate(az, lambda r, v: min(0.99, v / (1.0 - r)), initial=0.0)))
+
+    rates = np.abs(zs) / ((1.0 - side(np.abs(zs[:-1]))) * (1.0 - side(np.abs(zs[:0:-1]))[::-1]))
+
+    def build(sizes):
+        K = np.arange(2 * max(sizes), dtype=np.float64)
+        nodes = zs[:, None] / ((c[:, None] + K) * (K + 1.0))
+        nodes[0] *= a1 + K
+        nodes[-1] *= a2 + K
+        tm, te = _scaled_prods(np.concatenate([nodes, b[:, None] + K]))
+        dm, de = [tm[i, :n] for i, n in enumerate(sizes)], [te[i, :n] for i, n in enumerate(sizes)]
+        fwd, sm = [(np.abs(dm[0]), de[0])], dm[0]
+        for i in range(1, L):
+            ab, sg, top = _link(tm[L + i - 1], te[L + i - 1], fwd[-1][1], range(sizes[i]), fwd[-1][0], sm)
+            fwd.append((ab * np.abs(dm[i]), top + de[i]))
+            sm = sg * dm[i]
+        scale = np.ldexp(1.0, fwd[-1][1])
+        total, absum = sm @ scale, fwd[-1][0] @ scale
+        rounding = _tail_est(4 * _EPS * (math.sqrt(sum(sizes)) * abs(total) + absum), 1.0, total)
+        bwd = [(np.ones(sizes[-1]), np.zeros(sizes[-1], dtype=np.int64))]
+        for i in range(L - 2, -1, -1):
+            # Node 0 needs its backward message only on the slabs its tail reads.
+            ks = range(max(0, sizes[0] - 4) if i == 0 else 0, sizes[i])
+            (bm, be), d = bwd[0], np.abs(dm[i + 1])
+            ab, _, top = _link(tm[L + i], te[L + i], be + de[i + 1], ks, bm * d)
+            bwd.insert(0, (ab, top))
+        tails = []
+        for n, (am, ue), (bm, be) in zip(sizes, fwd, bwd):
+            m, e = (am[-4:] * bm[-4:]).tolist(), (ue[-4:] + be[-4:]).tolist()
+            rate = _shell_rate([math.ldexp(x, y - max(e)) for x, y in zip(m, e)], len(m) - 1, 0.0)
+            tails.append(0.0 if n == 1 else float(np.ldexp(m[-1], e[-1])) / (1.0 - rate))
+        return total, tails, rounding, sum(n * m for n, m in zip(sizes, sizes[1:]))
+
+    sizes = [_series_len(r, tol, 10, _CHAIN_CAP) for r in rates]
+    return _grow(build, sizes, [_CHAIN_CAP] * L, tol, 0.025)
 
 
 def appell_f2(a, b1, b2, c1, c2, y, z, tol: float = 1e-12) -> SeriesResult:
-    """Appell F2 double series on |y| + |z| < 1.
-
-    Evaluated row by row: the inner n-sum collapses to 2F1(a+m, b2; c2; z),
-    leaving a single geometric-rate outer sum in m.
-    """
+    """Appell F2 double series on |y| + |z| < 1, as the two-node chain
+    (b1)_m (a)_{m+n} (b2)_n y^m z^n / ((c1)_m (c2)_n m! n!) of _chain_sum."""
     for name, cval in (("c1", c1), ("c2", c2)):
         if is_nonpositive_integer(cval):
             raise PoleError(f"F2 parameter {name} is a non-positive integer")
-    y = complex(y)
-    z = complex(z)
-    if abs(y) + abs(z) >= 1.0:
-        raise DomainError(f"F2 requires |y|+|z| < 1, got {abs(y) + abs(z):.4f}")
-    if y == 0 and z == 0:
-        return SeriesResult(1.0, 1, True, 0.0)
+    if abs(complex(y)) + abs(complex(z)) >= 1.0:
+        raise DomainError(f"F2 requires |y|+|z| < 1, got {abs(complex(y)) + abs(complex(z)):.4f}")
+    return _chain_sum(b1, b2, (a,), (c1, c2), (y, z), tol)
 
-    r = abs(y) / (1.0 - abs(z))
-    if r == 0.0:
-        return gauss_2f1(a, b2, c2, z, tol)
 
-    def build(sizes):
-        (M,) = sizes
-        m = np.arange(M + 1, dtype=np.float64)
-        # Row coefficients (a)_m (b1)_m y^m / ((c1)_m m!) by the term-ratio
-        # recurrence; separate Pochhammer tables overflow at a few hundred m.
-        step = (a + m[:-1]) * (b1 + m[:-1]) / ((c1 + m[:-1]) * (1.0 + m[:-1])) * y
-        coef = np.ones(M + 1, dtype=step.dtype)
-        np.cumprod(step, out=coef[1:])
-        inner, n_in, ok, _ = _eval_2f1(np.asarray(a) + m, b2, c2, z, tol * 0.1)
-        rows = coef * inner
-        return rows.sum(), [np.abs(rows[-3:]).max()], ok, n_in + M
+def saran_fk_reexpand(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
+    """Saran F_K as the chain (alpha1)_m (beta1)_{m+p} (alpha2)_{p+n} (beta2)_n
+    of _chain_sum over (x, z, y); saran_fk_triple is its independent form."""
+    if not in_domain_fk(x, y, z):
+        raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
+    b, c = (p.beta1, p.alpha2), (p.gamma1, p.gamma3, p.gamma2)
+    return _chain_sum(p.alpha1, p.beta2, b, c, (x, z, y), tol)
 
-    M = int(np.clip(math.ceil(math.log(max(tol, 1e-300)) / math.log(r)) + 16, 24, 800))
-    return _grow(build, [M], [2000], tol, 1.0 - r)
+
+def _fk_L_domain_ok(L: int, zs) -> bool:
+    if L == 3:
+        # The chain (z1, z2, z3) is the three-variable F_K at (x, z, y).
+        return in_domain_fk(zs[0], zs[2], zs[1])
+    az = [abs(complex(v)) for v in zs]
+    if L == 4:
+        return az[0] < 1 and az[3] < 1 and az[1] / (1 - az[0]) + az[2] / (1 - az[3]) < 1
+    return L == 5 and sum(az) < 0.5
+
+
+def fk_L(a1, a2, b, c, zs, tol: float = 1e-12) -> SeriesResult:
+    """L-variable chain-coupled F_K, for L in {3, 4, 5}: the chain of
+    _chain_sum, (a1)_{n1} (b_i)_{n_i + n_{i+1}} (a2)_{nL} / prod (c_i)_{n_i} n_i!."""
+    L = len(zs)
+    if L not in (3, 4, 5):
+        raise DomainError(f"fk_L supports L in {{3,4,5}}, got L={L}")
+    if len(b) != L - 1 or len(c) != L:
+        raise ValueError("need L-1 chain parameters and L denominators")
+    if any(is_nonpositive_integer(ci) for ci in c):
+        raise PoleError("fk_L denominator parameter is a non-positive integer")
+    if not _fk_L_domain_ok(L, zs):
+        raise DomainError(f"arguments {zs} outside the L={L} convergence region")
+    return _chain_sum(a1, a2, b, c, zs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -607,113 +709,6 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         if N >= 560:
             return SeriesResult(_as_scalar(total), terms, False, est)
         N = min(560, int(N * 1.5) + 8)
-
-
-def saran_fk_reexpand(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
-    """Saran F_K through its expansion as a single series of 2F1 products."""
-    if not in_domain_fk(x, y, z):
-        raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
-    x, y, z = complex(x), complex(y), complex(z)
-    if z == 0:
-        # Only the leading term survives.
-        f1 = gauss_2f1(p.beta1, p.alpha1, p.gamma1, x, tol)
-        f2 = gauss_2f1(p.alpha2, p.beta2, p.gamma2, y, tol)
-        return SeriesResult(
-            _as_scalar(complex(f1.value) * complex(f2.value)),
-            f1.terms_used + f2.terms_used,
-            f1.converged and f2.converged,
-            f1.est_trunc_error + f2.est_trunc_error,
-        )
-    rho = abs(z) / ((1.0 - abs(x)) * (1.0 - abs(y)))
-
-    def build(sizes):
-        (P,) = sizes
-        k = np.arange(P + 1, dtype=np.float64)
-        # (alpha2)_k (beta1)_k z^k / ((gamma3)_k k!) via the term-ratio
-        # recurrence, which stays bounded at any truncation depth.
-        step = (
-            (p.alpha2 + k[:-1]) * (p.beta1 + k[:-1])
-            / ((p.gamma3 + k[:-1]) * (1.0 + k[:-1]))
-            * z
-        )
-        coef = np.ones(P + 1, dtype=step.dtype)
-        np.cumprod(step, out=coef[1:])
-        f1, n1, ok1, _ = _eval_2f1(np.asarray(p.beta1) + k, p.alpha1, p.gamma1, x, tol * 1e-2)
-        f2, n2, ok2, _ = _eval_2f1(np.asarray(p.alpha2) + k, p.beta2, p.gamma2, y, tol * 1e-2)
-        rows = coef * f1 * f2
-        return rows.sum(), [np.abs(rows[-3:]).max()], ok1 and ok2, n1 + n2 + P
-
-    P = int(np.clip(math.ceil(math.log(max(tol * 1e-2, 1e-300)) / math.log(rho)) + 12, 16, 700))
-    return _grow(build, [P], [2000], tol, 1.0 - min(rho, 0.97))
-
-
-# ---------------------------------------------------------------------------
-# L-variable F_K
-# ---------------------------------------------------------------------------
-
-
-def _fk_L_domain_ok(L: int, zs) -> bool:
-    az = [abs(complex(v)) for v in zs]
-    if L == 3:
-        # Index correspondence with the three-variable F_K: (z1, z2, z3)
-        # plays the role of (x, z, y).
-        return az[0] < 1 and az[2] < 1 and az[1] < (1 - az[0]) * (1 - az[2])
-    if L == 4:
-        if az[0] >= 1 or az[3] >= 1:
-            return False
-        return az[1] / (1 - az[0]) + az[2] / (1 - az[3]) < 1
-    if L == 5:
-        return sum(az) < 0.5
-    return False
-
-
-def fk_L(a1, a2, b, c, zs, tol: float = 1e-12) -> SeriesResult:
-    """L-variable chain-coupled F_K, for L in {3, 4, 5}.
-
-    The coefficient chains (a1)_{n1} (b_i)_{n_i + n_{i+1}} (a2)_{nL} over
-    per-variable denominators (c_i)_{n_i} n_i!.  Summed over an index box
-    that _grow enlarges axis by axis from its boundary slabs.
-    """
-    L = len(zs)
-    if L not in (3, 4, 5):
-        raise DomainError(f"fk_L supports L in {{3,4,5}}, got L={L}")
-    if len(b) != L - 1 or len(c) != L:
-        raise ValueError("need L-1 chain parameters and L denominators")
-    for ci in c:
-        if is_nonpositive_integer(ci):
-            raise PoleError("fk_L denominator parameter is a non-positive integer")
-    if not _fk_L_domain_ok(L, zs):
-        raise DomainError(f"arguments {zs} outside the L={L} convergence region")
-    zs = [complex(v) for v in zs]
-    if all(v == 0 for v in zs):
-        return SeriesResult(1.0, 1, True, 0.0)
-
-    def build(sizes):
-        axes = []
-        for i, (Ni, zi, ci) in enumerate(zip(sizes, zs, c)):
-            f = np.arange(Ni, dtype=np.float64)
-            vec = np.power(zi, f) / (pochhammer_table(ci, Ni - 1) * sp.gamma(f + 1.0))
-            if i == 0:
-                vec = vec * pochhammer_table(a1, Ni - 1)
-            if i == L - 1:
-                vec = vec * pochhammer_table(a2, Ni - 1)
-            shape = [1] * L
-            shape[i] = Ni
-            axes.append(vec.reshape(shape))
-        tensor = axes[0]
-        for v in axes[1:]:
-            tensor = tensor * v
-        for i, bi in enumerate(b):
-            tab = pochhammer_table(bi, sizes[i] + sizes[i + 1] - 2)
-            ii = np.arange(sizes[i])[:, None] + np.arange(sizes[i + 1])[None, :]
-            shape = [1] * L
-            shape[i] = sizes[i]
-            shape[i + 1] = sizes[i + 1]
-            tensor = tensor * tab[ii].reshape(shape)
-        return tensor.sum(), _face_tails(tensor), True, tensor.size
-
-    sizes = [_series_len(abs(v), tol, 10, 48) for v in zs]
-    return _grow(build, sizes, [48] * L, tol, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +872,7 @@ def generic_f_a(
         f2, n2, ok2, _ = _eval_2f1(np.asarray(alpha2) + fn, beta2, gamma2, x2, tol * 1e-2)
         coefs = a.table(M - 1, N - 1)
         tensor = coefs * np.outer(f1 * np.power(x3, fm), f2 * np.power(x4, fn))
-        return tensor.sum(), _face_tails(tensor), ok1 and ok2, n1 + n2 + tensor.size
+        return tensor.sum(), _face_tails(tensor), 0.0 if ok1 and ok2 else math.inf, n1 + n2 + tensor.size
 
     sizes = [_series_len(r3, tol, 12, 220), _series_len(r4, tol, 12, 220)]
     return _grow(build, sizes, [320, 320], tol, 0.2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from saranfk import (
+    ConvergenceError,
     DirichletMeasure,
     DiscreteFkParams,
     DomainError,
@@ -32,6 +33,7 @@ from saranfk import (
     saran_fk_triple,
 )
 from saranfk.core import q_pochhammer, q_pochhammer_inf, q_pochhammer_inf_ratio
+from saranfk.qkernels import _rphis_array
 
 
 def brute_rphis(up, lo, z, ctx, n_terms):
@@ -84,6 +86,16 @@ class TestRphis:
     def test_domain(self, ctx05):
         with pytest.raises(DomainError):
             rphis([0.4, 0.5], [0.6], 1.2, ctx05)
+
+    def test_overflowing_terminating_sum_raises(self):
+        # q^-30 with q = 0.3 terminates after 31 terms whose size overflows.
+        ctx = QContext(q=0.3)
+        up, lo = [0.3**-30, 0.4, -0.3], [0.7]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ConvergenceError):
+                rphis(up, lo, 0.3, ctx)
+            value, _, ok, _ = _rphis_array(up, lo, 0.3, ctx, terminate_after=30)
+        assert not np.isfinite(value) and not ok
 
 
 class TestPhi3:

@@ -27,6 +27,7 @@ from saranfk import (
     saran_fk_triple,
 )
 from saranfk.core import pochhammer
+from saranfk.series import _grow
 
 
 def brute_2f1(a, b, c, z, n_terms):
@@ -240,6 +241,17 @@ class TestSaranFk:
         with pytest.raises(PoleError):
             FkParams(0.5, 0.5, 0.5, 0.5, -1.0, 1.5, 1.5)
 
+    def test_near_boundary_point(self):
+        # z is 0.944 of its bound (1 - x)(1 - y): the x axis decays like
+        # 0.986^m, and 2F1 families of the shifted re-expansion overflow.
+        # Oracle: mpmath at 40 digits, re-expansion summed to 831 terms.
+        p = FkParams(0.7, 0.9, 0.6, 0.8, 1.3, 1.5, 1.7)
+        r = saran_fk_reexpand(p, 0.8, 0.1, 0.17)
+        v = complex(r.value)
+        assert r.converged
+        assert abs(v - 2.126761526122036) <= r.est_trunc_error * (1 + abs(v))
+        assert r.est_trunc_error <= 1e-12
+
 
 class TestFkL:
     def test_all_zero(self):
@@ -404,6 +416,38 @@ class TestConvergedImpliesEstimateWithinTol:
         for r in results:
             assert r.converged
             assert r.est_trunc_error <= tol
+
+
+class TestGrow:
+    def test_non_finite_total_is_not_converged(self):
+        def build(sizes):
+            return float("nan"), [0.0], 1e-14, 1
+
+        r = _grow(build, [4], [8], 1e-12, 1.0)
+        assert not r.converged
+
+    def test_nan_estimate_fails_and_grows(self):
+        seen = []
+
+        def build(sizes):
+            seen.append(sizes[0])
+            return 1.0, [float("nan")], 1e-14, 1
+
+        r = _grow(build, [4], [20], 1e-12, 1.0)
+        assert not r.converged
+        assert seen[-1] == 20
+
+    def test_floor_is_reported_and_not_grown(self):
+        seen = []
+
+        def build(sizes):
+            seen.append(sizes[0])
+            return 1.0, [0.0], 1e-9, 1
+
+        r = _grow(build, [4], [20], 1e-12, 1.0)
+        assert not r.converged
+        assert r.est_trunc_error == 1e-9
+        assert seen == [4]
 
 
 class TestTolHalving:
