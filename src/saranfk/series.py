@@ -13,8 +13,10 @@ tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling like r^n
 faces.  A series has converged only once that estimate is at most tol, so
 converged=True implies est_trunc_error <= tol.  Term loops stop after three
 such terms in a row (eight at least).  Block engines go through _grow, which
-also takes an error floor no growth reduces (the chain's rounding), with a cap
-per axis of 2000 for the chain, 320 for the convolution box (96 for phi3).
+also takes an error floor no growth reduces (the chain's rounding).  Its caps
+are 320 per axis for the convolution box (96 for phi3) and, for the chain,
+2000^2 entries per link between neighbouring axes, so an axis reaches 2000
+beside one as long and 64000 beside short ones (an end argument near 1).
 
 The term recurrences of the array 2F1 series and, in qkernels, of r_phi_s go
 through _sum_terms.  It forms the terms in blocks of 8, 16, 32, ... from one
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Callable
 
 import numpy as np
@@ -129,9 +131,12 @@ def _grow(build, sizes, caps, tol: float, margin: float) -> SeriesResult:
     (0.0 once complete) and the relative error no growth reduces (rounding,
     or inf where an inner series failed).  The block is accepted when its
     total is finite and floor and each _tail_est(tail, margin, total) are
-    <= tol (a NaN fails); the largest is reported.  Each failing axis grows to
-    min(cap, int(1.5 n) + 8) until then or until all failing axes are capped."""
+    <= tol (a NaN fails); the largest is reported.  Each failing axis grows in
+    turn to min(cap, int(1.5 n) + 8) until then or until all failing axes are
+    capped.  caps lists the caps per axis, or is a function of the sizes that
+    returns them, read again before each axis grows."""
     sizes = list(sizes)
+    cap = caps if callable(caps) else lambda sizes: caps
     terms = 0
     while True:
         total, tails, floor, n = build(sizes)
@@ -139,11 +144,12 @@ def _grow(build, sizes, caps, tol: float, margin: float) -> SeriesResult:
         ests = [_tail_est(t, margin, total) for t in tails]
         failing = [i for i, e in enumerate(ests) if not e <= tol]
         converged = floor <= tol and not failing and bool(np.isfinite(total))
-        grow = [i for i in failing if sizes[i] < caps[i]]
+        grow = [i for i in failing if sizes[i] < cap(sizes)[i]]
         if converged or not grow:
-            return SeriesResult(_as_scalar(total), terms, converged, float(max(np.max(ests), floor)))
+            est = float(max(np.max(ests), floor))
+            return SeriesResult(_as_scalar(total), terms, converged, est)
         for i in grow:
-            sizes[i] = min(caps[i], int(1.5 * sizes[i]) + 8)
+            sizes[i] = min(cap(sizes)[i], int(1.5 * sizes[i]) + 8)
 
 
 def _face_tails(tensor: np.ndarray, complete=()) -> list:
@@ -437,8 +443,12 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
 # Chain-coupled series: Appell F2, Saran F_K and its L-variable extension
 # ---------------------------------------------------------------------------
 
-# Axis cap of the chain engine; a link between two capped axes holds 4M entries.
+# Cap of the chain engine: a link between neighbouring axes holds at most
+# _CHAIN_CAP^2 entries, so an axis grows to _CHAIN_CAP beside one as long and
+# to 32 _CHAIN_CAP beside short ones (an end node with |z| near 1).
 _CHAIN_CAP = 2000
+# Block width of the prefix products in _scaled_prods.
+_SCALE_BLOCK = 16
 # Exponent of a zero entry: below any real one, so it never sets a scale.
 _ZERO_EXP = -(1 << 40)
 _EPS = float(np.finfo(np.float64).eps)
@@ -451,17 +461,32 @@ def _scaled(v):
     return v * np.ldexp(1.0, -e), np.where(v == 0, _ZERO_EXP, e)
 
 
-def _scaled_prods(ratios, block: int = 16):
-    """Prefix products 1, r_0, r_0 r_1, ... of each row as _scaled pairs, formed
-    in blocks carried by exact powers of two (their mantissas, by a product
-    that stays above 2^-(number of blocks)), so no entry overflows."""
+def _scaled_prods(ratios):
+    """Prefix products 1, r_0, r_0 r_1, ... of each row as _scaled pairs, so no
+    entry overflows or underflows.  Each block of _SCALE_BLOCK is a cumprod,
+    carried by the product of the block ends before it: their powers of two
+    summed, their mantissas multiplied by this same function."""
     T, n = ratios.shape
-    r = np.concatenate([np.ones((T, 1)), ratios, np.ones((T, block - 1 - n % block))], axis=1)
-    blocks = np.cumprod(r.reshape(T, -1, block), axis=2)
-    bm, be = _scaled(blocks[:, :-1, -1])
-    m, e = _scaled(blocks * np.cumprod(np.concatenate([np.ones((T, 1)), bm], 1), axis=1)[:, :, None])
-    e = e + np.cumsum(np.concatenate([np.zeros((T, 1), np.int64), be], 1), axis=1)[:, :, None]
+    pad = np.ones((T, _SCALE_BLOCK - 1 - n % _SCALE_BLOCK))
+    r = np.concatenate([np.ones((T, 1)), ratios, pad], axis=1)
+    blocks = np.cumprod(r.reshape(T, -1, _SCALE_BLOCK), axis=2)
+    carry_e = np.zeros((T, blocks.shape[1]), np.int64)
+    if blocks.shape[1] > 1:
+        end_m, end_e = _scaled(blocks[:, :-1, -1])
+        carry_m, carry_e = _scaled_prods(end_m)
+        carry_e[:, 1:] += np.cumsum(end_e, axis=1)
+        blocks = blocks * carry_m[:, :, None]
+    m, e = _scaled(blocks)
+    e = e + carry_e[:, :, None]
     return m.reshape(T, -1)[:, : n + 1], e.reshape(T, -1)[:, : n + 1]
+
+
+def _hankel(h, rows: int, ks: range):
+    """Read-only view H[j, k] = h[j + k] for j < rows and k in ks.  It is
+    what sliding_window_view gives, at a tenth of its call overhead."""
+    H = np.ndarray((rows, len(ks)), h.dtype, h, ks.start * h.strides[0], h.strides * 2)
+    H.flags.writeable = False
+    return H
 
 
 def _link(hm, he, ve, ks: range, absv, signed=None):
@@ -469,16 +494,15 @@ def _link(hm, he, ve, ks: range, absv, signed=None):
     k under its largest power: (absolute sum, signed sum of signed, powers).
     A sum's mantissa lies within a factor len(ve) of its leading term's, so
     messages passed on need no renormalising."""
-    shape = (len(ve), len(ks))
-    X = np.ndarray(shape, he.dtype, he[ks.start :], 0, he.strides * 2) + ve[:, None]
+    X = _hankel(he, len(ve), ks) + ve[:, None]
     top = X.max(axis=0)
-    A = np.ndarray(shape, hm.dtype, hm[ks.start :], 0, hm.strides * 2) * np.ldexp(1.0, np.subtract(X, top, out=X))
-    return absv @ np.abs(A), None if signed is None else signed @ A, top
+    A = _hankel(hm, len(ve), ks) * np.ldexp(1.0, np.subtract(X, top, out=X))
+    signed_sum = None if signed is None else signed @ A
+    return absv @ np.abs(A), signed_sum, top
 
 
-def _chain_sum(a1, a2, b, c, zs, tol: float) -> SeriesResult:
-    """sum over n_1..n_L of (a1)_{n_1} (b_1)_{n_1+n_2} ... (b_{L-1})_{n_{L-1}+n_L}
-    (a2)_{n_L} prod_i z_i^{n_i} / ((c_i)_{n_i} n_i!), L >= 2, in its domain.
+def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
+    """The chain series of _chain_sum for L >= 2 nonzero arguments.
 
     Node i multiplies a message by z^n / ((c)_n n!) (and (a1)_n, (a2)_n at the
     ends), the Hankel link (b_i)_{j+k} carries it on; tables are mantissas and
@@ -488,61 +512,142 @@ def _chain_sum(a1, a2, b, c, zs, tol: float) -> SeriesResult:
     of _sum_shells', so engines converged at tol agree well within it.  The
     estimate also covers rounding, 4 eps (sqrt(sum N_i) |S| + sum |t|) /
     (1 + |S|), which no growth reduces."""
-    L, v = len(zs), np.array([a1, a2, *b, *c, *zs]) + 0.0
-    a1, a2, b, c, zs = v[0], v[1], v[2 : L + 1], v[L + 1 : 2 * L + 1], v[2 * L + 1 :]
+    L = len(zs)
+    v = np.array([a1, a2, *b, *c, *zs]) + 0.0
+    a1, a2 = v[0], v[1]
+    b, c, zs = v[2 : L + 1], v[L + 1 : 2 * L + 1], v[2 * L + 1 :]
+
     # First sizes: each side of node i sums like a geometric series.
     def side(az):
         return np.array(list(accumulate(az, lambda r, v: min(0.99, v / (1.0 - r)), initial=0.0)))
 
-    rates = np.abs(zs) / ((1.0 - side(np.abs(zs[:-1]))) * (1.0 - side(np.abs(zs[:0:-1]))[::-1]))
+    left, right = side(np.abs(zs[:-1])), side(np.abs(zs[:0:-1]))[::-1]
+    rates = np.abs(zs) / ((1.0 - left) * (1.0 - right))
+
+    def caps(sizes):
+        padded = [1, *sizes, 1]
+        return [
+            min(32 * _CHAIN_CAP, _CHAIN_CAP**2 // max(padded[i], padded[i + 2]))
+            for i in range(L)
+        ]
 
     def build(sizes):
-        K = np.arange(2 * max(sizes), dtype=np.float64)
+        # The links need their tables up to N_i + N_{i+1}, the nodes up to N_i.
+        K = np.arange(max(n + m for n, m in zip(sizes, sizes[1:])), dtype=np.float64)
         nodes = zs[:, None] / ((c[:, None] + K) * (K + 1.0))
         nodes[0] *= a1 + K
         nodes[-1] *= a2 + K
         tm, te = _scaled_prods(np.concatenate([nodes, b[:, None] + K]))
-        dm, de = [tm[i, :n] for i, n in enumerate(sizes)], [te[i, :n] for i, n in enumerate(sizes)]
-        fwd, sm = [(np.abs(dm[0]), de[0])], dm[0]
+        dm = [tm[i, :n] for i, n in enumerate(sizes)]
+        de = [te[i, :n] for i, n in enumerate(sizes)]
+        fwd = [(np.abs(dm[0]), de[0])]
+        signed = dm[0]
         for i in range(1, L):
-            ab, sg, top = _link(tm[L + i - 1], te[L + i - 1], fwd[-1][1], range(sizes[i]), fwd[-1][0], sm)
+            absv, ve = fwd[-1]
+            ab, sg, top = _link(tm[L + i - 1], te[L + i - 1], ve, range(sizes[i]), absv, signed)
             fwd.append((ab * np.abs(dm[i]), top + de[i]))
-            sm = sg * dm[i]
+            signed = sg * dm[i]
         scale = np.ldexp(1.0, fwd[-1][1])
-        total, absum = sm @ scale, fwd[-1][0] @ scale
+        total = signed @ scale
+        absum = fwd[-1][0] @ scale
         rounding = _tail_est(4 * _EPS * (math.sqrt(sum(sizes)) * abs(total) + absum), 1.0, total)
         bwd = [(np.ones(sizes[-1]), np.zeros(sizes[-1], dtype=np.int64))]
         for i in range(L - 2, -1, -1):
             # Node 0 needs its backward message only on the slabs its tail reads.
             ks = range(max(0, sizes[0] - 4) if i == 0 else 0, sizes[i])
-            (bm, be), d = bwd[0], np.abs(dm[i + 1])
-            ab, _, top = _link(tm[L + i], te[L + i], be + de[i + 1], ks, bm * d)
+            bm, be = bwd[0]
+            ab, _, top = _link(tm[L + i], te[L + i], be + de[i + 1], ks, bm * np.abs(dm[i + 1]))
             bwd.insert(0, (ab, top))
         tails = []
-        for n, (am, ue), (bm, be) in zip(sizes, fwd, bwd):
-            m, e = (am[-4:] * bm[-4:]).tolist(), (ue[-4:] + be[-4:]).tolist()
+        for (fm, fe), (bm, be) in zip(fwd, bwd):
+            m = (fm[-4:] * bm[-4:]).tolist()
+            e = (fe[-4:] + be[-4:]).tolist()
             rate = _shell_rate([math.ldexp(x, y - max(e)) for x, y in zip(m, e)], len(m) - 1, 0.0)
-            tails.append(0.0 if n == 1 else float(np.ldexp(m[-1], e[-1])) / (1.0 - rate))
+            tails.append(math.ldexp(m[-1], e[-1]) / (1.0 - rate))
         return total, tails, rounding, sum(n * m for n, m in zip(sizes, sizes[1:]))
 
     sizes = [_series_len(r, tol, 10, _CHAIN_CAP) for r in rates]
-    return _grow(build, sizes, [_CHAIN_CAP] * L, tol, 0.025)
+    return _grow(build, sizes, caps, tol, 0.025)
+
+
+def _chain_sum(a1, a2, b, c, zs, tol: float) -> SeriesResult:
+    """sum over n_1..n_L of (a1)_{n_1} (b_1)_{n_1+n_2} ... (b_{L-1})_{n_{L-1}+n_L}
+    (a2)_{n_L} prod_i z_i^{n_i} / ((c_i)_{n_i} n_i!), L >= 2, in its domain.
+
+    A zero argument cuts the chain into pieces whose sums multiply.  A piece
+    of one node is 2F1(a, a'; c; z) of the parameters on either side of it,
+    summed by gauss_2f1 with its Pfaff and near-one routes; a longer piece
+    goes to _chain_run.  Before that, each end node of a piece with
+    |1 - z| > 1 is Pfaff transformed: its sum (a)_n (b)_{n+k} z^n / ((c)_n n!)
+    is (b)_k 2F1(a, b+k; c; z) = (1-z)^-b (b)_k (1-z)^-k 2F1(c-a, b+k; c; z/(z-1)),
+    so a -> c - a, z -> z/(z-1), the neighbour's argument is divided by 1 - z
+    and the piece gains (1 - z)^-b.  For F2 this is (1-x)^-a F2(a; c-b, b';
+    c, c'; x/(x-1), y/(1-x)).  Every argument shrinks in modulus and a
+    negative end turns positive, so it adds no cancellation.  Pieces are
+    summed to tol / (number of pieces) and their errors d_i bounded together,
+    prod(|v_i| + d_i) - |prod v_i|; the product has converged when every
+    piece has and that bound is within tol."""
+    outer = [a1, *b, a2]
+    runs = [list(g) for live, g in groupby(range(len(zs)), lambda i: zs[i] != 0) if live]
+    exact = []
+    pieces = []
+    for run in runs:
+        start = run[0]
+        stop = run[-1] + 1
+        ends = [outer[start], outer[stop]]
+        links = outer[start + 1 : stop]
+        cs = c[start:stop]
+        args = list(zs[start:stop])
+        for j, nb in ((0, 1), (-1, -2)) if len(run) > 1 else ():
+            w = 1.0 - args[j]
+            if abs(w) > 1.0:
+                exact.append(w ** -links[j])
+                ends[j] = cs[j] - ends[j]
+                args[nb] = args[nb] / w
+                args[j] = -args[j] / w
+        pieces.append((ends, links, cs, args))
+    if not exact and runs == [list(range(len(zs)))]:
+        return _chain_run(a1, a2, b, c, zs, tol)
+
+    value = math.prod(exact)
+    bound = 0.0
+    terms = 0
+    converged = True
+    for (a, a_end), links, cs, args in pieces:
+        piece_tol = tol / len(pieces)
+        if len(args) == 1:
+            r = gauss_2f1(a, a_end, cs[0], args[0], piece_tol)
+        else:
+            r = _chain_run(a, a_end, links, cs, args, piece_tol)
+        d = r.est_trunc_error * (1.0 + abs(r.value))
+        bound = abs(value) * d + abs(r.value) * bound + bound * d
+        value = value * r.value
+        terms += r.terms_used
+        converged = converged and r.converged
+    est = bound / (1.0 + abs(value))
+    return SeriesResult(_as_scalar(value), max(terms, 1), converged and est <= tol, est)
 
 
 def appell_f2(a, b1, b2, c1, c2, y, z, tol: float = 1e-12) -> SeriesResult:
     """Appell F2 double series on |y| + |z| < 1, as the two-node chain
-    (b1)_m (a)_{m+n} (b2)_n y^m z^n / ((c1)_m (c2)_n m! n!) of _chain_sum."""
+    (b1)_m (a)_{m+n} (b2)_n y^m z^n / ((c1)_m (c2)_n m! n!) of _chain_sum:
+    2F1(a, b2; c2; z) by gauss_2f1 when y = 0 (and likewise in y), and
+    Pfaff transformed in a negative argument."""
     for name, cval in (("c1", c1), ("c2", c2)):
         if is_nonpositive_integer(cval):
             raise PoleError(f"F2 parameter {name} is a non-positive integer")
-    if abs(complex(y)) + abs(complex(z)) >= 1.0:
-        raise DomainError(f"F2 requires |y|+|z| < 1, got {abs(complex(y)) + abs(complex(z)):.4f}")
+    modulus = abs(complex(y)) + abs(complex(z))
+    if modulus >= 1.0:
+        raise DomainError(f"F2 requires |y|+|z| < 1, got {modulus:.4f}")
     return _chain_sum(b1, b2, (a,), (c1, c2), (y, z), tol)
 
 
 def saran_fk_reexpand(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
     """Saran F_K as the chain (alpha1)_m (beta1)_{m+p} (alpha2)_{p+n} (beta2)_n
-    of _chain_sum over (x, z, y); saran_fk_triple is its independent form."""
+    of _chain_sum over (x, z, y): the product 2F1(alpha1, beta1; gamma1; x)
+    2F1(alpha2, beta2; gamma2; y) by gauss_2f1 when z = 0, and Pfaff
+    transformed in a negative x or y.  saran_fk_triple is its independent
+    form."""
     if not in_domain_fk(x, y, z):
         raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
     b, c = (p.beta1, p.alpha2), (p.gamma1, p.gamma3, p.gamma2)
@@ -555,20 +660,26 @@ def _fk_L_domain_ok(L: int, zs) -> bool:
         return in_domain_fk(zs[0], zs[2], zs[1])
     az = [abs(complex(v)) for v in zs]
     if L == 4:
-        return az[0] < 1 and az[3] < 1 and az[1] / (1 - az[0]) + az[2] / (1 - az[3]) < 1
-    return L == 5 and sum(az) < 0.5
+        if az[0] >= 1 or az[3] >= 1:
+            return False
+        return az[1] / (1 - az[0]) + az[2] / (1 - az[3]) < 1
+    if L == 5:
+        return sum(az) < 0.5
+    return False
 
 
 def fk_L(a1, a2, b, c, zs, tol: float = 1e-12) -> SeriesResult:
     """L-variable chain-coupled F_K, for L in {3, 4, 5}: the chain of
-    _chain_sum, (a1)_{n1} (b_i)_{n_i + n_{i+1}} (a2)_{nL} / prod (c_i)_{n_i} n_i!."""
+    _chain_sum, (a1)_{n1} (b_i)_{n_i + n_{i+1}} (a2)_{nL} / prod (c_i)_{n_i} n_i!.
+    A zero argument cuts it into a product of shorter chains and 2F1s."""
     L = len(zs)
     if L not in (3, 4, 5):
         raise DomainError(f"fk_L supports L in {{3,4,5}}, got L={L}")
     if len(b) != L - 1 or len(c) != L:
         raise ValueError("need L-1 chain parameters and L denominators")
-    if any(is_nonpositive_integer(ci) for ci in c):
-        raise PoleError("fk_L denominator parameter is a non-positive integer")
+    for ci in c:
+        if is_nonpositive_integer(ci):
+            raise PoleError("fk_L denominator parameter is a non-positive integer")
     if not _fk_L_domain_ok(L, zs):
         raise DomainError(f"arguments {zs} outside the L={L} convergence region")
     return _chain_sum(a1, a2, b, c, zs, tol)
@@ -872,7 +983,8 @@ def generic_f_a(
         f2, n2, ok2, _ = _eval_2f1(np.asarray(alpha2) + fn, beta2, gamma2, x2, tol * 1e-2)
         coefs = a.table(M - 1, N - 1)
         tensor = coefs * np.outer(f1 * np.power(x3, fm), f2 * np.power(x4, fn))
-        return tensor.sum(), _face_tails(tensor), 0.0 if ok1 and ok2 else math.inf, n1 + n2 + tensor.size
+        floor = 0.0 if ok1 and ok2 else math.inf
+        return tensor.sum(), _face_tails(tensor), floor, n1 + n2 + tensor.size
 
     sizes = [_series_len(r3, tol, 12, 220), _series_len(r4, tol, 12, 220)]
     return _grow(build, sizes, [320, 320], tol, 0.2)

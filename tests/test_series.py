@@ -27,7 +27,7 @@ from saranfk import (
     saran_fk_triple,
 )
 from saranfk.core import pochhammer
-from saranfk.series import _grow
+from saranfk.series import _grow, _scaled_prods
 
 
 def brute_2f1(a, b, c, z, n_terms):
@@ -448,6 +448,27 @@ class TestGrow:
         assert not r.converged
         assert r.est_trunc_error == 1e-9
         assert seen == [4]
+
+    def test_caps_function_is_read_before_each_growth(self):
+        # Caps from the other axis's size hold the product of the two within
+        # 400, as the chain engine holds its links.
+        seen = []
+
+        def build(sizes):
+            seen.append(tuple(sizes))
+            return 1.0, [1.0, 1.0], 0.0, 1
+
+        r = _grow(build, [4, 4], lambda s: [400 // s[1], 400 // s[0]], 1e-12, 1.0)
+        assert not r.converged
+        assert seen == [(4, 4), (14, 14), (28, 14)]
+
+
+class TestScaledProducts:
+    def test_prefix_products_past_double_range(self):
+        # 2^-k for k up to 20000 lies far below the smallest double.
+        m, e = _scaled_prods(np.full((1, 20000), 0.5))
+        assert np.all(m == 0.5)
+        assert np.array_equal(e[0], 1 - np.arange(20001))
 
 
 class TestTolHalving:
