@@ -22,6 +22,7 @@ from .series import (
     CoeffSequence2D,
     FkParams,
     _eval_2f1,
+    _series_2f1_raw,
     _series_len,
     appell_f2,
     convolve2d,
@@ -101,23 +102,6 @@ def _ratio_table(a, b, n: int) -> np.ndarray:
     if n:
         np.cumprod((a + np.arange(n)) / (b + np.arange(n)), out=out[1:])
     return out
-
-
-def _pfq_nodes(uppers, lowers, z, t, nmax: int) -> np.ndarray:
-    """Vectorized pFq(uppers; lowers; z*t) over a node array t.
-
-    Coefficients come from the term-ratio recurrence; separate numerator and
-    denominator Pochhammer tables would overflow at a few hundred terms."""
-    n = np.arange(nmax - 1, dtype=np.float64)
-    step = np.ones(nmax - 1)
-    for a in uppers:
-        step = step * (a + n)
-    for b in lowers:
-        step = step / (b + n)
-    step = step / (1.0 + n)
-    coef = np.ones(nmax)
-    np.cumprod(step, out=coef[1:])
-    return np.power(np.multiply.outer(t, np.ones(nmax)) * z, np.arange(nmax)[None, :]) @ coef
 
 
 def _powers(x, n: int) -> np.ndarray:
@@ -264,10 +248,8 @@ def _erdelyi3_spec(v) -> HypergeometricMeasure:
 def _rhs_erdelyi3(pt, s):
     v = pt.flat()
     t, w = measure_rule(_erdelyi3_spec(v), s.quad_order)
-    nmax = _series_len(abs(v["z"]), s.series_tol)
-    vals = _pfq_nodes(
-        (v["alpha"], v["beta"], v["eta"]), (v["lam"], v["nu"]), v["z"], t, nmax
-    )
+    upper, lower = (v["alpha"], v["beta"], v["eta"]), (v["lam"], v["nu"])
+    vals, *_ = _series_2f1_raw(upper, lower, v["z"] * t, s.series_tol, 250_000)
     return complex(np.sum(w * vals))
 
 

@@ -179,7 +179,7 @@ def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-13):
         _check_endpoint_expansion(a, b, g)
         f[sm], *_ = _series_2f1_near_one(a, b, g, tt[sm], tol, 100_000)
     if np.any(~sm):
-        s0, *_ = _series_2f1_raw(a, b, g, ww[~sm], tol, 100_000)
+        s0, *_ = _series_2f1_raw((a, b), (g,), ww[~sm], tol, 100_000)
         f[~sm] = s0
     out = const * np.power(tt, e - 1.0) * np.power(ww, g - 1.0) * f
     if all(v.imag == 0.0 for v in (a, b, g, e)):
@@ -215,20 +215,20 @@ def _hypergeometric_rule(spec: HypergeometricMeasure, order: int, tol: float = 1
         # in s/2, into the weights.
         r = gauss_jacobi_rule(expo.real - 1.0, 0.0, order)
         half = r.nodes / 2.0
-        f, *_ = _series_2f1_raw(*upper, lower, half, tol, 100_000)
+        f, *_ = _series_2f1_raw(upper, lower, half, tol, 100_000)
         w = r.weights * 2.0 ** (-expo.real) * const * coef * np.power(1.0 - half, far - 1.0) * f
         if expo.imag != 0.0:
             w = w * np.power(half, 1j * expo.imag)
         return half, w
 
     # Right half [1/2, 1], 1-t = s/2, with the (1-t)^(gamma-1) endpoint.
-    s0, w0 = piece(g, e, 1.0, (a, b), g)
+    s0, w0 = piece(g, e, 1.0, (a, b), (g,))
     # Left half [0, 1/2], t = s/2, analytic branch of the connection formula
     # with the t^(eta-1) endpoint.
-    s1, w1 = piece(e, g, A, (a, b), a + b - g + 1.0)
+    s1, w1 = piece(e, g, A, (a, b), (a + b - g + 1.0,))
     # Left half, t^(gamma-alpha-beta) branch: the fractional power joins the
     # rule exponent, keeping the remainder analytic.
-    s2, w2 = piece(e + cab, g, B, (g - a, g - b), cab + 1.0)
+    s2, w2 = piece(e + cab, g, B, (g - a, g - b), (cab + 1.0,))
     t = np.concatenate([1.0 - s0, s1, s2])
     w = np.concatenate([w0, w1, w2])
     if real_params and np.iscomplexobj(w):

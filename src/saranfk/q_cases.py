@@ -18,8 +18,6 @@ shift-operator tables of `qkernels._shift_tables`, the builder behind
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import q_pochhammer_inf, q_pochhammer_table
@@ -29,7 +27,6 @@ from .qkernels import (
     QDirichletMeasure,
     QfkShiftParams,
     QHypergeometricMeasure,
-    _phi_k_pmax,
     _phi_k_reexpand,
     _phi_k_spec,
     _rphis_array,
@@ -42,7 +39,7 @@ from .qkernels import (
     q_measure_rule,
 )
 from .registry import Constraint, EvalSettings, IdentityCase, ParameterPoint
-from .series import FkParams
+from .series import FkParams, _series_len
 
 Q_ARG_CAP = 0.3
 
@@ -205,7 +202,7 @@ def _phi_k_integral(inner: FkParams, rules, x, y, z, s: EvalSettings) -> complex
     """Triple lattice integral of Phi_K(x t1, y t2, z t3) against three
     measure rules, contracted through the third-index decomposition."""
     (t1, w1), (t2, w2), (t3, w3) = rules
-    pmax = _phi_k_pmax(abs(z), s.series_tol)
+    pmax = _series_len(abs(z), s.series_tol, 8, 160)
     coef, A, B, *_ = phi_k_p_tables(inner, x * t1, y * t2, s.qctx, pmax, tol=s.series_tol * 1e-2)
     SA = w1 @ A
     SB = w2 @ B
@@ -277,11 +274,7 @@ def _jv_coeff_tensor(v, k: int, mode: str, sizes, q: float) -> np.ndarray:
 def _jv_sizes(v, k: int, mode: str, tol: float):
     if mode == "poly":
         return [6] * k
-    out = []
-    for j in range(1, k + 1):
-        az = abs(v[f"z{j}"])
-        out.append(int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(az, 1e-6))) + 4, 8, 40)))
-    return out
+    return [_series_len(abs(v[f"z{j}"]), tol, 8, 40) for j in range(1, k + 1)]
 
 
 def _lhs_joshi_vyas(pt, s: EvalSettings):
@@ -374,7 +367,7 @@ def _rhs_qfk_phi3(pt, s: EvalSettings):
     ctx = s.qctx
     rules = [_slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s) for j in (1, 2, 3)]
     (t1, w1), (t2, w2), (t3, w3) = rules
-    pmax = _phi_k_pmax(abs(v["z"]), s.series_tol)
+    pmax = _series_len(abs(v["z"]), s.series_tol, 8, 160)
     shifts = q ** np.arange(pmax + 1, dtype=np.float64)
     coef = (
         q_pochhammer_table(q ** v["alpha2"], pmax, q)
@@ -750,9 +743,7 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
     tu, wu = _dirichlet_rule(v["alpha1"], v["eta1"], s)
     tv, wv = _dirichlet_rule(v["beta2"], v["mu2"], s)
     tw, ww = _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s)
-    K = 0 if z == 0 else int(
-        np.clip(math.ceil(math.log(s.series_tol * 1e-2) / math.log(abs(z))), 8, 240)
-    )
+    K = _series_len(abs(z), s.series_tol, 8, 240)
     cK = q_pochhammer_table(q ** v["alpha2"], K, q) / q_pochhammer_table(q, K, q)
     baseU = tu * x * q ** v["beta1"]
     baseV = tv * y * q ** v["alpha2"]

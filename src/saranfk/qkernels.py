@@ -16,7 +16,11 @@ are zero, but rounding residue would be re-amplified by the q^{-l} step
 factors of series with fewer denominator than numerator parameters.  The
 r_phi_s terms are formed in blocks by series._sum_terms, with the ratios of a
 block built in one vectorized expression; the stopping index, the pole check
-and the termination cut-off are those of a term-at-a-time loop.
+and the termination cut-off are those of a term-at-a-time loop.  phi3 and
+jackson_integral grow their index boxes and lattices through series._grow,
+with the boundary slabs as tails, and the first sizes of the series and of
+the Phi_K p-sum come from series._series_len, as in series.  q_measure_rule
+keeps its own cut-off: it returns a lattice rule, not a sum.
 """
 
 from __future__ import annotations
@@ -344,12 +348,6 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
     return coef, A, B, okA, okB
 
 
-def _phi_k_pmax(z_mag: float, tol: float) -> int:
-    if z_mag == 0.0:
-        return 0
-    return int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(min(z_mag, 0.97))) + 6, 8, 160))
-
-
 def _zpowers(z: complex, pmax: int) -> np.ndarray:
     if z == 0:
         out = np.zeros(pmax + 1)
@@ -359,11 +357,11 @@ def _zpowers(z: complex, pmax: int) -> np.ndarray:
 
 
 def _phi_k_reexpand(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12):
-    pmax = _phi_k_pmax(abs(complex(z)), tol)
+    pmax = _series_len(abs(complex(z)), tol, 8, 160)
     coef, A, B, okA, okB = phi_k_p_tables(p, complex(x), complex(y), ctx, pmax, tol=tol * 1e-2)
     rows = coef * A * B * _zpowers(complex(z), pmax)
     total = rows.sum()
-    tail = float(np.abs(rows[-1])) if pmax else 0.0
+    tail = float(np.abs(rows[-1]))
     return _as_scalar(total), rows.size, okA and okB, tail / (1.0 + abs(total))
 
 
@@ -398,48 +396,31 @@ def _lattice_size(ctx: QContext, decay: float = 1.0, scale: float = 1.0) -> int:
     return int(max(40, n + 8) * scale)
 
 
-def jackson_integral(f, k: int, ctx: QContext, scale: float = 1.0, vectorized: bool = True):
+def jackson_integral(f, k: int, ctx: QContext, scale: float = 1.0):
     """k-dimensional Jackson integral (1-q)^k sum_n f(q^n) q^(n1+...+nk).
 
-    With vectorized=True (default) f receives open-mesh arrays of lattice
-    values and must broadcast; otherwise f is called pointwise.  The per-axis
-    cutoff starts at max(40, log_q tail_tol) and doubles until the boundary
-    slab of the weighted sum is negligible.
+    f receives open-mesh arrays of lattice values and must broadcast.  Each
+    axis starts at max(40, log_q tail_tol) points and grows through _grow until
+    its boundary slab of the weighted sum is within tail_tol (margin 1);
+    ConvergenceError when it reaches its cap first.
     """
     if not (1 <= k <= 3):
         raise DomainError("jackson_integral supports dimensions 1..3")
     q = ctx.q
-    N = _lattice_size(ctx, 1.0, scale)
+
+    def build(sizes):
+        grids = [
+            q ** np.arange(n, dtype=np.float64).reshape([n if j == i else 1 for j in range(k)])
+            for i, n in enumerate(sizes)
+        ]
+        weighted = (1.0 - q) ** k * math.prod(grids) * np.asarray(f(*grids))
+        return weighted.sum(), _face_tails(weighted), 0.0, weighted.size
+
     cap = {1: 20000, 2: 2000, 3: 500}[k]
-    for _ in range(5):
-        t = q ** np.arange(N, dtype=np.float64)
-        grids = []
-        for i in range(k):
-            shp = [1] * k
-            shp[i] = N
-            grids.append(t.reshape(shp))
-        if vectorized:
-            vals = np.broadcast_to(np.asarray(f(*grids)), (N,) * k)
-        else:
-            vals = np.empty((N,) * k, dtype=np.complex128)
-            for idx in np.ndindex(*(N,) * k):
-                vals[idx] = f(*(t[i] for i in idx))
-        wgrid = t.reshape([-1] + [1] * (k - 1))
-        for i in range(1, k):
-            shp = [1] * k
-            shp[i] = N
-            wgrid = wgrid * t.reshape(shp)
-        weighted = (1.0 - q) ** k * wgrid * vals
-        total = weighted.sum()
-        tail = max(
-            float(np.abs(np.take(weighted, N - 1, axis=axis)).sum()) for axis in range(k)
-        )
-        if tail <= ctx.jackson_tail_tol * (1.0 + abs(total)):
-            return _as_scalar(total)
-        if N >= cap:
-            raise ConvergenceError("Jackson lattice tail bound not met at cutoff cap")
-        N = min(cap, N * 2)
-    raise ConvergenceError("Jackson lattice sum failed to stabilize")
+    r = _grow(build, [_lattice_size(ctx, 1.0, scale)] * k, [cap] * k, ctx.jackson_tail_tol, 1.0)
+    if not r.converged:
+        raise ConvergenceError("Jackson lattice tail bound not met at cutoff cap")
+    return r.value
 
 
 @dataclass(frozen=True)
@@ -653,7 +634,8 @@ def _shift_tables(
         gamma2=p.beta2 - p.lam2 + p.mu2,
         gamma3=p.beta1 - p.lam3,
     )
-    coef, FA, FB, *_ = phi_k_p_tables(inner, XA, YB, ctx, _phi_k_pmax(zmag, tol), tol=tol * 1e-2)
+    pmax = _series_len(zmag, tol, 8, 160)
+    coef, FA, FB, *_ = phi_k_p_tables(inner, XA, YB, ctx, pmax, tol=tol * 1e-2)
     return ck, coef, A, FA, B, FB
 
 

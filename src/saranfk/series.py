@@ -6,24 +6,28 @@ extension) through one chain engine, F_K again as a triple series, and the
 convolution family built from shifted 2F1 products.
 
 Truncation follows one rule.  An engine measures the part of the series it
-summed last (a term, the summed boundary faces of an index box, or the last
-slab of a chain axis), and _tail_est turns it into the estimate
-tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling like r^n
-(r observed for F_K shells and chain slabs, times 0.25 and 0.025), 0.2 for box
-faces.  A series has converged only once that estimate is at most tol, so
-converged=True implies est_trunc_error <= tol.  Term loops stop after three
-such terms in a row (eight at least).  Block engines go through _grow, which
-also takes an error floor no growth reduces (the chain's rounding).  Its caps
-are 320 per axis for the convolution box (96 for phi3) and, for the chain,
-2000^2 entries per link between neighbouring axes, so an axis reaches 2000
-beside one as long and 64000 beside short ones (an end argument near 1).
+summed last (a term, the last index shell, the summed boundary faces of an
+index box, or the last slab of a chain axis), and _tail_est turns it into the
+estimate tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling
+like r^n (r = max|z| for a direct 2F1 or pFq with p = q + 1, and margin 0.03
+for a terminating one at |z| >= 1; r observed for F_K shells and chain slabs,
+times 0.25 and 0.025), 0.2 for box faces.  A series has converged only once
+that estimate is at most tol, so converged=True implies est_trunc_error <= tol.
+Term loops stop after three such terms in a row (eight at least).  Block
+engines, the F_K triple series among them, go through _grow, which also takes
+an error floor no growth reduces (the rounding of the triple series and of
+the chain).  Its caps are 560 shells for the triple series, 320 per axis for
+the convolution box (96 for phi3) and, for the chain, 2000^2 entries per link
+between neighbouring axes, so an axis reaches 2000 beside one as long and
+64000 beside short ones (an end argument near 1).  First sizes come from
+_series_len, or from the domain ratio for the triple series.
 
-The term recurrences of the array 2F1 series and, in qkernels, of r_phi_s go
-through _sum_terms.  It forms the terms in blocks of 8, 16, 32, ... from one
-vectorized ratio expression per block and a short loop over its rows, then
-applies the stopping rule to the rows in order, so a series stops at the
-same term as when summed one term at a time.  The block width is capped so
-that width times array size stays within 2^15 elements.
+The term recurrences of the array 2F1 (and 3F2) series and, in qkernels, of
+r_phi_s go through _sum_terms.  It forms the terms in blocks of 8, 16, 32,
+... from one vectorized ratio expression per block and a short loop over its
+rows, then applies the stopping rule to the rows in order, so a series stops
+at the same term as when summed one term at a time.  The block width is
+capped so that width times array size stays within 2^15 elements.
 """
 
 from __future__ import annotations
@@ -232,29 +236,35 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
 # ---------------------------------------------------------------------------
 
 
-def _series_2f1_raw(a, b, c, z, tol, max_terms, min_terms=8):
-    """Direct power series, broadcasting over all four inputs.
+def _series_2f1_raw(upper, lower, z, tol, max_terms, min_terms=8):
+    """Direct power series of pFq(upper; lower; z) with p = q + 1 (2F1, and the
+    3F2 of erdelyi-3), broadcasting over all inputs.  The terms of 2F1 are
+    formed as (a+n)(b+n) / ((c+n)(n+1)) z, in that order.
 
-    Returns (value array, terms, converged, relative tail estimate).
+    The margin of the stopping rule is 1 - max|z|, or 0.03 for a terminating
+    series at |z| >= 1.  Returns (value array, terms, converged, relative tail
+    estimate).
     """
-    arrs = [np.asarray(v) for v in (a, b, c, z)]
+    arrs = [np.asarray(v) for v in (*upper, *lower, z)]
     shape = np.broadcast_shapes(*(v.shape for v in arrs))
-    cplx = any(np.iscomplexobj(v) for v in arrs)
-    dtype = np.complex128 if cplx else np.float64
-    a, b, c, z = (v.astype(dtype) for v in arrs)
-    margin = 1.0 - min(0.97, float(np.max(np.abs(z))))
-    col = (1,) * max(a.ndim, b.ndim, c.ndim)
+    dtype = np.complex128 if any(np.iscomplexobj(v) for v in arrs) else np.float64
+    *params, z = (v.astype(dtype) for v in arrs)
+    upper, lower = params[: len(upper)], params[len(upper) :]
+    top = float(np.max(np.abs(z)))
+    margin = 1.0 - top if top < 1.0 else 0.03
+    col = (1,) * max(v.ndim for v in params)
 
     def block(n0, W):
         # One row per term index over the parameters' axes only; with scalar
         # parameters a row is a numpy scalar, the cheapest ufunc operand.
         n = np.arange(n0, n0 + W, dtype=np.float64).reshape((W,) + col)
-        ops = [
-            (np.multiply, (a + n) * (b + n)),
-            (np.true_divide, (c + n) * (n + 1.0)),
-            (np.multiply, [z] * W),
-        ]
-        return ops, None
+        num = upper[0] + n
+        for u in upper[1:]:
+            num = num * (u + n)
+        den = n + 1.0
+        for c in lower:
+            den = den * (c + n)
+        return [(np.multiply, num), (np.true_divide, den), (np.multiply, [z] * W)], None
 
     total, n, small, est = _sum_terms(block, shape, dtype, max_terms, tol, margin, min_terms)
     return total, n, small >= 3, est
@@ -288,8 +298,8 @@ def _series_2f1_near_one(a, b, c, w, tol, max_terms):
     w = np.asarray(w, dtype=np.complex128)
     cab = c - a - b
     A, B = _connection_coeffs(a, b, c)
-    s1, n1, ok1, e1 = _series_2f1_raw(a, b, a + b - c + 1.0, w, tol, max_terms)
-    s2, n2, ok2, e2 = _series_2f1_raw(c - a, c - b, cab + 1.0, w, tol, max_terms)
+    s1, n1, ok1, e1 = _series_2f1_raw((a, b), (a + b - c + 1.0,), w, tol, max_terms)
+    s2, n2, ok2, e2 = _series_2f1_raw((c - a, c - b), (cab + 1.0,), w, tol, max_terms)
     out = A * s1 + B * np.power(w, cab) * s2
     return out, n1 + n2, ok1 and ok2, e1 + e2
 
@@ -310,10 +320,8 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     terminating = (np.ndim(a) == 0 and is_nonpositive_integer(a)) or (
         np.ndim(b) == 0 and is_nonpositive_integer(b)
     )
-    if terminating:
-        return _series_2f1_raw(a, b, c, z, tol, max_terms)
-    if np.all(az <= 0.9):
-        return _series_2f1_raw(a, b, c, z, tol, max_terms)
+    if terminating or np.all(az <= 0.9):
+        return _series_2f1_raw((a, b), (c,), z, tol, max_terms)
 
     # Mixed regimes: split the argument array by the transform that converges.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -356,10 +364,13 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
         converged = converged and ok
         est = max(est, e)
 
-    do(m_direct, lambda A, B, C, Z: _series_2f1_raw(A, B, C, Z, tol, max_terms))
+    def direct(A, B, C, Z):
+        return _series_2f1_raw((A, B), (C,), Z, tol, max_terms)
+
+    do(m_direct, direct)
 
     def pfaff(A, B, C, Z):
-        v, n, ok, e = _series_2f1_raw(A, C - B, C, Z / (Z - 1.0), tol, max_terms)
+        v, n, ok, e = direct(A, C - B, C, Z / (Z - 1.0))
         base = 1.0 - Z
         if not np.iscomplexobj(base) and np.any(base <= 0):
             base = base.astype(np.complex128)
@@ -368,7 +379,7 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
 
     do(m_pfaff, pfaff)
     do(m_conn, lambda A, B, C, Z: _series_2f1_near_one(A, B, C, 1.0 - Z, tol, max_terms))
-    do(m_slow, lambda A, B, C, Z: _series_2f1_raw(A, B, C, Z, tol, max_terms))
+    do(m_slow, direct)
     do(m_pfaff_slow, pfaff)
 
     if not cplx and np.iscomplexobj(out):
@@ -415,7 +426,7 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
 
     term = complex(1.0)
     total = complex(1.0)
-    margin = (1.0 - min(0.97, abs(z))) if len(upper) == len(lower) + 1 else 0.5
+    margin = (1.0 - abs(z) if abs(z) < 1.0 else 0.03) if len(upper) == len(lower) + 1 else 0.5
     small = 0
     n = 0
     est = math.inf
@@ -509,9 +520,9 @@ def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
     powers of two, so no box n_i < N_i overflows.  The forward pass sums, the
     backward one gives each axis's last slabs: an axis reports its last slab
     over 1 - r, r as _shell_rate reads them, with _grow's margin 0.025, a tenth
-    of _sum_shells', so engines converged at tol agree well within it.  The
-    estimate also covers rounding, 4 eps (sqrt(sum N_i) |S| + sum |t|) /
-    (1 + |S|), which no growth reduces."""
+    of saran_fk_triple's, so the two forms converged at tol agree well within
+    it.  The estimate also covers rounding, 4 eps (sqrt(sum N_i) |S| +
+    sum |t|) / (1 + |S|), which no growth reduces."""
     L = len(zs)
     v = np.array([a1, a2, *b, *c, *zs]) + 0.0
     a1, a2 = v[0], v[1]
@@ -697,11 +708,6 @@ def in_domain_fk(x, y, z) -> bool:
     return ax < 1.0 and ay < 1.0 and az < (1.0 - ax) * (1.0 - ay)
 
 
-def _fk_domain_ratio(x, y, z) -> float:
-    ax, ay, az = abs(complex(x)), abs(complex(y)), abs(complex(z))
-    return max(ax, ay, az / ((1.0 - ax) * (1.0 - ay)))
-
-
 def _shell_rate(shells: np.ndarray, s: int, fallback: float) -> float:
     """Observed geometric decay rate near shell s.
 
@@ -712,32 +718,6 @@ def _shell_rate(shells: np.ndarray, s: int, fallback: float) -> float:
         if k >= 1 and shells[k - 1] != 0:
             rate = max(rate, abs(shells[k] / shells[k - 1]))
     return min(rate, 0.99)
-
-
-def _sum_shells(shells: np.ndarray, tol: float, rho: float, min_shells: int = 8):
-    """Accumulate shell contributions with the three-small-shells rule.
-
-    Returns (value including a geometric tail correction, stopping shell or
-    None, relative tail estimate)."""
-    total = 0.0
-    small = 0
-    stop_at = None
-    for s, sigma in enumerate(shells):
-        total = total + sigma
-        if s >= 3:
-            margin = (1.0 - _shell_rate(shells, s, rho)) * 0.25
-            if abs(sigma) <= tol * (1.0 + abs(total)) * margin:
-                small += 1
-                if small >= 3 and s >= min_shells:
-                    stop_at = s
-                    break
-            else:
-                small = 0
-    total = shells.sum()
-    rate = _shell_rate(shells, len(shells) - 1, 0.0)
-    corr = shells[-1] * rate / (1.0 - rate)
-    tail = (abs(shells[-1]) + abs(corr)) / (1.0 + abs(total + corr))
-    return total + corr, stop_at, tail
 
 
 def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
@@ -755,22 +735,25 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
     bare inverse factorials separately do not.  Only the shells s < N are
     summed, so plane m is formed over the square n, p < N - m alone, one
     plane at a time, and memory stays quadratic in the truncation depth.
+
+    N starts from the domain ratio and grows through _grow to at most 560.  A
+    build returns the shell sum plus its geometric tail at the observed shell
+    rate r, the tail |last shell| / (1 - r) at margin 0.25, and the rounding
+    floor 4 eps (sqrt(N) |S| + sum |t|) / (1 + |S|).
     """
     if not in_domain_fk(x, y, z):
         raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
     x, y, z = complex(x), complex(y), complex(z)
-    rho = _fk_domain_ratio(x, y, z)
-    if rho == 0.0:
-        return SeriesResult(1.0, 1, True, 0.0)
-    n0 = math.log(max(tol * 1e-3, 1e-300)) / math.log(max(rho, 1e-6))
-    N = int(np.clip(1.25 * n0 + 24, 24, 560))
-
+    ax, ay = abs(x), abs(y)
+    rho = max(ax, ay, abs(z) / ((1.0 - ax) * (1.0 - ay)))
+    N = int(np.clip(1.25 * math.log(tol * 1e-3) / math.log(max(rho, 1e-6)) + 24, 24, 560))
     cplx = any(v.imag for v in (x, y, z)) or any(
         complex(getattr(p, f)).imag
         for f in ("alpha1", "alpha2", "beta1", "beta2", "gamma1", "gamma2", "gamma3")
     )
-    terms = 0
-    while True:
+
+    def build(sizes):
+        (N,) = sizes
         f = np.arange(N, dtype=np.float64)
 
         def ratio_coef(top, bottom, arg, extra_fact=False):
@@ -795,12 +778,16 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         idx = np.arange(N, dtype=np.int64)
         np_idx = idx[:, None] + idx[None, :]
         lb = sp.gammaln(f + 1.0)
-        binom = np.exp(sp.gammaln(np_idx + 1.0) - lb[:, None] - lb[None, :])
+        # C(n+p, n) only where n + p < N: the shells past N are not summed,
+        # and there it overflows.
+        binom = np.zeros((N, N))
+        np.exp(sp.gammaln(np_idx + 1.0) - lb[:, None] - lb[None, :], out=binom, where=np_idx < N)
         tj1 = over_fact(p.alpha2)[np_idx] * binom
         tj2 = over_fact(p.beta1)[np_idx] * binom
 
         plane0 = (yn[:, None] * zp[None, :]) * tj1
         shells = np.zeros(2 * N - 1, dtype=np.complex128 if cplx else np.float64)
+        terms = 0
         for m in range(N):
             K = N - m
             plane = plane0[:K, :K] * (xm[m] * tj2[m, :K])[None, :]
@@ -814,12 +801,18 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
                     np_flat, weights=plane.ravel(), minlength=2 * K - 1
                 )
             terms += K * K
-        total, stop_at, est = _sum_shells(shells[:N], tol, rho)
-        if stop_at is not None:
-            return SeriesResult(_as_scalar(total), terms, True, est)
-        if N >= 560:
-            return SeriesResult(_as_scalar(total), terms, False, est)
-        N = min(560, int(N * 1.5) + 8)
+        # sum |t| over the planes: plane m takes the column sums of |plane0|
+        # over n < N - m, and tj2[m, p] is zero from p = N - m on.
+        abs_cols = np.cumsum(np.abs(plane0), axis=0)[::-1]
+        absum = float(np.abs(xm) @ (np.abs(tj2) * abs_cols).sum(axis=1))
+        shells = shells[:N]
+        total = shells.sum()
+        rate = _shell_rate(shells, N - 1, 0.0)
+        corr = shells[-1] * rate / (1.0 - rate)
+        rounding = _tail_est(4 * _EPS * (math.sqrt(N) * abs(total) + absum), 1.0, total)
+        return total + corr, [abs(shells[-1]) + abs(corr)], rounding, terms
+
+    return _grow(build, [N], [560], tol, 0.25)
 
 
 # ---------------------------------------------------------------------------

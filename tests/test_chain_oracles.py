@@ -6,7 +6,8 @@ is checked against an independent oracle at 30 digits instead: every value
 must be finite and lie within its own estimate, |value - oracle| <=
 est_trunc_error (1 + |value|), and converged unless an interior argument of
 the chain is negative.  Arguments of both signs are drawn, and fixed cases
-cover a zero coupling and end arguments near +-1.
+cover a zero coupling and end arguments near +-1.  The F_K draws also check
+saran_fk_triple, the second form of F_K.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
-from saranfk import FkParams, appell_f2, fk_L, gauss_2f1, saran_fk_reexpand
+from saranfk import FkParams, appell_f2, fk_L, gauss_2f1, saran_fk_reexpand, saran_fk_triple
 
 PARAM = st.floats(min_value=0.2, max_value=3.0)
 FRACTION = st.floats(min_value=0.05, max_value=0.95)
@@ -124,6 +125,14 @@ def test_saran_fk_against_reexpansion_oracle(params, x, y, f, sz):
     with mpmath.workdps(30):
         oracle = fk_reexpansion_oracle(p, x, y, z)
     check(saran_fk_reexpand(p, x, y, z), oracle, (x, z, y))
+    # The triple series has no Pfaff step, so a negative argument may leave
+    # it unconverged; a converged result must lie within its estimate.
+    r = saran_fk_triple(p, x, y, z)
+    v = complex(r.value)
+    assert np.isfinite(v)
+    assert r.converged or min(x, y, z) < 0
+    if r.converged:
+        assert abs(v - complex(oracle)) <= r.est_trunc_error * (1 + abs(v))
 
 
 @hsettings(max_examples=20, deadline=None, derandomize=True)
@@ -163,6 +172,7 @@ P = FkParams(0.7, 0.9, 0.6, 0.8, 1.3, 1.5, 1.7)
         (-0.95, 0.1, 0.01),
         (-0.95, -0.9, 0.004),
         (0.3, -0.95, -0.03),
+        (0.99, 0.1, 0.0),  # 2F1(0.7, 0.6; 1.3; 0.99): c - a - b = 0, no connection route
     ],
 )
 def test_saran_fk_near_unit_arguments(x, y, z):

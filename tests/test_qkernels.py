@@ -218,9 +218,13 @@ class TestJacksonIntegral:
         got = jackson_integral(lambda u, v: u * np.ones_like(v), 2, ctx05)
         assert got == pytest.approx(1.0 / (1.0 + ctx05.q), rel=1e-10)
 
-    def test_pointwise_fallback(self, ctx05):
-        got = jackson_integral(lambda t: t**2, 1, ctx05, vectorized=False)
+    def test_quadratic(self, ctx05):
+        got = jackson_integral(lambda t: t**2, 1, ctx05)
         assert got == pytest.approx((1 - ctx05.q) / (1 - ctx05.q**3), rel=1e-12)
+
+    def test_non_finite_sum_raises(self, ctx05):
+        with pytest.raises(ConvergenceError):
+            jackson_integral(lambda t: np.full_like(t, np.nan), 1, ctx05)
 
     def test_dimension_cap(self, ctx05):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 import dataclasses
 
+import mpmath
+import numpy as np
 import pytest
 
 from saranfk import (
@@ -13,7 +15,7 @@ from saranfk import (
     verify_identity,
 )
 from saranfk.classical_cases import fk_erdelyi_inner_tables
-from saranfk.registry import Constraint
+from saranfk.registry import Constraint, ParameterPoint
 
 ALL_IDS = [
     "euler-1", "euler-2", "bateman", "erdelyi-1", "erdelyi-2", "erdelyi-3",
@@ -163,3 +165,17 @@ class TestProofSteps:
                 assert complex(IU[m, n]) == pytest.approx(complex(want_u), rel=1e-11)
                 want_v = gauss_2f1(v["alpha2"] + m + n, v["beta2"], v["beta2"] + v["mu2"], y).value
                 assert complex(IV[m, n]) == pytest.approx(complex(want_v), rel=1e-11)
+
+    def test_erdelyi3_rhs_series_at_a_node_near_one(self, monkeypatch):
+        # One node t = 0.999 of weight 1: the RHS is 3F2(alpha, beta, eta;
+        # lam, nu; z t) there, which needs far more terms than at small t.
+        monkeypatch.setattr(
+            "saranfk.classical_cases.measure_rule",
+            lambda spec, order: (np.array([0.999]), np.ones(1)),
+        )
+        values = {"alpha": 2.2, "beta": 2.2, "eta": 1.6, "lam": 0.75, "nu": 0.4, "gamma": 1.5}
+        pt = ParameterPoint(values=values, arguments={"z": 0.7})
+        got = registry_lookup("erdelyi-3").rhs(pt, EvalSettings.default())
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyper([2.2, 2.2, 1.6], [0.75, 0.4], 0.7 * 0.999))
+        assert abs(got - want) <= 1e-12 * (1 + abs(want))

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,6 +133,18 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             gauss_2f1(0.5, 0.5, 1.5, 1.6)
 
+    @pytest.mark.parametrize(
+        "a, b, c, z", [(0.7, 0.6, 1.3, 0.99), (0.5, 0.5, 1.0, 0.985), (1.2, 0.8, 2.0, 0.975)]
+    )
+    def test_integer_c_minus_a_minus_b_near_one(self, a, b, c, z):
+        # The connection route is refused and the direct series falls like
+        # z^n / n; its estimate must still bound the error.
+        r = gauss_2f1(a, b, c, z)
+        with mpmath.workdps(30):
+            oracle = mpmath.hyp2f1(a, b, c, z)
+        assert r.converged
+        assert abs(r.value - oracle) <= r.est_trunc_error * (1 + abs(r.value))
+
     def test_halving_tol_stays_within_estimate(self):
         for z in (0.3, 0.62, 0.88):
             r1 = gauss_2f1(0.8, 1.1, 1.9, z, tol=1e-8)
@@ -155,6 +169,14 @@ class TestHyperPfq:
     def test_pole(self):
         with pytest.raises(PoleError):
             hyper_pfq([0.5], [-1.0], 0.2)
+
+    def test_estimate_bounds_error_near_one(self):
+        # Terms fall like 0.995^n / n^2; the margin is 1 - |z|, not 0.03.
+        r = hyper_pfq([1, 1, 1], [2, 2], 0.995)
+        with mpmath.workdps(30):
+            oracle = mpmath.hyper([1, 1, 1], [2, 2], 0.995)
+        assert r.converged
+        assert abs(r.value - oracle) <= r.est_trunc_error * (1 + abs(r.value))
 
     def test_divergent(self):
         with pytest.raises(DomainError):
@@ -251,6 +273,15 @@ class TestSaranFk:
         assert r.converged
         assert abs(v - 2.126761526122036) <= r.est_trunc_error * (1 + abs(v))
         assert r.est_trunc_error <= 1e-12
+
+    def test_triple_near_boundary_point_without_overflow(self):
+        # C(n+p, n) past the summed shells overflowed here and warned.
+        p = FkParams(0.7, 0.9, 0.6, 0.8, 1.3, 1.5, 1.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = saran_fk_triple(p, 0.8, 0.1, 0.17)
+        v = complex(r.value)
+        assert abs(v - 2.126761526122036) <= r.est_trunc_error * (1 + abs(v))
 
 
 class TestFkL:

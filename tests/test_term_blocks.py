@@ -28,7 +28,8 @@ def ref_series_2f1(a, b, c, z, tol, max_terms, min_terms=8):
     a, b, c, z = (np.broadcast_to(v, shape).astype(dtype) for v in arrs)
     term = np.ones(shape, dtype=dtype)
     total = np.ones(shape, dtype=dtype)
-    margin = 1.0 - min(0.97, float(np.max(np.abs(z))))
+    top = float(np.max(np.abs(z)))
+    margin = 1.0 - top if top < 1.0 else 0.03
     small = 0
     n = 0
     est = math.inf
@@ -122,7 +123,7 @@ def test_2f1_stops_across_block_edges(cplx, as_array):
     for z in ZS:
         zz = np.array([z, -0.5 * z]) if as_array else z
         ref = ref_series_2f1(a, b, c, zz, 1e-12, 250_000)
-        assert_same(_series_2f1_raw(a, b, c, zz, 1e-12, 250_000), ref)
+        assert_same(_series_2f1_raw((a, b), (c,), zz, 1e-12, 250_000), ref)
         stops.add(ref[1])
     assert EDGE_STOPS <= stops
 
@@ -146,7 +147,7 @@ def test_max_terms_cap(max_terms):
     z = np.array([0.85, -0.6])
     ref = ref_series_2f1(0.3, 0.7, 1.9, z, 1e-12, max_terms)
     assert ref[1] == max_terms and not ref[2]
-    assert_same(_series_2f1_raw(0.3, 0.7, 1.9, z, 1e-12, max_terms), ref)
+    assert_same(_series_2f1_raw((0.3, 0.7), (1.9,), z, 1e-12, max_terms), ref)
     ctx = QContext(q=0.9)
     ref = ref_rphis([0.3, 0.4], [0.7], z, ctx, max_terms=max_terms)
     assert ref[1] == max_terms and not ref[2]
@@ -159,7 +160,7 @@ def test_large_arrays(size):
     z = np.linspace(-0.6, 0.6, size)
     c = 1.9 + np.linspace(0.0, 1.0, size)
     ref = ref_series_2f1(0.3, 0.7, c, z, 1e-12, 250_000)
-    assert_same(_series_2f1_raw(0.3, 0.7, c, z, 1e-12, 250_000), ref)
+    assert_same(_series_2f1_raw((0.3, 0.7), (c,), z, 1e-12, 250_000), ref)
     ctx = QContext(q=0.5)
     assert_same(_rphis_array([0.3, 0.4], [0.7], z, ctx), ref_rphis([0.3, 0.4], [0.7], z, ctx))
 
@@ -170,7 +171,8 @@ def test_2f1_broadcast_parameters():
     c = rng.uniform(0.5, 3.0, (1, 9)) + 0.2j
     z = rng.uniform(-0.7, 0.7, (7, 9))
     for args in ((a, 0.4, c.real, z), (a, 0.4, c, z), (-6.0, 0.4, c.real, z)):
-        assert_same(_series_2f1_raw(*args, 1e-12, 250_000), ref_series_2f1(*args, 1e-12, 250_000))
+        got = _series_2f1_raw(args[:2], args[2:3], args[3], 1e-12, 250_000)
+        assert_same(got, ref_series_2f1(*args, 1e-12, 250_000))
 
 
 @pytest.mark.parametrize("q", [0.6, 0.8])
