@@ -21,9 +21,11 @@ from .registry import Constraint, IdentityCase, ParameterPoint
 from .series import (
     CoeffSequence2D,
     FkParams,
+    _checked,
     _eval_2f1,
     _series_2f1_raw,
     _series_len,
+    _shifted_2f1,
     appell_f2,
     convolve2d,
     delta_sequence,
@@ -74,42 +76,11 @@ def _pos(name: str, fn) -> Constraint:
 # ---------------------------------------------------------------------------
 
 
-def f2_coeff_table(a, b, c, lam, eta, M: int, N: int) -> np.ndarray:
-    """Appell F2 coefficients (a)_{m+n} (b)_m (c)_n / ((lam)_m (eta)_n m! n!)
-    in a balanced factorization that avoids overflow of the raw Pochhammers."""
-    s = np.arange(M + N + 1, dtype=np.float64)
-    r1 = np.ones(M + N + 1)
-    if M + N:
-        np.cumprod((a + s[:-1]) / (1.0 + s[:-1]), out=r1[1:])
-    lb = sps.gammaln(np.arange(M + N + 1) + 1.0)
-    binom = np.exp(
-        lb[np.add.outer(np.arange(M + 1), np.arange(N + 1))]
-        - lb[: M + 1][:, None]
-        - lb[: N + 1][None, :]
-    )
-    rb = np.ones(M + 1)
-    if M:
-        np.cumprod((b + np.arange(M)) / (lam + np.arange(M)), out=rb[1:])
-    rc = np.ones(N + 1)
-    if N:
-        np.cumprod((c + np.arange(N)) / (eta + np.arange(N)), out=rc[1:])
-    return r1[np.add.outer(np.arange(M + 1), np.arange(N + 1))] * binom * np.outer(rb, rc)
-
-
 def _ratio_table(a, b, n: int) -> np.ndarray:
     """[(a)_k / (b)_k for k = 0..n] via a running ratio."""
     out = np.ones(n + 1)
     if n:
         np.cumprod((a + np.arange(n)) / (b + np.arange(n)), out=out[1:])
-    return out
-
-
-def _powers(x, n: int) -> np.ndarray:
-    """[x^0, ..., x^n] along a new last axis, by running product."""
-    x = np.asarray(x)
-    out = np.ones(x.shape + (n + 1,), dtype=np.result_type(x, np.float64))
-    if n:
-        np.cumprod(np.broadcast_to(x[..., None], x.shape + (n,)), axis=-1, out=out[..., 1:])
     return out
 
 
@@ -167,7 +138,7 @@ def _sample_bateman(rng) -> ParameterPoint:
 def _rhs_bateman(pt, s):
     v = pt.flat()
     t, w = measure_rule(DirichletMeasure(v["lam"], v["gamma"] - v["lam"]), s.quad_order)
-    inner, *_ = _eval_2f1(v["alpha"], v["beta"], v["lam"], v["z"] * t, s.series_tol)
+    inner = _checked(*_eval_2f1(v["alpha"], v["beta"], v["lam"], v["z"] * t, s.series_tol))
     return complex(np.sum(w * inner))
 
 
@@ -189,8 +160,8 @@ def _rhs_erdelyi1(pt, s):
     v = pt.flat()
     a, b, g, lam, ap, z = (v[k] for k in ("alpha", "beta", "gamma", "lam", "alphap", "z"))
     t, w = measure_rule(DirichletMeasure(lam, g - lam), s.quad_order)
-    f1, *_ = _eval_2f1(a - ap, b, lam, z * t, s.series_tol)
-    f2, *_ = _eval_2f1(ap, b - lam, g - lam, (1.0 - t) * z / (1.0 - t * z), s.series_tol)
+    f1 = _checked(*_eval_2f1(a - ap, b, lam, z * t, s.series_tol))
+    f2 = _checked(*_eval_2f1(ap, b - lam, g - lam, (1.0 - t) * z / (1.0 - t * z), s.series_tol))
     return complex(np.sum(w * np.power(1.0 - z * t, -ap) * f1 * f2))
 
 
@@ -212,8 +183,8 @@ def _rhs_erdelyi2(pt, s):
     v = pt.flat()
     a, b, g, eta, lam, z = (v[k] for k in ("alpha", "beta", "gamma", "eta", "lam", "z"))
     t, w = measure_rule(DirichletMeasure(eta, g - eta), s.quad_order)
-    f1, *_ = _eval_2f1(lam - a, lam - b, eta, z * t, s.series_tol)
-    f2, *_ = _eval_2f1(a + b - lam, lam - eta, g - eta, (1.0 - t) * z / (1.0 - t * z), s.series_tol)
+    f1 = _checked(*_eval_2f1(lam - a, lam - b, eta, z * t, s.series_tol))
+    f2 = _checked(*_eval_2f1(a + b - lam, lam - eta, g - eta, (1.0 - t) * z / (1.0 - t * z), s.series_tol))
     return complex(np.sum(w * np.power(1.0 - z * t, lam - a - b) * f1 * f2))
 
 
@@ -249,7 +220,7 @@ def _rhs_erdelyi3(pt, s):
     v = pt.flat()
     t, w = measure_rule(_erdelyi3_spec(v), s.quad_order)
     upper, lower = (v["alpha"], v["beta"], v["eta"]), (v["lam"], v["nu"])
-    vals, *_ = _series_2f1_raw(upper, lower, v["z"] * t, s.series_tol, 250_000)
+    vals = _checked(*_series_2f1_raw(upper, lower, v["z"] * t, s.series_tol, 250_000))
     return complex(np.sum(w * vals))
 
 
@@ -316,16 +287,18 @@ def _lhs_fk_erdelyi(pt, s):
     return complex(saran_fk_reexpand(p, v["x"], v["y"], v["z"], s.series_tol).value)
 
 
-def _shifted_pair_table(t, w, x, m, first, second, tol):
+def _shifted_pair_table(t, w, x, M, first, second, tol):
     """Quadrature table sum_u w_u 2F1(a+m, b; c; t_u x) 2F1(l+n, e; f; xi_u)
-    (1 - t_u x)^-(l+n) over (m, n), with xi = (1-t) x / (1 - t x),
-    first = (a, b, c) and second = (l, e, f)."""
+    (1 - t_u x)^-(l+n) over m, n < M, with xi = (1-t) x / (1 - t x),
+    first = (a, b, c) and second = (l, e, f).  Both 2F1 families come from
+    _shifted_2f1: two seed series per node and the contiguous recurrence in
+    the first parameter, stable here since t x and xi are real and below 1."""
     (a, b, c), (lam, e, f) = first, second
-    g1, *_ = _eval_2f1(a + m[None, :], b, c, (t * x)[:, None], tol)
-    xi = ((1.0 - t) * x / (1.0 - t * x))[:, None]
-    g2, *_ = _eval_2f1(lam + m[None, :], e, f, xi, tol)
-    g2 = g2 * np.power((1.0 - t * x)[:, None], -(lam + m[None, :]))
-    return np.einsum("u,um,un->mn", w, g1, g2)
+    g1 = _shifted_2f1(a, b, c, t * x, M, tol)
+    xi = (1.0 - t) * x / (1.0 - t * x)
+    g2 = _shifted_2f1(lam, e, f, xi, M, tol)
+    g2 = g2 * np.power(1.0 - t * x, -(lam + np.arange(M, dtype=np.float64))[:, None])
+    return np.einsum("u,mu,nu->mn", w, g1, g2)
 
 
 def fk_erdelyi_inner_tables(pt, s):
@@ -339,13 +312,12 @@ def fk_erdelyi_inner_tables(pt, s):
     tw, ww = measure_rule(DirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"]), order)
     zeff = abs(z) / ((1.0 - abs(x)) * (1.0 - abs(y)))
     M = _series_len(zeff, s.series_tol, lo=16, hi=140)
-    m = np.arange(M, dtype=np.float64)
 
     IU = _shifted_pair_table(
-        tu, wu, x, m, (v["beta1"] - v["lam3"], v["alpha1"], v["alpha1"] - v["lam1"] + v["eta1"]),
+        tu, wu, x, M, (v["beta1"] - v["lam3"], v["alpha1"], v["alpha1"] - v["lam1"] + v["eta1"]),
         (v["lam3"], v["lam1"] - v["eta1"], v["lam1"]), s.series_tol)
     IV = _shifted_pair_table(
-        tv, wv, y, m, (v["alpha2"] - v["eta2"], v["beta2"], v["beta2"] - v["lam2"] + v["mu2"]),
+        tv, wv, y, M, (v["alpha2"] - v["eta2"], v["beta2"], v["beta2"] - v["lam2"] + v["mu2"]),
         (v["eta2"], v["lam2"] - v["mu2"], v["lam2"]), s.series_tol)
 
     Mw = (ww[:, None] * np.power(tw[:, None], np.arange(2 * M - 1)[None, :])).sum(axis=0)
@@ -394,9 +366,9 @@ def _rhs_f2_curious(pt, s):
     V = tv[:, None]
     W = tw[None, :]
     Q = 1.0 - V * y - W * z
-    g1, *_ = _eval_2f1(v["a1"] - v["a2"], v["c1"] - v["b1"] - v["d1"], v["c1"] - v["d1"],
-                       V * y / (V * y + W * z - 1.0), s.series_tol)
-    g2, *_ = _eval_2f1(v["a2"], v["b1"] + v["d1"] - v["c1"], v["d1"], (1.0 - V) * y / Q, s.series_tol)
+    g1 = _checked(*_eval_2f1(v["a1"] - v["a2"], v["c1"] - v["b1"] - v["d1"], v["c1"] - v["d1"],
+                             V * y / (V * y + W * z - 1.0), s.series_tol))
+    g2 = _checked(*_eval_2f1(v["a2"], v["b1"] + v["d1"] - v["c1"], v["d1"], (1.0 - V) * y / Q, s.series_tol))
     return complex(np.einsum("v,w,vw->", wv, ww, np.power(Q, -v["a1"]) * g1 * g2))
 
 
@@ -443,6 +415,20 @@ def _lhs_manocha(pt, s):
     return complex(appell_f2(v["a"], v["b"], v["c"], v["d"], v["e"], v["y"], v["z"], s.series_tol).value)
 
 
+def _f2_rows(a, b, c, lam, eta, X, Y, K: int, tol) -> np.ndarray:
+    """Appell F2(a; b, c; lam, eta; X, Y) over node arrays, broadcast, by its
+    rows sum_{m<K} (a)_m (b)_m / ((lam)_m m!) X^m 2F1(a+m, c; eta; Y), the
+    2F1 family from _shifted_2f1 over Y.  The rows are summed one at a time,
+    not by a BLAS mat-vec, which may start threads at this size."""
+    G = _shifted_2f1(a, c, eta, Y, K, tol)
+    row = np.ones_like(X)
+    total = row * G[0]
+    for m in range(K - 1):
+        row = row * ((a + m) * (b + m) / ((lam + m) * (m + 1.0)) * X)
+        total += row * G[m + 1]
+    return total
+
+
 def _rhs_manocha(pt, s):
     v = pt.flat()
     y, z = v["y"], v["z"]
@@ -451,16 +437,13 @@ def _rhs_manocha(pt, s):
     V = tv[:, None]
     W = tw[None, :]
     Q = 1.0 - V * y - W * z
-    MA = _series_len(abs(y) + abs(z), s.series_tol, lo=24, hi=160)
-    ca = f2_coeff_table(v["a"] - v["ap"], v["b"], v["c"], v["lam"], v["eta"], MA, MA)
-    f2a = _powers(tv * y, MA) @ ca @ _powers(tw * z, MA).T
-    cb = f2_coeff_table(v["ap"], v["b"] - v["lam"], v["c"] - v["eta"],
-                        v["d"] - v["lam"], v["e"] - v["eta"], MA, MA)
-    # Flattened over the (v, w) grid, so the contraction is one large matmul.
-    rvp = _powers(((1.0 - V) * y / Q).ravel(), MA)
-    rwp = _powers(((1.0 - W) * z / Q).ravel(), MA)
-    f2b = ((rvp @ cb) * rwp).sum(axis=-1).reshape(Q.shape)
-    return complex(wv @ (np.power(Q, -v["ap"]) * f2a * f2b) @ ww)
+    K = _series_len(abs(y) + abs(z), s.series_tol, lo=24, hi=160) + 1
+    # The first factor is separable in (v, w): its family runs over the w
+    # nodes alone.
+    f2a = _f2_rows(v["a"] - v["ap"], v["b"], v["c"], v["lam"], v["eta"], V * y, tw * z, K, s.series_tol)
+    f2b = _f2_rows(v["ap"], v["b"] - v["lam"], v["c"] - v["eta"], v["d"] - v["lam"], v["e"] - v["eta"],
+                   ((1.0 - V) * y / Q).ravel(), ((1.0 - W) * z / Q).ravel(), K, s.series_tol)
+    return complex(wv @ (np.power(Q, -v["ap"]) * f2a * f2b.reshape(Q.shape)) @ ww)
 
 
 def _sample_manocha_reduced(rng) -> ParameterPoint:
@@ -484,9 +467,9 @@ def _rhs_manocha_reduced(pt, s):
     V = tv[:, None]
     W = tw[None, :]
     Q = 1.0 - V * y - W * z
-    g1, *_ = _eval_2f1(v["a"] - v["ap"], v["lam"] - v["b"], v["lam"],
-                       V * y / (V * y + W * z - 1.0), s.series_tol)
-    g2, *_ = _eval_2f1(v["ap"], v["b"] - v["lam"], v["d"] - v["lam"], (1.0 - V) * y / Q, s.series_tol)
+    g1 = _checked(*_eval_2f1(v["a"] - v["ap"], v["lam"] - v["b"], v["lam"],
+                             V * y / (V * y + W * z - 1.0), s.series_tol))
+    g2 = _checked(*_eval_2f1(v["ap"], v["b"] - v["lam"], v["d"] - v["lam"], (1.0 - V) * y / Q, s.series_tol))
     return complex(np.einsum("v,w,vw->", wv, ww, np.power(Q, -v["a"]) * g1 * g2))
 
 
@@ -577,11 +560,10 @@ def _rhs_fa_erdelyi(pt, s):
         0.3,
     )
     MM = _series_len(ratio, s.series_tol, lo=16, hi=64)
-    m = np.arange(MM, dtype=np.float64)
 
-    SU1 = _shifted_pair_table(t1, w1, x1, m, (v["alpha1"], v["beta1"], v["g1"]),
+    SU1 = _shifted_pair_table(t1, w1, x1, MM, (v["alpha1"], v["beta1"], v["g1"]),
                               (v["lam1"], v["beta1"] - v["g1"], v["tau1"] - v["g1"]), s.series_tol)
-    SU2 = _shifted_pair_table(t2, w2, x2, m, (v["alpha2"], v["beta2"], v["g2"]),
+    SU2 = _shifted_pair_table(t2, w2, x2, MM, (v["alpha2"], v["beta2"], v["g2"]),
                               (v["lam2"], v["beta2"] - v["g2"], v["tau2"] - v["g2"]), s.series_tol)
 
     span = np.arange(2 * MM - 1)

@@ -2,8 +2,9 @@
 
 Covers Gauss 2F1 (with Pfaff and argument-near-one routes), generalized pFq,
 the chain-coupled series (Appell F2, Saran's F_K and its L-variable
-extension) through one chain engine, F_K again as a triple series, and the
-convolution family built from shifted 2F1 products.
+extension) through one chain engine, F_K again as a triple series, shifted
+2F1 families by their contiguous recurrence, and the convolution family built
+from shifted 2F1 products.
 
 Truncation follows one rule.  An engine measures the part of the series it
 summed last (a term, the last index shell, the summed boundary faces of an
@@ -13,7 +14,8 @@ like r^n (r = max|z| for a direct 2F1 or pFq with p = q + 1, and margin 0.03
 for a terminating one at |z| >= 1; r observed for F_K shells and chain slabs,
 times 0.25 and 0.025), 0.2 for box faces.  A series has converged only once
 that estimate is at most tol, so converged=True implies est_trunc_error <= tol.
-Term loops stop after three such terms in a row (eight at least).  Block
+Term loops stop after three such terms in a row (eight at least, and not
+before n passes -Re(c) of a negative lower parameter).  Block
 engines, the F_K triple series among them, go through _grow, which also takes
 an error floor no growth reduces (the rounding of the triple series and of
 the chain).  Its caps are 560 shells for the triple series, 320 per axis for
@@ -41,7 +43,7 @@ import numpy as np
 import scipy.special as sp
 
 from .core import _as_scalar, is_nonpositive_integer, pochhammer_table
-from .errors import DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "SeriesResult",
@@ -109,6 +111,8 @@ def _snap_terminating(a):
 # ---------------------------------------------------------------------------
 # Truncation core
 # ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _tail_est(tail, margin: float, total) -> float:
@@ -252,6 +256,9 @@ def _series_2f1_raw(upper, lower, z, tol, max_terms, min_terms=8):
     upper, lower = params[: len(upper)], params[len(upper) :]
     top = float(np.max(np.abs(z)))
     margin = 1.0 - top if top < 1.0 else 0.03
+    # Terms may fall and then jump where a lower parameter c + n passes
+    # zero, so the series runs past n = -Re(c) before it may stop.
+    min_terms = max(min_terms, 2 + math.ceil(-min(float(np.min(v.real)) for v in lower)))
     col = (1,) * max(v.ndim for v in params)
 
     def block(n0, W):
@@ -289,19 +296,56 @@ def _connection_coeffs(a, b, c):
     return A, B
 
 
+def _abs_terms(upper, lower, w, n: int):
+    """1 + |t_1| + ... + |t_n| of the 2F1 series in w with scalar parameters:
+    the scale of its rounding."""
+    k = np.arange(n, dtype=np.float64)
+    coef = np.cumprod(np.abs((upper[0] + k) * (upper[1] + k) / ((lower + k) * (k + 1.0))))
+    return 1.0 + (coef * np.abs(w)[..., None] ** (k + 1.0)).sum(axis=-1)
+
+
 def _series_2f1_near_one(a, b, c, w, tol, max_terms):
-    """2F1(a, b; c; 1-w) by the connection formula, for small |w|.  Taking w
-    itself spares callers that hold it exactly the rounding of 1 - (1 - w)."""
+    """2F1(a, b; c; 1-w) = A s1 + B w^cab s2 by the connection formula, for
+    small |w| and scalar a, b, c.  Taking w itself spares callers that hold
+    it exactly the rounding of 1 - (1 - w).
+
+    The estimate is the two series' tails plus rounding, first order in eps:
+    each part's summed |terms| (a negative lower parameter makes them far
+    exceed its sum), |A| sum |t1| and |B w^cab| sum |t2|, times 4 plus
+    |ln Gamma(x)| + |x psi(x)| (exponent and condition number) over the
+    Gamma factors of its coefficient, and |cab ln w| for the power; and the
+    rounding of cab and of the two lower parameters, taken as
+    eps (|a| + |b| + |c| + 1), times the result's derivative in each.  Near
+    an integer c - a - b the two parts cancel and this grows past tol."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
     cab = c - a - b
+    c1 = a + b - c + 1.0
     A, B = _connection_coeffs(a, b, c)
-    s1, n1, ok1, e1 = _series_2f1_raw((a, b), (a + b - c + 1.0,), w, tol, max_terms)
+    s1, n1, ok1, e1 = _series_2f1_raw((a, b), (c1,), w, tol, max_terms)
     s2, n2, ok2, e2 = _series_2f1_raw((c - a, c - b), (cab + 1.0,), w, tol, max_terms)
-    out = A * s1 + B * np.power(w, cab) * s2
-    return out, n1 + n2, ok1 and ok2, e1 + e2
+    Bp = B * np.power(w, cab)
+    out = A * s1 + Bp * s2
+    t1 = np.abs(A) * _abs_terms((a, b), c1, w, n1)
+    t2 = np.abs(Bp) * _abs_terms((c - a, c - b), cab + 1.0, w, n2)
+    x = np.array([c, cab, c - a, c - b, c, -cab, a, b])
+    psi = sp.psi(x if x.imag.any() else x.real)
+    with np.errstate(invalid="ignore"):
+        cond = np.abs(sp.loggamma(x)) + np.abs(x * psi)
+    # A pole of an rgamma factor (a or b at 0, say) zeroes its coefficient.
+    cond[~np.isfinite(cond)] = 0.0
+    log_w = np.log(w)
+    rounding = (4.0 + cond[:4].sum()) * t1 + (4.0 + cond[4:].sum() + np.abs(cab * log_w)) * t2
+    # d/d cab through Gamma(+-cab) and w^cab; a series' relative change per
+    # unit of its lower parameter is at most sum 1 / |lower + k|.
+    d_cab = np.abs(A * psi[1] * s1 - Bp * (psi[5] - log_w) * s2)
+    d_low = t1 * np.sum(1.0 / np.abs(c1 + np.arange(n1)))
+    d_low += t2 * np.sum(1.0 / np.abs(cab + 1.0 + np.arange(n2)))
+    rounding += (abs(a) + abs(b) + abs(c) + 1.0) * (d_cab + d_low)
+    est = e1 + e2 + float(np.max(_tail_est(_EPS * rounding, 1.0, out)))
+    return out, n1 + n2, ok1 and ok2 and est <= tol, est
 
 
 def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
@@ -367,20 +411,39 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     def direct(A, B, C, Z):
         return _series_2f1_raw((A, B), (C,), Z, tol, max_terms)
 
-    do(m_direct, direct)
+    def slow(A, B, C, Z, cap=max_terms):
+        # Past |z| = 0.9 the terms fall like r^n, r the ratio of the last
+        # step, which a + b > c + 1 keeps above |z|: summed to tol / 2, the
+        # estimate is scaled by (1 - |z|) / (1 - r).
+        v, n, ok, e = _series_2f1_raw((A, B), (C,), Z, tol / 2, cap)
+        top = float(np.max(np.abs(Z)))
+        r = max(top, top * float(np.max(np.abs((A + n) * (B + n) / ((C + n) * (n + 1.0))))))
+        e = e * (1.0 - top) / (1.0 - r) if r < 1.0 else math.inf
+        return v, n, ok and e <= tol, e
 
-    def pfaff(A, B, C, Z):
-        v, n, ok, e = direct(A, C - B, C, Z / (Z - 1.0))
+    def pfaff(A, B, C, Z, series=direct):
+        v, n, ok, e = series(A, C - B, C, Z / (Z - 1.0))
         base = 1.0 - Z
         if not np.iscomplexobj(base) and np.any(base <= 0):
             base = base.astype(np.complex128)
         pref = np.power(base, -A)
         return pref * v, n, ok, e
 
+    def near_one(A, B, C, Z):
+        # Near an integer c - a - b the connection formula cancels and its
+        # estimate exceeds tol; the direct series, up to 20000 terms, then
+        # takes over where it converges.
+        res = _series_2f1_near_one(a, b, c, 1.0 - Z, tol, max_terms)
+        if res[2]:
+            return res
+        v, n, ok, e = slow(A, B, C, Z, min(max_terms, 20_000))
+        return (v, res[1] + n, ok, e) if ok else res
+
+    do(m_direct, direct)
     do(m_pfaff, pfaff)
-    do(m_conn, lambda A, B, C, Z: _series_2f1_near_one(A, B, C, 1.0 - Z, tol, max_terms))
-    do(m_slow, direct)
-    do(m_pfaff_slow, pfaff)
+    do(m_conn, near_one)
+    do(m_slow, slow)
+    do(m_pfaff_slow, lambda A, B, C, Z: pfaff(A, B, C, Z, slow))
 
     if not cplx and np.iscomplexobj(out):
         # Real parameters and 0 < z < 1 give a real function; the imaginary
@@ -391,12 +454,51 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     return out, terms, converged, est
 
 
+def _checked(value, terms, converged, est):
+    """The value of a (value, terms, converged, estimate) evaluation that has
+    no result to carry the flag; ConvergenceError if it did not converge."""
+    if not converged:
+        raise ConvergenceError(f"series did not converge after {terms} terms (estimate {est:.1e})")
+    return value
+
+
+def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
+    """F[k] = 2F1(a+k, b; c; z) for k < K, stacked on a new first axis, over
+    an array z; a + k must avoid zero.
+
+    Two seed series by _eval_2f1 (ConvergenceError if either does not
+    converge), then DLMF 15.5.11 run forward,
+
+        (a+k)(1-z) F[k+1] = (2(a+k) - c + (b-a-k) z) F[k] + (c-a-k) F[k-1].
+
+    For real z < 1 the family grows like (1-z)^-k k^(b-c) or falls like
+    k^-b, and the other solution of the recurrence falls behind it, so
+    forward is the stable direction: errors stay relative to F.  If b is
+    near a non-positive integer the first term vanishes and F is the small
+    solution; the error is then eps (1-z)^-k, relative to the growth
+    that the callers' outer series is built to absorb."""
+    F0 = _checked(*_eval_2f1(a, b, c, z, tol))
+    F = np.empty((K,) + np.shape(F0), dtype=np.result_type(F0, a, b, c, z))
+    F[0] = F0
+    if K > 1:
+        F[1] = _checked(*_eval_2f1(a + 1.0, b, c, z, tol))
+    z = np.asarray(z)
+    inv = 1.0 / (1.0 - z)
+    for k in range(1, K - 1):
+        ak = a + k
+        step = ((2.0 * ak - c) / ak + (b - ak) / ak * z) * inv
+        np.add(step * F[k], (c - ak) / ak * inv * F[k - 1], out=F[k + 1])
+    return F
+
+
 def gauss_2f1(a, b, c, z, tol: float = 1e-12) -> SeriesResult:
     """Gauss hypergeometric 2F1(a, b; c; z).
 
     Direct series for |z| <= 0.9; the Pfaff transform z -> z/(z-1) or the
-    expansion around z = 1 otherwise.  Raises DomainError when |z| >= 1 and no
-    transform applies, PoleError for c in Z_{<=0}.
+    expansion around z = 1 otherwise, and the direct series again where that
+    expansion's rounding estimate exceeds tol (c - a - b near an integer).
+    Raises DomainError when |z| >= 1 and no transform applies, PoleError for
+    c in Z_{<=0}.
     """
     value, terms, converged, est = _eval_2f1(a, b, c, z, tol)
     return SeriesResult(_as_scalar(value), terms, converged, est)
@@ -462,7 +564,6 @@ _CHAIN_CAP = 2000
 _SCALE_BLOCK = 16
 # Exponent of a zero entry: below any real one, so it never sets a scale.
 _ZERO_EXP = -(1 << 40)
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _scaled(v):
@@ -732,14 +833,18 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         TJ1[n,p] = (a2)_{n+p} / (n! p!)  TJ2[m,p] = (b1)_{m+p} / (m! p!)
 
     whose factors all stay inside double range; the raw joint Pochhammers and
-    bare inverse factorials separately do not.  Only the shells s < N are
-    summed, so plane m is formed over the square n, p < N - m alone, one
-    plane at a time, and memory stays quadratic in the truncation depth.
+    bare inverse factorials separately do not.  Only the shells s < N, the
+    simplex m + n + p < N, are summed.  For each p, shell s takes the
+    convolution in (m, n) of T1 TJ2[., p] and T2 T3[p] TJ1[., p] at s - p, so
+    all p are summed by FFT: rows p0 .. are shifted right by p - p0, and the
+    products of their transforms summed before one inverse transform.  Each
+    chunk of rows uses length 2 (N - p0), and no buffer exceeds N^2 entries.
 
     N starts from the domain ratio and grows through _grow to at most 560.  A
     build returns the shell sum plus its geometric tail at the observed shell
     rate r, the tail |last shell| / (1 - r) at margin 0.25, and the rounding
-    floor 4 eps (sqrt(N) |S| + sum |t|) / (1 + |S|).
+    floor 4 eps (sqrt(N) |S| + sum |t|) / (1 + |S|), which also bounds the
+    FFT's rounding.
     """
     if not in_domain_fk(x, y, z):
         raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
@@ -751,6 +856,7 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         complex(getattr(p, f)).imag
         for f in ("alpha1", "alpha2", "beta1", "beta2", "gamma1", "gamma2", "gamma3")
     )
+    fwd, inv = (np.fft.fft, np.fft.ifft) if cplx else (np.fft.rfft, np.fft.irfft)
 
     def build(sizes):
         (N,) = sizes
@@ -777,40 +883,36 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         zp = ratio_coef(None, p.gamma3, z if z.imag else z.real, extra_fact=True)
         idx = np.arange(N, dtype=np.int64)
         np_idx = idx[:, None] + idx[None, :]
-        lb = sp.gammaln(f + 1.0)
+        lb = sp.gammaln(np.arange(2 * N - 1) + 1.0)
         # C(n+p, n) only where n + p < N: the shells past N are not summed,
         # and there it overflows.
         binom = np.zeros((N, N))
-        np.exp(sp.gammaln(np_idx + 1.0) - lb[:, None] - lb[None, :], out=binom, where=np_idx < N)
-        tj1 = over_fact(p.alpha2)[np_idx] * binom
-        tj2 = over_fact(p.beta1)[np_idx] * binom
-
-        plane0 = (yn[:, None] * zp[None, :]) * tj1
-        shells = np.zeros(2 * N - 1, dtype=np.complex128 if cplx else np.float64)
-        terms = 0
-        for m in range(N):
-            K = N - m
-            plane = plane0[:K, :K] * (xm[m] * tj2[m, :K])[None, :]
-            np_flat = np_idx[:K, :K].ravel()
-            if cplx:
-                re = np.bincount(np_flat, weights=plane.real.ravel(), minlength=2 * K - 1)
-                im = np.bincount(np_flat, weights=plane.imag.ravel(), minlength=2 * K - 1)
-                shells[m : m + 2 * K - 1] += re + 1j * im
-            else:
-                shells[m : m + 2 * K - 1] += np.bincount(
-                    np_flat, weights=plane.ravel(), minlength=2 * K - 1
-                )
-            terms += K * K
-        # sum |t| over the planes: plane m takes the column sums of |plane0|
-        # over n < N - m, and tj2[m, p] is zero from p = N - m on.
-        abs_cols = np.cumsum(np.abs(plane0), axis=0)[::-1]
-        absum = float(np.abs(xm) @ (np.abs(tj2) * abs_cols).sum(axis=1))
-        shells = shells[:N]
+        np.exp(lb[np_idx] - lb[:N, None] - lb[None, :N], out=binom, where=np_idx < N)
+        # Row p of A is T1 TJ2[., p], of B T2 T3[p] TJ1[., p] (TJ1 and TJ2
+        # are symmetric); both vanish past N - p.
+        A = over_fact(p.beta1)[np_idx] * binom * xm[None, :]
+        B = over_fact(p.alpha2)[np_idx] * binom * (zp[:, None] * yn[None, :])
+        shells = np.zeros(N, dtype=np.complex128 if cplx else np.float64)
+        p0 = 0
+        while p0 < N:
+            K = N - p0
+            rows = min(K, max(8, K // 2))
+            L = 2 * K
+            # Row j written at stride L + 1 and read at stride L lies j
+            # places to the right: shifted by p - p0 before the transform.
+            flat = np.zeros(rows * (L + 1), dtype=A.dtype)
+            flat.reshape(rows, L + 1)[:, :K] = A[p0 : p0 + rows, :K]
+            spectra = fwd(flat[: rows * L].reshape(rows, L)) * fwd(B[p0 : p0 + rows, :K], L)
+            shells[p0:] += inv(spectra.sum(axis=0), L)[:K]
+            p0 += rows
+        # sum |t|: row p of |A| at m meets the sum of row p of |B| over
+        # n < N - m.
+        absum = float((np.abs(A) * np.cumsum(np.abs(B), axis=1)[:, ::-1]).sum())
         total = shells.sum()
         rate = _shell_rate(shells, N - 1, 0.0)
         corr = shells[-1] * rate / (1.0 - rate)
         rounding = _tail_est(4 * _EPS * (math.sqrt(N) * abs(total) + absum), 1.0, total)
-        return total + corr, [abs(shells[-1]) + abs(corr)], rounding, terms
+        return total + corr, [abs(shells[-1]) + abs(corr)], rounding, N * (N + 1) * (N + 2) // 6
 
     return _grow(build, [N], [560], tol, 0.25)
 

@@ -3,6 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from saranfk import (
     ConfigError,
@@ -14,7 +15,10 @@ from saranfk import (
     sample_parameters,
     verify_identity,
 )
-from saranfk.classical_cases import fk_erdelyi_inner_tables
+from saranfk import classical_cases, series
+from saranfk.classical_cases import _f2_rows, fk_erdelyi_inner_tables
+from saranfk.measures import DirichletMeasure, measure_rule
+from saranfk.series import _series_len
 from saranfk.registry import Constraint, ParameterPoint
 
 ALL_IDS = [
@@ -179,3 +183,63 @@ class TestProofSteps:
         with mpmath.workdps(30):
             want = complex(mpmath.hyper([2.2, 2.2, 1.6], [0.75, 0.4], 0.7 * 0.999))
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
+class TestNodeSeriesHonesty:
+    @pytest.mark.parametrize(
+        "case_id", ["bateman", "f2-curious", "manocha-reduced", "manocha", "fk-erdelyi", "fa-erdelyi"]
+    )
+    def test_unconverged_node_series_fails_the_point(self, monkeypatch, case_id):
+        # Every 2F1 over quadrature nodes, and the seeds of the shifted
+        # families, now reports converged=False: the point must fail.
+        eval_2f1 = series._eval_2f1
+
+        def unconverged(*args, **kwargs):
+            value, terms, _, est = eval_2f1(*args, **kwargs)
+            return value, terms, False, est
+
+        monkeypatch.setattr(series, "_eval_2f1", unconverged)
+        monkeypatch.setattr(classical_cases, "_eval_2f1", unconverged)
+        res = verify_identity(registry_lookup(case_id), seed=42, count=1)
+        assert not res.passed
+        assert res.failures[0].message.startswith("ConvergenceError")
+
+
+def f2_box(a, b, c, lam, eta, X, Y, M):
+    """Appell F2 over the box m, n <= M from its coefficient table
+    (a)_{m+n} (b)_m (c)_n / ((lam)_m (eta)_n m! n!), formed as
+    (a)_{m+n} / (m+n)! C(m+n, m) (b)_m / (lam)_m (c)_n / (eta)_n so that no
+    factor overflows, and contracted with the powers of X and Y."""
+    s = np.arange(2 * M + 1.0)
+    lead = np.cumprod(np.concatenate([[1.0], (a + s[:-1]) / (1.0 + s[:-1])]))
+    k = np.arange(M + 1)
+    lf = sps.gammaln(s + 1.0)
+    table = lead[k[:, None] + k[None, :]] * np.exp(lf[k[:, None] + k[None, :]] - lf[k][:, None] - lf[k][None, :])
+    table *= np.outer(np.cumprod(np.r_[1.0, (b + k[:-1]) / (lam + k[:-1])]),
+                      np.cumprod(np.r_[1.0, (c + k[:-1]) / (eta + k[:-1])]))
+    Xp = np.asarray(X)[..., None] ** k
+    Yp = np.asarray(Y)[..., None] ** k
+    return np.einsum("...m,mn,...n->...", Xp, table, Yp)
+
+
+class TestManochaRows:
+    def test_rows_match_coefficient_table(self):
+        # Both F2 factors of the Manocha RHS at a seed-42 point, by rows of
+        # a 2F1 family and by the coefficient table of the (m, n) box.
+        settings = EvalSettings.default()
+        v = sample_parameters(registry_lookup("manocha"), 42, 1)[0].flat()
+        y, z = v["y"], v["z"]
+        tv, _ = measure_rule(DirichletMeasure(v["lam"], v["d"] - v["lam"]), settings.quad_order)
+        tw, _ = measure_rule(DirichletMeasure(v["eta"], v["e"] - v["eta"]), settings.quad_order)
+        V, W = tv[:, None], tw[None, :]
+        Q = 1.0 - V * y - W * z
+        M = _series_len(abs(y) + abs(z), settings.series_tol, lo=24, hi=160)
+        first = (v["a"] - v["ap"], v["b"], v["c"], v["lam"], v["eta"])
+        second = (v["ap"], v["b"] - v["lam"], v["c"] - v["eta"], v["d"] - v["lam"], v["e"] - v["eta"])
+        for params, X, Y in ((first, V * y, W * z), (second, (1.0 - V) * y / Q, (1.0 - W) * z / Q)):
+            want = f2_box(*params, X, Y, M)
+            X, Y = (np.broadcast_to(G, Q.shape).ravel() for G in (X, Y))
+            got = _f2_rows(*params, X, Y, M + 1, settings.series_tol).reshape(Q.shape)
+            assert np.all(np.abs(got - want) <= 1e-11 * (1 + np.abs(want)))
+        got = _f2_rows(*first, V * y, tw * z, M + 1, settings.series_tol)
+        assert np.all(np.abs(got - f2_box(*first, V * y, W * z, M)) <= 1e-11)

@@ -28,8 +28,9 @@ from saranfk import (
     saran_fk_reexpand,
     saran_fk_triple,
 )
+from saranfk import series
 from saranfk.core import pochhammer
-from saranfk.series import _grow, _scaled_prods
+from saranfk.series import _grow, _scaled_prods, _shell_rate, _shifted_2f1
 
 
 def brute_2f1(a, b, c, z, n_terms):
@@ -139,6 +140,22 @@ class TestGauss2F1:
     def test_integer_c_minus_a_minus_b_near_one(self, a, b, c, z):
         # The connection route is refused and the direct series falls like
         # z^n / n; its estimate must still bound the error.
+        r = gauss_2f1(a, b, c, z)
+        with mpmath.workdps(30):
+            oracle = mpmath.hyp2f1(a, b, c, z)
+        assert r.converged
+        assert abs(r.value - oracle) <= r.est_trunc_error * (1 + abs(r.value))
+
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (0.7, 0.6, 1.9, 0.99),  # the connection formula's rounding
+            (0.5, 3.0, 18.52, 0.91),  # a lower parameter near -14: terms jump at n = 14
+            (0.7, 0.5, 1.2001, 0.97),  # c - a - b near 0: the two parts cancel
+            (2.5, 2.5, 1.0, 0.995),  # c - a - b = -4: direct terms fall like n^3 z^n
+        ],
+    )
+    def test_near_one_estimate_bounds_error(self, a, b, c, z):
         r = gauss_2f1(a, b, c, z)
         with mpmath.workdps(30):
             oracle = mpmath.hyp2f1(a, b, c, z)
@@ -282,6 +299,74 @@ class TestSaranFk:
             r = saran_fk_triple(p, 0.8, 0.1, 0.17)
         v = complex(r.value)
         assert abs(v - 2.126761526122036) <= r.est_trunc_error * (1 + abs(v))
+
+
+def plane_loop_shells(p, x, y, z, N):
+    """Shells s < N of the F_K triple series, summed one plane m at a time
+    from the Pochhammer symbols of each term."""
+    shells = np.zeros(N, dtype=complex)
+    for m in range(N):
+        for n in range(N - m):
+            for k in range(N - m - n):
+                num = pochhammer(p.alpha1, m) * pochhammer(p.alpha2, n + k)
+                num *= pochhammer(p.beta1, m + k) * pochhammer(p.beta2, n)
+                den = pochhammer(p.gamma1, m) * pochhammer(p.gamma2, n) * pochhammer(p.gamma3, k)
+                den *= math.factorial(m) * math.factorial(n) * math.factorial(k)
+                shells[m + n + k] += num / den * x**m * y**n * z**k
+    return shells
+
+
+class TestSaranFkTripleShells:
+    """The FFT shells of saran_fk_triple against a plane loop, through the
+    block function it hands to _grow, at a fixed small N."""
+
+    @pytest.mark.parametrize(
+        "params, args",
+        [
+            ((0.7, 0.9, 1.1, 0.6, 1.8, 2.0, 1.4), (0.3, 0.2, 0.35)),
+            ((0.7, 0.9, 1.1, 0.6, 1.8, 2.0, 1.4), (-0.4, 0.3, -0.2)),
+            ((0.7 + 0.2j, 0.9, 1.1 - 0.3j, 0.6, 1.8, 2.0 + 0.1j, 1.4), (0.3j, 0.2, 0.3 - 0.1j)),
+        ],
+        ids=["real", "mixed-sign", "complex"],
+    )
+    def test_build_matches_plane_loop(self, monkeypatch, params, args):
+        builds = []
+
+        def grow(build, sizes, caps, tol, margin):
+            builds.append(build)
+            return _grow(build, sizes, caps, tol, margin)
+
+        monkeypatch.setattr(series, "_grow", grow)
+        p = FkParams(*params)
+        saran_fk_triple(p, *args)
+        N = 14
+        total, tails, _, terms = builds[0]([N])
+        shells = plane_loop_shells(p, *(complex(v) for v in args), N)
+        rate = _shell_rate(shells, N - 1, 0.0)
+        corr = shells[-1] * rate / (1.0 - rate)
+        assert terms == N * (N + 1) * (N + 2) // 6
+        assert abs(complex(total) - (shells.sum() + corr)) <= 1e-14 * (1 + abs(shells.sum()))
+        assert tails[0] == pytest.approx(abs(shells[-1]) + abs(corr), rel=1e-10, abs=1e-15)
+
+    def test_terms_count_the_simplex(self):
+        # One build at N = 73 (from the domain ratio 0.3 / 0.72): C(75, 3)
+        # terms, not the 132349 of the square planes.
+        r = saran_fk_triple(FkParams(0.7, 0.9, 1.1, 0.6, 1.8, 2.0, 1.4), 0.2, 0.1, 0.3)
+        assert r.converged
+        assert r.terms_used == 73 * 74 * 75 // 6
+
+
+class TestShiftedFamily:
+    @pytest.mark.parametrize("a, b, c", [(0.7, 0.9, 1.6), (1.1, -0.4, 2.3)])
+    def test_against_mpmath(self, a, b, c):
+        zs = np.array([0.3, 0.45, 0.8, -0.5])
+        F = _shifted_2f1(a, b, c, zs, 141, 1e-15)
+        assert F.shape == (141, 4)
+        with mpmath.workdps(30):
+            for k in range(141):
+                for i, z in enumerate(zs):
+                    want = float(mpmath.hyp2f1(a + k, b, c, z))
+                    assert abs(F[k, i] - want) <= 1e-13 * (1 + abs(want))
 
 
 class TestFkL:
