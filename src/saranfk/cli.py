@@ -130,6 +130,8 @@ def _cmd_eval(ns) -> int:
         if not ns.spec_json:
             raise SaranFKError("phi3 needs --spec-json with the parameter groups")
         groups = json.loads(ns.spec_json)
+        if not isinstance(groups, dict):
+            raise SaranFKError("phi3 --spec-json must be a JSON object of parameter groups")
         spec = Phi3Spec(**{k: tuple(v) for k, v in groups.items()})
         return out(phi3(spec, _fval(ns, "x"), _fval(ns, "y"), _fval(ns, "z"), ctx, tol))
     if fn == "qgamma":
@@ -271,13 +273,16 @@ def _cmd_report(ns) -> int:
             if not line:
                 continue
             d = json.loads(line)
-            records.append(
-                ReportRecord(
-                    id=d["id"], anchor=d["anchor"], q=d["q"], samples=d["samples"],
-                    max_rel_residual=d["max_rel_residual"], passed=d["pass"],
-                    wall_time_ms=d["wall_time_ms"], failures=d["failures"],
+            try:
+                records.append(
+                    ReportRecord(
+                        id=d["id"], anchor=d["anchor"], q=d["q"], samples=d["samples"],
+                        max_rel_residual=d["max_rel_residual"], passed=d["pass"],
+                        wall_time_ms=d["wall_time_ms"], failures=d["failures"],
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise SaranFKError(f"report record lacks the field {exc}") from exc
     _emit(_render(records, ns.format), ns.output)
     return 0 if all(r.passed for r in records) else 1
 

@@ -8,12 +8,15 @@ Right-hand sides are Jackson lattice sums built from q-measure rules
 vectorized over the lattice through the broadcasting term recurrence, with
 terminating series cut exactly at their lattice-index bound.
 
-Shared sums.  `_phi_k_integral` contracts Phi_K against three lattice rules
-through its third-index decomposition; it is the right-hand side of
-ernst-q-bateman and qfk-lr, and of fk-discrete-limits with the limit weights
-as rules on the lattice q^n.  The qfk-erdelyi right-hand side contracts the
-shift-operator tables of `qkernels._shift_tables`, the builder behind
-`qshift_operator_kernel`, against its three measure rules.
+Shared sums.  `qkernels._phi_k_sum` sums Phi_K against three lattice rules
+through its third-index decomposition.  With one-node rules it is the point
+value behind every Phi_K left-hand side; with measure rules it is the
+right-hand side of ernst-q-bateman, qfk-lr, qfk-phi3 and qfk-phi3-x0 (their
+extra 3phi2 exponents passed per gamma slot), and of fk-discrete-limits with
+the limit weights as rules on the lattice q^n.  `qkernels._shift_sum`, the
+sum behind `qshift_operator_kernel`, is the qfk-erdelyi right-hand side over
+its three measure rules, and its `_shift_factor` at one shift is the factor
+of Gasper's (2.1).  Unconverged series fail the point (`series._checked`).
 """
 
 from __future__ import annotations
@@ -22,24 +25,26 @@ import numpy as np
 
 from .core import q_pochhammer_inf, q_pochhammer_table
 from .qkernels import (
+    _ONE_NODE,
     DiscreteFkParams,
     Phi3Spec,
     QDirichletMeasure,
     QfkShiftParams,
     QHypergeometricMeasure,
-    _phi_k_reexpand,
+    _moment_powers,
     _phi_k_spec,
+    _phi_k_sum,
     _rphis_array,
-    _shift_tables,
+    _shift_factor,
+    _shift_sum,
     discrete_weight,
     discrete_weight_limit,
     gasper_discrete_3phi2,
     phi3,
-    phi_k_p_tables,
     q_measure_rule,
 )
 from .registry import Constraint, EvalSettings, IdentityCase, ParameterPoint
-from .series import FkParams, _series_len
+from .series import FkParams, _checked, _series_len
 
 Q_ARG_CAP = 0.3
 
@@ -65,19 +70,13 @@ def _k_table(base, K: int, q: float) -> np.ndarray:
     return out
 
 
-def _phi_k_value(p: FkParams, x, y, z, s: EvalSettings) -> complex:
-    value, *_ = _phi_k_reexpand(p, x, y, z, s.qctx, s.series_tol)
-    return complex(value)
+def _phi_k_value(p: FkParams, v, s: EvalSettings, rules=(_ONE_NODE,) * 3, extra=()) -> complex:
+    """Phi_K at the point's (x, y, z), or its sum against three lattice rules."""
+    return complex(_checked(*_phi_k_sum(p, rules, v["x"], v["y"], v["z"], s.qctx, s.series_tol, extra)))
 
 
 def _dirichlet_rule(a, b, s: EvalSettings):
     return q_measure_rule(QDirichletMeasure(a, b, s.qctx), s.jackson_scale)
-
-
-def _moment_powers(t, w, z, pmax: int) -> np.ndarray:
-    """sum_i w_i (z t_i)^p as a vector over p = 0..pmax."""
-    return (w[:, None] * np.power(np.multiply.outer(t, np.ones(pmax + 1)) * z,
-                                  np.arange(pmax + 1)[None, :])).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,35 +98,20 @@ def _sample_gasper1(rng) -> ParameterPoint:
 def _lhs_2phi1(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
-    out, *_ = _rphis_array(
+    return complex(_checked(*_rphis_array(
         [q ** v["alpha"], q ** v["beta"]], [q ** v["gamma"]], v["x"], s.qctx, tol=s.series_tol
-    )
-    return complex(out[()])
+    )))
 
 
 def _rhs_gasper1(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
-    ctx = s.qctx
-    x = v["x"]
     t, w = _dirichlet_rule(v["lam"], v["gamma"] - v["lam"], s)
-    ii = np.arange(len(t))
-    pref = q_pochhammer_inf(x * t * q ** v["alphap"], ctx) / q_pochhammer_inf(x * t, ctx)
-    f1, *_ = _rphis_array(
-        [q ** (v["alpha"] - v["alphap"]), q ** v["beta"]],
-        [q ** v["lam"]],
-        x * t * q ** v["alphap"],
-        ctx,
-        tol=s.series_tol,
-    )
-    f2, *_ = _rphis_array(
-        [q ** v["alphap"], q ** (v["beta"] - v["lam"]), 1.0 / t],
-        [q ** (v["gamma"] - v["lam"]), q / (x * t)],
-        q,
-        ctx,
-        terminate_after=ii,
-    )
-    return complex((w * pref * f1 * f2).sum())
+    f2, xt = _shift_factor(t, v["x"], v["alphap"], v["beta"] - v["lam"], v["gamma"] - v["lam"], s.qctx)
+    f1 = _checked(*_rphis_array(
+        [q ** (v["alpha"] - v["alphap"]), q ** v["beta"]], [q ** v["lam"]], xt, s.qctx, tol=s.series_tol
+    ))
+    return complex((w * f1 * f2).sum())
 
 
 def _sample_gasper3(rng) -> ParameterPoint:
@@ -154,15 +138,14 @@ def _slot_rule(eta, gamma, lam, nu, s: EvalSettings):
 def _rhs_gasper3(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
-    ctx = s.qctx
     t, w = _slot_rule(v["eta"], v["gamma"], v["lam"], v["nu"], s)
-    f, *_ = _rphis_array(
+    f = _checked(*_rphis_array(
         [q ** v["alpha"], q ** v["beta"], q ** v["eta"]],
         [q ** v["lam"], q ** v["nu"]],
         v["x"] * t,
-        ctx,
+        s.qctx,
         tol=s.series_tol,
-    )
+    ))
     return complex((w * f).sum())
 
 
@@ -193,31 +176,23 @@ def _outer_fk(v) -> FkParams:
     )
 
 
+def _nu_fk(v) -> FkParams:
+    """The Phi_K with nu_j in the gamma slots, in Bateman's and Corollary 4.2's integrands."""
+    return FkParams(
+        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
+        gamma1=v["nu1"], gamma2=v["nu2"], gamma3=v["nu3"],
+    )
+
+
 def _lhs_phi_k(pt, s: EvalSettings):
     v = pt.flat()
-    return _phi_k_value(_outer_fk(v), v["x"], v["y"], v["z"], s)
-
-
-def _phi_k_integral(inner: FkParams, rules, x, y, z, s: EvalSettings) -> complex:
-    """Triple lattice integral of Phi_K(x t1, y t2, z t3) against three
-    measure rules, contracted through the third-index decomposition."""
-    (t1, w1), (t2, w2), (t3, w3) = rules
-    pmax = _series_len(abs(z), s.series_tol, 8, 160)
-    coef, A, B, *_ = phi_k_p_tables(inner, x * t1, y * t2, s.qctx, pmax, tol=s.series_tol * 1e-2)
-    SA = w1 @ A
-    SB = w2 @ B
-    SC = _moment_powers(t3, w3, z, pmax)
-    return complex((coef * SA * SB * SC).sum())
+    return _phi_k_value(_outer_fk(v), v, s)
 
 
 def _rhs_ernst(pt, s: EvalSettings):
     v = pt.flat()
     rules = [_dirichlet_rule(v[f"nu{j}"], v[f"gamma{j}"] - v[f"nu{j}"], s) for j in (1, 2, 3)]
-    inner = FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["nu1"], gamma2=v["nu2"], gamma3=v["nu3"],
-    )
-    return _phi_k_integral(inner, rules, v["x"], v["y"], v["z"], s)
+    return _phi_k_value(_nu_fk(v), v, s, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -363,40 +338,8 @@ _QFK_PHI3_CONSTRAINTS = tuple(
 
 def _rhs_qfk_phi3(pt, s: EvalSettings):
     v = pt.flat()
-    q = s.q
-    ctx = s.qctx
     rules = [_slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s) for j in (1, 2, 3)]
-    (t1, w1), (t2, w2), (t3, w3) = rules
-    pmax = _series_len(abs(v["z"]), s.series_tol, 8, 160)
-    shifts = q ** np.arange(pmax + 1, dtype=np.float64)
-    coef = (
-        q_pochhammer_table(q ** v["alpha2"], pmax, q)
-        * q_pochhammer_table(q ** v["beta1"], pmax, q)
-        * q_pochhammer_table(q ** v["eta3"], pmax, q)
-        / (
-            q_pochhammer_table(q ** v["nu3"], pmax, q)
-            * q_pochhammer_table(q ** v["lam3"], pmax, q)
-            * q_pochhammer_table(q, pmax, q)
-        )
-    )
-    A, *_ = _rphis_array(
-        [q ** v["beta1"] * shifts, q ** v["alpha1"], q ** v["eta1"]],
-        [q ** v["nu1"], q ** v["lam1"]],
-        (v["x"] * t1)[:, None],
-        ctx,
-        tol=s.series_tol * 1e-2,
-    )
-    B, *_ = _rphis_array(
-        [q ** v["alpha2"] * shifts, q ** v["beta2"], q ** v["eta2"]],
-        [q ** v["nu2"], q ** v["lam2"]],
-        (v["y"] * t2)[:, None],
-        ctx,
-        tol=s.series_tol * 1e-2,
-    )
-    SA = w1 @ A
-    SB = w2 @ B
-    SC = _moment_powers(t3, w3, v["z"], pmax)
-    return complex((coef * SA * SB * SC).sum())
+    return _phi_k_value(_nu_fk(v), v, s, rules, [(v[f"eta{j}"], v[f"lam{j}"]) for j in (1, 2, 3)])
 
 
 def _sample_qfk_lr(rng) -> ParameterPoint:
@@ -433,7 +376,7 @@ def _rhs_qfk_lr(pt, s: EvalSettings):
         alpha1=v["eta1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["eta2"],
         gamma1=v["nu1"], gamma2=v["nu2"], gamma3=v["nu3"],
     )
-    return _phi_k_integral(inner, rules, v["x"], v["y"], v["z"], s)
+    return _phi_k_value(inner, v, s, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +426,9 @@ def _lhs_gasper_discrete(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
     n = int(v["n"])
-    out, *_ = _rphis_array(
-        [v["alpha"], v["beta"], q ** float(-n)],
-        [v["gamma"], v["delta"]],
-        q,
-        s.qctx,
-        terminate_after=n,
-    )
-    return complex(out[()])
+    return complex(_checked(*_rphis_array(
+        [v["alpha"], v["beta"], q ** float(-n)], [v["gamma"], v["delta"]], q, s.qctx, terminate_after=n
+    )))
 
 
 def _rhs_gasper_discrete(pt, s: EvalSettings):
@@ -647,7 +585,7 @@ def _rhs_fk_limits(pt, s: EvalSettings):
         gamma1=v["mu1"], gamma2=v["mu2"], gamma3=v["mu3"],
     )
     rules = [(q ** np.arange(len(W), dtype=np.float64), W) for W in map(w_tail, ("w1", "w2", "w3"))]
-    return _phi_k_integral(inner, rules, v["x"], v["y"], v["z"], s)
+    return _phi_k_value(inner, v, s, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -694,23 +632,18 @@ def _lhs_qfk_erdelyi(pt, s: EvalSettings):
         alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
         gamma1=v["alpha1"] + v["eta1"], gamma2=v["beta2"] + v["mu2"], gamma3=v["gamma3"],
     )
-    return _phi_k_value(p, v["x"], v["y"], v["z"], s)
+    return _phi_k_value(p, v, s)
 
 
 def _rhs_qfk_erdelyi(pt, s: EvalSettings):
     v = pt.flat()
-    x, y, z = v["x"], v["y"], v["z"]
-    tu, wu = _dirichlet_rule(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"], s)
-    tv, wv = _dirichlet_rule(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"], s)
-    tw, ww = _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s)
-    ck, coef, A, FA, B, FB = _shift_tables(
-        QfkShiftParams(**pt.values), tu, tv, x, y, abs(z), s.qctx, s.series_tol
-    )
-    SU = np.einsum("i,ik,ikp->kp", wu, A, FA)
-    SV = np.einsum("j,jk,jkp->kp", wv, B, FB)
-    kp = np.add.outer(np.arange(len(ck)), np.arange(len(coef)))
-    SW = _moment_powers(tw, ww, z, int(kp.max()))[kp]
-    return complex(np.einsum("k,p,kp,kp,kp->", ck, coef, SU, SV, SW))
+    rules = [
+        _dirichlet_rule(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"], s),
+        _dirichlet_rule(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"], s),
+        _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s),
+    ]
+    total = _shift_sum(QfkShiftParams(**pt.values), rules, v["x"], v["y"], v["z"], s.qctx, s.series_tol)
+    return complex(_checked(*total))
 
 
 def _sample_qfk_simplified(rng) -> ParameterPoint:

@@ -20,7 +20,12 @@ and the termination cut-off are those of a term-at-a-time loop.  phi3 and
 jackson_integral grow their index boxes and lattices through series._grow,
 with the boundary slabs as tails, and the first sizes of the series and of
 the Phi_K p-sum come from series._series_len, as in series.  q_measure_rule
-keeps its own cut-off: it returns a lattice rule, not a sum.
+keeps its own cut-off: it returns a lattice rule, not a sum.  Tables follow
+the dtype of their inputs: real exponents and arguments sum in float64.
+
+Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
+decomposition against three lattice rules, and `_shift_sum` the one
+shift-operator sum; a point value is the rule sum over one-node rules.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .core import (
     q_pochhammer_table,
 )
 from .errors import ConvergenceError, DomainError, PoleError
-from .series import FkParams, SeriesResult, _face_tails, _grow, _series_len, _sum_terms
+from .series import FkParams, SeriesResult, _checked, _face_tails, _grow, _series_len, _sum_terms
 
 __all__ = [
     "Phi3Spec",
@@ -301,84 +306,91 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
 
 def _phi_k_spec(p: FkParams, q: float) -> Phi3Spec:
     return Phi3Spec(
-        bp=(q ** complex(p.alpha2),),
-        bpp=(q ** complex(p.beta1),),
-        c=(q ** complex(p.alpha1),),
-        cp=(q ** complex(p.beta2),),
-        h=(q ** complex(p.gamma1),),
-        hp=(q ** complex(p.gamma2),),
-        hpp=(q ** complex(p.gamma3),),
+        bp=(q**p.alpha2,),
+        bpp=(q**p.beta1,),
+        c=(q**p.alpha1,),
+        cp=(q**p.beta2,),
+        h=(q**p.gamma1,),
+        hp=(q**p.gamma2,),
+        hpp=(q**p.gamma3,),
     )
 
 
-def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-13):
+def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-13, extra=()):
     """Decomposition of the q-F_K over its third index:
 
         Phi_K(X, Y, Z) = sum_p coef[p] A[..., p] B[..., p] Z^p
 
     with A, B shifted 2phi1 tables over argument arrays X, Y; parameters are
-    exponents.  Returns (coef, A, B, A converged, B converged).
+    exponents.  extra gives, per gamma slot j, one exponent pair (u_j, l_j)
+    whose factor (q^u_j; q) / (q^l_j; q) joins that slot's index, so A, B
+    become 3phi2 tables: Corollary 4.2 with (eta_j, lam_j) and nu_j as gamma_j.
+    Tables take the dtype of the parameters and arguments.  Returns (coef, A,
+    B, A converged, B converged).
     """
     q = ctx.q
-    ps = np.arange(pmax + 1, dtype=np.float64)
-    qa2, qb1 = q ** complex(p.alpha2), q ** complex(p.beta1)
-    coef = (
-        q_pochhammer_table(qa2, pmax, q)
-        * q_pochhammer_table(qb1, pmax, q)
-        / (
-            q_pochhammer_table(q ** complex(p.gamma3), pmax, q)
-            * q_pochhammer_table(q, pmax, q)
-        )
-    )
-    shifts = q**ps
+    (u1, l1), (u2, l2), (u3, l3) = [([q**u], [q**l]) for u, l in extra] or [([], [])] * 3
+    qa2, qb1 = q**p.alpha2, q**p.beta1
+
+    def tab(*bases):
+        return np.prod([q_pochhammer_table(b, pmax, q) for b in bases], axis=0)
+
+    coef = tab(qa2, qb1, *u3) / tab(q**p.gamma3, *l3, q)
+    shifts = q ** np.arange(pmax + 1, dtype=np.float64)
     A, _, okA, _ = _rphis_array(
-        [qb1 * shifts, q ** complex(p.alpha1)],
-        [q ** complex(p.gamma1)],
-        np.asarray(X)[..., None],
-        ctx,
-        tol=tol,
+        [qb1 * shifts, q**p.alpha1, *u1], [q**p.gamma1, *l1], np.asarray(X)[..., None], ctx, tol
     )
     B, _, okB, _ = _rphis_array(
-        [qa2 * shifts, q ** complex(p.beta2)],
-        [q ** complex(p.gamma2)],
-        np.asarray(Y)[..., None],
-        ctx,
-        tol=tol,
+        [qa2 * shifts, q**p.beta2, *u2], [q**p.gamma2, *l2], np.asarray(Y)[..., None], ctx, tol
     )
     return coef, A, B, okA, okB
 
 
-def _zpowers(z: complex, pmax: int) -> np.ndarray:
-    if z == 0:
-        out = np.zeros(pmax + 1)
-        out[0] = 1.0
-        return out
-    return np.power(z, np.arange(pmax + 1))
+def _rule_sum(w, table) -> np.ndarray:
+    """sum_i w_i table[i] over a rule's node axis (none for a 0-d w), by a broadcast sum."""
+    return (w[..., None] * table).sum(axis=tuple(range(np.ndim(w))))
 
 
-def _phi_k_reexpand(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12):
-    pmax = _series_len(abs(complex(z)), tol, 8, 160)
-    coef, A, B, okA, okB = phi_k_p_tables(p, complex(x), complex(y), ctx, pmax, tol=tol * 1e-2)
-    rows = coef * A * B * _zpowers(complex(z), pmax)
+def _moment_powers(t, w, z, pmax: int) -> np.ndarray:
+    """sum_i w_i (z t_i)^p as a vector over p = 0..pmax."""
+    return _rule_sum(w, np.power.outer(z * t, np.arange(pmax + 1)))
+
+
+# The one node 1 with weight 1, whose rule sums are point values.  It has no node
+# axis: a length-1 axis would cost the term loops of its tables a tenth of their time.
+_ONE_NODE = (np.float64(1.0), np.float64(1.0))
+
+
+def _phi_k_sum(p: FkParams, rules, x, y, z, ctx: QContext, tol: float, extra=()):
+    """Phi_K(x t1, y t2, z t3) summed against three lattice rules (t_j, w_j)
+    through its third-index decomposition (`phi_k_p_tables`, with extra):
+
+        sum_p coef[p] (sum_i w1_i A_ip) (sum_j w2_j B_jp) sum_l w3_l (z t3_l)^p.
+
+    Three _ONE_NODE rules give the point value Phi_K(x, y, z).  Returns
+    (value, terms, converged, relative size of the last p term).
+    """
+    (t1, w1), (t2, w2), (t3, w3) = rules
+    pmax = _series_len(abs(z) * float(np.max(t3)), tol, 8, 160)
+    coef, A, B, okA, okB = phi_k_p_tables(p, x * t1, y * t2, ctx, pmax, tol * 1e-2, extra)
+    rows = coef * _rule_sum(w1, A) * _rule_sum(w2, B) * _moment_powers(t3, w3, z, pmax)
     total = rows.sum()
-    tail = float(np.abs(rows[-1]))
-    return _as_scalar(total), rows.size, okA and okB, tail / (1.0 + abs(total))
+    return _as_scalar(total), rows.size, okA and okB, float(np.abs(rows[-1])) / (1.0 + abs(total))
 
 
 def phi_k_q(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
     """q-analogue of Saran's F_K with exponent parameters.
 
-    Evaluates both the triple series and the 2phi1 reexpansion, cross-checks
-    them, and returns the reexpansion value; a mismatch beyond 100*tol raises
-    ConvergenceError.  converged holds only when the triple series and both
-    2phi1 tables of the reexpansion converged.
+    Evaluates both the triple series and the 2phi1 reexpansion (`_phi_k_sum`
+    at one node), cross-checks them, and returns the reexpansion value; a
+    mismatch beyond 100*tol raises ConvergenceError.  converged holds only
+    when the triple series and both 2phi1 tables of the reexpansion converged.
     """
-    x, y, z = complex(x), complex(y), complex(z)
     if max(abs(x), abs(y), abs(z)) >= 1.0:
         raise DomainError("Phi_K requires |x| < 1, |y| < 1, |z| < 1")
-    value, nterms, ok, est = _phi_k_reexpand(p, x, y, z, ctx, tol)
+    value, nterms, ok, est = _phi_k_sum(p, [_ONE_NODE] * 3, x, y, z, ctx, tol)
     triple = phi3(_phi_k_spec(p, ctx.q), x, y, z, ctx, tol)
-    diff = abs(complex(value) - complex(triple.value)) / (1.0 + abs(complex(value)))
+    diff = abs(complex(value) - complex(triple.value)) / (1.0 + abs(value))
     if diff > 100.0 * tol:
         raise ConvergenceError(
             f"Phi_K cross-form mismatch {diff:.3e} beyond {100.0 * tol:.1e}"
@@ -578,23 +590,48 @@ class QfkShiftParams:
     lam3: float
 
 
-def _shift_tables(
-    p: QfkShiftParams, u, v, x, y, zmag: float, ctx: QContext, tol: float, kmax: int | None = None
-):
-    """Factors of the shift-operator k-sum at lattice points u, v (scalars or
-    arrays; a trailing k axis is appended).  Returns (ck, coef, A, FA, B, FB):
+def _shift_factor(t, arg, shift, upper, lower, ctx: QContext):
+    """The shift factor at lattice points t = q^n, broadcast over t and shift,
 
-        ck[k]     = (q^eta2; q)_k / (q; q)_k q^((alpha2 - eta2) k),
-        A[..., k] = (u x q^(k + lam3); q)_inf / (u x; q)_inf
-                    3phi2(q^(k + lam3), q^(lam1 - eta1), 1/u; q^lam1, q/(u x); q, q),
+        (t arg q^shift; q)_inf / (t arg; q)_inf
+            3phi2(q^shift, q^upper, 1/t; q^lower, q/(t arg); q, q),
 
-    B likewise with (v, y, eta2, lam2 - mu2, lam2), and coef, FA, FB the
-    third-index decomposition (`phi_k_p_tables`) of the inner Phi_K at
-    (u x q^(k + lam3), v y q^(k + eta2)).  The powers of w z are left to the
-    caller; zmag bounds |w z| and sets both cutoffs, and an explicit kmax
-    overrides the k one.
+    whose 3phi2 has the upper entry 1/t = q^-n and stops there.  Returns
+    (factor, t arg q^shift); ConvergenceError if a 3phi2 sum is not finite.
     """
     q = ctx.q
+    shifted = q ** np.asarray(shift)
+    pref = q_pochhammer_inf(t * arg * shifted, ctx) / q_pochhammer_inf(t * arg, ctx)
+    phi = _checked(*_rphis_array(
+        [shifted, q**upper, 1.0 / t],
+        [q**lower, q / (t * arg)],
+        q,
+        ctx,
+        terminate_after=np.rint(np.log(t) / math.log(q)).astype(np.int64),
+    ))
+    return pref * phi, t * arg * shifted
+
+
+def _shift_sum(
+    p: QfkShiftParams, rules, x, y, z, ctx: QContext, tol: float, kmax: int | None = None
+):
+    """The shift-operator k-sum of the q-F_K against lattice rules (t_j, w_j)
+    for u, v and w; one-node rules give the point value at (u, v, w):
+
+        sum_{k, p} ck[k] coef[p] (sum_i wu_i A_ik FA_ikp) (sum_j wv_j B_jk FB_jkp)
+                                  sum_l ww_l (z t_l)^(k + p),
+        ck[k] = (q^eta2; q)_k / (q; q)_k q^((alpha2 - eta2) k),
+        A_ik = _shift_factor(u_i, x, k + lam3, lam1 - eta1, lam1),
+
+    B likewise with (v, y, k + eta2, lam2 - mu2, lam2), and coef, FA, FB the
+    third-index decomposition of the inner Phi_K at (u x q^(k + lam3),
+    v y q^(k + eta2)).  zmag = |z| times the largest w-node sets both
+    cutoffs; an explicit kmax overrides the k one.  Returns (value, terms,
+    converged, relative size of the last k and p slabs).
+    """
+    (tu, wu), (tv, wv), (tw, ww) = rules
+    q = ctx.q
+    zmag = abs(z) * float(np.max(tw))
     base = zmag * q ** (p.alpha2 - p.eta2)
     if zmag != 0 and base >= 0.999:
         raise ConvergenceError("shift-operator k-sum is non-convergent: |wz| q^(a2-e2) >= 1")
@@ -603,28 +640,10 @@ def _shift_tables(
             np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(base, 1e-12))), 8, 300)
         )
     ks = np.arange(kmax + 1, dtype=np.float64)
-    ck = (
-        q_pochhammer_table(q**p.eta2, kmax, q)
-        / q_pochhammer_table(q, kmax, q)
-        * (q ** (p.alpha2 - p.eta2)) ** ks
-    )
-
-    def factor(t, arg, shift, upper, lower):
-        # The 3phi2 has the upper entry 1/t = q^-n at t = q^n and stops there.
-        t = np.asarray(t, dtype=np.float64)[..., None]
-        shifted = q ** (shift + ks)
-        pref = q_pochhammer_inf(t * arg * shifted, ctx) / q_pochhammer_inf(t * arg, ctx)
-        phi, *_ = _rphis_array(
-            [shifted, q**upper, 1.0 / t],
-            [q**lower, q / (t * arg)],
-            q,
-            ctx,
-            terminate_after=np.rint(np.log(t) / math.log(q)).astype(np.int64),
-        )
-        return pref * phi, t * arg * shifted
-
-    A, XA = factor(u, x, p.lam3, p.lam1 - p.eta1, p.lam1)
-    B, YB = factor(v, y, p.eta2, p.lam2 - p.mu2, p.lam2)
+    ck = q_pochhammer_table(q**p.eta2, kmax, q) / q_pochhammer_table(q, kmax, q)
+    ck = ck * (q ** (p.alpha2 - p.eta2)) ** ks
+    A, XA = _shift_factor(tu[:, None], x, p.lam3 + ks, p.lam1 - p.eta1, p.lam1, ctx)
+    B, YB = _shift_factor(tv[:, None], y, p.eta2 + ks, p.lam2 - p.mu2, p.lam2, ctx)
     inner = FkParams(
         alpha1=p.alpha1,
         alpha2=p.alpha2 - p.eta2,
@@ -635,8 +654,13 @@ def _shift_tables(
         gamma3=p.beta1 - p.lam3,
     )
     pmax = _series_len(zmag, tol, 8, 160)
-    coef, FA, FB, *_ = phi_k_p_tables(inner, XA, YB, ctx, pmax, tol=tol * 1e-2)
-    return ck, coef, A, FA, B, FB
+    coef, FA, FB, okA, okB = phi_k_p_tables(inner, XA, YB, ctx, pmax, tol=tol * 1e-2)
+    SU = np.einsum("i,ik,ikp->kp", wu, A, FA)
+    SV = np.einsum("j,jk,jkp->kp", wv, B, FB)
+    kp = np.add.outer(np.arange(kmax + 1), np.arange(pmax + 1))
+    terms = ck[:, None] * coef * SU * SV * _moment_powers(tw, ww, z, kmax + pmax)[kp]
+    total = terms.sum()
+    return _as_scalar(total), terms.size, okA and okB, max(_face_tails(terms)) / (1.0 + abs(total))
 
 
 def qshift_operator_kernel(
@@ -658,16 +682,12 @@ def qshift_operator_kernel(
 
     u, v, w must be q-lattice points; the 3phi2 factors inside A_k and B_k
     have upper entries 1/u and 1/v and therefore terminate exactly there.
+    ConvergenceError if a table of the sum did not converge.
     """
-    q = ctx.q
     for t in (u, v, w):
-        _lattice_index(t, q)
-    wz = float(np.real(w)) * complex(z)
-    ck, coef, A, FA, B, FB = _shift_tables(
-        p, float(np.real(u)), float(np.real(v)), complex(x), complex(y), abs(wz), ctx, tol, kmax
-    )
-    phik = (coef * FA * FB * _zpowers(wz, len(coef) - 1)).sum(axis=-1)
-    return _as_scalar((ck * _zpowers(wz, len(ck) - 1) * A * B * phik).sum())
+        _lattice_index(t, ctx.q)
+    rules = [(np.array([float(np.real(t))]), np.ones(1)) for t in (u, v, w)]
+    return _checked(*_shift_sum(p, rules, x, y, z, ctx, tol, kmax))
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +712,14 @@ class DiscreteFkParams:
 
 
 def _qp(base, n, q):
-    return q_pochhammer_table(base, n, q)[n] if n >= 0 else None
+    return q_pochhammer_table(base, n, q)[n]
+
+
+def _check_indices(**indices):
+    """DomainError unless every index is a non-negative int."""
+    for name, k in indices.items():
+        if not isinstance(k, (int, np.integer)) or k < 0:
+            raise DomainError(f"{name} must be a non-negative int, got {k!r}")
 
 
 def _w_generic(i: int, r: int, a: float, g: float, lam: float, mu: float, ctx: QContext):
@@ -717,7 +744,8 @@ def _w_generic(i: int, r: int, a: float, g: float, lam: float, mu: float, ctx: Q
 
 def discrete_weight(which: str, i: int, r: int, p: DiscreteFkParams, ctx: QContext):
     """Finite-sum weights w1(i,r), w2(j,s), w3(k,t) of the discrete identity."""
-    if not (0 <= i <= r):
+    _check_indices(i=i, r=r)
+    if i > r:
         raise DomainError(f"weight index {i} outside 0..{r}")
     q = ctx.q
     if which == "w1":
@@ -794,6 +822,7 @@ def gasper_discrete_3phi2(alpha, beta, gamma_, delta, lam, mu, nu, n: int, ctx: 
     The LHS it reproduces is 3phi2(alpha, beta, q^-n; gamma, delta; q, q);
     both sides are exact finite sums.
     """
+    _check_indices(n=n)
     q = ctx.q
     gmln = gamma_ * mu / (lam * nu)
     _check_lower_poles([gamma_, mu, lam, nu, delta, gmln], q)

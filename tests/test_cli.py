@@ -57,6 +57,13 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "nope", "--a", "1")
         assert code == 2
 
+    def test_phi3_spec_not_an_object_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "eval", "phi3", "--spec-json", "[1]", "--x", "0.1", "--y", "0.1", "--z", "0.1"
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_q_moment(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "q-moment",
@@ -158,6 +165,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "report", str(target), "--format", "human")
         assert code == 0
         assert "PASS" in out and "euler-1" in out
+
+    def test_report_record_missing_field_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "report.jsonl"
+        target.write_text(json.dumps({"id": "x", "anchor": "y"}) + "\n")
+        code, _, err = run_cli(capsys, "report", str(target))
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

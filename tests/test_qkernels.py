@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,7 +34,31 @@ from saranfk import (
     saran_fk_triple,
 )
 from saranfk.core import q_pochhammer, q_pochhammer_inf, q_pochhammer_inf_ratio
-from saranfk.qkernels import _rphis_array
+from saranfk.qkernels import _rphis_array, phi_k_p_tables
+
+
+def mp_phi_k(p, x, y, z, q: float, nmax: int = 24) -> complex:
+    """Phi_K as its triple series at 30 digits:
+    sum (a1;q)_m (a2;q)_{n+r} (b1;q)_{m+r} (b2;q)_n x^m y^n z^r
+        / ((g1;q)_m (g2;q)_n (g3;q)_r (q;q)_m (q;q)_n (q;q)_r)."""
+    with mpmath.workdps(30):
+        mq = mpmath.mpf(q)
+
+        def qp(exponent, count):
+            base = mq ** mpmath.mpmathify(exponent)
+            out = [mpmath.mpf(1)]
+            for k in range(count - 1):
+                out.append(out[-1] * (1 - base * mq**k))
+            return np.array(out, dtype=object)
+
+        k = np.arange(nmax)
+        qq = qp(1, nmax)
+        xm = qp(p.alpha1, nmax) / (qp(p.gamma1, nmax) * qq) * np.array([mpmath.mpmathify(x) ** i for i in k])
+        yn = qp(p.beta2, nmax) / (qp(p.gamma2, nmax) * qq) * np.array([mpmath.mpmathify(y) ** i for i in k])
+        zr = np.array([mpmath.mpmathify(z) ** i for i in k]) / (qp(p.gamma3, nmax) * qq)
+        a2, b1 = qp(p.alpha2, 2 * nmax), qp(p.beta1, 2 * nmax)
+        m, n, r = np.ix_(k, k, k)
+        return complex((xm[m] * yn[n] * zr[r] * a2[n + r] * b1[m + r]).sum())
 
 
 def brute_rphis(up, lo, z, ctx, n_terms):
@@ -181,6 +206,29 @@ class TestPhiKq:
 
         monkeypatch.setattr(qkernels, "phi3", stalled_phi3)
         assert not phi_k_q(p, 0.3, 0.25, 0.2, ctx05).converged
+
+    def test_tables_follow_input_dtype(self, ctx05):
+        p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
+        X, Y = np.array([0.2, 0.3]), np.array([0.1])
+        assert {t.dtype for t in phi_k_p_tables(p, X, Y, ctx05, 12)[:3]} == {np.dtype(np.float64)}
+        pc = dataclasses.replace(p, alpha1=0.5 + 0.2j, alpha2=0.7 - 0.1j)
+        assert {t.dtype for t in phi_k_p_tables(pc, X, Y, ctx05, 12)[:3]} == {np.dtype(np.complex128)}
+        _, A, B, *_ = phi_k_p_tables(p, X, Y + 0.05j, ctx05, 12)
+        assert (A.dtype, B.dtype) == (np.float64, np.complex128)
+
+    @pytest.mark.parametrize("q", [0.3, 0.6])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_one_node_sum_matches_mpmath(self, q, cplx):
+        ctx = QContext(q=q)
+        p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
+        x, y, z = 0.2, 0.15, 0.2
+        if cplx:
+            p = dataclasses.replace(p, alpha1=0.5 + 0.3j, beta1=0.9 - 0.2j, gamma2=1.3 + 0.1j)
+            x, z = 0.15 + 0.1j, 0.2 - 0.08j
+        r = phi_k_q(p, x, y, z, ctx)
+        want = mp_phi_k(p, x, y, z, q)
+        assert r.converged
+        assert abs(complex(r.value) - want) <= 1e-12 * (1 + abs(want))
 
     def test_classical_limit(self):
         ctx = QContext(q=0.999)
@@ -408,6 +456,11 @@ class TestDiscreteWeights:
         scalar = np.array([discrete_weight_limit(which, int(i), self.P, ctx) for i in idx])
         np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0.0)
 
+    def test_weight_rejects_non_int_index(self, ctx05):
+        for i, r in ((1.5, 3), (1, 3.0), (-1, 3)):
+            with pytest.raises(DomainError):
+                discrete_weight("w1", i, r, self.P, ctx05)
+
     def test_limit_rejects_bad_index(self, ctx05):
         for bad in (-1, 1.5, np.array([0, -2])):
             with pytest.raises(DomainError):
@@ -420,6 +473,11 @@ class TestGasperDiscrete:
     def test_n_zero(self, ctx05):
         rhs = gasper_discrete_3phi2(**self.ARGS, n=0, ctx=ctx05)
         assert rhs == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [-1, 2.0])
+    def test_rejects_bad_n(self, n, ctx05):
+        with pytest.raises(DomainError):
+            gasper_discrete_3phi2(**self.ARGS, n=n, ctx=ctx05)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_identity(self, n, ctx05):

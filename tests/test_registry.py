@@ -15,8 +15,9 @@ from saranfk import (
     sample_parameters,
     verify_identity,
 )
-from saranfk import classical_cases, series
+from saranfk import classical_cases, q_cases, qkernels, series
 from saranfk.classical_cases import _f2_rows, fk_erdelyi_inner_tables
+from saranfk.core import q_pochhammer_table
 from saranfk.measures import DirichletMeasure, measure_rule
 from saranfk.series import _series_len
 from saranfk.registry import Constraint, ParameterPoint
@@ -203,6 +204,66 @@ class TestNodeSeriesHonesty:
         res = verify_identity(registry_lookup(case_id), seed=42, count=1)
         assert not res.passed
         assert res.failures[0].message.startswith("ConvergenceError")
+
+
+Q_SERIES_IDS = [
+    "gasper-q-erdelyi-1", "gasper-q-erdelyi-3", "ernst-q-bateman", "qfk-phi3", "qfk-phi3-x0",
+    "qfk-lr", "gasper-discrete", "fk-discrete-limits", "qfk-erdelyi", "qfk-erdelyi-simplified",
+    "phik-cross-form",
+]
+
+
+class TestQSeriesHonesty:
+    @pytest.mark.parametrize("case_id", Q_SERIES_IDS)
+    def test_unconverged_q_series_fails_the_point(self, monkeypatch, case_id):
+        # Every r_phi_s array sum now reports converged=False: the 2phi1 and
+        # 3phi2 factors, the Phi_K tables and the shift factor must fail it.
+        rphis_array = qkernels._rphis_array
+
+        def unconverged(*args, **kwargs):
+            value, terms, _, est = rphis_array(*args, **kwargs)
+            return value, terms, False, est
+
+        monkeypatch.setattr(qkernels, "_rphis_array", unconverged)
+        monkeypatch.setattr(q_cases, "_rphis_array", unconverged)
+        res = verify_identity(registry_lookup(case_id), seed=42, count=1)
+        assert not res.passed
+        assert res.failures[0].message.startswith("ConvergenceError")
+
+
+def qfk_phi3_rhs_restated(v, s):
+    """Corollary 4.2's right-hand side with its own tables: coef[p] =
+    (a2)_p (b1)_p (eta3)_p / ((nu3)_p (lam3)_p (q)_p) and the 3phi2 tables
+    (b1 q^p, a1, eta1; nu1, lam1; x t1) and (a2 q^p, b2, eta2; nu2, lam2; y t2)
+    over the slot rules, contracted by broadcast sums."""
+    q = s.q
+    rules = [q_cases._slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s) for j in (1, 2, 3)]
+    (t1, w1), (t2, w2), (t3, w3) = rules
+    pmax = _series_len(abs(v["z"]), s.series_tol, 8, 160)
+    shifts = q ** np.arange(pmax + 1.0)
+
+    def tab(e):
+        return q_pochhammer_table(q**e, pmax, q)
+
+    coef = tab(v["alpha2"]) * tab(v["beta1"]) * tab(v["eta3"]) / (tab(v["nu3"]) * tab(v["lam3"]) * tab(1))
+    A = qkernels._rphis_array([q ** v["beta1"] * shifts, q ** v["alpha1"], q ** v["eta1"]],
+                              [q ** v["nu1"], q ** v["lam1"]], (v["x"] * t1)[:, None], s.qctx,
+                              s.series_tol * 1e-2)[0]
+    B = qkernels._rphis_array([q ** v["alpha2"] * shifts, q ** v["beta2"], q ** v["eta2"]],
+                              [q ** v["nu2"], q ** v["lam2"]], (v["y"] * t2)[:, None], s.qctx,
+                              s.series_tol * 1e-2)[0]
+    SC = (w3[:, None] * (v["z"] * t3[:, None]) ** np.arange(pmax + 1)).sum(axis=0)
+    return complex((coef * (w1[:, None] * A).sum(axis=0) * (w2[:, None] * B).sum(axis=0) * SC).sum())
+
+
+class TestPhiKSum:
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_qfk_phi3_rhs_matches_restated_tables(self, q):
+        case = registry_lookup("qfk-phi3")
+        s = EvalSettings.default().with_q(q)
+        for pt in sample_parameters(case, 42, case.default_samples):
+            got, want = case.rhs(pt, s), qfk_phi3_rhs_restated(pt.flat(), s)
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def f2_box(a, b, c, lam, eta, X, Y, M):
