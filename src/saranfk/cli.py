@@ -75,6 +75,13 @@ def _fval(ns, name, default=None):
     return float(val)
 
 
+def _order(ns) -> int:
+    ell = _fval(ns, "ell")
+    if not (ell.is_integer() and ell >= 0):
+        raise SaranFKError(f"--ell must be a non-negative integer, got {ell:g}")
+    return int(ell)
+
+
 def _flist(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",") if v.strip() != ""]
 
@@ -140,7 +147,7 @@ def _cmd_eval(ns) -> int:
         return out(q_beta(_fval(ns, "x"), _fval(ns, "y"), ctx))
     if fn == "measure-moment":
         params = _flist(ns.params or "")
-        ell = int(_fval(ns, "ell"))
+        ell = _order(ns)
         if ns.measure == "dirichlet":
             spec = DirichletMeasure(*params)
         elif ns.measure == "hypergeometric":
@@ -150,7 +157,7 @@ def _cmd_eval(ns) -> int:
         return out(integrate_measure(lambda t: t**ell, spec, order=96))
     if fn == "q-moment":
         params = _flist(ns.params or "")
-        ell = int(_fval(ns, "ell"))
+        ell = _order(ns)
         if ns.measure == "qdirichlet":
             spec = QDirichletMeasure(*params, ctx=ctx)
         elif ns.measure == "qhypergeometric":

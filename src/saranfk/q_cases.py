@@ -16,7 +16,9 @@ extra 3phi2 exponents passed per gamma slot), and of fk-discrete-limits with
 the limit weights as rules on the lattice q^n.  `qkernels._shift_sum`, the
 sum behind `qshift_operator_kernel`, is the qfk-erdelyi right-hand side over
 its three measure rules, and its `_shift_factor` at one shift is the factor
-of Gasper's (2.1).  Unconverged series fail the point (`series._checked`).
+of Gasper's (2.1).  `qkernels._fk_discrete_sum` is both sides of fk-discrete,
+with unit weights on the left.  Unconverged series fail the point
+(`series._checked`).
 """
 
 from __future__ import annotations
@@ -27,17 +29,17 @@ from .core import q_pochhammer_inf, q_pochhammer_table
 from .qkernels import (
     _ONE_NODE,
     DiscreteFkParams,
-    Phi3Spec,
     QDirichletMeasure,
     QfkShiftParams,
     QHypergeometricMeasure,
+    _discrete_weights,
+    _fk_discrete_sum,
     _moment_powers,
     _phi_k_spec,
     _phi_k_sum,
     _rphis_array,
     _shift_factor,
     _shift_sum,
-    discrete_weight,
     discrete_weight_limit,
     gasper_discrete_3phi2,
     phi3,
@@ -482,49 +484,28 @@ def _fk_discrete_params(v) -> DiscreteFkParams:
     )
 
 
-def _fk_discrete_spec(q, al2, be1, c_entries, cp_entries, cpp_entries, h2, hp2, hpp2, deltas):
-    return Phi3Spec(
-        bp=(q**al2,), bpp=(q**be1,),
-        c=c_entries, cp=cp_entries, cpp=cpp_entries,
-        h=(q**h2, deltas[0]), hp=(q**hp2, deltas[1]), hpp=(q**hpp2, deltas[2]),
-    )
+def _fk_discrete_value(v, s: EvalSettings, upper, lower, weights) -> complex:
+    """One side of Theorem 4.4: the triple sum with upper exponents (upper[0],
+    upper[1], none on the third axis), lower exponents and deltas per axis."""
+    q = s.q
+    axes = [
+        ((q ** v[u],) if u else (), (q ** v[lo], v[f"delta{j}"]), w)
+        for j, u, lo, w in zip((1, 2, 3), (*upper, None), lower, weights)
+    ]
+    return complex(_fk_discrete_sum(q, q ** v["alpha2"], q ** v["beta1"], axes))
 
 
 def _lhs_fk_discrete(pt, s: EvalSettings):
     v = pt.flat()
-    q = s.q
-    r, s_, t = int(v["r"]), int(v["s"]), int(v["t"])
-    spec = _fk_discrete_spec(
-        q, v["alpha2"], v["beta1"],
-        (q ** v["alpha1"], q ** float(-r)), (q ** v["beta2"], q ** float(-s_)), (q ** float(-t),),
-        v["gamma1"], v["gamma2"], v["gamma3"],
-        (v["delta1"], v["delta2"], v["delta3"]),
-    )
-    return complex(phi3(spec, q, q, q, s.qctx, s.series_tol).value)
+    units = [np.eye(int(v[k]) + 1)[-1] for k in "rst"]
+    return _fk_discrete_value(v, s, ("alpha1", "beta2"), ("gamma1", "gamma2", "gamma3"), units)
 
 
 def _rhs_fk_discrete(pt, s: EvalSettings):
     v = pt.flat()
-    q = s.q
-    ctx = s.qctx
-    r, s_, t = int(v["r"]), int(v["s"]), int(v["t"])
     p = _fk_discrete_params(v)
-    deltas = (v["delta1"], v["delta2"], v["delta3"])
-    total = 0.0
-    for i in range(r + 1):
-        w1 = discrete_weight("w1", i, r, p, ctx)
-        for j in range(s_ + 1):
-            w2 = discrete_weight("w2", j, s_, p, ctx)
-            for k in range(t + 1):
-                w3 = discrete_weight("w3", k, t, p, ctx)
-                spec = _fk_discrete_spec(
-                    q, v["alpha2"], v["beta1"],
-                    (q ** v["lam1"], q ** float(-i)), (q ** v["lam2"], q ** float(-j)), (q ** float(-k),),
-                    v["mu1"], v["mu2"], v["mu3"],
-                    deltas,
-                )
-                total += w1 * w2 * w3 * complex(phi3(spec, q, q, q, ctx, s.series_tol).value)
-    return complex(total)
+    weights = [_discrete_weights(w, int(v[k]), p, s.q) for w, k in zip(("w1", "w2", "w3"), "rst")]
+    return _fk_discrete_value(v, s, ("lam1", "lam2"), ("mu1", "mu2", "mu3"), weights)
 
 
 def _sample_fk_limits(rng) -> ParameterPoint:

@@ -26,6 +26,8 @@ the dtype of their inputs: real exponents and arguments sum in float64.
 Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
 decomposition against three lattice rules, and `_shift_sum` the one
 shift-operator sum; a point value is the rule sum over one-node rules.
+The discrete identity's weighted triple sum and its weights are exact finite
+sums that cancel heavily, and are formed in long double.
 """
 
 from __future__ import annotations
@@ -499,13 +501,13 @@ def _q_density_lattice(spec: QMeasureSpec, n: np.ndarray):
     ratio = q_pochhammer_inf_ratio(t * q, t * q**g, ctx)
     # The 3phi1 factor terminates at lattice points: its upper entry 1/t is
     # q^{-n} there, capping the series at n+1 exact terms.
-    phi31, *_ = _rphis_array(
+    phi31 = _checked(*_rphis_array(
         [q**a, q**b, 1.0 / t],
         [q**g],
         t * q ** (g - a - b),
         ctx,
         terminate_after=n,
-    )
+    ))
     return const * np.power(t, e - 1.0) * ratio * phi31
 
 
@@ -722,47 +724,70 @@ def _check_indices(**indices):
             raise DomainError(f"{name} must be a non-negative int, got {k!r}")
 
 
-def _w_generic(i: int, r: int, a: float, g: float, lam: float, mu: float, ctx: QContext):
-    q = ctx.q
-    top = _qp(q**a, r, q) * _qp(q, r, q) / (_qp(q**g, r, q) * _qp(q**lam, r, q))
-    gl = g + lam - a - mu
-    mid = (
-        _qp(q**gl, r - i, q)
-        / _qp(q, r - i, q)
-        * _qp(q**mu, i, q)
-        / _qp(q, i, q)
-    )
-    phi, *_ = _rphis_array(
-        [q ** (lam - a), q ** (g - a), q ** float(i - r)],
-        [q**gl, q ** float(1 - r - a)],
-        q ** float(1 - i - mu),
-        ctx,
-        terminate_after=r - i,
-    )
-    return top * mid * float(phi[()]) * q ** ((r - i) * mu)
+def _qp_ld(bases, n: int, q: float, shift=0) -> np.ndarray:
+    """(b q^shift; q)_k for k = 0..n and each base b, on a new last axis, in
+    long double.  The integer powers of q are long double too, so base 1 with
+    shift -i is (q^-i; q), exactly zero past k = i."""
+    powers = np.longdouble(q) ** (np.arange(n) + np.asarray(shift)[..., None])
+    f = 1 - np.asarray(bases, np.longdouble)[..., None] * powers
+    out = np.ones(f.shape[:-1] + (n + 1,), np.longdouble)
+    np.cumprod(f, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _discrete_weights(which: str, r: int, p: DiscreteFkParams, q: float) -> np.ndarray:
+    """w(i, r) for i = 0..r in long double, the terminating 3phi2 summed for
+    every i at once.  w3 is the generic weight with lam = alpha and no 3phi2
+    (its first upper base would be q^0).  PoleError if a weight is not finite."""
+    pars = {"w1": (p.alpha1, p.gamma1, p.lam1, p.mu1), "w2": (p.beta2, p.gamma2, p.lam2, p.mu2),
+            "w3": (0.5, p.gamma3, 0.5, p.mu3)}
+    if which not in pars:
+        raise DomainError(f"unknown weight {which!r}")
+    a, g, lam, mu = pars[which]
+    i = np.arange(r + 1)
+    exps = (1.0, a, g, lam, mu, g - mu + (lam - a), lam - a, g - a, 1 - r - a)
+    qq, qa, qg, ql, qm, qgl, qla, qga, qra = _qp_ld([q**e for e in exps], r, q)
+    phi = 1.0
+    if which != "w3":
+        coef = qla * qga / (qq * qgl * qra) * _qp_ld(1.0, r, q, i - r)
+        phi = (coef * np.longdouble(q ** (1 - i - mu))[:, None] ** i).sum(axis=1)
+    w = qa[r] * qq[r] / (qg[r] * ql[r]) * qgl[r - i] / qq[r - i] * qm[i] / qq[i]
+    w = w * phi * q ** ((r - i) * mu)
+    if not np.isfinite(w).all():
+        raise PoleError(f"{which}: a lower base of the weights sits on the pole lattice")
+    return w
 
 
 def discrete_weight(which: str, i: int, r: int, p: DiscreteFkParams, ctx: QContext):
-    """Finite-sum weights w1(i,r), w2(j,s), w3(k,t) of the discrete identity."""
+    """Finite-sum weights w1(i,r), w2(j,s), w3(k,t) of the discrete identity:
+    entry i of the long-double weights of all i <= r, as a float."""
     _check_indices(i=i, r=r)
     if i > r:
         raise DomainError(f"weight index {i} outside 0..{r}")
-    q = ctx.q
-    if which == "w1":
-        return _w_generic(i, r, p.alpha1, p.gamma1, p.lam1, p.mu1, ctx)
-    if which == "w2":
-        return _w_generic(i, r, p.beta2, p.gamma2, p.lam2, p.mu2, ctx)
-    if which == "w3":
-        return (
-            _qp(q, r, q)
-            / _qp(q**p.gamma3, r, q)
-            * _qp(q ** (p.gamma3 - p.mu3), r - i, q)
-            / _qp(q, r - i, q)
-            * _qp(q**p.mu3, i, q)
-            / _qp(q, i, q)
-            * q ** ((r - i) * p.mu3)
-        )
-    raise DomainError(f"unknown weight {which!r}")
+    return float(_discrete_weights(which, r, p, ctx.q)[i])
+
+
+def _fk_discrete_sum(q: float, a2, b1, axes):
+    """sum_{m,n,p} X_m Y_n Z_p (a2; q)_{n+p} (b1; q)_{m+p} in long double.
+
+    Each axis is (upper bases, lower bases, weights w_0..w_R) and gives
+    X_m = q^m prod (u; q)_m / ((q; q)_m prod (l; q)_m) sum_i w_i (q^-i; q)_m,
+    m <= R: both sides of the discrete identity, the left with a unit weight
+    at r.  Where np.longdouble is plain double (Windows, macOS arm64), the
+    accuracy is that of float64.
+    """
+    vecs = []
+    for upper, lower, w in axes:
+        R = len(w) - 1
+        m = np.arange(R + 1)
+        qq, *tabs = _qp_ld([q, *upper, *lower], R, q)
+        vec = np.asarray(w, np.longdouble) @ _qp_ld(1.0, R, q, -m) * np.longdouble(q) ** m / qq
+        vecs.append(vec * np.prod(tabs[: len(upper)], axis=0) / np.prod(tabs[len(upper) :], axis=0))
+    X, Y, Z = vecs
+    p = np.arange(len(Z))
+    YA = (Y[:, None] * _qp_ld(a2, len(Y) + len(Z), q)[np.arange(len(Y))[:, None] + p]).sum(axis=0)
+    XB = (X[:, None] * _qp_ld(b1, len(X) + len(Z), q)[np.arange(len(X))[:, None] + p]).sum(axis=0)
+    return (Z * YA * XB).sum()
 
 
 def discrete_weight_limit(which: str, i, p: DiscreteFkParams, ctx: QContext):
@@ -791,13 +816,13 @@ def discrete_weight_limit(which: str, i, p: DiscreteFkParams, ctx: QContext):
             * q_pochhammer_inf(q**mu, ctx)
             / (q_pochhammer_inf(q**g, ctx) * q_pochhammer_inf(q**lam, ctx))
         )
-        phi, *_ = _rphis_array(
+        phi = _checked(*_rphis_array(
             [q ** (lam - a), q ** (g - a), q ** (-fi)],
             [q**gl],
             q ** (a - mu + fi),
             ctx,
             terminate_after=idx,
-        )
+        ))
         return pref * ratio_at(q**gl) * q ** (fi * mu) * phi
 
     if which == "w1":
@@ -832,20 +857,20 @@ def gasper_discrete_3phi2(alpha, beta, gamma_, delta, lam, mu, nu, n: int, ctx: 
     gmtab = q_pochhammer_table(gmln, n, q)
     total = 0.0
     for k in range(n + 1):
-        inner3, *_ = _rphis_array(
+        inner3 = _checked(*_rphis_array(
             [mu / lam, gamma_ / lam, q ** float(k - n)],
             [gmln, q ** float(1 - n) / lam],
             q ** float(1 - k) / nu,
             ctx,
             terminate_after=n - k,
-        )
-        inner4, *_ = _rphis_array(
+        ))
+        inner4 = _checked(*_rphis_array(
             [alpha, beta, mu, q ** float(-k)],
             [lam, nu, delta],
             q,
             ctx,
             terminate_after=k,
-        )
+        ))
         total += (
             nutab[k]
             * gmtab[n - k]

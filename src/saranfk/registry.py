@@ -165,8 +165,8 @@ def sample_parameters(
 ) -> list[ParameterPoint]:
     """Deterministic batch of parameter points satisfying the case's
     constraints, by rejection sampling with a hard attempt cap."""
-    if count > 10_000:
-        raise ConfigError("sample count capped at 10000")
+    if not 1 <= count <= 10_000:
+        raise ConfigError(f"sample count must lie in 1..10000, got {count}")
     rng = _case_rng(case.id, seed)
     points: list[ParameterPoint] = []
     attempts = 0

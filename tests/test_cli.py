@@ -72,6 +72,26 @@ class TestEval:
         assert code == 0
         assert float(re.search(r"value: ([\d.eE+-]+)", out).group(1)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("ell", ["1.5", "-1"])
+    def test_measure_moment_bad_order_exit_2(self, capsys, ell):
+        code, out, err = run_cli(
+            capsys, "eval", "measure-moment",
+            "--measure", "dirichlet", "--params", "0.5,0.5", "--ell", ell,
+        )
+        assert code == 2
+        assert "value" not in out
+        assert err.startswith("error: --ell")
+
+    @pytest.mark.parametrize("ell", ["1.5", "-1"])
+    def test_q_moment_bad_order_exit_2(self, capsys, ell):
+        code, out, err = run_cli(
+            capsys, "eval", "q-moment",
+            "--measure", "qdirichlet", "--params", "0.8,1.3", "--ell", ell, "--q", "0.5",
+        )
+        assert code == 2
+        assert "value" not in out
+        assert err.startswith("error: --ell")
+
 
 class TestList:
     def test_contains_anchor(self, capsys):
@@ -116,6 +136,25 @@ class TestVerify:
         assert rec["id"] == "euler-1"
         assert rec["q"] is None
         assert rec["pass"] is True
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_non_positive_samples_exit_2(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "--identities", "euler-1", "--samples", samples)
+        assert code == 2
+        assert "PASS" not in out
+        assert "sample count" in err
+
+    def test_three_q_verdict_all_pass(self, capsys):
+        # The full verdict: 13 classical records and 13 q-records at each of
+        # three q, every one passing.
+        code, out, _ = run_cli(
+            capsys, "verify", "--identities", "all", "--q", "0.2", "--q", "0.5", "--q", "0.7",
+            "--format", "json",
+        )
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(recs) == 52
+        assert [r["id"] for r in recs if not r["pass"]] == []
+        assert code == 0
 
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identities", "bogus-id")

@@ -10,6 +10,7 @@ from saranfk import (
     DirichletMeasure,
     DiscreteFkParams,
     DomainError,
+    EvalSettings,
     FkParams,
     HypergeometricMeasure,
     Phi3Spec,
@@ -30,11 +31,16 @@ from saranfk import (
     q_measure_rule,
     q_moment,
     qshift_operator_kernel,
+    registry_lookup,
     rphis,
+    sample_parameters,
     saran_fk_triple,
+    verify_identity,
 )
-from saranfk.core import q_pochhammer, q_pochhammer_inf, q_pochhammer_inf_ratio
+from saranfk.core import q_pochhammer, q_pochhammer_inf, q_pochhammer_inf_ratio, q_pochhammer_table
+from saranfk import q_cases
 from saranfk.qkernels import _rphis_array, phi_k_p_tables
+from saranfk.registry import ParameterPoint
 
 
 def mp_phi_k(p, x, y, z, q: float, nmax: int = 24) -> complex:
@@ -465,6 +471,156 @@ class TestDiscreteWeights:
         for bad in (-1, 1.5, np.array([0, -2])):
             with pytest.raises(DomainError):
                 discrete_weight_limit("w1", bad, self.P, ctx05)
+
+
+def fk_discrete_points():
+    case = registry_lookup("fk-discrete")
+    return [pt.flat() for pt in sample_parameters(case, 42, case.default_samples)]
+
+
+def old_discrete_weight(which, i, r, p, q):
+    """The scalar weights as summed before the batched long-double form: a
+    double-precision terminating 3phi2 per (i, r) for w1 and w2."""
+
+    def qp(base, n):
+        return q_pochhammer_table(base, n, q)[n]
+
+    if which == "w3":
+        g, mu = p.gamma3, p.mu3
+        return (qp(q, r) / qp(q**g, r) * qp(q ** (g - mu), r - i) / qp(q, r - i)
+                * qp(q**mu, i) / qp(q, i) * q ** ((r - i) * mu))
+    a, g, lam, mu = ((p.alpha1, p.gamma1, p.lam1, p.mu1) if which == "w1"
+                     else (p.beta2, p.gamma2, p.lam2, p.mu2))
+    gl = g + lam - a - mu
+    top = qp(q**a, r) * qp(q, r) / (qp(q**g, r) * qp(q**lam, r))
+    mid = qp(q**gl, r - i) / qp(q, r - i) * qp(q**mu, i) / qp(q, i)
+    phi = rphis([q ** (lam - a), q ** (g - a), q ** float(i - r)], [q**gl, q ** float(1 - r - a)],
+                q ** float(1 - i - mu), QContext(q=q)).value
+    return top * mid * phi * q ** ((r - i) * mu)
+
+
+def fk_discrete_spec(v, q, c, cp, cpp, h, hp, hpp):
+    return Phi3Spec(
+        bp=(q ** v["alpha2"],), bpp=(q ** v["beta1"],), c=c, cp=cp, cpp=cpp,
+        h=(q ** v[h], v["delta1"]), hp=(q ** v[hp], v["delta2"]), hpp=(q ** v[hpp], v["delta3"]),
+    )
+
+
+def old_fk_discrete_rhs(v, q):
+    """The right-hand side as one phi3 per (i, j, k), weighted and added."""
+    r, s_, t = (int(v[k]) for k in "rst")
+    p = q_cases._fk_discrete_params(v)
+    ctx = QContext(q=q)
+    total = 0.0
+    for i in range(r + 1):
+        for j in range(s_ + 1):
+            for k in range(t + 1):
+                spec = fk_discrete_spec(
+                    v, q, (q ** v["lam1"], q ** float(-i)), (q ** v["lam2"], q ** float(-j)),
+                    (q ** float(-k),), "mu1", "mu2", "mu3",
+                )
+                w = (old_discrete_weight("w1", i, r, p, q) * old_discrete_weight("w2", j, s_, p, q)
+                     * old_discrete_weight("w3", k, t, p, q))
+                total += w * phi3(spec, q, q, q, ctx).value
+    return total
+
+
+def mp_qp(base, n, q):
+    """(base; q)_n in mpmath."""
+    out = mpmath.mpf(1)
+    for k in range(n):
+        out *= 1 - base * q**k
+    return out
+
+
+def mp_fk_discrete_sum(v, q, upper, lower, weights):
+    """Theorem 4.4's triple sum over the box in mpmath, every base taken
+    exactly from the double the library forms, integer powers of q exact."""
+    mq, f = mpmath.mpf(q), mpmath.mpf
+    axes = []
+    for j, u, lo, w in zip((1, 2, 3), (*upper, None), lower, weights):
+        vec = []
+        for m in range(len(w)):
+            c = sum(wi * mp_qp(mq**-i, m, mq) for i, wi in enumerate(w))
+            num = mp_qp(f(q ** v[u]), m, mq) if u else 1
+            den = mp_qp(mq, m, mq) * mp_qp(f(q ** v[lo]), m, mq) * mp_qp(f(v[f"delta{j}"]), m, mq)
+            vec.append(c * mq**m * num / den)
+        axes.append(vec)
+    X, Y, Z = axes
+    a2, b1 = f(q ** v["alpha2"]), f(q ** v["beta1"])
+    return sum(X[m] * Y[n] * Z[p] * mp_qp(a2, n + p, mq) * mp_qp(b1, m + p, mq)
+               for m in range(len(X)) for n in range(len(Y)) for p in range(len(Z)))
+
+
+def mp_discrete_weights(which, r, p, q):
+    """The library's weights w(i, r), i = 0..r, in mpmath from the same doubles."""
+    mq, f = mpmath.mpf(q), mpmath.mpf
+    if which == "w3":
+        a, g, lam, mu = 0.5, p.gamma3, 0.5, p.mu3
+    else:
+        a, g, lam, mu = ((p.alpha1, p.gamma1, p.lam1, p.mu1) if which == "w1"
+                         else (p.beta2, p.gamma2, p.lam2, p.mu2))
+    gl = f(q ** (g - mu + (lam - a)))
+    out = []
+    for i in range(r + 1):
+        phi = 1 if which == "w3" else sum(
+            mp_qp(f(q ** (lam - a)), l, mq) * mp_qp(f(q ** (g - a)), l, mq) * mp_qp(mq ** (i - r), l, mq)
+            / (mp_qp(mq, l, mq) * mp_qp(gl, l, mq) * mp_qp(f(q ** (1 - r - a)), l, mq))
+            * f(q ** (1 - i - mu)) ** l
+            for l in range(r - i + 1)
+        )
+        top = mp_qp(f(q**a), r, mq) * mp_qp(mq, r, mq) / (mp_qp(f(q**g), r, mq) * mp_qp(f(q**lam), r, mq))
+        mid = mp_qp(gl, r - i, mq) / mp_qp(mq, r - i, mq) * mp_qp(f(q**mu), i, mq) / mp_qp(mq, i, mq)
+        out.append(top * mid * phi * f(q ** ((r - i) * mu)))
+    return out
+
+
+class TestFkDiscreteSum:
+    """Both sides of Theorem 4.4 as one weighted triple sum in long double."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.7])
+    def test_lhs_matches_phi3(self, q):
+        s = EvalSettings(q=q)
+        for v in fk_discrete_points():
+            r, s_, t = (int(v[k]) for k in "rst")
+            spec = fk_discrete_spec(
+                v, q, (q ** v["alpha1"], q ** float(-r)), (q ** v["beta2"], q ** float(-s_)),
+                (q ** float(-t),), "gamma1", "gamma2", "gamma3",
+            )
+            want = phi3(spec, q, q, q, s.qctx).value
+            got = q_cases._lhs_fk_discrete(ParameterPoint(values=v, arguments={}), s)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+    @pytest.mark.parametrize("q", [0.5, 0.7])
+    def test_rhs_matches_per_index_phi3_loop(self, q):
+        s = EvalSettings(q=q)
+        for v in fk_discrete_points():
+            want = old_fk_discrete_rhs(v, q)
+            got = q_cases._rhs_fk_discrete(ParameterPoint(values=v, arguments={}), s)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+    # Long double must carry more than double's 53 bits for this bound: it
+    # does on x86 Linux (64 bits), not where it is plain double.
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="np.longdouble is plain double")
+    def test_both_sides_match_mpmath_at_q02(self):
+        q = 0.2
+        s = EvalSettings(q=q)
+        with mpmath.workdps(40):
+            for v in fk_discrete_points():
+                pt = ParameterPoint(values=v, arguments={})
+                rst = [int(v[k]) for k in "rst"]
+                units = [[0] * k + [1] for k in rst]
+                lhs = mp_fk_discrete_sum(v, q, ("alpha1", "beta2"), ("gamma1", "gamma2", "gamma3"), units)
+                p = q_cases._fk_discrete_params(v)
+                weights = [mp_discrete_weights(w, k, p, q) for w, k in zip(("w1", "w2", "w3"), rst)]
+                rhs = mp_fk_discrete_sum(v, q, ("lam1", "lam2"), ("mu1", "mu2", "mu3"), weights)
+                assert abs(q_cases._lhs_fk_discrete(pt, s) - complex(lhs)) <= 1e-14 * (1 + abs(lhs))
+                assert abs(q_cases._rhs_fk_discrete(pt, s) - complex(rhs)) <= 1e-14 * (1 + abs(rhs))
+
+    def test_verdict_at_q02_passes_every_point(self):
+        res = verify_identity(registry_lookup("fk-discrete"), seed=42, settings=EvalSettings(q=0.2))
+        assert res.samples == 10
+        assert res.passed, res.failures
 
 
 class TestGasperDiscrete:

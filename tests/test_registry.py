@@ -207,9 +207,9 @@ class TestNodeSeriesHonesty:
 
 
 Q_SERIES_IDS = [
-    "gasper-q-erdelyi-1", "gasper-q-erdelyi-3", "ernst-q-bateman", "qfk-phi3", "qfk-phi3-x0",
-    "qfk-lr", "gasper-discrete", "fk-discrete-limits", "qfk-erdelyi", "qfk-erdelyi-simplified",
-    "phik-cross-form",
+    "gasper-q-erdelyi-1", "gasper-q-erdelyi-3", "ernst-q-bateman", "joshi-vyas-general", "qfk-phi3",
+    "qfk-phi3-x0", "qfk-lr", "gasper-discrete", "fk-discrete-limits", "qfk-erdelyi",
+    "qfk-erdelyi-simplified", "phik-cross-form",
 ]
 
 
