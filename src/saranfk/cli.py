@@ -82,6 +82,13 @@ def _order(ns) -> int:
     return int(ell)
 
 
+def _tol(ns, default):
+    tol = float(ns.tol) if ns.tol else default
+    if ns.tol and not 0.0 < tol <= sys.float_info.max:
+        raise SaranFKError(f"--tol must be finite and positive, got {ns.tol}")
+    return tol
+
+
 def _flist(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",") if v.strip() != ""]
 
@@ -91,7 +98,7 @@ def _cmd_eval(ns) -> int:
     if fn not in EVAL_FUNCTIONS:
         print(f"unknown function {fn!r}; choose from {', '.join(EVAL_FUNCTIONS)}", file=sys.stderr)
         return 2
-    tol = float(ns.tol) if ns.tol else 1e-12
+    tol = _tol(ns, 1e-12)
     qval = float(ns.q[0]) if ns.q else 0.5
     ctx = QContext(q=qval)
 
@@ -186,7 +193,7 @@ def _run_verification(ns) -> list[ReportRecord]:
     cases = _resolve_cases(ns.identities)
     seed = int(ns.seed)
     q_values = [float(q) for q in ns.q] if ns.q else [0.5]
-    tol_override = float(ns.tol) if ns.tol else None
+    tol_override = _tol(ns, None)
     base = EvalSettings.default()
     records: list[ReportRecord] = []
     for case in cases:

@@ -16,12 +16,14 @@ are zero, but rounding residue would be re-amplified by the q^{-l} step
 factors of series with fewer denominator than numerator parameters.  The
 r_phi_s terms are formed in blocks by series._sum_terms, with the ratios of a
 block built in one vectorized expression; the stopping index, the pole check
-and the termination cut-off are those of a term-at-a-time loop.  phi3 and
+and the termination cut-off are those of a term-at-a-time loop.  A series of
+one element is summed in Python scalars, to the bit for real ones.  phi3 and
 jackson_integral grow their index boxes and lattices through series._grow,
 with the boundary slabs as tails, and the first sizes of the series and of
 the Phi_K p-sum come from series._series_len, as in series.  q_measure_rule
-keeps its own cut-off: it returns a lattice rule, not a sum.  Tables follow
-the dtype of their inputs: real exponents and arguments sum in float64.
+keeps its own cut-off: it returns a lattice rule, not a sum, and evaluates
+only the nodes a doubled lattice adds.  Tables follow the dtype of their
+inputs: real exponents and arguments sum in float64.
 
 Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
 decomposition against three lattice rules, and `_shift_sum` the one
@@ -526,14 +528,17 @@ def _measure_decay(spec: QMeasureSpec) -> float:
 
 def q_measure_rule(spec: QMeasureSpec, scale: float = 1.0):
     """Lattice nodes and effective weights of a q-measure, so that
-    integral(f d mu) ~ weights @ f(nodes)."""
+    integral(f d mu) ~ weights @ f(nodes).  The lattice doubles, up to 4000
+    nodes, until its tail bound holds, and evaluates only the nodes it adds."""
     ctx = spec.ctx
     q = ctx.q
     N = _lattice_size(ctx, max(_measure_decay(spec), 0.05), scale)
+    t = w = np.empty(0)
     for _ in range(4):
-        n = np.arange(N)
-        t = q ** n.astype(np.float64)
-        w = (1.0 - q) * t * _q_density_lattice(spec, n)
+        n = np.arange(t.size, N)
+        tn = q ** n.astype(np.float64)
+        t = np.concatenate([t, tn])
+        w = np.concatenate([w, (1.0 - q) * tn * _q_density_lattice(spec, n)])
         # Geometric extrapolation of the dropped tail from the last weights.
         rhat = min(float(np.abs(w[-1]) / max(np.abs(w[-2]), 1e-300)), 0.98)
         tail = float(np.abs(w[-1])) * (1.0 + rhat / (1.0 - rhat))

@@ -28,13 +28,15 @@ The term recurrences of the array 2F1 (and 3F2) series and, in qkernels, of
 r_phi_s go through _sum_terms.  It forms the terms in blocks of 8, 16, 32,
 ... from one vectorized ratio expression per block and a short loop over its
 rows, then applies the stopping rule to the rows in order, so a series stops
-at the same term as when summed one term at a time.  The block width is
-capped so that width times array size stays within 2^15 elements.
+at the same term as when summed one term at a time, with width times array
+size within 2^15 elements; a series of one element runs them in Python
+scalars, in blocks of at most 512 terms, with bit-identical real results.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import Callable
@@ -172,6 +174,8 @@ def _face_tails(tensor: np.ndarray, complete=()) -> list:
 # A block of W terms holds at most this many elements per array, so an input
 # of this size or more is summed one term per block.
 _BLOCK_ELEMS = 1 << 15
+_SCALAR_WIDTH = 512  # rows per block of a one-element series, held as lists
+_PY_OPS = {np.multiply: operator.mul, np.true_divide: operator.truediv}
 
 
 def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8):
@@ -184,7 +188,8 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
     None or a bool per row, True where that step's denominator vanished.  A
     short loop over the rows forms each term with the same operations, in the
     same order, as a term-at-a-time loop over arrays, so real series keep
-    their values to the bit.
+    their values to the bit.  A series of one element takes them in _sum_scalar
+    instead, and again here if a denominator vanishes there.
 
     With tol given, the sum stops at the first n >= min_terms that ends a run
     of three terms with _tail_est(max|t_n|, margin, max|S_n|) <= tol; the
@@ -195,13 +200,15 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
 
     Returns (partial sum, n, trailing run of small terms, last estimate).
     """
+    if math.prod(shape) == 1:
+        try:
+            return _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms)
+        except ZeroDivisionError:
+            pass  # numpy gives inf or nan, or warns, as the caller's errstate says
     term = np.ones(shape, dtype=dtype)
     total = np.ones(shape, dtype=dtype)
     cap = max(1, _BLOCK_ELEMS // max(1, term.size))
-    width = 8
-    small = 0
-    n = 0
-    est = math.inf
+    width, small, n, est = 8, 0, 0, math.inf
     while n < max_terms:
         W = min(width, cap, max_terms - n)
         width *= 2
@@ -233,6 +240,37 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
             raise PoleError("series denominator factor vanished")
         n += W
     return total.copy()[()], n, small, est
+
+
+def _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms):
+    """_sum_terms for one element in Python scalars, the rule tested after each
+    term: the row loop's operations in its order, so real series keep every
+    bit.  Python raises ZeroDivisionError where numpy gives inf or nan."""
+    term = total = np.ones((), dtype=dtype).item()
+    width, small, n, est = 8, 0, 0, math.inf
+    while n < max_terms:
+        W = min(width, _SCALAR_WIDTH, max_terms - n)
+        width *= 2
+        ops, poles = block(n, W)
+        rows = int(np.argmax(poles)) if poles is not None and poles.any() else W
+        fns = [_PY_OPS[uf] for uf, _ in ops]
+        for j, vals in enumerate(zip(*(np.asarray(f).ravel()[:rows].tolist() for _, f in ops))):
+            for fn, v in zip(fns, vals):
+                term = fn(term, v)
+            total += term
+            if tol is None:
+                continue
+            est = _tail_est(abs(term), margin, abs(total))
+            if est <= tol:
+                small += 1
+                if small >= 3 and n + j + 1 >= min_terms:
+                    return np.full(shape, total, dtype=dtype)[()], n + j + 1, small, est
+            else:
+                small = 0
+        if rows < W:
+            raise PoleError("series denominator factor vanished")
+        n += W
+    return np.full(shape, total, dtype=dtype)[()], n, small, est
 
 
 # ---------------------------------------------------------------------------

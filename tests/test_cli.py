@@ -92,6 +92,15 @@ class TestEval:
         assert "value" not in out
         assert err.startswith("error: --ell")
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "eval", "2f1", "--a", "0.3", "--b", "0.7", "--c", "1.9", "--z", "0.5", "--tol", tol
+        )
+        assert code == 2
+        assert "value" not in out
+        assert err.startswith("error: --tol")
+
 
 class TestList:
     def test_contains_anchor(self, capsys):
@@ -155,6 +164,15 @@ class TestVerify:
         assert len(recs) == 52
         assert [r["id"] for r in recs if not r["pass"]] == []
         assert code == 0
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "verify", "--identities", "euler-1", "--samples", "2", "--tol", tol
+        )
+        assert code == 2
+        assert "PASS" not in out and "FAIL" not in out
+        assert err.startswith("error: --tol")
 
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identities", "bogus-id")

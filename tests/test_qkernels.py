@@ -39,7 +39,13 @@ from saranfk import (
 )
 from saranfk.core import q_pochhammer, q_pochhammer_inf, q_pochhammer_inf_ratio, q_pochhammer_table
 from saranfk import q_cases
-from saranfk.qkernels import _rphis_array, phi_k_p_tables
+from saranfk.qkernels import (
+    _lattice_size,
+    _measure_decay,
+    _q_density_lattice,
+    _rphis_array,
+    phi_k_p_tables,
+)
 from saranfk.registry import ParameterPoint
 
 
@@ -295,6 +301,18 @@ class TestQMeasures:
         spec = QHypergeometricMeasure(eta - lam, g - lam, g - lam + eta - nu, nu, ctx05)
         t, w = q_measure_rule(spec)
         assert complex(w.sum()) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    @pytest.mark.parametrize("alpha", [0.25, 0.25 + 0.1j])
+    def test_doubled_rule_equals_full_lattice(self, q, alpha):
+        ctx = QContext(q=q)
+        spec = QHypergeometricMeasure(alpha, 0.85, 1.3, 0.3, ctx)
+        t, w = q_measure_rule(spec)
+        assert t.size > _lattice_size(ctx, _measure_decay(spec))
+        n = np.arange(t.size)
+        t_full = q ** n.astype(np.float64)
+        assert np.array_equal(t, t_full)
+        assert np.array_equal(w, (1.0 - q) * t_full * _q_density_lattice(spec, n))
 
     def test_density_requires_lattice_point(self, ctx05):
         with pytest.raises(DomainError):

@@ -5,6 +5,8 @@
 rows afterwards.  The reference loops below form one term per step and test
 the rule after each.  Both must stop at the same term with the same flag;
 real series give bit-identical values, complex ones agree to 1e-12 (1 + |v|).
+A series of one element (shape (), (1,) or (1, 1)) is summed in Python
+scalars instead of the array row loop, and must match that loop as well.
 """
 
 import math
@@ -13,7 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
-from saranfk import PoleError, QContext
+from saranfk import PoleError, QContext, gauss_2f1
+from saranfk import series
 from saranfk.qkernels import _rphis_array
 from saranfk.series import _series_2f1_raw, _tail_est
 
@@ -210,3 +213,151 @@ def test_pole_raises_only_where_the_term_loop_reaches_it():
         ref = ref_rphis([0.3, 0.4], [0.9**-22], 0.3, ctx)
         assert ref[1] == 15
         assert_same(_rphis_array([0.3, 0.4], [0.9**-22], 0.3, ctx), ref)
+
+
+# ---------------------------------------------------------------------------
+# Series of one element, summed term by term in Python scalars
+# ---------------------------------------------------------------------------
+
+SIZE_ONE = [(), (1,), (1, 1)]
+
+
+def on_arrays(monkeypatch, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every series summed by the array row loop."""
+
+    def refuse(*_args, **_kwargs):
+        raise ZeroDivisionError
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "_sum_scalar", refuse)
+        return fn(*args, **kwargs)
+
+
+def assert_like_arrays(got, arr):
+    """Same result as the array row loop, as the same type, shape and dtype."""
+    assert_same(got, arr)
+    assert type(got[0]) is type(arr[0])
+    assert np.asarray(got[0]).dtype == np.asarray(arr[0]).dtype
+
+
+@pytest.mark.parametrize("shape", SIZE_ONE)
+@pytest.mark.parametrize("cplx", [False, True])
+def test_size_one_2f1_across_block_edges(monkeypatch, shape, cplx):
+    a, b, c = (0.3 + 0.2j, 0.7, 1.9 - 0.1j) if cplx else (0.3, 0.7, 1.9)
+    stops = set()
+    for z in ZS:
+        zz = np.full(shape, z)
+        ref = ref_series_2f1(a, b, c, zz, 1e-12, 250_000)
+        got = _series_2f1_raw((a, b), (c,), zz, 1e-12, 250_000)
+        assert_same(got, ref)
+        assert_like_arrays(got, on_arrays(monkeypatch, _series_2f1_raw, (a, b), (c,), zz, 1e-12, 250_000))
+        stops.add(ref[1])
+    assert EDGE_STOPS <= stops
+
+
+@pytest.mark.parametrize("shape", SIZE_ONE)
+@pytest.mark.parametrize("cplx", [False, True])
+def test_size_one_rphis_across_block_edges(monkeypatch, shape, cplx):
+    ctx = QContext(q=0.7)
+    uppers, lowers = ([0.3 + 0.1j, 0.4], [0.7j]) if cplx else ([0.3, 0.4], [0.7])
+    stops = set()
+    for z in ZS:
+        zz = np.full(shape, z)
+        ref = ref_rphis(uppers, lowers, zz, ctx)
+        got = _rphis_array(uppers, lowers, zz, ctx)
+        assert_same(got, ref)
+        assert_like_arrays(got, on_arrays(monkeypatch, _rphis_array, uppers, lowers, zz, ctx))
+        stops.add(ref[1])
+    assert EDGE_STOPS <= stops
+
+
+def test_size_one_3f2_and_size_one_parameters(monkeypatch):
+    for args in (((0.3, 0.7, -0.4), (1.9, 2.5), 0.6), ((np.array([0.3]), 0.7), (1.9,), -0.55)):
+        got = _series_2f1_raw(*args, 1e-12, 250_000)
+        assert_like_arrays(got, on_arrays(monkeypatch, _series_2f1_raw, *args, 1e-12, 250_000))
+
+
+@pytest.mark.parametrize("shape", SIZE_ONE)
+@pytest.mark.parametrize("max_terms", [8, 9, 16, 17, 24, 25, 40])
+def test_size_one_max_terms_cap(monkeypatch, shape, max_terms):
+    z = np.full(shape, 0.85)
+    ref = ref_series_2f1(0.3, 0.7, 1.9, z, 1e-12, max_terms)
+    assert ref[1] == max_terms and not ref[2]
+    got = _series_2f1_raw((0.3, 0.7), (1.9,), z, 1e-12, max_terms)
+    assert_same(got, ref)
+    assert_like_arrays(got, on_arrays(monkeypatch, _series_2f1_raw, (0.3, 0.7), (1.9,), z, 1e-12, max_terms))
+    ctx = QContext(q=0.9)
+    ref = ref_rphis([0.3, 0.4], [0.7], z, ctx, max_terms=max_terms)
+    assert ref[1] == max_terms and not ref[2]
+    got = _rphis_array([0.3, 0.4], [0.7], z, ctx, max_terms=max_terms)
+    assert_same(got, ref)
+    assert_like_arrays(got, on_arrays(monkeypatch, _rphis_array, [0.3, 0.4], [0.7], z, ctx, max_terms=max_terms))
+
+
+@pytest.mark.parametrize("shape", SIZE_ONE)
+@pytest.mark.parametrize("lowers", [[0.7], [0.7 + 0.2j]], ids=["real", "complex"])
+def test_size_one_terminate_after(monkeypatch, shape, lowers):
+    ctx = QContext(q=0.6)
+    for ta in (0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 30):
+        uppers = [np.full(shape, 0.6**-ta), 0.4]
+        args = (uppers, lowers, -0.4, ctx)
+        ref = ref_rphis(*args, terminate_after=ta)
+        assert ref[1] == ta and np.all(np.isfinite(ref[0]))
+        got = _rphis_array(*args, terminate_after=ta)
+        assert_same(got, ref)
+        assert_like_arrays(got, on_arrays(monkeypatch, _rphis_array, *args, terminate_after=ta))
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+def test_size_one_pole_rows(shape):
+    """As test_pole_raises_only_where_the_term_loop_reaches_it, with the
+    pole in a (1,) or (1, 1) lower parameter."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = QContext(q=0.5)
+        for k in (3, 7):
+            with pytest.raises(PoleError):
+                _rphis_array([0.3, 0.4], [np.full(shape, 0.5**-k)], 0.001, ctx)
+        assert _rphis_array([0.3, 0.4], [np.full(shape, 0.5**-8)], 0.001, ctx)[1] == 8
+        ctx = QContext(q=0.9)
+        lowers = [np.full(shape, 0.9**-22)]
+        ref = ref_rphis([0.3, 0.4], lowers, 0.3, ctx)
+        assert ref[1] == 15
+        assert_same(_rphis_array([0.3, 0.4], lowers, 0.3, ctx), ref)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("a", [0.3, -2.0], ids=["inf", "nan"])
+def test_size_one_zero_denominator_ends_as_in_an_array(a, cplx):
+    """c = -2 zeroes the denominator of the step from term 2 to 3.  Python
+    would raise ZeroDivisionError there; the series ends as the same element
+    does inside a 2-element array, with inf or nan terms up to max_terms."""
+    upper = (a + 0.1j if cplx else a, 0.7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one = _series_2f1_raw(upper, (-2.0,), 0.5, 1e-12, 60)
+        pair = _series_2f1_raw(upper, (-2.0,), np.array([0.5, 0.25]), 1e-12, 60)
+    assert (one[1], one[2]) == (pair[1], pair[2]) == (60, False)
+    np.testing.assert_array_equal(one[0], pair[0][0])
+    assert not np.isfinite(one[0])
+    assert math.isnan(one[3]) and math.isnan(pair[3])
+
+
+def test_size_one_blocks_stay_narrow():
+    widths = []
+
+    def block(n0, W):
+        widths.append(W)
+        return [(np.multiply, np.full(W, 0.999))], None
+
+    total, n, small, _ = series._sum_terms(block, (), np.float64, 5000)
+    assert (n, small, sum(widths)) == (5000, 0, 5000)
+    assert max(widths) == series._SCALAR_WIDTH
+    assert total == pytest.approx((1.0 - 0.999**5001) / (1.0 - 0.999), rel=1e-10)
+
+
+def test_size_one_series_at_the_term_cap():
+    """gauss_2f1(1, 1, 2, 1 - 1e-7) runs its size-one series to the
+    250 000-term cap; its value keeps every bit of the array row loop's."""
+    res = gauss_2f1(1, 1, 2, 1 - 1e-7)
+    assert (res.terms_used, res.converged) == (250_000, False)
+    assert float(res.value).hex() == "0x1.9f6938c1b8041p+3"
