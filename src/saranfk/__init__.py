@@ -9,140 +9,22 @@ Quick start::
     gauss_2f1(1, 1, 2, 0.5).value            # 2 log 2
     case = {c.id: c for c in builtin_registry()}["fk-erdelyi"]
     verify_identity(case, seed=42, count=5).passed
+
+The public names are those listed in each module's ``__all__``; this package
+re-exports exactly their union.
 """
 
-from .core import (
-    QContext,
-    gamma,
-    log_gamma,
-    pochhammer,
-    q_beta,
-    q_binomial,
-    q_gamma,
-    q_pochhammer,
-    q_pochhammer_inf,
-)
-from .errors import ConfigError, ConvergenceError, DomainError, PoleError, SaranFKError
-from .measures import (
-    DirichletMeasure,
-    HypergeometricMeasure,
-    QuadratureRule,
-    dirichlet_density,
-    gauss_jacobi_rule,
-    hypergeometric_density,
-    integrate_measure,
-    integrate_product,
-    measure_rule,
-)
-from .qkernels import (
-    DiscreteFkParams,
-    Phi3Spec,
-    QDirichletMeasure,
-    QfkShiftParams,
-    QHypergeometricMeasure,
-    discrete_weight,
-    discrete_weight_limit,
-    gasper_discrete_3phi2,
-    jackson_integral,
-    phi3,
-    phi_k_q,
-    q_measure_density,
-    q_measure_rule,
-    q_moment,
-    qshift_operator_kernel,
-    rphis,
-)
-from .registry import (
-    EvalSettings,
-    IdentityCase,
-    ParameterPoint,
-    VerificationResult,
-    builtin_registry,
-    registry_lookup,
-    sample_parameters,
-    verify_identity,
-)
-from .series import (
-    CoeffSequence2D,
-    FkParams,
-    SeriesResult,
-    appell_f2,
-    convolve2d,
-    delta_sequence,
-    fk_L,
-    fk_diagonal_sequence,
-    gauss_2f1,
-    generic_f_a,
-    geometric_sequence,
-    hyper_pfq,
-    in_domain_fk,
-    saran_fk_reexpand,
-    saran_fk_triple,
-)
+from . import core, errors, measures, qkernels, registry, series
+from .core import *
+from .errors import *
+from .measures import *
+from .qkernels import *
+from .registry import *
+from .series import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QContext",
-    "gamma",
-    "log_gamma",
-    "pochhammer",
-    "q_beta",
-    "q_binomial",
-    "q_gamma",
-    "q_pochhammer",
-    "q_pochhammer_inf",
-    "SaranFKError",
-    "DomainError",
-    "PoleError",
-    "ConvergenceError",
-    "ConfigError",
-    "DirichletMeasure",
-    "HypergeometricMeasure",
-    "QuadratureRule",
-    "dirichlet_density",
-    "hypergeometric_density",
-    "gauss_jacobi_rule",
-    "measure_rule",
-    "integrate_measure",
-    "integrate_product",
-    "Phi3Spec",
-    "QDirichletMeasure",
-    "QHypergeometricMeasure",
-    "QfkShiftParams",
-    "DiscreteFkParams",
-    "rphis",
-    "phi_k_q",
-    "phi3",
-    "jackson_integral",
-    "q_measure_density",
-    "q_measure_rule",
-    "q_moment",
-    "qshift_operator_kernel",
-    "discrete_weight",
-    "discrete_weight_limit",
-    "gasper_discrete_3phi2",
-    "EvalSettings",
-    "IdentityCase",
-    "ParameterPoint",
-    "VerificationResult",
-    "builtin_registry",
-    "registry_lookup",
-    "sample_parameters",
-    "verify_identity",
-    "SeriesResult",
-    "FkParams",
-    "CoeffSequence2D",
-    "gauss_2f1",
-    "hyper_pfq",
-    "appell_f2",
-    "in_domain_fk",
-    "saran_fk_triple",
-    "saran_fk_reexpand",
-    "fk_L",
-    "generic_f_a",
-    "convolve2d",
-    "delta_sequence",
-    "geometric_sequence",
-    "fk_diagonal_sequence",
+    *core.__all__, *errors.__all__, *measures.__all__,
+    *qkernels.__all__, *registry.__all__, *series.__all__,
 ]

@@ -17,7 +17,7 @@ import scipy.special as sps
 
 from .core import pochhammer_table
 from .measures import DirichletMeasure, HypergeometricMeasure, measure_rule
-from .registry import Constraint, IdentityCase, ParameterPoint
+from .registry import Constraint, IdentityCase, ParameterPoint, _dirichlet_pos, _pos, _u
 from .series import (
     CoeffSequence2D,
     FkParams,
@@ -43,10 +43,6 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
-def _u(rng, lo, hi):
-    return float(rng.uniform(lo, hi))
-
-
 def _gap_pair(rng, lo=0.4, hi=1.0, gap_lo=0.4, gap_hi=1.2):
     """(small, large) with large = small + uniform gap; models a > b > 0."""
     small = _u(rng, lo, hi)
@@ -60,15 +56,13 @@ def _fk_args(rng, shrink=0.8):
     return x, y, z
 
 
+_YZ_DISC = Constraint("|y|+|z| < 1", lambda pt: abs(pt.arguments["y"]) + abs(pt.arguments["z"]) < 1)
+
+
 def _yz_args(rng, total=0.8):
     y = _u(rng, 0.05, total - 0.1)
     z = _u(rng, 0.05, total - y)
     return y, z
-
-
-def _pos(name: str, fn) -> Constraint:
-    """Constraint Re(fn(symbols)) > 0 over the point's flattened symbols."""
-    return Constraint(name, lambda pt, f=fn: complex(f(pt.flat())).real > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +261,37 @@ def _sample_fk_erdelyi(rng) -> ParameterPoint:
     )
 
 
-_FK_ERDELYI_CONSTRAINTS = (
+# The hypotheses of Theorem 1.1, restated word for word by its q-analogue,
+# Theorem 4.6.
+ERDELYI_HYPOTHESES = (
     _pos("Re(alpha1+eta1) > Re(lam1)", lambda v: v["alpha1"] + v["eta1"] - v["lam1"]),
     _pos("Re(lam1) > 0", lambda v: v["lam1"]),
     _pos("Re(beta2+mu2) > Re(lam2)", lambda v: v["beta2"] + v["mu2"] - v["lam2"]),
     _pos("Re(lam2) > 0", lambda v: v["lam2"]),
-    _pos("Re(gamma3) > Re(beta1)", lambda v: v["gamma3"] - v["beta1"]),
-    _pos("Re(beta1) > 0", lambda v: v["beta1"]),
-    Constraint("(x,y,z) in F_K domain", lambda pt: in_domain_fk(*(pt.arguments[k] for k in "xyz"))),
+    *_dirichlet_pos("beta1", "gamma3"),
 )
+_FK_DOMAIN = Constraint("(x,y,z) in F_K domain", lambda pt: in_domain_fk(*(pt.arguments[k] for k in "xyz")))
+
+
+def fk_params(v) -> FkParams:
+    """The F_K (or Phi_K) whose seven parameters are the point's own symbols."""
+    return FkParams(
+        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
+        gamma1=v["gamma1"], gamma2=v["gamma2"], gamma3=v["gamma3"],
+    )
+
+
+def erdelyi_fk(v) -> FkParams:
+    """The F_K (or Phi_K) on the left of Theorems 1.1 and 4.6."""
+    return FkParams(
+        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
+        gamma1=v["alpha1"] + v["eta1"], gamma2=v["beta2"] + v["mu2"], gamma3=v["gamma3"],
+    )
 
 
 def _lhs_fk_erdelyi(pt, s):
     v = pt.flat()
-    p = FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["alpha1"] + v["eta1"], gamma2=v["beta2"] + v["mu2"], gamma3=v["gamma3"],
-    )
-    return complex(saran_fk_reexpand(p, v["x"], v["y"], v["z"], s.series_tol).value)
+    return complex(saran_fk_reexpand(erdelyi_fk(v), v["x"], v["y"], v["z"], s.series_tol).value)
 
 
 def _shifted_pair_table(t, w, x, M, first, second, tol):
@@ -581,8 +588,10 @@ def _rhs_fa_erdelyi(pt, s):
 # ---------------------------------------------------------------------------
 
 
-def _sample_fk_cross(rng) -> ParameterPoint:
-    x, y, z = _fk_args(rng)
+def fk_point(rng, args) -> ParameterPoint:
+    """Seven F_K parameters drawn after the arguments args = (x, y, z): the
+    points of both cross-form checks."""
+    x, y, z = args
     return ParameterPoint(
         values={
             "alpha1": _u(rng, 0.1, 2.5), "alpha2": _u(rng, 0.1, 2.5),
@@ -594,21 +603,14 @@ def _sample_fk_cross(rng) -> ParameterPoint:
     )
 
 
-def _fk_params(v) -> FkParams:
-    return FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["gamma1"], gamma2=v["gamma2"], gamma3=v["gamma3"],
-    )
-
-
 def _lhs_fk_cross(pt, s):
     v = pt.flat()
-    return complex(saran_fk_triple(_fk_params(v), v["x"], v["y"], v["z"], s.series_tol).value)
+    return complex(saran_fk_triple(fk_params(v), v["x"], v["y"], v["z"], s.series_tol).value)
 
 
 def _rhs_fk_cross(pt, s):
     v = pt.flat()
-    return complex(saran_fk_reexpand(_fk_params(v), v["x"], v["y"], v["z"], s.series_tol).value)
+    return complex(saran_fk_reexpand(fk_params(v), v["x"], v["y"], v["z"], s.series_tol).value)
 
 
 # ---------------------------------------------------------------------------
@@ -620,36 +622,31 @@ def build() -> tuple[IdentityCase, ...]:
     return (
         IdentityCase(
             id="euler-1", anchor="Eq. (1.2)",
-            constraints=(_pos("Re(gamma) > Re(beta)", lambda v: v["gamma"] - v["beta"]),
-                         _pos("Re(beta) > 0", lambda v: v["beta"])),
+            constraints=_dirichlet_pos("beta", "gamma"),
             sampler=_sample_euler, lhs=_lhs_2f1, rhs=_rhs_euler1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="euler-2", anchor="Eq. (1.3)",
-            constraints=(_pos("Re(gamma) > Re(alpha)", lambda v: v["gamma"] - v["alpha"]),
-                         _pos("Re(alpha) > 0", lambda v: v["alpha"])),
+            constraints=_dirichlet_pos("alpha", "gamma"),
             sampler=_sample_euler2, lhs=_lhs_2f1, rhs=_rhs_euler2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="bateman", anchor="Eq. (1.5)",
-            constraints=(_pos("Re(gamma) > Re(lam)", lambda v: v["gamma"] - v["lam"]),
-                         _pos("Re(lam) > 0", lambda v: v["lam"])),
+            constraints=_dirichlet_pos("lam", "gamma"),
             sampler=_sample_bateman, lhs=_lhs_2f1, rhs=_rhs_bateman,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-1", anchor="Eq. (1.6)",
-            constraints=(_pos("Re(gamma) > Re(lam)", lambda v: v["gamma"] - v["lam"]),
-                         _pos("Re(lam) > 0", lambda v: v["lam"])),
+            constraints=_dirichlet_pos("lam", "gamma"),
             sampler=_sample_erdelyi1, lhs=_lhs_2f1, rhs=_rhs_erdelyi1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-2", anchor="Eq. (1.7)",
-            constraints=(_pos("Re(gamma) > Re(eta)", lambda v: v["gamma"] - v["eta"]),
-                         _pos("Re(eta) > 0", lambda v: v["eta"])),
+            constraints=_dirichlet_pos("eta", "gamma"),
             sampler=_sample_erdelyi2, lhs=_lhs_2f1, rhs=_rhs_erdelyi2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
@@ -661,47 +658,31 @@ def build() -> tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="fk-erdelyi", anchor="Theorem 1.1",
-            constraints=_FK_ERDELYI_CONSTRAINTS,
+            constraints=(*ERDELYI_HYPOTHESES, _FK_DOMAIN),
             sampler=_sample_fk_erdelyi, lhs=_lhs_fk_erdelyi, rhs=_rhs_fk_erdelyi,
             tol=1e-6, cost_class="triple-integral", default_samples=10,
         ),
         IdentityCase(
             id="f2-curious", anchor="Theorem 3.2",
-            constraints=(
-                _pos("Re(c1) > Re(d1)", lambda v: v["c1"] - v["d1"]),
-                _pos("Re(d1) > 0", lambda v: v["d1"]),
-                _pos("Re(c2) > Re(b2)", lambda v: v["c2"] - v["b2"]),
-                _pos("Re(b2) > 0", lambda v: v["b2"]),
-                Constraint("|y|+|z| < 1", lambda pt: abs(pt.arguments["y"]) + abs(pt.arguments["z"]) < 1),
-            ),
+            constraints=(*_dirichlet_pos("d1", "c1"), *_dirichlet_pos("b2", "c2"), _YZ_DISC),
             sampler=_sample_f2_curious, lhs=_lhs_f2_curious, rhs=_rhs_f2_curious,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="f2-reduction-proof", anchor="Eqs. (3.7)+Pfaff",
-            constraints=(Constraint("|y|+|z| < 1", lambda pt: abs(pt.arguments["y"]) + abs(pt.arguments["z"]) < 1),),
+            constraints=(_YZ_DISC,),
             sampler=_sample_f2_reduction, lhs=_lhs_f2_reduction, rhs=_rhs_f2_reduction,
             tol=1e-10, cost_class="cheap", default_samples=25,
         ),
         IdentityCase(
             id="manocha", anchor="Eq. (3.10)",
-            constraints=(
-                _pos("Re(d) > Re(lam)", lambda v: v["d"] - v["lam"]),
-                _pos("Re(lam) > 0", lambda v: v["lam"]),
-                _pos("Re(e) > Re(eta)", lambda v: v["e"] - v["eta"]),
-                _pos("Re(eta) > 0", lambda v: v["eta"]),
-            ),
+            constraints=(*_dirichlet_pos("lam", "d"), *_dirichlet_pos("eta", "e")),
             sampler=_sample_manocha, lhs=_lhs_manocha, rhs=_rhs_manocha,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="manocha-reduced", anchor="Eq. (3.11)",
-            constraints=(
-                _pos("Re(d) > Re(lam)", lambda v: v["d"] - v["lam"]),
-                _pos("Re(lam) > 0", lambda v: v["lam"]),
-                _pos("Re(e) > Re(c)", lambda v: v["e"] - v["c"]),
-                _pos("Re(c) > 0", lambda v: v["c"]),
-            ),
+            constraints=(*_dirichlet_pos("lam", "d"), *_dirichlet_pos("c", "e")),
             sampler=_sample_manocha_reduced, lhs=_lhs_manocha, rhs=_rhs_manocha_reduced,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
@@ -713,8 +694,9 @@ def build() -> tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="fk-cross-form", anchor="Eqs. (1.12)/(1.13)",
-            constraints=(Constraint("(x,y,z) in F_K domain", lambda pt: in_domain_fk(*(pt.arguments[k] for k in "xyz"))),),
-            sampler=_sample_fk_cross, lhs=_lhs_fk_cross, rhs=_rhs_fk_cross,
+            constraints=(_FK_DOMAIN,),
+            sampler=lambda rng: fk_point(rng, _fk_args(rng)),
+            lhs=_lhs_fk_cross, rhs=_rhs_fk_cross,
             tol=1e-10, cost_class="cheap", default_samples=25,
         ),
     )

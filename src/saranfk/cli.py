@@ -6,6 +6,10 @@ Subcommands:
   list     print the identity registry
   report   re-render a saved json-lines report
 
+The eval functions and their engines are the EVAL table, in the order the
+help text lists them.  Number options must be finite, every --q must lie in
+(0, 1), and a non-finite result is an error, never a printed value.
+
 Exit codes: 0 success / all identities pass, 1 verification failure,
 2 usage or configuration error (domain violations, unknown ids, bad flags).
 """
@@ -13,9 +17,11 @@ Exit codes: 0 success / all identities pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -33,12 +39,6 @@ from .qkernels import (
 )
 from .registry import EvalSettings, builtin_registry, verify_identity
 from .series import FkParams, appell_f2, fk_L, gauss_2f1, hyper_pfq, saran_fk_reexpand
-
-EVAL_FUNCTIONS = (
-    "2f1", "pfq", "f2", "fk", "fk_L", "phik", "rphis", "phi3",
-    "qgamma", "qbeta", "measure-moment", "q-moment",
-)
-
 
 @dataclass
 class ReportRecord:
@@ -66,13 +66,30 @@ class ReportRecord:
         }
 
 
-def _fval(ns, name, default=None):
-    val = getattr(ns, name.replace("-", "_"), None)
-    if val is None:
-        if default is None:
-            raise SaranFKError(f"eval: missing required option --{name}")
-        return default
-    return float(val)
+def _finite(raw: str, name: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise SaranFKError(f"eval: --{name} must be finite, got {raw}")
+    return val
+
+
+def _fval(ns, name: str) -> float:
+    raw = getattr(ns, name)
+    if raw is None:
+        raise SaranFKError(f"eval: missing required option --{name}")
+    return _finite(raw, name)
+
+
+def _fvals(ns, *names: str) -> list[float]:
+    return [_fval(ns, name) for name in names]
+
+
+def _flist(ns, name: str) -> list[float]:
+    """A comma-list option; absent or empty counts as missing."""
+    raw = getattr(ns, name)
+    if not raw:
+        raise SaranFKError(f"eval: missing required option --{name}")
+    return [_finite(v, name) for v in raw.split(",") if v.strip() != ""]
 
 
 def _order(ns) -> int:
@@ -89,90 +106,71 @@ def _tol(ns, default):
     return tol
 
 
-def _flist(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip() != ""]
+def _fk(ns) -> FkParams:
+    return FkParams(*_fvals(ns, "alpha1", "alpha2", "beta1", "beta2", "gamma1", "gamma2", "gamma3"))
+
+
+def _phi3(ns, ctx, tol):
+    if not ns.spec_json:
+        raise SaranFKError("phi3 needs --spec-json with the parameter groups")
+    groups = json.loads(ns.spec_json)
+    if not isinstance(groups, dict):
+        raise SaranFKError("phi3 --spec-json must be a JSON object of parameter groups")
+    spec = Phi3Spec(**{k: tuple(v) for k, v in groups.items()})
+    return phi3(spec, *_fvals(ns, "x", "y", "z"), ctx, tol)
+
+
+def _moment(ns, kinds: dict, integrate, **kw):
+    """Moment of order --ell of the --measure named in kinds, built from --params."""
+    params = _flist(ns, "params")
+    ell = _order(ns)
+    if ns.measure not in kinds:
+        raise SaranFKError(f"{ns.function} needs --measure {'|'.join(kinds)}")
+    return integrate(kinds[ns.measure](*params, **kw), ell)
+
+
+# Function name -> engine call on the parsed options, the QContext of --q and
+# the series tolerance.
+EVAL = {
+    "2f1": lambda ns, ctx, tol: gauss_2f1(*_fvals(ns, "a", "b", "c", "z"), tol),
+    "pfq": lambda ns, ctx, tol: hyper_pfq(_flist(ns, "upper"), _flist(ns, "lower"), _fval(ns, "z"), tol),
+    "f2": lambda ns, ctx, tol: appell_f2(*_fvals(ns, "a", "b1", "b2", "c1", "c2", "y", "z"), tol),
+    "fk": lambda ns, ctx, tol: saran_fk_reexpand(_fk(ns), *_fvals(ns, "x", "y", "z"), tol),
+    "fk_L": lambda ns, ctx, tol: fk_L(
+        _fval(ns, "a1"), _fval(ns, "a2"), _flist(ns, "b"), _flist(ns, "cc"), _flist(ns, "zs"), tol),
+    "phik": lambda ns, ctx, tol: phi_k_q(_fk(ns), *_fvals(ns, "x", "y", "z"), ctx, tol),
+    # rphis takes an empty --lower: a series with no lower parameters.
+    "rphis": lambda ns, ctx, tol: rphis(
+        _flist(ns, "upper"), [] if ns.lower == "" else _flist(ns, "lower"), _fval(ns, "z"), ctx, tol),
+    "phi3": _phi3,
+    "qgamma": lambda ns, ctx, tol: q_gamma(_fval(ns, "x"), ctx),
+    "qbeta": lambda ns, ctx, tol: q_beta(_fval(ns, "x"), _fval(ns, "y"), ctx),
+    "measure-moment": lambda ns, ctx, tol: _moment(
+        ns, {"dirichlet": DirichletMeasure, "hypergeometric": HypergeometricMeasure},
+        lambda spec, ell: integrate_measure(lambda t: t**ell, spec, order=96)),
+    "q-moment": lambda ns, ctx, tol: _moment(
+        ns, {"qdirichlet": QDirichletMeasure, "qhypergeometric": QHypergeometricMeasure},
+        q_moment, ctx=ctx),
+}
 
 
 def _cmd_eval(ns) -> int:
     fn = ns.function
-    if fn not in EVAL_FUNCTIONS:
-        print(f"unknown function {fn!r}; choose from {', '.join(EVAL_FUNCTIONS)}", file=sys.stderr)
+    if fn not in EVAL:
+        print(f"unknown function {fn!r}; choose from {', '.join(EVAL)}", file=sys.stderr)
         return 2
     tol = _tol(ns, 1e-12)
     qval = float(ns.q[0]) if ns.q else 0.5
-    ctx = QContext(q=qval)
-
-    def out(result):
-        if hasattr(result, "value"):
-            print(f"value: {result.value}")
-            print(f"terms_used: {result.terms_used}")
-            print(f"converged: {result.converged}")
-            print(f"est_trunc_error: {result.est_trunc_error:.3e}")
-        else:
-            print(f"value: {result}")
-        return 0
-
-    if fn == "2f1":
-        return out(gauss_2f1(_fval(ns, "a"), _fval(ns, "b"), _fval(ns, "c"), _fval(ns, "z"), tol))
-    if fn == "pfq":
-        if not ns.upper or not ns.lower:
-            raise SaranFKError("pfq needs --upper and --lower comma lists")
-        return out(hyper_pfq(_flist(ns.upper), _flist(ns.lower), _fval(ns, "z"), tol))
-    if fn == "f2":
-        return out(appell_f2(_fval(ns, "a"), _fval(ns, "b1"), _fval(ns, "b2"),
-                             _fval(ns, "c1"), _fval(ns, "c2"), _fval(ns, "y"), _fval(ns, "z"), tol))
-    if fn in ("fk", "phik"):
-        p = FkParams(
-            alpha1=_fval(ns, "alpha1"), alpha2=_fval(ns, "alpha2"),
-            beta1=_fval(ns, "beta1"), beta2=_fval(ns, "beta2"),
-            gamma1=_fval(ns, "gamma1"), gamma2=_fval(ns, "gamma2"), gamma3=_fval(ns, "gamma3"),
-        )
-        x, y, z = _fval(ns, "x"), _fval(ns, "y"), _fval(ns, "z")
-        if fn == "fk":
-            return out(saran_fk_reexpand(p, x, y, z, tol))
-        return out(phi_k_q(p, x, y, z, ctx, tol))
-    if fn == "fk_L":
-        if not (ns.b and ns.cc and ns.zs):
-            raise SaranFKError("fk_L needs --a1 --a2 --b --cc --zs")
-        return out(fk_L(_fval(ns, "a1"), _fval(ns, "a2"), _flist(ns.b), _flist(ns.cc), _flist(ns.zs), tol))
-    if fn == "rphis":
-        if not ns.upper or ns.lower is None:
-            raise SaranFKError("rphis needs --upper and --lower comma lists (raw bases)")
-        lower = _flist(ns.lower) if ns.lower else []
-        return out(rphis(_flist(ns.upper), lower, _fval(ns, "z"), ctx, tol))
-    if fn == "phi3":
-        if not ns.spec_json:
-            raise SaranFKError("phi3 needs --spec-json with the parameter groups")
-        groups = json.loads(ns.spec_json)
-        if not isinstance(groups, dict):
-            raise SaranFKError("phi3 --spec-json must be a JSON object of parameter groups")
-        spec = Phi3Spec(**{k: tuple(v) for k, v in groups.items()})
-        return out(phi3(spec, _fval(ns, "x"), _fval(ns, "y"), _fval(ns, "z"), ctx, tol))
-    if fn == "qgamma":
-        return out(q_gamma(_fval(ns, "x"), ctx))
-    if fn == "qbeta":
-        return out(q_beta(_fval(ns, "x"), _fval(ns, "y"), ctx))
-    if fn == "measure-moment":
-        params = _flist(ns.params or "")
-        ell = _order(ns)
-        if ns.measure == "dirichlet":
-            spec = DirichletMeasure(*params)
-        elif ns.measure == "hypergeometric":
-            spec = HypergeometricMeasure(*params)
-        else:
-            raise SaranFKError("measure-moment needs --measure dirichlet|hypergeometric")
-        return out(integrate_measure(lambda t: t**ell, spec, order=96))
-    if fn == "q-moment":
-        params = _flist(ns.params or "")
-        ell = _order(ns)
-        if ns.measure == "qdirichlet":
-            spec = QDirichletMeasure(*params, ctx=ctx)
-        elif ns.measure == "qhypergeometric":
-            spec = QHypergeometricMeasure(*params, ctx=ctx)
-        else:
-            raise SaranFKError("q-moment needs --measure qdirichlet|qhypergeometric")
-        return out(q_moment(spec, ell))
-    raise SaranFKError(f"unhandled function {fn}")
+    result = EVAL[fn](ns, QContext(q=qval), tol)
+    value = getattr(result, "value", result)
+    if not cmath.isfinite(value):
+        raise SaranFKError(f"{fn} gave the non-finite value {value}")
+    print(f"value: {value}")
+    if hasattr(result, "value"):
+        print(f"terms_used: {result.terms_used}")
+        print(f"converged: {result.converged}")
+        print(f"est_trunc_error: {result.est_trunc_error:.3e}")
+    return 0
 
 
 def _resolve_cases(raw: str):
@@ -192,7 +190,8 @@ def _resolve_cases(raw: str):
 def _run_verification(ns) -> list[ReportRecord]:
     cases = _resolve_cases(ns.identities)
     seed = int(ns.seed)
-    q_values = [float(q) for q in ns.q] if ns.q else [0.5]
+    # QContext rejects a q outside (0, 1) before any identity runs.
+    q_values = [QContext(q=float(q)).q for q in ns.q] if ns.q else [0.5]
     tol_override = _tol(ns, None)
     base = EvalSettings.default()
     records: list[ReportRecord] = []
@@ -309,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a function at a point")
-    pe.add_argument("function", help=f"one of: {', '.join(EVAL_FUNCTIONS)}")
+    pe.add_argument("function", help=f"one of: {', '.join(EVAL)}")
     for flag in ("a", "b", "c", "z", "x", "y", "a1", "a2", "b1", "b2", "c1", "c2",
                  "alpha1", "alpha2", "beta1", "beta2", "gamma1", "gamma2", "gamma3", "ell"):
         pe.add_argument(f"--{flag}", default=None)

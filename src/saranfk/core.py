@@ -17,17 +17,18 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "QContext",
-    "log_gamma",
     "gamma",
+    "log_gamma",
     "pochhammer",
-    "pochhammer_table",
-    "q_pochhammer",
-    "q_pochhammer_table",
-    "q_pochhammer_inf",
-    "q_gamma",
     "q_beta",
     "q_binomial",
+    "q_gamma",
+    "q_pochhammer",
+    "q_pochhammer_inf",
 ]
+
+# Largest argument of exp with a finite double result.
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 # Distance below which a value counts as sitting on the pole lattice Z_{<=0}.
 POLE_TOL = 1e-9
@@ -195,7 +196,8 @@ def q_gamma(x, ctx: QContext):
     """Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
 
     Evaluated in log space: near q = 1 both infinite products underflow while
-    their quotient remains of moderate size.
+    their quotient remains of moderate size.  ConvergenceError when the value
+    overflows the double range.
     """
     if is_nonpositive_integer(x):
         raise PoleError(f"q_gamma pole at x={x}")
@@ -210,7 +212,10 @@ def q_gamma(x, ctx: QContext):
         if np.any(np.abs(den) < 1e-300):
             raise PoleError(f"q_gamma pole at x={x}")
         log_ratio = np.sum(np.log1p(-powers)) - np.sum(np.log(den))
-    return _as_scalar(np.exp(log_ratio + (1.0 - x) * math.log(1.0 - ctx.q)))
+    log_value = log_ratio + (1.0 - x) * math.log(1.0 - ctx.q)
+    if log_value.real > _LOG_MAX:
+        raise ConvergenceError(f"q_gamma({_as_scalar(x)}) overflows the double range")
+    return _as_scalar(np.exp(log_value))
 
 
 def q_beta(x, y, ctx: QContext):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["SaranFKError", "DomainError", "PoleError", "ConvergenceError", "ConfigError"]
+
 
 class SaranFKError(Exception):
     """Base class for all package errors."""

@@ -19,12 +19,18 @@ its three measure rules, and its `_shift_factor` at one shift is the factor
 of Gasper's (2.1).  `qkernels._fk_discrete_sum` is both sides of fk-discrete,
 with unit weights on the left.  Unconverged series fail the point
 (`series._checked`).
+
+Theorem 4.6 and the Phi_K cross form restate their classical counterparts, so
+their parameter maps (`fk_params`, `erdelyi_fk`), hypotheses
+(`ERDELYI_HYPOTHESES`) and cross-form sampler (`fk_point`) come from
+`classical_cases`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .classical_cases import ERDELYI_HYPOTHESES, erdelyi_fk, fk_params, fk_point
 from .core import q_pochhammer_inf, q_pochhammer_table
 from .qkernels import (
     _ONE_NODE,
@@ -45,18 +51,10 @@ from .qkernels import (
     phi3,
     q_measure_rule,
 )
-from .registry import Constraint, EvalSettings, IdentityCase, ParameterPoint
+from .registry import Constraint, EvalSettings, IdentityCase, ParameterPoint, _dirichlet_pos, _pos, _u
 from .series import FkParams, _checked, _series_len
 
 Q_ARG_CAP = 0.3
-
-
-def _u(rng, lo, hi):
-    return float(rng.uniform(lo, hi))
-
-
-def _pos(name: str, fn) -> Constraint:
-    return Constraint(name, lambda pt, f=fn: complex(f(pt.flat())).real > 0.0)
 
 
 def _qargs(rng, n=3):
@@ -171,13 +169,6 @@ def _sample_ernst(rng) -> ParameterPoint:
     )
 
 
-def _outer_fk(v) -> FkParams:
-    return FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["gamma1"], gamma2=v["gamma2"], gamma3=v["gamma3"],
-    )
-
-
 def _nu_fk(v) -> FkParams:
     """The Phi_K with nu_j in the gamma slots, in Bateman's and Corollary 4.2's integrands."""
     return FkParams(
@@ -188,7 +179,7 @@ def _nu_fk(v) -> FkParams:
 
 def _lhs_phi_k(pt, s: EvalSettings):
     v = pt.flat()
-    return _phi_k_value(_outer_fk(v), v, s)
+    return _phi_k_value(fk_params(v), v, s)
 
 
 def _rhs_ernst(pt, s: EvalSettings):
@@ -204,16 +195,22 @@ def _rhs_ernst(pt, s: EvalSettings):
 JV_VARIANTS = tuple((k, mode) for k in (1, 2, 3) for mode in ("poly", "hyper"))
 
 
+def _slot_axis(rng, j: int) -> dict:
+    """One axis (lam_j, nu_j, gamma_j, eta_j) of a hypergeometric q-measure in
+    the slots of _slot_rule, with gamma_j + eta_j - lam_j - nu_j > 0."""
+    lam = _u(rng, 0.5, 1.0)
+    nu = _u(rng, 0.5, 1.0)
+    gamma = _u(rng, 0.5, 1.5)
+    eta = nu - gamma + lam + _u(rng, 0.4, 1.2)
+    return {f"lam{j}": lam, f"nu{j}": nu, f"gamma{j}": gamma, f"eta{j}": eta}
+
+
 def _sample_joshi_vyas(rng) -> ParameterPoint:
     variant = int(rng.integers(0, len(JV_VARIANTS)))
     k, _ = JV_VARIANTS[variant]
     vals = {"variant": float(variant)}
     for j in range(1, k + 1):
-        lam = _u(rng, 0.5, 1.0)
-        nu = _u(rng, 0.5, 1.0)
-        gamma = _u(rng, 0.5, 1.5)
-        eta = nu - gamma + lam + _u(rng, 0.4, 1.2)
-        vals.update({f"lam{j}": lam, f"nu{j}": nu, f"gamma{j}": gamma, f"eta{j}": eta})
+        vals.update(_slot_axis(rng, j))
         vals[f"seq_a{j}"] = _u(rng, 0.3, 1.5)
         vals[f"seq_r{j}"] = float(rng.choice([-1, 1])) * _u(rng, 0.3, 0.7)
     vals["seq_b"] = _u(rng, 0.3, 1.5)
@@ -321,11 +318,7 @@ def _sample_qfk_phi3(rng, x_zero=False) -> ParameterPoint:
         "beta1": _u(rng, 0.1, 2.2), "beta2": _u(rng, 0.1, 2.2),
     }
     for j in (1, 2, 3):
-        lam = _u(rng, 0.5, 1.0)
-        nu = _u(rng, 0.5, 1.0)
-        gamma = _u(rng, 0.5, 1.5)
-        eta = nu - gamma + lam + _u(rng, 0.4, 1.2)
-        vals.update({f"lam{j}": lam, f"nu{j}": nu, f"gamma{j}": gamma, f"eta{j}": eta})
+        vals.update(_slot_axis(rng, j))
     x, y, z = _qargs(rng)
     return ParameterPoint(values=vals, arguments={"x": 0.0 if x_zero else x, "y": y, "z": z})
 
@@ -597,23 +590,9 @@ def _sample_qfk_erdelyi(rng) -> ParameterPoint:
     )
 
 
-_QFK_ERDELYI_CONSTRAINTS = (
-    _pos("Re(alpha1+eta1) > Re(lam1)", lambda v: v["alpha1"] + v["eta1"] - v["lam1"]),
-    _pos("Re(lam1) > 0", lambda v: v["lam1"]),
-    _pos("Re(beta2+mu2) > Re(lam2)", lambda v: v["beta2"] + v["mu2"] - v["lam2"]),
-    _pos("Re(lam2) > 0", lambda v: v["lam2"]),
-    _pos("Re(gamma3) > Re(beta1)", lambda v: v["gamma3"] - v["beta1"]),
-    _pos("Re(beta1) > 0", lambda v: v["beta1"]),
-)
-
-
 def _lhs_qfk_erdelyi(pt, s: EvalSettings):
     v = pt.flat()
-    p = FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["alpha1"] + v["eta1"], gamma2=v["beta2"] + v["mu2"], gamma3=v["gamma3"],
-    )
-    return _phi_k_value(p, v, s)
+    return _phi_k_value(erdelyi_fk(v), v, s)
 
 
 def _rhs_qfk_erdelyi(pt, s: EvalSettings):
@@ -644,8 +623,7 @@ def _sample_qfk_simplified(rng) -> ParameterPoint:
 _QFK_SIMPLIFIED_CONSTRAINTS = (
     _pos("min(alpha1, eta1, beta2, mu2) > 0",
          lambda v: min(v["alpha1"], v["eta1"], v["beta2"], v["mu2"])),
-    _pos("Re(gamma3) > Re(beta1)", lambda v: v["gamma3"] - v["beta1"]),
-    _pos("Re(beta1) > 0", lambda v: v["beta1"]),
+    *_dirichlet_pos("beta1", "gamma3"),
 )
 
 
@@ -674,22 +652,9 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
 # ---------------------------------------------------------------------------
 
 
-def _sample_phik_cross(rng) -> ParameterPoint:
-    x, y, z = _qargs(rng)
-    return ParameterPoint(
-        values={
-            "alpha1": _u(rng, 0.1, 2.5), "alpha2": _u(rng, 0.1, 2.5),
-            "beta1": _u(rng, 0.1, 2.5), "beta2": _u(rng, 0.1, 2.5),
-            "gamma1": _u(rng, 0.5, 2.5), "gamma2": _u(rng, 0.5, 2.5),
-            "gamma3": _u(rng, 0.5, 2.5),
-        },
-        arguments={"x": x, "y": y, "z": z},
-    )
-
-
 def _lhs_phik_cross(pt, s: EvalSettings):
     v = pt.flat()
-    return complex(phi3(_phi_k_spec(_outer_fk(v), s.q), v["x"], v["y"], v["z"], s.qctx, s.series_tol).value)
+    return complex(phi3(_phi_k_spec(fk_params(v), s.q), v["x"], v["y"], v["z"], s.qctx, s.series_tol).value)
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +666,7 @@ def build() -> tuple[IdentityCase, ...]:
     return (
         IdentityCase(
             id="gasper-q-erdelyi-1", anchor="Eq. (2.1)",
-            constraints=(
-                _pos("Re(gamma) > Re(lam)", lambda v: v["gamma"] - v["lam"]),
-                _pos("Re(lam) > 0", lambda v: v["lam"]),
-            ),
+            constraints=_dirichlet_pos("lam", "gamma"),
             sampler=_sample_gasper1, lhs=_lhs_2phi1, rhs=_rhs_gasper1,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=8,
         ),
@@ -772,7 +734,7 @@ def build() -> tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="qfk-erdelyi", anchor="Theorem 4.6",
-            constraints=_QFK_ERDELYI_CONSTRAINTS,
+            constraints=ERDELYI_HYPOTHESES,
             sampler=_sample_qfk_erdelyi, lhs=_lhs_qfk_erdelyi, rhs=_rhs_qfk_erdelyi,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
@@ -785,7 +747,8 @@ def build() -> tuple[IdentityCase, ...]:
         IdentityCase(
             id="phik-cross-form", anchor="Eqs. (1.15)/(1.16)",
             constraints=(Constraint("|args| < 1", lambda pt: max(abs(a) for a in pt.arguments.values()) < 1),),
-            sampler=_sample_phik_cross, lhs=_lhs_phik_cross, rhs=_lhs_phi_k,
+            sampler=lambda rng: fk_point(rng, _qargs(rng)),
+            lhs=_lhs_phik_cross, rhs=_lhs_phi_k,
             tol=1e-10, cost_class="cheap", uses_q=True, default_samples=15,
         ),
     )

@@ -528,11 +528,14 @@ def _measure_decay(spec: QMeasureSpec) -> float:
 
 def q_measure_rule(spec: QMeasureSpec, scale: float = 1.0):
     """Lattice nodes and effective weights of a q-measure, so that
-    integral(f d mu) ~ weights @ f(nodes).  The lattice doubles, up to 4000
-    nodes, until its tail bound holds, and evaluates only the nodes it adds."""
+    integral(f d mu) ~ weights @ f(nodes).  The lattice doubles until its tail
+    bound holds, and evaluates only the nodes it adds.  It stops at 4000 nodes,
+    or sooner at the last n whose q^n is a normal double: past it t = 0 and
+    t^(a-1) is not finite."""
     ctx = spec.ctx
     q = ctx.q
-    N = _lattice_size(ctx, max(_measure_decay(spec), 0.05), scale)
+    cap = min(4000, math.floor(math.log(np.finfo(np.float64).tiny) / math.log(q)))
+    N = min(cap, _lattice_size(ctx, max(_measure_decay(spec), 0.05), scale))
     t = w = np.empty(0)
     for _ in range(4):
         n = np.arange(t.size, N)
@@ -544,9 +547,9 @@ def q_measure_rule(spec: QMeasureSpec, scale: float = 1.0):
         tail = float(np.abs(w[-1])) * (1.0 + rhat / (1.0 - rhat))
         if tail <= ctx.jackson_tail_tol * (1.0 + float(np.abs(w).sum())):
             return t, w
-        if N >= 4000:
+        if N >= cap:
             break
-        N = min(4000, N * 2)
+        N = min(cap, N * 2)
     raise ConvergenceError("q-measure lattice tail bound not met")
 
 

@@ -5,6 +5,10 @@ points satisfying the identity's hypotheses, a pair of independent LHS/RHS
 evaluators, and a tolerance.  verify_identity evaluates both sides on a batch
 of points and aggregates residuals; evaluator errors are recorded as
 failures, never aborting the batch.
+
+The vocabulary both case modules draw and constrain with lives here too:
+Constraint, its Re(...) > 0 form _pos, the Dirichlet hypotheses
+_dirichlet_pos, and the uniform draw _u.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -25,25 +28,14 @@ from .errors import ConfigError
 
 __all__ = [
     "EvalSettings",
-    "ParameterPoint",
-    "Constraint",
     "IdentityCase",
-    "Failure",
+    "ParameterPoint",
     "VerificationResult",
     "builtin_registry",
+    "registry_lookup",
     "sample_parameters",
     "verify_identity",
 ]
-
-
-def _env_order(default: int) -> int:
-    raw = os.environ.get("SARANFK_DEFAULT_ORDER")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as e:
-        raise ConfigError(f"SARANFK_DEFAULT_ORDER must be an integer, got {raw!r}") from e
 
 
 @dataclass(frozen=True)
@@ -87,12 +79,7 @@ class EvalSettings:
 
     @staticmethod
     def default() -> "EvalSettings":
-        order = _env_order(64)
-        return EvalSettings(
-            quad_order=order,
-            quad_order_triple=max(8, order // 2),
-            quad_order_quad=max(8, order // 3 + 3),
-        )
+        return EvalSettings()
 
 
 @dataclass(frozen=True)
@@ -111,6 +98,23 @@ class ParameterPoint:
 class Constraint:
     name: str
     check: Callable[[ParameterPoint], bool]
+
+
+def _pos(name: str, fn) -> Constraint:
+    """Constraint Re(fn(symbols)) > 0 over the point's flattened symbols."""
+    return Constraint(name, lambda pt, f=fn: complex(f(pt.flat())).real > 0.0)
+
+
+def _dirichlet_pos(small: str, big: str) -> tuple[Constraint, Constraint]:
+    """Re(big) > Re(small) > 0, the hypotheses of the Dirichlet measure with
+    exponents (small, big - small)."""
+    return (_pos(f"Re({big}) > Re({small})", lambda v: v[big] - v[small]),
+            _pos(f"Re({small}) > 0", lambda v: v[small]))
+
+
+def _u(rng, lo, hi) -> float:
+    """One uniform draw from [lo, hi), the samplers' basic step."""
+    return float(rng.uniform(lo, hi))
 
 
 Evaluator = Callable[[ParameterPoint, EvalSettings], complex]

@@ -964,9 +964,9 @@ class CoeffSequence2D:
     """A two-index coefficient sequence with a declared geometric decay bound.
 
     The bound asserts |a(m, n)| <= decay_bound^(m+n) over the truncation
-    ranges actually summed.  Tables come from table_builder when one is given,
-    else entry by entry from evaluator.  The last table built is cached and
-    reused for any smaller request.
+    ranges actually summed.  table(M, N) is the (M+1) x (N+1) table from
+    table_builder; without one, the table is built entry by entry from
+    evaluator(m, n).
     """
 
     def __init__(
@@ -975,33 +975,19 @@ class CoeffSequence2D:
         decay_bound: float,
         table_builder: Callable[[int, int], np.ndarray] | None = None,
     ):
-        self.evaluator = evaluator
+        if table_builder is None:
+            def table_builder(M, N):
+                t = np.array([[complex(evaluator(m, n)) for n in range(N + 1)] for m in range(M + 1)])
+                return t.real.copy() if np.all(t.imag == 0.0) else t
         self.decay_bound = float(decay_bound)
         self._table_builder = table_builder
-        self._table: np.ndarray | None = None
 
     def table(self, M: int, N: int) -> np.ndarray:
-        t = self._table
-        if t is not None and t.shape[0] > M and t.shape[1] > N:
-            return t[: M + 1, : N + 1]
-        if self._table_builder is not None:
-            t = np.asarray(self._table_builder(M, N))
-        else:
-            t = np.empty((M + 1, N + 1), dtype=np.complex128)
-            for m in range(M + 1):
-                for n in range(N + 1):
-                    t[m, n] = self.evaluator(m, n)
-            if np.all(t.imag == 0.0):
-                t = t.real.copy()
-        self._table = t
-        return t
+        return np.asarray(self._table_builder(M, N))
 
     def __call__(self, m: int, n: int) -> complex:
         m, n = int(m), int(n)
-        t = self._table
-        if t is not None and m < t.shape[0] and n < t.shape[1]:
-            return complex(t[m, n])
-        return complex(self.table(max(m, 8), max(n, 8))[m, n])
+        return complex(self.table(m, n)[m, n])
 
 
 def delta_sequence() -> CoeffSequence2D:

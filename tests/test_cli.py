@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,91 @@ class TestEval:
         assert err.startswith("error: --tol")
 
 
+FK_OPTS = ("--alpha1 0.5 --alpha2 0.7 --beta1 0.6 --beta2 0.9"
+           " --gamma1 1.5 --gamma2 1.7 --gamma3 1.9 --x 0.2 --y 0.1 --z 0.15")
+
+# Stored stdout of one call per eval function (two for rphis, with and
+# without lower parameters, and for each measure kind).
+EVAL_GOLDEN = [
+    ("2f1 --a 0.3 --b 0.7 --c 1.9 --z 0.5",
+     "value: 1.0699323854032277\nterms_used: 31\nconverged: True\nest_trunc_error: 1.580e-13\n"),
+    ("pfq --upper 0.5,0.7,1.1 --lower 1.3,1.9 --z 0.4",
+     "value: 1.07529169756824\nterms_used: 25\nconverged: True\nest_trunc_error: 7.500e-14\n"),
+    ("f2 --a 0.5 --b1 0.7 --b2 0.9 --c1 1.5 --c2 1.7 --y 0.3 --z 0.2",
+     "value: 1.1615902804193645\nterms_used: 1394\nconverged: True\nest_trunc_error: 4.611e-15\n"),
+    (f"fk {FK_OPTS}",
+     "value: 1.1303753812175823\nterms_used: 1595\nconverged: True\nest_trunc_error: 4.790e-15\n"),
+    ("fk_L --a1 0.5 --a2 0.7 --b 0.6,0.8 --cc 1.4,1.6,1.8 --zs 0.1,0.2,0.15",
+     "value: 1.156435650249628\nterms_used: 1716\nconverged: True\nest_trunc_error: 4.868e-15\n"),
+    (f"phik {FK_OPTS} --q 0.5",
+     "value: 1.2090090571814778\nterms_used: 16701\nconverged: True\nest_trunc_error: 3.016e-16\n"),
+    ("rphis --upper 0.5,0.3 --lower 0.7 --z 0.4 --q 0.5",
+     "value: 2.796471799011412\nterms_used: 35\nconverged: True\nest_trunc_error: 1.181e-13\n"),
+    ("rphis --upper 0.5 --lower '' --z 0.4 --q 0.3",
+     "value: 1.4621424425272849\nterms_used: 34\nconverged: True\nest_trunc_error: 7.789e-14\n"),
+    ("""phi3 --spec-json '{"a": [0.4], "b": [0.5], "c": [0.6], "h": [0.7], "hp": [0.8], "hpp": [0.3]}'"""
+     " --x 0.1 --y 0.2 --z 0.15 --q 0.6",
+     "value: 3.6331537928969215\nterms_used: 16675\nconverged: True\nest_trunc_error: 7.091e-19\n"),
+    ("qgamma --x 2.5 --q 0.3", "value: 1.123947629202302\n"),
+    ("qbeta --x 1.5 --y 2.5 --q 0.5", "value: 0.41767178687136935\n"),
+    ("measure-moment --measure dirichlet --params 0.8,1.3 --ell 2", "value: 0.22119815668202714\n"),
+    ("measure-moment --measure hypergeometric --params 0.5,0.6,1.9,0.7 --ell 1",
+     "value: 0.24999999999997632\n"),
+    ("q-moment --measure qdirichlet --params 0.8,1.3 --ell 2 --q 0.5", "value: 0.44796538888350435\n"),
+    ("q-moment --measure qhypergeometric --params 0.3,0.4,0.6,0.5 --ell 1 --q 0.5",
+     "value: 0.43342172706338894\n"),
+]
+
+
+def eval_argv(line):
+    return ["eval", *shlex.split(line)]
+
+
+class TestEvalGolden:
+    @pytest.mark.parametrize("line,want", EVAL_GOLDEN, ids=[g[0].split()[0] for g in EVAL_GOLDEN])
+    def test_stdout(self, capsys, line, want):
+        code, out, err = run_cli(capsys, *eval_argv(line))
+        assert (code, out, err) == (0, want, "")
+
+    def test_every_function_covered(self):
+        from saranfk.cli import EVAL
+
+        assert {g[0].split()[0] for g in EVAL_GOLDEN} == set(EVAL)
+
+    @pytest.mark.parametrize("line,option", [
+        ("pfq --upper 0.5 --z 0.4", "lower"),
+        ("pfq --upper 0.5 --lower '' --z 0.4", "lower"),
+        ("rphis --lower 0.5 --z 0.4", "upper"),
+        ("fk_L --a1 0.5 --a2 0.7 --b 0.6,0.8 --zs 0.1,0.2,0.15", "cc"),
+        ("measure-moment --measure dirichlet --ell 2", "params"),
+    ])
+    def test_missing_list_option_exit_2(self, capsys, line, option):
+        code, out, err = run_cli(capsys, *eval_argv(line))
+        assert (code, out) == (2, "")
+        assert err == f"error: eval: missing required option --{option}\n"
+
+    @pytest.mark.parametrize("line", [
+        "qbeta --x inf --y 1 --q 0.5",
+        "2f1 --a 0.3 --b 0.7 --c 1.9 --z nan",
+        f"fk {FK_OPTS.replace('--alpha1 0.5', '--alpha1 nan')}",
+        "pfq --upper 0.5,inf --lower 1.5 --z 0.3",
+        "qgamma --x 1e300 --q 0.5",
+        "qbeta --x 1e300 --y 1e300 --q 0.5",
+    ])
+    def test_non_finite_input_exit_2(self, capsys, line):
+        code, out, err = run_cli(capsys, *eval_argv(line))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_never_printed(self, capsys):
+        # phi3 sums to NaN at a huge upper base (numpy warns on the way).
+        line = """phi3 --spec-json '{"a": [1e308], "h": [1e-308]}' --x 0.1 --y 0.2 --z 0.15"""
+        code, out, err = run_cli(capsys, *eval_argv(line))
+        assert (code, out) == (2, "")
+        assert err == "error: phi3 gave the non-finite value nan\n"
+
+
 class TestList:
     def test_contains_anchor(self, capsys):
         code, out, _ = run_cli(capsys, "list")
@@ -173,6 +259,15 @@ class TestVerify:
         assert code == 2
         assert "PASS" not in out and "FAIL" not in out
         assert err.startswith("error: --tol")
+
+    @pytest.mark.parametrize("identity", ["gasper-q-erdelyi-1", "euler-1"])
+    @pytest.mark.parametrize("q", ["1.5", "0", "-0.3", "nan"])
+    def test_q_outside_unit_interval_exit_2(self, capsys, identity, q):
+        code, out, err = run_cli(
+            capsys, "verify", "--identities", identity, "--samples", "2", "--q", "0.5", "--q", q
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q must lie in (0,1), got ")
 
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identities", "bogus-id")

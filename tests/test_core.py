@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from saranfk import (
+    ConvergenceError,
     QContext,
     PoleError,
     log_gamma,
@@ -140,6 +141,11 @@ class TestQGamma:
         with pytest.raises(PoleError):
             q_gamma(-2, ctx05)
 
+    @pytest.mark.parametrize("x", [1e300, 1100.5])
+    def test_overflow_raises(self, ctx05, x):
+        with pytest.raises(ConvergenceError):
+            q_gamma(x, ctx05)
+
     @pytest.mark.parametrize("x", [0.6, 1.4, 2.3])
     def test_classical_limit_sweep(self, x):
         import scipy.special as sp
@@ -174,6 +180,10 @@ class TestQBeta:
             * q_pochhammer_inf_ratio(q ** (x0 + y0), q**y0, ctx05)
         )
         assert q_beta(x0, y0, ctx05) == pytest.approx(prod_form, rel=1e-12)
+
+    def test_overflow_raises(self, ctx05):
+        with pytest.raises(ConvergenceError):
+            q_beta(1e300, 1e300, ctx05)
 
     def test_classical_limit(self):
         import scipy.special as sp

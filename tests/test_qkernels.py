@@ -314,6 +314,22 @@ class TestQMeasures:
         assert np.array_equal(t, t_full)
         assert np.array_equal(w, (1.0 - q) * t_full * _q_density_lattice(spec, n))
 
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_small_first_exponent(self, q):
+        # The doubled lattice stops at the last n whose q^n is a normal double.
+        ctx = QContext(q=q)
+        for spec in (QDirichletMeasure(0.04, 1.3, ctx), QHypergeometricMeasure(0.3, 0.4, 0.6, 0.14, ctx)):
+            t, w = q_measure_rule(spec)
+            assert t[-1] >= np.finfo(np.float64).tiny
+            for ell in range(3):
+                want = q_moment(spec, ell)
+                assert abs(complex(w @ t**ell) - want) <= 1e-12 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_too_small_first_exponent_raises(self, q):
+        with pytest.raises(ConvergenceError):
+            q_measure_rule(QDirichletMeasure(0.01, 1.3, QContext(q=q)))
+
     def test_density_requires_lattice_point(self, ctx05):
         with pytest.raises(DomainError):
             q_measure_density(QDirichletMeasure(0.8, 1.3, ctx05), 0.4)

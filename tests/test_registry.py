@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import mpmath
 import numpy as np
@@ -101,6 +103,53 @@ class TestSampling:
     def test_count_cap(self):
         with pytest.raises(ConfigError):
             sample_parameters(registry_lookup("euler-1"), 1, 10_001)
+
+
+# sha256 of each identity's seed-42 points at its default sample count: every
+# value and argument with its key, in insertion order, as JSON.
+SEED_42_DIGESTS = {
+    "euler-1": "db9693c7478a564c0c618a66bb3c9430321edceeedb2078bf02255b1527e8b54",
+    "euler-2": "c40c661f2fd0027ec9dc4f6bbc3426420183881839e4b0ef36105c3e577bfac8",
+    "bateman": "397da6054ab1edac5719bc8471a499099ed725b4cda58e1dbf087a59446d8766",
+    "erdelyi-1": "f7866a752848768e248214b43f69888f258160facac6b54538bf70c85e84e94d",
+    "erdelyi-2": "45d0e97db29a3c59475d76dc0f82d84ad3c5ef7d3145816d2e140aa34680c31f",
+    "erdelyi-3": "5470a9b09241b65c326a7be5b0373f675148074559f41642e3a86e326e9533b8",
+    "fk-erdelyi": "3a5967d3a808afee1486b7b432c1b87277ce569513560d4f7266466c8a93e82a",
+    "f2-curious": "f20589e08e2aa013ffc72204c5b2188bc12d814d95f3a616c40edeab7bb76e4b",
+    "f2-reduction-proof": "6dce61ce9a634bea33a4f313dd49f29f264f724cb6a1e9954e64251d65bfc210",
+    "manocha": "a269fb4643cfad9c2665388e4d89d093a953bd7780179b9ccb1b3708cd63aaa2",
+    "manocha-reduced": "97e0240197a589dff259ad402ac095b1ebfdc8edd6f07cc214bcb701bb139ee4",
+    "fa-erdelyi": "c1ba5e0b8ef6cb17947a8ab4306eae947c203846003eccaef8b74c4e161f3ed5",
+    "fk-cross-form": "d6844bc14a9e49b618af3b67e115acb4ae500b64165e18bcc6733fb867e5e392",
+    "gasper-q-erdelyi-1": "0dd39601da4e56cf5f013d55452ebae9b9b6055b8fd6c52d9081d48fd6b39f3f",
+    "gasper-q-erdelyi-3": "1415d20e9bad2034c4fd7a82fd9988680769f1d8a43103db4f572757f5832b6e",
+    "ernst-q-bateman": "d57f0319d71d86dbc46f57df4544845fe459ad08116d8929d7e74a423cfd7478",
+    "joshi-vyas-general": "58624de2ab6c5fd9748f9818c149c6d5abb32b6b45a7902fbfe628228613cf3b",
+    "qfk-phi3": "39314d6cd1237a426a18ce80c9398fb79ea7731702811b0d5825c3f4d4523a57",
+    "qfk-phi3-x0": "e3a21ea3b40dc70c6031916ba069cc10246fd4d63d2e0e4e2e9bfdeef33fb7ac",
+    "qfk-lr": "2e2dab165ea022e6dc6cdd5ac7ac903ff3bc97b2fba3cae2fdfb82fb0ee21e6f",
+    "gasper-discrete": "f3f8599de13f37126e1e4dfe1dccd58d04ee721f9c1a3469a463512f87daba00",
+    "fk-discrete": "8611f07c2dc98b86d8d80f244faeef43ec5766172cbc6ac9d9802d1a37f002df",
+    "fk-discrete-limits": "cf323ed7f885b87d9531042a72f90b022aac4065858e4dad39a2420c307f7551",
+    "qfk-erdelyi": "e83b8ee1d5b62e76794900cd754422a7077d5b9bce4f2c5e8744f60aa3bf3862",
+    "qfk-erdelyi-simplified": "4aa23c7235e6a116f5d0e99ff4ec8c8ce4895b4857246777be0d31412d1ff282",
+    "phik-cross-form": "46c0a141f66deae21c82366454619cfb8dd213b922d6ee0266629433631f9052",
+}
+
+
+def point_digest(points) -> str:
+    blob = json.dumps([[list(p.values.items()), list(p.arguments.items())] for p in points])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestStoredPoints:
+    @pytest.mark.parametrize("case_id", list(SEED_42_DIGESTS))
+    def test_seed_42_points_unchanged(self, case_id):
+        case = registry_lookup(case_id)
+        assert point_digest(sample_parameters(case, 42, case.default_samples)) == SEED_42_DIGESTS[case_id]
+
+    def test_every_identity_stored(self):
+        assert [c.id for c in builtin_registry()] == list(SEED_42_DIGESTS)
 
 
 class TestVerification:
