@@ -16,7 +16,7 @@ import numpy as np
 import scipy.special as sps
 
 from .core import pochhammer_table
-from .measures import DirichletMeasure, HypergeometricMeasure, measure_rule
+from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, measure_rule
 from .registry import Constraint, IdentityCase, ParameterPoint, _dirichlet_pos, _pos, _u
 from .series import (
     CoeffSequence2D,
@@ -273,12 +273,10 @@ ERDELYI_HYPOTHESES = (
 _FK_DOMAIN = Constraint("(x,y,z) in F_K domain", lambda pt: in_domain_fk(*(pt.arguments[k] for k in "xyz")))
 
 
-def fk_params(v) -> FkParams:
-    """The F_K (or Phi_K) whose seven parameters are the point's own symbols."""
-    return FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["gamma1"], gamma2=v["gamma2"], gamma3=v["gamma3"],
-    )
+def fk_params(v, names: str = "alpha1 alpha2 beta1 beta2 gamma1 gamma2 gamma3") -> FkParams:
+    """The F_K (or Phi_K) whose seven parameters, in FkParams order, are the
+    point's symbols `names`; by default its own alpha, beta and gamma."""
+    return FkParams(*(v[k] for k in names.split()))
 
 
 def erdelyi_fk(v) -> FkParams:
@@ -327,7 +325,7 @@ def fk_erdelyi_inner_tables(pt, s):
         tv, wv, y, M, (v["alpha2"] - v["eta2"], v["beta2"], v["beta2"] - v["lam2"] + v["mu2"]),
         (v["eta2"], v["lam2"] - v["mu2"], v["lam2"]), s.series_tol)
 
-    Mw = (ww[:, None] * np.power(tw[:, None], np.arange(2 * M - 1)[None, :])).sum(axis=0)
+    Mw = _moment_powers(tw, ww, 1.0, 2 * M - 2)
     return IU, IV, Mw, M
 
 
@@ -573,9 +571,8 @@ def _rhs_fa_erdelyi(pt, s):
     SU2 = _shifted_pair_table(t2, w2, x2, MM, (v["alpha2"], v["beta2"], v["g2"]),
                               (v["lam2"], v["beta2"] - v["g2"], v["tau2"] - v["g2"]), s.series_tol)
 
-    span = np.arange(2 * MM - 1)
-    SU3 = (w3[:, None] * np.power((t3 * x3)[:, None], span[None, :])).sum(axis=0)
-    SU4 = (w4[:, None] * np.power((t4 * x4)[:, None], span[None, :])).sum(axis=0)
+    SU3 = _moment_powers(t3, w3, x3, 2 * MM - 2)
+    SU4 = _moment_powers(t4, w4, x4, 2 * MM - 2)
     idx = np.add.outer(np.arange(MM), np.arange(MM))
     # sum_{m,n,M,N} a[m,n] b[M,N] P[m,M] Q[n,N] as two matmuls
     P = SU1 * SU3[idx]

@@ -10,6 +10,10 @@ The eval functions and their engines are the EVAL table, in the order the
 help text lists them.  Number options must be finite, every --q must lie in
 (0, 1), and a non-finite result is an error, never a printed value.
 
+A verification record is a plain dict with the RECORD_FIELDS keys, the object
+of one json line; verify renders the records it builds and report the ones it
+reads through the same code, so both print the same bytes in every format.
+
 Exit codes: 0 success / all identities pass, 1 verification failure,
 2 usage or configuration error (domain violations, unknown ids, bad flags).
 """
@@ -23,7 +27,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import QContext, q_beta, q_gamma
 from .errors import SaranFKError
@@ -40,30 +43,9 @@ from .qkernels import (
 from .registry import EvalSettings, builtin_registry, verify_identity
 from .series import FkParams, appell_f2, fk_L, gauss_2f1, hyper_pfq, saran_fk_reexpand
 
-@dataclass
-class ReportRecord:
-    """One verification outcome in the machine-readable report."""
 
-    id: str
-    anchor: str
-    q: float | None
-    samples: int
-    max_rel_residual: float
-    passed: bool
-    wall_time_ms: float
-    failures: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "q": self.q,
-            "samples": self.samples,
-            "max_rel_residual": self.max_rel_residual,
-            "pass": self.passed,
-            "wall_time_ms": self.wall_time_ms,
-            "failures": self.failures,
-        }
+# The fields of one verification record, in csv column order.
+RECORD_FIELDS = ("id", "anchor", "q", "samples", "max_rel_residual", "pass", "wall_time_ms", "failures")
 
 
 def _finite(raw: str, name: str) -> float:
@@ -187,14 +169,14 @@ def _resolve_cases(raw: str):
     return out
 
 
-def _run_verification(ns) -> list[ReportRecord]:
+def _run_verification(ns) -> list[dict]:
     cases = _resolve_cases(ns.identities)
     seed = int(ns.seed)
     # QContext rejects a q outside (0, 1) before any identity runs.
     q_values = [QContext(q=float(q)).q for q in ns.q] if ns.q else [0.5]
     tol_override = _tol(ns, None)
     base = EvalSettings.default()
-    records: list[ReportRecord] = []
+    records = []
     for case in cases:
         qs = q_values if case.uses_q else [None]
         for qv in qs:
@@ -207,44 +189,33 @@ def _run_verification(ns) -> list[ReportRecord]:
                 params = {k: (v.real if isinstance(v, complex) and v.imag == 0 else v)
                           for k, v in f.point.flat().items()}
                 failures.append({"params": params, "residual": f.residual})
-            records.append(
-                ReportRecord(
-                    id=case.id,
-                    anchor=case.anchor,
-                    q=qv,
-                    samples=res.samples,
-                    max_rel_residual=res.max_rel_residual,
-                    passed=res.passed,
-                    wall_time_ms=res.wall_time * 1000.0,
-                    failures=failures,
-                )
-            )
+            records.append(dict(zip(RECORD_FIELDS, (
+                case.id, case.anchor, qv, res.samples, res.max_rel_residual, res.passed,
+                res.wall_time * 1000.0, failures))))
     return records
 
 
-def _render(records: list[ReportRecord], fmt: str) -> str:
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _render(records: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in records) + "\n"
+        return "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+    labels = [r["id"] if r["q"] is None else f"{r['id']}@q={r['q']}" for r in records]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["id", "anchor", "q", "samples", "max_rel_residual", "pass",
-                         "wall_time_ms", "failures"])
-        for r in records:
-            label = r.id if r.q is None else f"{r.id}@q={r.q}"
-            writer.writerow([label, r.anchor, r.q, r.samples,
-                             f"{r.max_rel_residual:.6e}", r.passed,
-                             f"{r.wall_time_ms:.1f}", len(r.failures)])
-        return buf.getvalue()
-    lines = []
-    for r in records:
-        label = r.id if r.q is None else f"{r.id}@q={r.q}"
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{status}  {label:<28} {r.anchor:<26} residual {r.max_rel_residual:.3e}"
-            f"  ({r.samples} samples, {r.wall_time_ms:.0f} ms)"
-        )
-    return "\n".join(lines) + "\n"
+        return _csv(RECORD_FIELDS, (
+            [label, r["anchor"], r["q"], r["samples"], f"{r['max_rel_residual']:.6e}", r["pass"],
+             f"{r['wall_time_ms']:.1f}", len(r["failures"])]
+            for label, r in zip(labels, records)))
+    return "\n".join(
+        f"{'PASS' if r['pass'] else 'FAIL'}  {label:<28} {r['anchor']:<26}"
+        f" residual {r['max_rel_residual']:.3e}  ({r['samples']} samples, {r['wall_time_ms']:.0f} ms)"
+        for label, r in zip(labels, records)) + "\n"
 
 
 def _emit(text: str, output: str | None):
@@ -258,46 +229,32 @@ def _emit(text: str, output: str | None):
 def _cmd_verify(ns) -> int:
     records = _run_verification(ns)
     _emit(_render(records, ns.format), ns.output)
-    return 0 if all(r.passed for r in records) else 1
+    return 0 if all(r["pass"] for r in records) else 1
 
 
 def _cmd_list(ns) -> int:
-    registry = builtin_registry()
-    if ns.format == "json":
-        rows = [
-            {"id": c.id, "anchor": c.anchor, "cost_class": c.cost_class, "tol": c.tol}
-            for c in registry
-        ]
-        _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n", ns.output)
+    keys = ("id", "anchor", "cost_class", "tol")
+    rows = [(c.id, c.anchor, c.cost_class, c.tol) for c in builtin_registry()]
+    if ns.format == "csv":
+        _emit(_csv(keys, rows), ns.output)
         return 0
-    lines = [
-        f"{c.id:<28} {c.anchor:<28} {c.cost_class:<16} tol {c.tol:.0e}"
-        for c in registry
-    ]
+    if ns.format == "json":
+        lines = [json.dumps(dict(zip(keys, r)), sort_keys=True) for r in rows]
+    else:
+        lines = [f"{i:<28} {a:<28} {c:<16} tol {t:.0e}" for i, a, c, t in rows]
     _emit("\n".join(lines) + "\n", ns.output)
     return 0
 
 
 def _cmd_report(ns) -> int:
     with open(ns.input) as fh:
-        records = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            try:
-                records.append(
-                    ReportRecord(
-                        id=d["id"], anchor=d["anchor"], q=d["q"], samples=d["samples"],
-                        max_rel_residual=d["max_rel_residual"], passed=d["pass"],
-                        wall_time_ms=d["wall_time_ms"], failures=d["failures"],
-                    )
-                )
-            except KeyError as exc:
-                raise SaranFKError(f"report record lacks the field {exc}") from exc
+        stored = [json.loads(line) for line in fh if line.strip()]
+    try:
+        records = [{k: d[k] for k in RECORD_FIELDS} for d in stored]
+    except KeyError as exc:
+        raise SaranFKError(f"report record lacks the field {exc}") from exc
     _emit(_render(records, ns.format), ns.output)
-    return 0 if all(r.passed for r in records) else 1
+    return 0 if all(r["pass"] for r in records) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

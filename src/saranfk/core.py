@@ -153,6 +153,21 @@ def q_pochhammer_table(a, nmax: int, q: float) -> np.ndarray:
     return out
 
 
+def _q_tables(bases, n: int, q, shift=0) -> np.ndarray:
+    """(b q^shift; q)_k for k = 0..n and each base b, on a new last axis, in
+    the dtype of q: np.longdouble(q) gives long-double tables, whose integer
+    powers of q are long double too, so base 1 with shift -i is (q^-i; q),
+    exactly zero past k = i.  Complex bases with zero imaginary parts give a
+    real table."""
+    bases = np.asarray(bases)
+    if np.iscomplexobj(bases) and not bases.imag.any():
+        bases = bases.real
+    f = 1 - bases[..., None] * q ** (np.arange(n) + np.asarray(shift)[..., None])
+    out = np.ones(f.shape[:-1] + (n + 1,), f.dtype)
+    np.cumprod(f, axis=-1, out=out[..., 1:])
+    return out
+
+
 def q_pochhammer_inf(a, ctx: QContext):
     """(a;q)_inf as a truncated product with an a posteriori tail check.
 
@@ -196,8 +211,9 @@ def q_gamma(x, ctx: QContext):
     """Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
 
     Evaluated in log space: near q = 1 both infinite products underflow while
-    their quotient remains of moderate size.  ConvergenceError when the value
-    overflows the double range.
+    their quotient remains of moderate size.  A real x sums log|1 - q^(x+k)|
+    and takes the sign from the negative factors, so its value is real.
+    ConvergenceError when the value overflows the double range.
     """
     if is_nonpositive_integer(x):
         raise PoleError(f"q_gamma pole at x={x}")
@@ -205,17 +221,24 @@ def q_gamma(x, ctx: QContext):
     lnq = math.log(ctx.q)
     powers = ctx.q ** np.arange(1, ctx.inf_product_terms + 1, dtype=np.float64)
     qx_pow = np.exp(lnq * (x + np.arange(ctx.inf_product_terms, dtype=np.float64)))
-    if x.imag == 0.0 and x.real > 0.0:
-        log_ratio = np.sum(np.log1p(-powers)) - np.sum(np.log1p(-qx_pow.real))
+    sign = 1.0
+    if x.imag == 0.0:
+        # log|1 - u| for u = q^(x+k) is log1p(-u) below 1 and log1p(u - 2) above,
+        # where the factor is negative; is_nonpositive_integer keeps u off 1.
+        u = qx_pow.real
+        if x.real < 0.0:
+            sign = -1.0 if np.count_nonzero(u > 1.0) % 2 else 1.0
+            u = np.where(u > 1.0, 2.0 - u, u)
+        log_den = np.sum(np.log1p(-u))
     else:
         den = 1.0 - qx_pow
         if np.any(np.abs(den) < 1e-300):
             raise PoleError(f"q_gamma pole at x={x}")
-        log_ratio = np.sum(np.log1p(-powers)) - np.sum(np.log(den))
-    log_value = log_ratio + (1.0 - x) * math.log(1.0 - ctx.q)
+        log_den = np.sum(np.log(den))
+    log_value = np.sum(np.log1p(-powers)) - log_den + (1.0 - x) * math.log(1.0 - ctx.q)
     if log_value.real > _LOG_MAX:
         raise ConvergenceError(f"q_gamma({_as_scalar(x)}) overflows the double range")
-    return _as_scalar(np.exp(log_value))
+    return _as_scalar(sign * np.exp(log_value))
 
 
 def q_beta(x, y, ctx: QContext):

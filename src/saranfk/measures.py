@@ -246,6 +246,16 @@ def measure_rule(spec: MeasureSpec, order: int):
     raise TypeError(f"not a measure spec: {spec!r}")
 
 
+def _rule_sum(w, table) -> np.ndarray:
+    """sum_i w_i table[i] over a rule's node axis (none for a 0-d w), by a broadcast sum."""
+    return (w[..., None] * table).sum(axis=tuple(range(np.ndim(w))))
+
+
+def _moment_powers(t, w, z, pmax: int) -> np.ndarray:
+    """sum_i w_i (z t_i)^p as a vector over p = 0..pmax."""
+    return _rule_sum(w, np.power.outer(z * t, np.arange(pmax + 1)))
+
+
 def _apply(f: Callable, t: np.ndarray) -> np.ndarray:
     """Evaluate an integrand, vectorized when possible."""
     try:

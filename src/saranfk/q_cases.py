@@ -31,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .classical_cases import ERDELYI_HYPOTHESES, erdelyi_fk, fk_params, fk_point
-from .core import q_pochhammer_inf, q_pochhammer_table
+from .core import _q_tables, q_pochhammer_inf, q_pochhammer_table
+from .measures import _moment_powers
 from .qkernels import (
     _ONE_NODE,
     DiscreteFkParams,
@@ -40,7 +41,6 @@ from .qkernels import (
     QHypergeometricMeasure,
     _discrete_weights,
     _fk_discrete_sum,
-    _moment_powers,
     _phi_k_spec,
     _phi_k_sum,
     _rphis_array,
@@ -61,22 +61,13 @@ def _qargs(rng, n=3):
     return [_u(rng, 0.03, Q_ARG_CAP) for _ in range(n)]
 
 
-def _k_table(base, K: int, q: float) -> np.ndarray:
-    """(base;q)_k along a new trailing axis k = 0..K for an array of bases."""
-    base = np.asarray(base)
-    steps = 1.0 - base[..., None] * q ** np.arange(K, dtype=np.float64)
-    out = np.ones(base.shape + (K + 1,), dtype=steps.dtype)
-    np.cumprod(steps, axis=-1, out=out[..., 1:])
-    return out
-
-
 def _phi_k_value(p: FkParams, v, s: EvalSettings, rules=(_ONE_NODE,) * 3, extra=()) -> complex:
     """Phi_K at the point's (x, y, z), or its sum against three lattice rules."""
     return complex(_checked(*_phi_k_sum(p, rules, v["x"], v["y"], v["z"], s.qctx, s.series_tol, extra)))
 
 
 def _dirichlet_rule(a, b, s: EvalSettings):
-    return q_measure_rule(QDirichletMeasure(a, b, s.qctx), s.jackson_scale)
+    return q_measure_rule(QDirichletMeasure(a, b, s.qctx))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +123,7 @@ def _slot_rule(eta, gamma, lam, nu, s: EvalSettings):
     """Lattice rule of the hypergeometric q-measure in the slots of Gasper's
     (2.3): (eta - lam, gamma - lam, gamma - lam + eta - nu, nu)."""
     spec = QHypergeometricMeasure(eta - lam, gamma - lam, gamma - lam + eta - nu, nu, s.qctx)
-    return q_measure_rule(spec, s.jackson_scale)
+    return q_measure_rule(spec)
 
 
 def _rhs_gasper3(pt, s: EvalSettings):
@@ -169,12 +160,8 @@ def _sample_ernst(rng) -> ParameterPoint:
     )
 
 
-def _nu_fk(v) -> FkParams:
-    """The Phi_K with nu_j in the gamma slots, in Bateman's and Corollary 4.2's integrands."""
-    return FkParams(
-        alpha1=v["alpha1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["beta2"],
-        gamma1=v["nu1"], gamma2=v["nu2"], gamma3=v["nu3"],
-    )
+# The Phi_K with nu_j in the gamma slots, in Bateman's and Corollary 4.2's integrands.
+_NU_FK = "alpha1 alpha2 beta1 beta2 nu1 nu2 nu3"
 
 
 def _lhs_phi_k(pt, s: EvalSettings):
@@ -185,7 +172,7 @@ def _lhs_phi_k(pt, s: EvalSettings):
 def _rhs_ernst(pt, s: EvalSettings):
     v = pt.flat()
     rules = [_dirichlet_rule(v[f"nu{j}"], v[f"gamma{j}"] - v[f"nu{j}"], s) for j in (1, 2, 3)]
-    return _phi_k_value(_nu_fk(v), v, s, rules)
+    return _phi_k_value(fk_params(v, _NU_FK), v, s, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +215,7 @@ def _jv_coeff_tensor(v, k: int, mode: str, sizes, q: float) -> np.ndarray:
             deg = min(4, n - 1)
             vec[: deg + 1] = v[f"seq_r{j}"] ** np.arange(deg + 1) / (1.0 + np.arange(deg + 1))
         else:
-            vec = (
-                q_pochhammer_table(q ** v[f"seq_a{j}"], n - 1, q)
-                / q_pochhammer_table(q, n - 1, q)
-            )
+            vec = np.divide(*_q_tables([q ** v[f"seq_a{j}"], q], n - 1, q))
         axes.append(vec)
     tensor = axes[0].reshape((-1,) + (1,) * (k - 1))
     for j in range(1, k):
@@ -259,15 +243,9 @@ def _lhs_joshi_vyas(pt, s: EvalSettings):
     tensor = _jv_coeff_tensor(v, k, mode, sizes, q)
     for j in range(1, k + 1):
         n = sizes[j - 1]
-        mom = (
-            q_pochhammer_table(q ** v[f"nu{j}"], n - 1, q)
-            * q_pochhammer_table(q ** v[f"lam{j}"], n - 1, q)
-            / (
-                q_pochhammer_table(q ** v[f"gamma{j}"], n - 1, q)
-                * q_pochhammer_table(q ** v[f"eta{j}"], n - 1, q)
-            )
-        )
-        vec = mom * v[f"z{j}"] ** np.arange(n)
+        qnu, qlam, qgam, qeta = _q_tables(
+            [q ** v[f"{sym}{j}"] for sym in ("nu", "lam", "gamma", "eta")], n - 1, q)
+        vec = qnu * qlam / (qgam * qeta) * v[f"z{j}"] ** np.arange(n)
         shape = [1] * k
         shape[j - 1] = n
         tensor = tensor * vec.reshape(shape)
@@ -334,7 +312,7 @@ _QFK_PHI3_CONSTRAINTS = tuple(
 def _rhs_qfk_phi3(pt, s: EvalSettings):
     v = pt.flat()
     rules = [_slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s) for j in (1, 2, 3)]
-    return _phi_k_value(_nu_fk(v), v, s, rules, [(v[f"eta{j}"], v[f"lam{j}"]) for j in (1, 2, 3)])
+    return _phi_k_value(fk_params(v, _NU_FK), v, s, rules, [(v[f"eta{j}"], v[f"lam{j}"]) for j in (1, 2, 3)])
 
 
 def _sample_qfk_lr(rng) -> ParameterPoint:
@@ -367,11 +345,7 @@ def _rhs_qfk_lr(pt, s: EvalSettings):
         _slot_rule(v["eta2"], v["gamma2"], v["beta2"], v["nu2"], s),
         _dirichlet_rule(v["nu3"], v["gamma3"] - v["nu3"], s),
     ]
-    inner = FkParams(
-        alpha1=v["eta1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["eta2"],
-        gamma1=v["nu1"], gamma2=v["nu2"], gamma3=v["nu3"],
-    )
-    return _phi_k_value(inner, v, s, rules)
+    return _phi_k_value(fk_params(v, "eta1 alpha2 beta1 eta2 nu1 nu2 nu3"), v, s, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +443,7 @@ _FK_DISCRETE_CONSTRAINTS = (
 
 
 def _fk_discrete_params(v) -> DiscreteFkParams:
-    return DiscreteFkParams(
-        alpha1=v["alpha1"], beta2=v["beta2"],
-        gamma1=v["gamma1"], gamma2=v["gamma2"], gamma3=v["gamma3"],
-        lam1=v["lam1"], lam2=v["lam2"],
-        mu1=v["mu1"], mu2=v["mu2"], mu3=v["mu3"],
-    )
+    return DiscreteFkParams(*(v[k] for k in "alpha1 beta2 gamma1 gamma2 gamma3 lam1 lam2 mu1 mu2 mu3".split()))
 
 
 def _fk_discrete_value(v, s: EvalSettings, upper, lower, weights) -> complex:
@@ -537,9 +506,9 @@ def _rhs_fk_limits(pt, s: EvalSettings):
         # The effective decay exponent is the measure's mass exponent (the
         # base parameter), not mu: the terminating 3phi1 inside the weight
         # grows when the base is smaller than mu.  Extend until three
-        # consecutive weights are negligible, evaluating them in doubling
-        # blocks.
-        thresh = 1e-14 * max(1.0, s.jackson_scale)
+        # consecutive weights are below jackson_tail_tol / 1e4 (1e-14 at the
+        # default), evaluating them in doubling blocks.
+        thresh = s.jackson_tail_tol / 1e4
         blocks = []
         small = 0
         start, size = 0, 64
@@ -554,12 +523,8 @@ def _rhs_fk_limits(pt, s: EvalSettings):
             size *= 2
         return np.concatenate(blocks)
 
-    inner = FkParams(
-        alpha1=v["lam1"], alpha2=v["alpha2"], beta1=v["beta1"], beta2=v["lam2"],
-        gamma1=v["mu1"], gamma2=v["mu2"], gamma3=v["mu3"],
-    )
     rules = [(q ** np.arange(len(W), dtype=np.float64), W) for W in map(w_tail, ("w1", "w2", "w3"))]
-    return _phi_k_value(inner, v, s, rules)
+    return _phi_k_value(fk_params(v, "lam1 alpha2 beta1 lam2 mu1 mu2 mu3"), v, s, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +606,8 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
     baseV = tv * y * q ** v["alpha2"]
     prefU = q_pochhammer_inf(baseU, ctx) / q_pochhammer_inf(tu * x, ctx)
     prefV = q_pochhammer_inf(baseV, ctx) / q_pochhammer_inf(tv * y, ctx)
-    SU = (wu * prefU) @ (1.0 / _k_table(baseU, K, q))
-    SV = (wv * prefV) @ (1.0 / _k_table(baseV, K, q))
+    SU = (wu * prefU) @ (1.0 / _q_tables(baseU, K, q))
+    SV = (wv * prefV) @ (1.0 / _q_tables(baseV, K, q))
     SW = _moment_powers(tw, ww, z, K)
     return complex((cK * SU * SV * SW).sum())
 

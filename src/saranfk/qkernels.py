@@ -43,12 +43,14 @@ import numpy as np
 from .core import (
     QContext,
     _as_scalar,
+    _q_tables,
     q_gamma,
     q_pochhammer_inf,
     q_pochhammer_inf_ratio,
     q_pochhammer_table,
 )
 from .errors import ConvergenceError, DomainError, PoleError
+from .measures import _moment_powers, _rule_sum
 from .series import FkParams, SeriesResult, _checked, _face_tails, _grow, _series_len, _sum_terms
 
 __all__ = [
@@ -350,16 +352,6 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
     return coef, A, B, okA, okB
 
 
-def _rule_sum(w, table) -> np.ndarray:
-    """sum_i w_i table[i] over a rule's node axis (none for a 0-d w), by a broadcast sum."""
-    return (w[..., None] * table).sum(axis=tuple(range(np.ndim(w))))
-
-
-def _moment_powers(t, w, z, pmax: int) -> np.ndarray:
-    """sum_i w_i (z t_i)^p as a vector over p = 0..pmax."""
-    return _rule_sum(w, np.power.outer(z * t, np.arange(pmax + 1)))
-
-
 # The one node 1 with weight 1, whose rule sums are point values.  It has no node
 # axis: a length-1 axis would cost the term loops of its tables a tenth of their time.
 _ONE_NODE = (np.float64(1.0), np.float64(1.0))
@@ -407,18 +399,19 @@ def phi_k_q(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
 # ---------------------------------------------------------------------------
 
 
-def _lattice_size(ctx: QContext, decay: float = 1.0, scale: float = 1.0) -> int:
+def _lattice_size(ctx: QContext, decay: float = 1.0) -> int:
     n = math.ceil(math.log(ctx.jackson_tail_tol) / (decay * math.log(ctx.q)))
-    return int(max(40, n + 8) * scale)
+    return max(40, n + 8)
 
 
-def jackson_integral(f, k: int, ctx: QContext, scale: float = 1.0):
+def jackson_integral(f, k: int, ctx: QContext):
     """k-dimensional Jackson integral (1-q)^k sum_n f(q^n) q^(n1+...+nk).
 
     f receives open-mesh arrays of lattice values and must broadcast.  Each
-    axis starts at max(40, log_q tail_tol) points and grows through _grow until
-    its boundary slab of the weighted sum is within tail_tol (margin 1);
-    ConvergenceError when it reaches its cap first.
+    axis starts at max(40, log_q ctx.jackson_tail_tol) points and grows
+    through _grow until its boundary slab of the weighted sum is within that
+    tolerance (margin 1); ConvergenceError when it reaches its cap first.  The
+    tolerance is the only cut-off: a smaller one gives longer lattices.
     """
     if not (1 <= k <= 3):
         raise DomainError("jackson_integral supports dimensions 1..3")
@@ -433,7 +426,7 @@ def jackson_integral(f, k: int, ctx: QContext, scale: float = 1.0):
         return weighted.sum(), _face_tails(weighted), 0.0, weighted.size
 
     cap = {1: 20000, 2: 2000, 3: 500}[k]
-    r = _grow(build, [_lattice_size(ctx, 1.0, scale)] * k, [cap] * k, ctx.jackson_tail_tol, 1.0)
+    r = _grow(build, [_lattice_size(ctx)] * k, [cap] * k, ctx.jackson_tail_tol, 1.0)
     if not r.converged:
         raise ConvergenceError("Jackson lattice tail bound not met at cutoff cap")
     return r.value
@@ -526,16 +519,17 @@ def _measure_decay(spec: QMeasureSpec) -> float:
     return (e + g - a - b).real
 
 
-def q_measure_rule(spec: QMeasureSpec, scale: float = 1.0):
+def q_measure_rule(spec: QMeasureSpec):
     """Lattice nodes and effective weights of a q-measure, so that
-    integral(f d mu) ~ weights @ f(nodes).  The lattice doubles until its tail
-    bound holds, and evaluates only the nodes it adds.  It stops at 4000 nodes,
-    or sooner at the last n whose q^n is a normal double: past it t = 0 and
-    t^(a-1) is not finite."""
+    integral(f d mu) ~ weights @ f(nodes).  The lattice starts where the
+    measure's decay reaches spec.ctx.jackson_tail_tol and doubles until its
+    tail bound, relative to that tolerance, holds, evaluating only the nodes
+    it adds.  It stops at 4000 nodes, or sooner at the last n whose q^n is a
+    normal double: past it t = 0 and t^(a-1) is not finite."""
     ctx = spec.ctx
     q = ctx.q
     cap = min(4000, math.floor(math.log(np.finfo(np.float64).tiny) / math.log(q)))
-    N = min(cap, _lattice_size(ctx, max(_measure_decay(spec), 0.05), scale))
+    N = min(cap, _lattice_size(ctx, max(_measure_decay(spec), 0.05)))
     t = w = np.empty(0)
     for _ in range(4):
         n = np.arange(t.size, N)
@@ -560,8 +554,7 @@ def q_moment(spec: QMeasureSpec, ell: int):
     q = spec.ctx.q
     if isinstance(spec, QDirichletMeasure):
         a, b = complex(spec.alpha), complex(spec.beta)
-        num = q_pochhammer_table(q**a, ell, q)[ell]
-        den = q_pochhammer_table(q ** (a + b), ell, q)[ell]
+        num, den = _q_tables([q**a, q ** (a + b)], ell, q)[:, ell]
         return _as_scalar(num / den)
     a, b, g, e = (complex(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
     # Slot solve: the measure was built from (eta-lam, gam-lam,
@@ -570,12 +563,8 @@ def q_moment(spec: QMeasureSpec, ell: int):
     lam = e + g - a - b
     eta_big = a + lam
     gam_big = b + lam
-    num = q_pochhammer_table(q**nu, ell, q)[ell] * q_pochhammer_table(q**lam, ell, q)[ell]
-    den = (
-        q_pochhammer_table(q**gam_big, ell, q)[ell]
-        * q_pochhammer_table(q**eta_big, ell, q)[ell]
-    )
-    return _as_scalar(num / den)
+    qnu, qlam, qgam, qeta = _q_tables([q**nu, q**lam, q**gam_big, q**eta_big], ell, q)[:, ell]
+    return _as_scalar(qnu * qlam / (qgam * qeta))
 
 
 # ---------------------------------------------------------------------------
@@ -721,26 +710,11 @@ class DiscreteFkParams:
     mu3: float
 
 
-def _qp(base, n, q):
-    return q_pochhammer_table(base, n, q)[n]
-
-
 def _check_indices(**indices):
     """DomainError unless every index is a non-negative int."""
     for name, k in indices.items():
         if not isinstance(k, (int, np.integer)) or k < 0:
             raise DomainError(f"{name} must be a non-negative int, got {k!r}")
-
-
-def _qp_ld(bases, n: int, q: float, shift=0) -> np.ndarray:
-    """(b q^shift; q)_k for k = 0..n and each base b, on a new last axis, in
-    long double.  The integer powers of q are long double too, so base 1 with
-    shift -i is (q^-i; q), exactly zero past k = i."""
-    powers = np.longdouble(q) ** (np.arange(n) + np.asarray(shift)[..., None])
-    f = 1 - np.asarray(bases, np.longdouble)[..., None] * powers
-    out = np.ones(f.shape[:-1] + (n + 1,), np.longdouble)
-    np.cumprod(f, axis=-1, out=out[..., 1:])
-    return out
 
 
 def _discrete_weights(which: str, r: int, p: DiscreteFkParams, q: float) -> np.ndarray:
@@ -754,10 +728,10 @@ def _discrete_weights(which: str, r: int, p: DiscreteFkParams, q: float) -> np.n
     a, g, lam, mu = pars[which]
     i = np.arange(r + 1)
     exps = (1.0, a, g, lam, mu, g - mu + (lam - a), lam - a, g - a, 1 - r - a)
-    qq, qa, qg, ql, qm, qgl, qla, qga, qra = _qp_ld([q**e for e in exps], r, q)
+    qq, qa, qg, ql, qm, qgl, qla, qga, qra = _q_tables([q**e for e in exps], r, np.longdouble(q))
     phi = 1.0
     if which != "w3":
-        coef = qla * qga / (qq * qgl * qra) * _qp_ld(1.0, r, q, i - r)
+        coef = qla * qga / (qq * qgl * qra) * _q_tables(1.0, r, np.longdouble(q), i - r)
         phi = (coef * np.longdouble(q ** (1 - i - mu))[:, None] ** i).sum(axis=1)
     w = qa[r] * qq[r] / (qg[r] * ql[r]) * qgl[r - i] / qq[r - i] * qm[i] / qq[i]
     w = w * phi * q ** ((r - i) * mu)
@@ -784,17 +758,18 @@ def _fk_discrete_sum(q: float, a2, b1, axes):
     at r.  Where np.longdouble is plain double (Windows, macOS arm64), the
     accuracy is that of float64.
     """
+    lq = np.longdouble(q)
     vecs = []
     for upper, lower, w in axes:
         R = len(w) - 1
         m = np.arange(R + 1)
-        qq, *tabs = _qp_ld([q, *upper, *lower], R, q)
-        vec = np.asarray(w, np.longdouble) @ _qp_ld(1.0, R, q, -m) * np.longdouble(q) ** m / qq
+        qq, *tabs = _q_tables([q, *upper, *lower], R, lq)
+        vec = np.asarray(w, np.longdouble) @ _q_tables(1.0, R, lq, -m) * lq**m / qq
         vecs.append(vec * np.prod(tabs[: len(upper)], axis=0) / np.prod(tabs[len(upper) :], axis=0))
     X, Y, Z = vecs
     p = np.arange(len(Z))
-    YA = (Y[:, None] * _qp_ld(a2, len(Y) + len(Z), q)[np.arange(len(Y))[:, None] + p]).sum(axis=0)
-    XB = (X[:, None] * _qp_ld(b1, len(X) + len(Z), q)[np.arange(len(X))[:, None] + p]).sum(axis=0)
+    YA = (Y[:, None] * _q_tables(a2, len(Y) + len(Z), lq)[np.arange(len(Y))[:, None] + p]).sum(axis=0)
+    XB = (X[:, None] * _q_tables(b1, len(X) + len(Z), lq)[np.arange(len(X))[:, None] + p]).sum(axis=0)
     return (Z * YA * XB).sum()
 
 
@@ -859,32 +834,26 @@ def gasper_discrete_3phi2(alpha, beta, gamma_, delta, lam, mu, nu, n: int, ctx: 
     q = ctx.q
     gmln = gamma_ * mu / (lam * nu)
     _check_lower_poles([gamma_, mu, lam, nu, delta, gmln], q)
-    pref = _qp(q, n, q) * _qp(lam, n, q) / (_qp(gamma_, n, q) * _qp(mu, n, q))
-    qtab = q_pochhammer_table(q, n, q)
-    nutab = q_pochhammer_table(nu, n, q)
-    gmtab = q_pochhammer_table(gmln, n, q)
-    total = 0.0
-    for k in range(n + 1):
-        inner3 = _checked(*_rphis_array(
-            [mu / lam, gamma_ / lam, q ** float(k - n)],
-            [gmln, q ** float(1 - n) / lam],
-            q ** float(1 - k) / nu,
-            ctx,
-            terminate_after=n - k,
-        ))
-        inner4 = _checked(*_rphis_array(
-            [alpha, beta, mu, q ** float(-k)],
-            [lam, nu, delta],
-            q,
-            ctx,
-            terminate_after=k,
-        ))
-        total += (
-            nutab[k]
-            * gmtab[n - k]
-            / (qtab[k] * qtab[n - k])
-            * nu ** (n - k)
-            * float(inner3[()])
-            * float(inner4[()])
-        )
-    return pref * total
+    qtab, ltab, gtab, mtab, nutab, gmtab = _q_tables([q, lam, gamma_, mu, nu, gmln], n, q)
+    pref = qtab[n] * ltab[n] / (gtab[n] * mtab[n])
+    # Both inner series for every k at once, each cut at its own last term;
+    # their powers of q are Python float powers.
+    k = np.arange(n + 1)
+    inner3 = _checked(*_rphis_array(
+        [mu / lam, gamma_ / lam, np.array([q ** float(j - n) for j in k])],
+        [gmln, q ** float(1 - n) / lam],
+        np.array([q ** float(1 - j) / nu for j in k]),
+        ctx,
+        terminate_after=n - k,
+    ))
+    inner4 = _checked(*_rphis_array(
+        [alpha, beta, mu, np.array([q ** float(-j) for j in k])],
+        [lam, nu, delta],
+        q,
+        ctx,
+        terminate_after=k,
+    ))
+    nu_pow = np.array([nu ** (n - j) for j in range(n + 1)])
+    terms = nutab * gmtab[::-1] / (qtab * qtab[::-1]) * nu_pow * inner3 * inner4
+    # cumsum adds the k terms in order, as a running total would
+    return pref * np.cumsum(terms)[-1]

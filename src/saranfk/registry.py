@@ -44,7 +44,9 @@ class EvalSettings:
 
     quad_order applies to 1-D and 2-D classical integrals, quad_order_triple
     per axis of 3-D ones and quad_order_quad per axis of 4-D ones.
-    jackson_scale stretches every q-lattice cutoff (refinement knob).
+    jackson_tail_tol sets every q-lattice cut-off: the q-measure rules and
+    Jackson integrals stop where their tails fall below it, and the limit
+    weights of fk-discrete-limits where they fall below jackson_tail_tol/1e4.
     """
 
     q: float = 0.5
@@ -53,14 +55,14 @@ class EvalSettings:
     quad_order_quad: int = 24
     series_tol: float = 1e-12
     jackson_tail_tol: float = 1e-10
-    jackson_scale: float = 1.0
 
     @property
     def qctx(self) -> QContext:
         return QContext(q=self.q, jackson_tail_tol=self.jackson_tail_tol)
 
     def refined(self) -> "EvalSettings":
-        """Doubled quadrature orders and Jackson cutoffs.
+        """Doubled quadrature orders and a squared jackson_tail_tol, which
+        about doubles every q-lattice cut-off.
 
         Series tolerances are left alone: at the rounding floor, re-stopping
         a series changes the residual by noise, which is what the refinement
@@ -71,7 +73,7 @@ class EvalSettings:
             quad_order=min(256, self.quad_order * 2),
             quad_order_triple=min(256, self.quad_order_triple * 2),
             quad_order_quad=min(128, self.quad_order_quad * 2),
-            jackson_scale=self.jackson_scale * 2.0,
+            jackson_tail_tol=self.jackson_tail_tol**2,
         )
 
     def with_q(self, q: float) -> "EvalSettings":

@@ -551,7 +551,10 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
     """Generalized hypergeometric sum_n prod(upper)_n / prod(lower)_n z^n / n!.
 
     Entire for p <= q; requires |z| < 1 for p = q + 1 unless an upper
-    parameter terminates the series.
+    parameter terminates the series.  The estimate is the larger of the tail
+    estimate and the rounding term eps (sum|t_n| + sqrt(n) |S|) / (1 + |S|),
+    and the result is converged only when it is at most tol; the sum stops
+    on the tail alone.
     """
     upper = [_snap_terminating(u) for u in upper]
     for ell in lower:
@@ -570,6 +573,7 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
     small = 0
     n = 0
     est = math.inf
+    abs_sum = 1.0
     while n < max_terms:
         num = 1.0
         for u in upper:
@@ -580,6 +584,7 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
         term = term * num / den * z
         total += term
         n += 1
+        abs_sum += abs(term)
         est = _tail_est(abs(term), margin, total)
         if est <= tol:
             small += 1
@@ -587,7 +592,8 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
                 break
         else:
             small = 0
-    return SeriesResult(_as_scalar(total), n, small >= 3, est)
+    est = max(est, _tail_est(_EPS * (abs_sum + math.sqrt(n) * abs(total)), 1.0, total))
+    return SeriesResult(_as_scalar(total), n, small >= 3 and est <= tol, est)
 
 
 # ---------------------------------------------------------------------------

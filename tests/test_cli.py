@@ -50,6 +50,13 @@ class TestEval:
         assert code == 0
         assert float(re.search(r"value: ([\d.eE+-]+)", out).group(1)) == pytest.approx(1.0)
 
+    def test_qgamma_negative_real(self, capsys):
+        # Gamma_q at a real negative non-integer is a real number, printed as one.
+        code, out, _ = run_cli(capsys, "eval", "qgamma", "--x", "-0.5", "--q", "0.5")
+        assert code == 0
+        value = re.fullmatch(r"value: (\S+)\n", out).group(1)
+        assert float(value) == pytest.approx(-1.8976113635438452, rel=1e-13)
+
     def test_pole_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "2f1", "--a", "1", "--b", "1", "--c", "-2", "--z", "0.5")
         assert code == 2
@@ -206,6 +213,18 @@ class TestList:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert {"id", "anchor", "cost_class", "tol"} <= set(rows[0])
 
+    def test_csv(self, capsys):
+        import csv
+        import io
+
+        from saranfk import builtin_registry
+
+        code, out, _ = run_cli(capsys, "list", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["id", "anchor", "cost_class", "tol"]
+        assert rows[1:] == [[c.id, c.anchor, c.cost_class, str(c.tol)] for c in builtin_registry()]
+
     def test_python_m_saranfk(self):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH="src")
@@ -332,3 +351,45 @@ class TestVerify:
         assert code == 0
         header = out.splitlines()[0]
         assert header.startswith("id,anchor,q,samples,max_rel_residual,pass")
+
+
+# A stored json-lines report with fixed wall times and one failing record,
+# and the stdout of `report` in each format.
+STORED_REPORT = (
+    '{"anchor": "Eq. (1.2)", "failures": [], "id": "euler-1", "max_rel_residual": 1.2345e-14,'
+    ' "pass": true, "q": null, "samples": 10, "wall_time_ms": 12.25}\n'
+    '{"anchor": "Eq. (2.1)", "failures": [{"params": {"alpha": 0.5, "x": 0.1}, "residual": 0.003}],'
+    ' "id": "gasper-q-erdelyi-1", "max_rel_residual": 0.003, "pass": false, "q": 0.5, "samples": 8,'
+    ' "wall_time_ms": 250.0}\n'
+)
+REPORT_GOLDEN = {
+    "json": STORED_REPORT,
+    "csv": (
+        "id,anchor,q,samples,max_rel_residual,pass,wall_time_ms,failures\r\n"
+        "euler-1,Eq. (1.2),,10,1.234500e-14,True,12.2,0\r\n"
+        "gasper-q-erdelyi-1@q=0.5,Eq. (2.1),0.5,8,3.000000e-03,False,250.0,1\r\n"
+    ),
+    "human": (
+        "PASS  euler-1                      Eq. (1.2)                  residual 1.235e-14"
+        "  (10 samples, 12 ms)\n"
+        "FAIL  gasper-q-erdelyi-1@q=0.5     Eq. (2.1)                  residual 3.000e-03"
+        "  (8 samples, 250 ms)\n"
+    ),
+}
+
+
+class TestReport:
+    @pytest.mark.parametrize("fmt", sorted(REPORT_GOLDEN))
+    def test_stored_stdout(self, capsys, tmp_path, fmt):
+        target = tmp_path / "report.jsonl"
+        target.write_text(STORED_REPORT)
+        code, out, err = run_cli(capsys, "report", str(target), "--format", fmt)
+        assert (code, out, err) == (1, REPORT_GOLDEN[fmt], "")
+
+    def test_missing_field_named(self, capsys, tmp_path):
+        target = tmp_path / "report.jsonl"
+        record = json.loads(STORED_REPORT.splitlines()[0])
+        del record["samples"]
+        target.write_text(json.dumps(record) + "\n")
+        code, out, err = run_cli(capsys, "report", str(target))
+        assert (code, out, err) == (2, "", "error: report record lacks the field 'samples'\n")

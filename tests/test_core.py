@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings
@@ -221,3 +222,23 @@ class TestQBinomial:
             for p in range(k + 1)
         )
         assert total == pytest.approx(q_pochhammer(q**a, k, ctx05), rel=1e-12)
+
+
+class TestQGammaRealNegative:
+    """Gamma_q and B_q at real negative non-integers are real numbers."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    @pytest.mark.parametrize("x", [-0.5, -1.5, -2.7])
+    def test_against_mpmath(self, x, q):
+        got = q_gamma(x, QContext(q=q))
+        with mpmath.workdps(30):
+            want = float(mpmath.qgamma(x, q))
+        assert type(got) is float
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_q_beta_real(self, ctx05):
+        got = q_beta(-0.5, 2, ctx05)
+        with mpmath.workdps(30):
+            want = float(mpmath.qgamma(-0.5, 0.5) * mpmath.qgamma(2, 0.5) / mpmath.qgamma(1.5, 0.5))
+        assert type(got) is float
+        assert abs(got - want) <= 1e-13 * abs(want)

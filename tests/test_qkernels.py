@@ -37,7 +37,13 @@ from saranfk import (
     saran_fk_triple,
     verify_identity,
 )
-from saranfk.core import q_pochhammer, q_pochhammer_inf, q_pochhammer_inf_ratio, q_pochhammer_table
+from saranfk.core import (
+    _q_tables,
+    q_pochhammer,
+    q_pochhammer_inf,
+    q_pochhammer_inf_ratio,
+    q_pochhammer_table,
+)
 from saranfk import q_cases
 from saranfk.qkernels import (
     _lattice_size,
@@ -688,3 +694,70 @@ class TestGasperDiscrete:
                             [args["gamma_"], args["delta"]], q, ctx05).value)
         rhs = gasper_discrete_3phi2(**args, n=n, ctx=ctx05)
         assert abs(lhs - rhs) < 1e-13 * (1 + abs(lhs))
+
+
+def _long_double_tables(bases, n, q, shift=0):
+    """The long-double (b q^shift; q)_k tables as the discrete sums formed them
+    before core._q_tables: bases cast to long double first."""
+    powers = np.longdouble(q) ** (np.arange(n) + np.asarray(shift)[..., None])
+    f = 1 - np.asarray(bases, np.longdouble)[..., None] * powers
+    out = np.ones(f.shape[:-1] + (n + 1,), np.longdouble)
+    np.cumprod(f, axis=-1, out=out[..., 1:])
+    return out
+
+
+class TestQTables:
+    """core._q_tables, the one broadcasting (a;q)_k table, equals the scalar
+    tables bit for bit in float64 and the long-double tables in long double."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    @pytest.mark.parametrize("bases", [
+        [0.3, 0.7, 1.9, -0.4],
+        [0.3 + 0.2j, 0.5 - 0.1j, 1.2 + 0.7j],
+        [0.3 + 0j, 0.7 + 0j, 1.9 + 0j],
+    ], ids=["real", "complex", "complex-zero-imag"])
+    def test_scalar_rows(self, bases, q):
+        got = _q_tables(bases, 12, q)
+        want = np.stack([q_pochhammer_table(b, 12, q) for b in bases])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_long_double(self, q):
+        bases = [q, q**0.3, q**1.7, 0.45, q**-0.6]
+        got = _q_tables(bases, 9, np.longdouble(q))
+        assert got.dtype == np.longdouble
+        # Equal values are equal bits here; tobytes would also compare the
+        # padding bytes of the 80-bit format.
+        assert np.array_equal(got, _long_double_tables(bases, 9, q))
+        i = np.arange(6)
+        shifted = _q_tables(1.0, 5, np.longdouble(q), i - 5)
+        assert np.array_equal(shifted, _long_double_tables(1.0, 5, q, i - 5))
+        # base 1 with shift -i is (q^-i; q): exactly zero past k = i
+        for row, k in zip(shifted, 5 - i):
+            assert np.all(row[k + 1 :] == 0) and np.all(row[: k + 1] != 0)
+
+
+class TestLimitWeightsAreQMeasures:
+    """The limit weights of Eqs. (4.6)-(4.8) are the lattice weights of the
+    q-measures of Theorem 4.1: two implementations that share no code."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_weights_agree(self, q):
+        ctx = QContext(q=q)
+        for pt in sample_parameters(registry_lookup("fk-discrete-limits"), 42, 5):
+            v = pt.values
+            p = DiscreteFkParams(**{f.name: v[f.name] for f in dataclasses.fields(DiscreteFkParams)})
+            specs = {
+                f"w{j}": QHypergeometricMeasure(
+                    v[f"lam{j}"] - v[a], v[f"gamma{j}"] - v[a],
+                    v[f"gamma{j}"] + v[f"lam{j}"] - v[a] - v[f"mu{j}"], v[f"mu{j}"], ctx,
+                )
+                for j, a in ((1, "alpha1"), (2, "beta2"))
+            }
+            specs["w3"] = QDirichletMeasure(v["mu3"], v["gamma3"] - v["mu3"], ctx)
+            for which, spec in specs.items():
+                t, w = q_measure_rule(spec)
+                assert np.array_equal(t, q ** np.arange(len(w), dtype=np.float64))
+                lim = discrete_weight_limit(which, np.arange(len(w)), p, ctx)
+                assert np.max(np.abs(lim - w)) <= 1e-14, which

@@ -353,3 +353,26 @@ class TestManochaRows:
             assert np.all(np.abs(got - want) <= 1e-11 * (1 + np.abs(want)))
         got = _f2_rows(*first, V * y, tw * z, M + 1, settings.series_tol)
         assert np.all(np.abs(got - f2_box(*first, V * y, W * z, M)) <= 1e-11)
+
+
+class TestRefinedLattices:
+    """refined() squares jackson_tail_tol, so every q-lattice grows: the
+    fk-discrete-limits weight lattices of the seed-42 points are longer."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_fk_limits_weight_lattices_grow(self, monkeypatch, q):
+        case = registry_lookup("fk-discrete-limits")
+        sizes = []
+
+        def lattice_sizes(p, v, s, rules, extra=()):
+            sizes.append([len(w) for _, w in rules])
+            return 0.0
+
+        monkeypatch.setattr(q_cases, "_phi_k_value", lattice_sizes)
+        base = EvalSettings(q=q)
+        points = sample_parameters(case, 42, case.default_samples)
+        for settings in (base, base.refined()):
+            for pt in points:
+                case.rhs(pt, settings)
+        default, refined = np.array(sizes).reshape(2, len(points), 3)
+        assert np.all(refined > default)

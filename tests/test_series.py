@@ -601,3 +601,25 @@ class TestTolHalving:
         r2 = appell_f2(0.5, 0.5, 0.5, 1.5, 1.5, 0.3, 0.35, tol=5e-9)
         allowed = r1.est_trunc_error * (1 + abs(complex(r1.value)))
         assert abs(complex(r1.value) - complex(r2.value)) <= allowed
+
+
+class TestPfqRounding:
+    """hyper_pfq carries a rounding term: a cancelling sum is not converged,
+    and a converged value is within its estimate of mpmath."""
+
+    def test_cancelling_sum_not_converged(self):
+        r = hyper_pfq([0.5], [1.5], -40.0)
+        assert not r.converged
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp1f1(0.5, 1.5, -40.0))
+        assert abs(r.value - want) <= r.est_trunc_error * (1.0 + abs(r.value))
+
+    @pytest.mark.parametrize("upper,lower", [([0.5], [1.5]), ([1.3], [2.7]), ([], [1.5]), ([], [0.3])])
+    def test_converged_bounds_error(self, upper, lower):
+        for z in np.linspace(-40.0, 40.0, 81):
+            r = hyper_pfq(upper, lower, float(z))
+            if not r.converged:
+                continue
+            with mpmath.workdps(30):
+                want = complex(mpmath.hyper(upper, lower, z))
+            assert abs(r.value - want) <= r.est_trunc_error * (1.0 + abs(r.value)), z
