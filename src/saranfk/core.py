@@ -153,18 +153,37 @@ def q_pochhammer_table(a, nmax: int, q: float) -> np.ndarray:
     return out
 
 
+def q_termination_index(base, q: float, tol: float = 1e-9):
+    """Return n when base == q^{-n} for some integer n >= 0, else None."""
+    b = complex(base)
+    if abs(b) < 1.0 + 1e-12:
+        return 0 if abs(b - 1.0) < tol else None
+    n = round(-math.log(abs(b)) / math.log(q))
+    if n >= 0 and abs(b * q**n - 1.0) < tol:
+        return n
+    return None
+
+
 def _q_tables(bases, n: int, q, shift=0) -> np.ndarray:
     """(b q^shift; q)_k for k = 0..n and each base b, on a new last axis, in
     the dtype of q: np.longdouble(q) gives long-double tables, whose integer
-    powers of q are long double too, so base 1 with shift -i is (q^-i; q),
-    exactly zero past k = i.  Complex bases with zero imaginary parts give a
-    real table."""
+    powers of q are long double too.  Complex bases with zero imaginary parts
+    give a real table.  Where b q^shift is q^-r (q_termination_index), the
+    entries past k = r are exact zeros, as the series built from them end
+    there; other rows equal q_pochhammer_table's bit for bit."""
     bases = np.asarray(bases)
     if np.iscomplexobj(bases) and not bases.imag.any():
         bases = bases.real
     f = 1 - bases[..., None] * q ** (np.arange(n) + np.asarray(shift)[..., None])
     out = np.ones(f.shape[:-1] + (n + 1,), f.dtype)
     np.cumprod(f, axis=-1, out=out[..., 1:])
+    lead = (1 - f[..., :1]).ravel()  # b q^shift
+    rows = out.reshape(-1, n + 1)
+    big = (abs(lead) > 1.0 - 1e-9).nonzero()[0]
+    for j, b in zip(big.tolist(), lead[big].tolist()):
+        r = q_termination_index(b, float(q))
+        if r is not None:
+            rows[j, r + 1 :] = 0.0
     return out
 
 
@@ -252,5 +271,5 @@ def q_binomial(k: int, p: int, ctx: QContext):
     """Gaussian binomial coefficient (q;q)_k / ((q;q)_p (q;q)_{k-p})."""
     if not (0 <= p <= k):
         raise ValueError(f"q_binomial requires 0 <= p <= k, got k={k}, p={p}")
-    tab = q_pochhammer_table(ctx.q, k, ctx.q)
+    tab = _q_tables(ctx.q, k, ctx.q)
     return float(tab[k] / (tab[p] * tab[k - p]))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical_cases import ERDELYI_HYPOTHESES, erdelyi_fk, fk_params, fk_point
-from .core import _q_tables, q_pochhammer_inf, q_pochhammer_table
+from .core import _q_tables, q_pochhammer_inf
 from .measures import _moment_powers
 from .qkernels import (
     _ONE_NODE,
@@ -207,6 +207,9 @@ def _sample_joshi_vyas(rng) -> ParameterPoint:
 
 def _jv_coeff_tensor(v, k: int, mode: str, sizes, q: float) -> np.ndarray:
     """Coefficient tensor c(n1..nk) on the truncation box."""
+    # rows: (q^seq_a_j; q) for each axis, (q; q), then the joint (q^seq_b; q)
+    seq_a = [q ** v[f"seq_a{j}"] for j in range(1, k + 1)]
+    tabs = _q_tables([*seq_a, q, q ** v["seq_b"]], sum(sizes) - k, q)
     axes = []
     for j in range(1, k + 1):
         n = sizes[j - 1]
@@ -215,7 +218,7 @@ def _jv_coeff_tensor(v, k: int, mode: str, sizes, q: float) -> np.ndarray:
             deg = min(4, n - 1)
             vec[: deg + 1] = v[f"seq_r{j}"] ** np.arange(deg + 1) / (1.0 + np.arange(deg + 1))
         else:
-            vec = np.divide(*_q_tables([q ** v[f"seq_a{j}"], q], n - 1, q))
+            vec = tabs[j - 1, :n] / tabs[k, :n]
         axes.append(vec)
     tensor = axes[0].reshape((-1,) + (1,) * (k - 1))
     for j in range(1, k):
@@ -223,9 +226,7 @@ def _jv_coeff_tensor(v, k: int, mode: str, sizes, q: float) -> np.ndarray:
         shape[j] = sizes[j]
         tensor = tensor * axes[j].reshape(shape)
     if mode == "hyper":
-        joint = q_pochhammer_table(q ** v["seq_b"], sum(sizes) - k, q)
-        grids = np.indices(sizes).sum(axis=0)
-        tensor = tensor * joint[grids]
+        tensor = tensor * tabs[k + 1][np.indices(sizes).sum(axis=0)]
     return tensor
 
 
@@ -601,13 +602,15 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
     tv, wv = _dirichlet_rule(v["beta2"], v["mu2"], s)
     tw, ww = _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s)
     K = _series_len(abs(z), s.series_tol, 8, 240)
-    cK = q_pochhammer_table(q ** v["alpha2"], K, q) / q_pochhammer_table(q, K, q)
     baseU = tu * x * q ** v["beta1"]
     baseV = tv * y * q ** v["alpha2"]
     prefU = q_pochhammer_inf(baseU, ctx) / q_pochhammer_inf(tu * x, ctx)
     prefV = q_pochhammer_inf(baseV, ctx) / q_pochhammer_inf(tv * y, ctx)
-    SU = (wu * prefU) @ (1.0 / _q_tables(baseU, K, q))
-    SV = (wv * prefV) @ (1.0 / _q_tables(baseV, K, q))
+    # rows: (q^alpha2; q), (q; q), then one per u node and one per v node
+    tabs = _q_tables(np.concatenate([[q ** v["alpha2"], q], baseU, baseV]), K, q)
+    cK = tabs[0] / tabs[1]
+    SU = (wu * prefU) @ (1.0 / tabs[2 : 2 + len(tu)])
+    SV = (wv * prefV) @ (1.0 / tabs[2 + len(tu) :])
     SW = _moment_powers(tw, ww, z, K)
     return complex((cK * SU * SV * SW).sum())
 

@@ -23,7 +23,9 @@ with the boundary slabs as tails, and the first sizes of the series and of
 the Phi_K p-sum come from series._series_len, as in series.  q_measure_rule
 keeps its own cut-off: it returns a lattice rule, not a sum, and evaluates
 only the nodes a doubled lattice adds.  Tables follow the dtype of their
-inputs: real exponents and arguments sum in float64.
+inputs: real exponents and arguments sum in float64.  Every (a;q)_k table
+comes from core._q_tables, which stacks the bases of a build in one call; the
+row of a base q^-r is exactly zero past k = r, as the terms of r_phi_s are.
 
 Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
 decomposition against three lattice rules, and `_shift_sum` the one
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -47,11 +50,13 @@ from .core import (
     q_gamma,
     q_pochhammer_inf,
     q_pochhammer_inf_ratio,
-    q_pochhammer_table,
+    q_termination_index,
 )
 from .errors import ConvergenceError, DomainError, PoleError
 from .measures import _moment_powers, _rule_sum
-from .series import FkParams, SeriesResult, _checked, _face_tails, _grow, _series_len, _sum_terms
+from .series import (
+    FkParams, SeriesResult, _Same, _checked, _face_tails, _grow, _series_len, _sum_terms,
+)
 
 __all__ = [
     "Phi3Spec",
@@ -71,17 +76,6 @@ __all__ = [
     "discrete_weight_limit",
     "gasper_discrete_3phi2",
 ]
-
-
-def q_termination_index(base, q: float, tol: float = 1e-9):
-    """Return n when base == q^{-n} for some integer n >= 0, else None."""
-    b = complex(base)
-    if abs(b) < 1.0 + 1e-12:
-        return 0 if abs(b - 1.0) < tol else None
-    n = round(-math.log(abs(b)) / math.log(q))
-    if n >= 0 and abs(b * q**n - 1.0) < tol:
-        return n
-    return None
 
 
 def _check_lower_poles(lowers, q: float, below: int | None = None):
@@ -124,7 +118,7 @@ def _rphis_array(
         nsteps = max_terms
     cplx = any(np.iscomplexobj(a) for a in arrays)
     dtype = np.complex128 if cplx else np.float64
-    zc = np.asarray(z).astype(dtype)
+    zop = _Same(np.asarray(z).astype(dtype))
     sign = -1.0 if spow % 2 else 1.0
     # Ratios span the parameters' axes, or all axes when terminate_after does.
     pdim = len(shape) if ta is not None else max((a.ndim for a in arrays[:-1]), default=0)
@@ -154,7 +148,7 @@ def _rphis_array(
         ratio = num / den
         if ta is not None:
             ratio = np.where(live, ratio, 0.0)
-        ops = [(np.multiply, ratio), (np.multiply, [zc] * W)]
+        ops = [(np.multiply, ratio), (np.multiply, zop)]
         if spow:
             ops.append((np.multiply, [sign * q ** (ell * spow) for ell in ells]))
         return ops, poles
@@ -252,54 +246,35 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
     # A terminating axis is summed to its last nonzero term already.
     complete = [i for i, t in enumerate((tm, tn, tp)) if t]
 
-    def tab(group, upto):
-        out = None
-        for v in group:
-            t = q_pochhammer_table(v, upto, q)
-            out = t if out is None else out * t
-        return out
+    # One stacked table call per build: q for the (q; q) factors, then each
+    # group's bases, the base 0 (a table of ones) for an empty group, so that
+    # one reduceat multiplies out every group's rows.
+    groups = (spec.c, spec.h, spec.cp, spec.hp, spec.cpp, spec.hpp,
+              spec.a, spec.e, spec.b, spec.g, spec.bp, spec.gp, spec.bpp, spec.gpp)
+    filled = [group or (0.0,) for group in groups]
+    bases = [q, *(v for group in filled for v in group)]
+    starts = list(accumulate((len(group) for group in filled[:-1]), initial=1))
 
     def build(sizes):
         M, N, P = sizes
         m = np.arange(M)[:, None, None]
         n = np.arange(N)[None, :, None]
         p = np.arange(P)[None, None, :]
-        qfact = q_pochhammer_table(q, max(M, N, P) - 1, q)
+        tables = _q_tables(bases, M + N + P - 3, q)
+        qfact = tables[0]
+        prods = np.multiply.reduceat(tables, starts, axis=0)
 
-        def axis_vec(val, length, num_group, den_group):
-            f = np.arange(length)
-            vec = np.power(val if val.imag else val.real, f) / qfact[:length]
-            tnum = tab(num_group, length - 1)
-            if tnum is not None:
-                vec = vec * tnum
-            tden = tab(den_group, length - 1)
-            if tden is not None:
-                vec = vec / tden
-            return vec
+        def axis_vec(val, length, num, den):
+            vec = np.power(val if val.imag else val.real, np.arange(length)) / qfact[:length]
+            return vec * num[:length] / den[:length]
 
-        vx = axis_vec(x, M, spec.c, spec.h)
-        vy = axis_vec(y, N, spec.cp, spec.hp)
-        vz = axis_vec(z, P, spec.cpp, spec.hpp)
+        vx = axis_vec(x, M, *prods[0:2])
+        vy = axis_vec(y, N, *prods[2:4])
+        vz = axis_vec(z, P, *prods[4:6])
         tensor = vx[:, None, None] * vy[None, :, None] * vz[None, None, :]
-
-        def joint(num_group, den_group, idx):
-            upto = sum(idx.shape) - idx.ndim  # the largest index in idx
-            tnum = tab(num_group, upto)
-            tden = tab(den_group, upto)
-            if tnum is None and tden is None:
-                return None
-            vals = tnum if tnum is not None else np.ones(upto + 1)
-            if tden is not None:
-                vals = vals / tden
-            return vals[idx]
-
-        for num_group, den_group, idx in (
-            (spec.a, spec.e, m + n + p), (spec.b, spec.g, m + n),
-            (spec.bp, spec.gp, n + p), (spec.bpp, spec.gpp, m + p),
-        ):
-            j = joint(num_group, den_group, idx)
-            if j is not None:
-                tensor = tensor * j
+        for j, idx in zip((6, 8, 10, 12), (m + n + p, m + n, n + p, m + p)):
+            if groups[j] or groups[j + 1]:
+                tensor = tensor * (prods[j] / prods[j + 1])[idx]
         return tensor.sum(), _face_tails(tensor, complete), 0.0, tensor.size
 
     return _grow(build, sizes, [96, 96, 96], tol, 0.2)
@@ -337,11 +312,8 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
     q = ctx.q
     (u1, l1), (u2, l2), (u3, l3) = [([q**u], [q**l]) for u, l in extra] or [([], [])] * 3
     qa2, qb1 = q**p.alpha2, q**p.beta1
-
-    def tab(*bases):
-        return np.prod([q_pochhammer_table(b, pmax, q) for b in bases], axis=0)
-
-    coef = tab(qa2, qb1, *u3) / tab(q**p.gamma3, *l3, q)
+    tables = _q_tables([qa2, qb1, *u3, q**p.gamma3, *l3, q], pmax, q)
+    coef = np.divide(*np.multiply.reduceat(tables, [0, 2 + len(u3)], axis=0))
     shifts = q ** np.arange(pmax + 1, dtype=np.float64)
     A, _, okA, _ = _rphis_array(
         [qb1 * shifts, q**p.alpha1, *u1], [q**p.gamma1, *l1], np.asarray(X)[..., None], ctx, tol
@@ -639,7 +611,7 @@ def _shift_sum(
             np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(base, 1e-12))), 8, 300)
         )
     ks = np.arange(kmax + 1, dtype=np.float64)
-    ck = q_pochhammer_table(q**p.eta2, kmax, q) / q_pochhammer_table(q, kmax, q)
+    ck = np.divide(*_q_tables([q**p.eta2, q], kmax, q))
     ck = ck * (q ** (p.alpha2 - p.eta2)) ** ks
     A, XA = _shift_factor(tu[:, None], x, p.lam3 + ks, p.lam1 - p.eta1, p.lam1, ctx)
     B, YB = _shift_factor(tv[:, None], y, p.eta2 + ks, p.lam2 - p.mu2, p.lam2, ctx)
@@ -790,7 +762,7 @@ def discrete_weight_limit(which: str, i, p: DiscreteFkParams, ctx: QContext):
 
     def ratio_at(base):
         # (base; q)_i / (q; q)_i for every requested i
-        return (q_pochhammer_table(base, top, q) / q_pochhammer_table(q, top, q))[idx]
+        return np.divide(*_q_tables([base, q], top, q))[idx]
 
     def lim_generic(a, g, lam, mu):
         gl = g + lam - a - mu

@@ -11,26 +11,29 @@ summed last (a term, the last index shell, the summed boundary faces of an
 index box, or the last slab of a chain axis), and _tail_est turns it into the
 estimate tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling
 like r^n (r = max|z| for a direct 2F1 or pFq with p = q + 1, and margin 0.03
-for a terminating one at |z| >= 1; r observed for F_K shells and chain slabs,
-times 0.25 and 0.025), 0.2 for box faces.  A series has converged only once
-that estimate is at most tol, so converged=True implies est_trunc_error <= tol.
-Term loops stop after three such terms in a row (eight at least, and not
-before n passes -Re(c) of a negative lower parameter).  Block
-engines, the F_K triple series among them, go through _grow, which also takes
-an error floor no growth reduces (the rounding of the triple series and of
-the chain).  Its caps are 560 shells for the triple series, 320 per axis for
-the convolution box (96 for phi3) and, for the chain, 2000^2 entries per link
-between neighbouring axes, so an axis reaches 2000 beside one as long and
-64000 beside short ones (an end argument near 1).  First sizes come from
-_series_len, or from the domain ratio for the triple series.
+for a terminating one at |z| >= 1, 0.5 for other pFq; r observed for F_K
+shells and chain slabs, times 0.25 and 0.025), 0.2 for box faces.  A series
+has converged only once that estimate is at most tol, so converged=True
+implies est_trunc_error <= tol.  Term loops stop after three such terms in a
+row (eight at least, and not before n passes -Re(c) of a negative lower
+parameter).  Block engines, the F_K triple series among them, go through
+_grow, which also takes an error floor no growth reduces (the rounding of the
+triple series and of the chain).  Its caps are 560 shells for the triple
+series, 320 per axis for the convolution box (96 for phi3) and, for the chain,
+2000^2 entries per link between neighbouring axes, so an axis reaches 2000
+beside one as long and 64000 beside short ones (an end argument near 1).
+First sizes come from _series_len, or from the domain ratio for the triple
+series.
 
-The term recurrences of the array 2F1 (and 3F2) series and, in qkernels, of
-r_phi_s go through _sum_terms.  It forms the terms in blocks of 8, 16, 32,
-... from one vectorized ratio expression per block and a short loop over its
-rows, then applies the stopping rule to the rows in order, so a series stops
-at the same term as when summed one term at a time, with width times array
-size within 2^15 elements; a series of one element runs them in Python
-scalars, in blocks of at most 512 terms, with bit-identical real results.
+The term recurrences of the direct pFq series (2F1, the 3F2 of erdelyi-3 and
+hyper_pfq) and, in qkernels, of r_phi_s go through _sum_terms.  It forms the
+terms in blocks of 8, 16, 32, ... from one vectorized ratio expression per
+block and a short loop over its rows, then applies the stopping rule to the
+rows in order, so a series stops at the same term as when summed one term at a
+time, with width times array size within 2^15 elements; a series of one
+element runs them in Python scalars, in blocks of at most 512 terms, with
+bit-identical real results.  An operand every term shares (the argument z) is
+passed once, not per row.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from typing import Callable
 
 import numpy as np
@@ -178,18 +181,26 @@ _SCALAR_WIDTH = 512  # rows per block of a one-element series, held as lists
 _PY_OPS = {np.multiply: operator.mul, np.true_divide: operator.truediv}
 
 
+@dataclass(frozen=True)
+class _Same:
+    """A _sum_terms operand that every step shares."""
+
+    value: object
+
+
 def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8):
     """Partial sums 1 + t_1 + ... + t_n of a term-ratio recurrence, formed W
     terms at a time.
 
     block(n0, W) describes the steps from term n to term n+1 for n = n0 ..
     n0+W-1 as (ops, poles).  ops lists (ufunc, operand) pairs, applied in
-    order to term n, each operand with one leading row per step; poles is
-    None or a bool per row, True where that step's denominator vanished.  A
-    short loop over the rows forms each term with the same operations, in the
-    same order, as a term-at-a-time loop over arrays, so real series keep
-    their values to the bit.  A series of one element takes them in _sum_scalar
-    instead, and again here if a denominator vanishes there.
+    order to term n, each operand with one leading row per step or a _Same
+    that every step shares; poles is None or a bool per row, True where that
+    step's denominator vanished.  A short loop over the rows forms each term
+    with the same operations, in the same order, as a term-at-a-time loop
+    over arrays, so real series keep their values to the bit.  A series of
+    one element takes them in _sum_scalar instead, and again here if a
+    denominator vanishes there.
 
     With tol given, the sum stops at the first n >= min_terms that ends a run
     of three terms with _tail_est(max|t_n|, margin, max|S_n|) <= tol; the
@@ -215,7 +226,7 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
         ops, poles = block(n, W)
         steps = np.empty((W,) + shape, dtype=dtype)
         sums = np.empty_like(steps)
-        (first, f0), *rest = ops
+        (first, f0), *rest = [(uf, [f.value] * W if isinstance(f, _Same) else f) for uf, f in ops]
         for j in range(W):
             # [j, ...] keeps a 0-d view for scalar series, which out= needs.
             step = steps[j, ...]
@@ -254,7 +265,9 @@ def _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms):
         ops, poles = block(n, W)
         rows = int(np.argmax(poles)) if poles is not None and poles.any() else W
         fns = [_PY_OPS[uf] for uf, _ in ops]
-        for j, vals in enumerate(zip(*(np.asarray(f).ravel()[:rows].tolist() for _, f in ops))):
+        cols = [repeat(np.asarray(f.value).item(), rows) if isinstance(f, _Same)
+                else np.asarray(f).ravel()[:rows].tolist() for _, f in ops]
+        for j, vals in enumerate(zip(*cols)):
             for fn, v in zip(fns, vals):
                 term = fn(term, v)
             total += term
@@ -279,37 +292,38 @@ def _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms):
 
 
 def _series_2f1_raw(upper, lower, z, tol, max_terms, min_terms=8):
-    """Direct power series of pFq(upper; lower; z) with p = q + 1 (2F1, and the
-    3F2 of erdelyi-3), broadcasting over all inputs.  The terms of 2F1 are
-    formed as (a+n)(b+n) / ((c+n)(n+1)) z, in that order.
+    """Direct power series of pFq(upper; lower; z) for any p and q (2F1, the
+    3F2 of erdelyi-3, hyper_pfq), broadcasting over all inputs.  The terms are
+    formed as (a+n)(b+n)... / ((n+1)(c+n)...) z, in that order.
 
-    The margin of the stopping rule is 1 - max|z|, or 0.03 for a terminating
-    series at |z| >= 1.  Returns (value array, terms, converged, relative tail
-    estimate).
+    The margin of the stopping rule is 1 - max|z| for p = q + 1, or 0.03 for
+    a terminating such series at |z| >= 1, and 0.5 otherwise.  Returns (value
+    array, terms, converged, relative tail estimate).
     """
     arrs = [np.asarray(v) for v in (*upper, *lower, z)]
     shape = np.broadcast_shapes(*(v.shape for v in arrs))
     dtype = np.complex128 if any(np.iscomplexobj(v) for v in arrs) else np.float64
     *params, z = (v.astype(dtype) for v in arrs)
     upper, lower = params[: len(upper)], params[len(upper) :]
-    top = float(np.max(np.abs(z)))
-    margin = 1.0 - top if top < 1.0 else 0.03
+    top = float(np.abs(z).max())
+    margin = 0.5 if len(upper) != len(lower) + 1 else 1.0 - top if top < 1.0 else 0.03
     # Terms may fall and then jump where a lower parameter c + n passes
     # zero, so the series runs past n = -Re(c) before it may stop.
-    min_terms = max(min_terms, 2 + math.ceil(-min(float(np.min(v.real)) for v in lower)))
-    col = (1,) * max(v.ndim for v in params)
+    min_terms = max(min_terms, 2 + math.ceil(-min((float(v.real.min()) for v in lower), default=0.0)))
+    col = (1,) * max((v.ndim for v in params), default=0)
+    zop = _Same(z)
 
     def block(n0, W):
         # One row per term index over the parameters' axes only; with scalar
         # parameters a row is a numpy scalar, the cheapest ufunc operand.
         n = np.arange(n0, n0 + W, dtype=np.float64).reshape((W,) + col)
-        num = upper[0] + n
+        num = upper[0] + n if upper else np.ones_like(n)
         for u in upper[1:]:
             num = num * (u + n)
         den = n + 1.0
         for c in lower:
             den = den * (c + n)
-        return [(np.multiply, num), (np.true_divide, den), (np.multiply, [z] * W)], None
+        return [(np.multiply, num), (np.true_divide, den), (np.multiply, zop)], None
 
     total, n, small, est = _sum_terms(block, shape, dtype, max_terms, tol, margin, min_terms)
     return total, n, small >= 3, est
@@ -335,11 +349,16 @@ def _connection_coeffs(a, b, c):
 
 
 def _abs_terms(upper, lower, w, n: int):
-    """1 + |t_1| + ... + |t_n| of the 2F1 series in w with scalar parameters:
+    """1 + |t_1| + ... + |t_n| of the pFq series in w with scalar parameters:
     the scale of its rounding."""
     k = np.arange(n, dtype=np.float64)
-    coef = np.cumprod(np.abs((upper[0] + k) * (upper[1] + k) / ((lower + k) * (k + 1.0))))
-    return 1.0 + (coef * np.abs(w)[..., None] ** (k + 1.0)).sum(axis=-1)
+    num, den = np.ones(n), k + 1.0
+    for u in upper:
+        num = num * (u + k)
+    for c in lower:
+        den = den * (c + k)
+    coef = np.cumprod(np.abs(num / den) * np.abs(w)[..., None], axis=-1)
+    return 1.0 + coef.sum(axis=-1)
 
 
 def _series_2f1_near_one(a, b, c, w, tol, max_terms):
@@ -366,8 +385,8 @@ def _series_2f1_near_one(a, b, c, w, tol, max_terms):
     s2, n2, ok2, e2 = _series_2f1_raw((c - a, c - b), (cab + 1.0,), w, tol, max_terms)
     Bp = B * np.power(w, cab)
     out = A * s1 + Bp * s2
-    t1 = np.abs(A) * _abs_terms((a, b), c1, w, n1)
-    t2 = np.abs(Bp) * _abs_terms((c - a, c - b), cab + 1.0, w, n2)
+    t1 = np.abs(A) * _abs_terms((a, b), (c1,), w, n1)
+    t2 = np.abs(Bp) * _abs_terms((c - a, c - b), (cab + 1.0,), w, n2)
     x = np.array([c, cab, c - a, c - b, c, -cab, a, b])
     psi = sp.psi(x if x.imag.any() else x.real)
     with np.errstate(invalid="ignore"):
@@ -567,33 +586,14 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
     if len(upper) == len(lower) + 1 and abs(z) >= 1.0 and not terminating:
         raise DomainError("pFq with p = q+1 requires |z| < 1")
 
-    term = complex(1.0)
-    total = complex(1.0)
-    margin = (1.0 - abs(z) if abs(z) < 1.0 else 0.03) if len(upper) == len(lower) + 1 else 0.5
-    small = 0
-    n = 0
-    est = math.inf
-    abs_sum = 1.0
-    while n < max_terms:
-        num = 1.0
-        for u in upper:
-            num *= complex(u) + n
-        den = float(n + 1)
-        for ell in lower:
-            den *= complex(ell) + n
-        term = term * num / den * z
-        total += term
-        n += 1
-        abs_sum += abs(term)
-        est = _tail_est(abs(term), margin, total)
-        if est <= tol:
-            small += 1
-            if small >= 3 and n >= 8:
-                break
-        else:
-            small = 0
-    est = max(est, _tail_est(_EPS * (abs_sum + math.sqrt(n) * abs(total)), 1.0, total))
-    return SeriesResult(_as_scalar(total), n, small >= 3 and est <= tol, est)
+    # A real z is summed in floats: complex arithmetic with zero imaginary
+    # parts rounds the same way.
+    total, n, converged, est = _series_2f1_raw(
+        upper, lower, z.real if z.imag == 0 else z, tol, max_terms)
+    value = _as_scalar(total)
+    rounding = _EPS * (float(_abs_terms(upper, lower, z, n)) + math.sqrt(n) * abs(value))
+    est = max(est, _tail_est(rounding, 1.0, value))
+    return SeriesResult(value, n, converged and est <= tol, est)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -184,6 +185,47 @@ class TestPhi3:
                     total += num / den * x**m * y**n * z**p
         got = phi3(spec, x, y, z, ctx05).value
         assert got == pytest.approx(total, rel=2e-10)
+
+    @pytest.mark.parametrize("q,r", [(0.2, 3), (0.5, 3), (0.7, 6)])
+    @pytest.mark.parametrize("group,args", [
+        ("a", (300.0, -200.0, 150.0)),  # m+n+p: every axis terminates
+        ("b", (300.0, -200.0, 0.2)),  # m+n
+        ("bp", (0.2, 300.0, -200.0)),  # n+p
+    ])
+    def test_terminating_joint_group(self, q, r, group, args):
+        # An upper base q^-r in a joint group ends the axes of its index at
+        # r, where any argument is allowed, so the series is a polynomial
+        # there.  Its terms past the joint index r vanish; a table that kept
+        # the rounding residue of (q^-r; q)_k past k = r would weigh them with
+        # high powers of the large arguments.
+        ctx = QContext(q=q)
+        groups = {"a": (), "b": (), "bp": (), "bpp": (q**0.8,), "c": (q**0.7,), "cp": (q**0.9,),
+                  "g": (q**1.3,), "h": (q**0.6,), "hp": (q**1.1,), "hpp": (q**0.5,)}
+        groups[group] = (q**-r,)
+        # the axes whose indices each group's index adds up
+        axes = {"a": "mnp", "b": "mn", "bp": "np", "bpp": "mp", "c": "m", "cp": "n", "cpp": "p",
+                "g": "mn", "h": "m", "hp": "n", "hpp": "p"}
+
+        def index(mnp, ax):
+            return sum(i for i, a in zip(mnp, "mnp") if a in ax)
+
+        def qp(bases, k):
+            return math.prod(q_pochhammer(b, k, ctx) for b in bases)
+
+        x, y, z = args
+        total = 0.0
+        for mnp in itertools.product(*(range((r if a in axes[group] else 60) + 1) for a in "mnp")):
+            if index(mnp, axes[group]) > r:
+                continue  # (q^-r; q)_k = 0 past k = r
+            m, n, p = mnp
+            term = x**m * y**n * z**p / (qp([q], m) * qp([q], n) * qp([q], p))
+            for name, bases in groups.items():
+                f = qp(bases, index(mnp, axes[name]))
+                term = term / f if name in ("g", "h", "hp", "hpp") else term * f
+            total += term
+        got = phi3(Phi3Spec(**groups), x, y, z, ctx)
+        assert got.converged
+        assert got.value == pytest.approx(total, rel=1e-12)
 
     def test_denominator_pole_rejected(self, ctx05):
         spec = Phi3Spec(c=(0.4,), h=(ctx05.q**-3,))
@@ -736,6 +778,15 @@ class TestQTables:
         # base 1 with shift -i is (q^-i; q): exactly zero past k = i
         for row, k in zip(shifted, 5 - i):
             assert np.all(row[k + 1 :] == 0) and np.all(row[: k + 1] != 0)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_terminating_base_has_exact_zeros(self, q):
+        # (q^-5; q)_k vanishes past k = 5; the cumulative product alone
+        # leaves rounding residue there.
+        got = _q_tables([q**-5, 0.3], 12, q)
+        want = np.stack([q_pochhammer_table(b, 12, q) for b in [q**-5, 0.3]])
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[0, 6:] == 0) and np.all(got[0, :6] != 0)
 
 
 class TestLimitWeightsAreQMeasures:

@@ -614,7 +614,9 @@ class TestPfqRounding:
             want = float(mpmath.hyp1f1(0.5, 1.5, -40.0))
         assert abs(r.value - want) <= r.est_trunc_error * (1.0 + abs(r.value))
 
-    @pytest.mark.parametrize("upper,lower", [([0.5], [1.5]), ([1.3], [2.7]), ([], [1.5]), ([], [0.3])])
+    @pytest.mark.parametrize("upper,lower", [
+        ([0.5], [1.5]), ([1.3], [2.7]), ([], [1.5]), ([], [0.3]), ([0.3, 1.2], [1.7, 2.5]),
+    ])
     def test_converged_bounds_error(self, upper, lower):
         for z in np.linspace(-40.0, 40.0, 81):
             r = hyper_pfq(upper, lower, float(z))
@@ -623,3 +625,26 @@ class TestPfqRounding:
             with mpmath.workdps(30):
                 want = complex(mpmath.hyper(upper, lower, z))
             assert abs(r.value - want) <= r.est_trunc_error * (1.0 + abs(r.value)), z
+
+    @pytest.mark.parametrize("upper,lower,z", [
+        ([], [1.5], -15.0),  # 0F1
+        ([], [0.7], 9.0),
+        ([0.7], [], 0.6),  # 1F0, (1 - z)^-a
+        ([1.3], [], -0.8),
+        ([0.5], [1.5], 20.0),  # entire 1F1 and 2F2
+        ([0.3, 1.2], [1.7, 2.5], -6.0),
+        ([0.3, 1.2], [1.7, 2.5], 20.0),
+        ([-4.0, 0.5, 1.5], [2.5], 3.0),  # terminating 3F1, p > q + 1
+        ([0.5, 3.0], [-9.5], 0.001),  # negative non-integer lower parameter
+    ])
+    def test_against_mpmath_hyper(self, upper, lower, z):
+        r = hyper_pfq(upper, lower, z)
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyper(upper, lower, z))
+        assert r.converged
+        assert abs(r.value - want) <= r.est_trunc_error * (1.0 + abs(r.value))
+
+    def test_negative_lower_runs_past_its_pole(self):
+        # Terms may jump where c + n passes zero, so the sum runs at least
+        # 2 + ceil(9.5) = 12 terms, as every direct series does.
+        assert hyper_pfq([0.5, 3.0], [-9.5], 0.001).terms_used == 12
