@@ -226,14 +226,9 @@ def q_pochhammer_inf_ratio(a, b, ctx: QContext):
     return _as_scalar(out) if out.ndim == 0 else out
 
 
-def q_gamma(x, ctx: QContext):
-    """Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
-
-    Evaluated in log space: near q = 1 both infinite products underflow while
-    their quotient remains of moderate size.  A real x sums log|1 - q^(x+k)|
-    and takes the sign from the negative factors, so its value is real.
-    ConvergenceError when the value overflows the double range.
-    """
+def _log_q_gamma(x, ctx: QContext):
+    """(log |Gamma_q(x)|, sign) for real x, (log Gamma_q(x), 1.0) for complex
+    x, as q_gamma below evaluates them."""
     if is_nonpositive_integer(x):
         raise PoleError(f"q_gamma pole at x={x}")
     x = complex(x)
@@ -254,17 +249,37 @@ def q_gamma(x, ctx: QContext):
         if np.any(np.abs(den) < 1e-300):
             raise PoleError(f"q_gamma pole at x={x}")
         log_den = np.sum(np.log(den))
-    log_value = np.sum(np.log1p(-powers)) - log_den + (1.0 - x) * math.log(1.0 - ctx.q)
+    return np.sum(np.log1p(-powers)) - log_den + (1.0 - x) * math.log(1.0 - ctx.q), sign
+
+
+def q_gamma(x, ctx: QContext):
+    """Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
+
+    Evaluated in log space: near q = 1 both infinite products underflow while
+    their quotient remains of moderate size.  A real x sums log|1 - q^(x+k)|
+    and takes the sign from the negative factors, so its value is real.
+    ConvergenceError when the value overflows the double range.
+    """
+    log_value, sign = _log_q_gamma(x, ctx)
     if log_value.real > _LOG_MAX:
         raise ConvergenceError(f"q_gamma({_as_scalar(x)}) overflows the double range")
     return _as_scalar(sign * np.exp(log_value))
 
 
 def q_beta(x, y, ctx: QContext):
-    """B_q(x,y) = Gamma_q(x) Gamma_q(y) / Gamma_q(x+y)."""
-    return _as_scalar(
-        q_gamma(x, ctx) * q_gamma(y, ctx) / q_gamma(complex(x) + complex(y), ctx)
-    )
+    """B_q(x,y) = Gamma_q(x) Gamma_q(y) / Gamma_q(x+y), from the three
+    log Gamma_q values and one exp, so factors past the double range still
+    give a finite B_q.  ConvergenceError when B_q overflows, or when the
+    rounding of the log sum, eps (|log G(x)| + |log G(y)| + |log G(x+y)|),
+    exceeds 1e-12: the value would have lost its digits to cancellation."""
+    (lx, sx), (ly, sy), (lxy, sxy) = (
+        _log_q_gamma(v, ctx) for v in (x, y, complex(x) + complex(y)))
+    log_value = lx + ly - lxy
+    rounding = float(np.finfo(np.float64).eps) * (abs(lx) + abs(ly) + abs(lxy))
+    if log_value.real > _LOG_MAX or not rounding <= 1e-12:
+        raise ConvergenceError(
+            f"q_beta({_as_scalar(x)}, {_as_scalar(y)}) overflows or loses its digits to rounding")
+    return _as_scalar(sx * sy * sxy * np.exp(log_value))
 
 
 def q_binomial(k: int, p: int, ctx: QContext):

@@ -596,9 +596,12 @@ def _shift_sum(
 
     B likewise with (v, y, k + eta2, lam2 - mu2, lam2), and coef, FA, FB the
     third-index decomposition of the inner Phi_K at (u x q^(k + lam3),
-    v y q^(k + eta2)).  zmag = |z| times the largest w-node sets both
-    cutoffs; an explicit kmax overrides the k one.  Returns (value, terms,
-    converged, relative size of the last k and p slabs).
+    v y q^(k + eta2)).  With u = q^n these arguments depend on m = n + k
+    alone, so FA and FB are tabulated once per m, from the smallest lattice
+    index to the largest plus kmax, and indexed by n + k.  zmag = |z| times
+    the largest w-node sets both cutoffs; an explicit kmax overrides the k
+    one.  Returns (value, terms, converged, relative size of the last k and
+    p slabs).
     """
     (tu, wu), (tv, wv), (tw, ww) = rules
     q = ctx.q
@@ -613,8 +616,10 @@ def _shift_sum(
     ks = np.arange(kmax + 1, dtype=np.float64)
     ck = np.divide(*_q_tables([q**p.eta2, q], kmax, q))
     ck = ck * (q ** (p.alpha2 - p.eta2)) ** ks
-    A, XA = _shift_factor(tu[:, None], x, p.lam3 + ks, p.lam1 - p.eta1, p.lam1, ctx)
-    B, YB = _shift_factor(tv[:, None], y, p.eta2 + ks, p.lam2 - p.mu2, p.lam2, ctx)
+    A, _ = _shift_factor(tu[:, None], x, p.lam3 + ks, p.lam1 - p.eta1, p.lam1, ctx)
+    B, _ = _shift_factor(tv[:, None], y, p.eta2 + ks, p.lam2 - p.mu2, p.lam2, ctx)
+    nu, nv = (np.rint(np.log(t) / math.log(q)).astype(np.int64) for t in (tu, tv))
+    mu, mv = (np.arange(n.min(), n.max() + kmax + 1) for n in (nu, nv))
     inner = FkParams(
         alpha1=p.alpha1,
         alpha2=p.alpha2 - p.eta2,
@@ -625,10 +630,12 @@ def _shift_sum(
         gamma3=p.beta1 - p.lam3,
     )
     pmax = _series_len(zmag, tol, 8, 160)
-    coef, FA, FB, okA, okB = phi_k_p_tables(inner, XA, YB, ctx, pmax, tol=tol * 1e-2)
-    SU = np.einsum("i,ik,ikp->kp", wu, A, FA)
-    SV = np.einsum("j,jk,jkp->kp", wv, B, FB)
-    kp = np.add.outer(np.arange(kmax + 1), np.arange(pmax + 1))
+    coef, FA, FB, okA, okB = phi_k_p_tables(
+        inner, x * q ** (p.lam3 + mu), y * q ** (p.eta2 + mv), ctx, pmax, tol=tol * 1e-2)
+    k = np.arange(kmax + 1)
+    SU = np.einsum("i,ik,ikp->kp", wu, A, FA[nu[:, None] + k - mu[0]])
+    SV = np.einsum("j,jk,jkp->kp", wv, B, FB[nv[:, None] + k - mv[0]])
+    kp = np.add.outer(k, np.arange(pmax + 1))
     terms = ck[:, None] * coef * SU * SV * _moment_powers(tw, ww, z, kmax + pmax)[kp]
     total = terms.sum()
     return _as_scalar(total), terms.size, okA and okB, max(_face_tails(terms)) / (1.0 + abs(total))

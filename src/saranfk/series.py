@@ -46,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.special as sp
+from numpy.polynomial.chebyshev import chebval
 
 from .core import _as_scalar, is_nonpositive_integer, pochhammer_table
 from .errors import ConvergenceError, DomainError, PoleError
@@ -405,8 +406,66 @@ def _series_2f1_near_one(a, b, c, w, tol, max_terms):
     return out, n1 + n2, ok1 and ok2 and est <= tol, est
 
 
+# An array of this many real arguments or more, with scalar parameters, is
+# summed from a Chebyshev proxy: at most 25 + 41 + 65 point evaluations then
+# stand in for all of its elements, which pays once they outnumber the
+# degree-64 nodes about four to one.
+_PROXY_MIN = 256
+
+
+def _cheb_table(n: int):
+    """Chebyshev points of the second kind on [-1, 1], ends included, and the
+    matrix taking values there to the coefficients of their interpolant."""
+    k = np.arange(n + 1)
+    T = np.cos(np.pi / n * np.outer(k, k)) * (2.0 / n)
+    T[:, [0, -1]] *= 0.5
+    T[[0, -1]] *= 0.5
+    return np.cos(np.pi / n * k), T
+
+
+_CHEB = [_cheb_table(n) for n in (24, 40, 64)]  # proxy degrees, in the order tried
+
+
+def _proxy_2f1(a, b, c, z, tol, max_terms):
+    """2F1 over a large real argument array z < 1 from a Chebyshev proxy on
+    [min z, max z], or None where the per-element routes must take it.
+
+    The proxy interpolates point values from _eval_2f1 at degree 24, 40, then
+    64, stopping at the first whose last four coefficients (the trailing part
+    of chebfun's chopping rule) fall below tol relative to the values, and
+    sums at every element by Clenshaw.  The estimate is the largest point
+    estimate plus the trailing coefficients' size and Clenshaw's rounding,
+    (n + 1) eps sum |c_j| at degree n, relative to 1 + max |value|; the
+    result is converged when the point evaluations are and the estimate is
+    at most tol, and an unconverged point evaluation is passed on.  None when
+    z reaches 1 or is not spread over an interval, or the coefficients have
+    not decayed by degree 64."""
+    lo, hi = float(z.min()), float(z.max())
+    if not lo < hi < 1.0:
+        return None
+    terms = 0
+    for t, T in _CHEB:
+        f, n, ok, e = _eval_2f1(a, b, c, 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, tol, max_terms)
+        terms += n
+        coef = T @ f
+        top = float(np.max(np.abs(f)))
+        tail = _tail_est(float(np.abs(coef[-4:]).sum()), 1.0, top)
+        est = e + tail + _tail_est(coef.size * _EPS * float(np.abs(coef).sum()), 1.0, top)
+        if not ok or est <= tol:
+            x = (2.0 * z - (hi + lo)) / (hi - lo)
+            return chebval(x, coef), terms, ok, est
+    return None
+
+
 def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     """Route a 2F1 evaluation, broadcasting over array arguments.
+
+    A real argument array of _PROXY_MIN elements or more with scalar a, b
+    and c is summed from a Chebyshev proxy (_proxy_2f1) where one resolves
+    it; each element otherwise takes one of the routes below, split by
+    argument: the direct series for |z| <= 0.9 (and for a terminating
+    series), Pfaff's z / (z - 1), the expansion around z = 1, or the slow
+    direct series up to |z| < 1.
 
     Returns (value, terms, converged, relative tail estimate).  Raises
     DomainError when no convergent route covers some argument.
@@ -417,6 +476,11 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     b = _snap_terminating(b) if np.ndim(b) == 0 else b
 
     zarr = np.asarray(z)
+    scalars = np.ndim(a) == np.ndim(b) == np.ndim(c) == 0
+    if zarr.size >= _PROXY_MIN and scalars and not np.iscomplexobj(zarr):
+        res = _proxy_2f1(a, b, c, zarr, tol, max_terms)
+        if res is not None:
+            return res
     az = np.abs(zarr)
     terminating = (np.ndim(a) == 0 and is_nonpositive_integer(a)) or (
         np.ndim(b) == 0 and is_nonpositive_integer(b)
@@ -431,9 +495,7 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     m_direct = az <= 0.9
     m_pfaff = ~m_direct & (azp <= 0.9)
     rest = ~m_direct & ~m_pfaff
-    conn_allowed = (
-        np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(c) == 0 and _connection_ok(a, b, c)
-    )
+    conn_allowed = scalars and _connection_ok(a, b, c)
     # The 1-z expansion only serves points inside the unit disc; outside it
     # the function continues onto the branch cut and the contract is a
     # domain error instead.
@@ -555,7 +617,8 @@ def gauss_2f1(a, b, c, z, tol: float = 1e-12) -> SeriesResult:
     expansion around z = 1 otherwise, and the direct series again where that
     expansion's rounding estimate exceeds tol (c - a - b near an integer).
     Raises DomainError when |z| >= 1 and no transform applies, PoleError for
-    c in Z_{<=0}.
+    c in Z_{<=0}.  A scalar z never takes the Chebyshev proxy that
+    _eval_2f1 keeps for large argument arrays.
     """
     value, terms, converged, est = _eval_2f1(a, b, c, z, tol)
     return SeriesResult(_as_scalar(value), terms, converged, est)

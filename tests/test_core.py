@@ -186,6 +186,15 @@ class TestQBeta:
         with pytest.raises(ConvergenceError):
             q_beta(1e300, 1e300, ctx05)
 
+    def test_factor_past_double_range(self, ctx05):
+        # Gamma_q(1100) and Gamma_q(1100.5) overflow a double at q = 0.5;
+        # their ratio does not.
+        got = q_beta(1100, 0.5, ctx05)
+        with mpmath.workdps(30):
+            want = float(mpmath.qgamma(1100, 0.5) * mpmath.qgamma(0.5, 0.5) / mpmath.qgamma(1100.5, 0.5))
+        assert got == pytest.approx(1.1115950006507347, rel=1e-13)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_classical_limit(self):
         import scipy.special as sp
 

@@ -500,6 +500,46 @@ class TestShiftKernel:
         with pytest.raises(DomainError):
             qshift_operator_kernel(self.SP, 0.4, 0.5, 0.25, 0.2, 0.2, 0.1, ctx05)
 
+    # Values at one-node lattice points (q^nu, q^nv, q^nw) from the per-node
+    # Phi_K tables, which the k-sum now indexes by lattice index plus k.
+    ONE_NODE = {
+        0.2: [((0, 0, 0), 2.523211211612597), ((1, 2, 1), 0.7209592246135648),
+              ((3, 0, 2), 0.8722499002352364), ((5, 4, 0), 0.8355195328328671)],
+        0.5: [((0, 0, 0), 2.6497059305462147), ((1, 2, 1), 1.216604706250673),
+              ((3, 0, 2), 1.200507905083794), ((5, 4, 0), 1.116276451514408)],
+        0.7: [((0, 0, 0), 2.7967440744396317), ((1, 2, 1), 1.6340392530684824),
+              ((3, 0, 2), 1.4979683166741344), ((5, 4, 0), 1.3246339350624299)],
+    }
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_one_node_values(self, q):
+        for (nu, nv, nw), want in self.ONE_NODE[q]:
+            got = qshift_operator_kernel(self.SP, q**nu, q**nv, q**nw, 0.27, 0.21, 0.3, QContext(q=q))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_indexed_tables_match_per_node(self, q):
+        # The inner Phi_K arguments x t_i q^(lam3 + k), t_i = q^n_i, depend
+        # on n_i + k alone, so one table over m = n + k serves every node.
+        s = EvalSettings.default().with_q(q)
+        case = registry_lookup("qfk-erdelyi")
+        kmax, pmax, k = 6, 8, np.arange(7)
+        for pt in sample_parameters(case, 42, case.default_samples):
+            v = pt.flat()
+            t, _ = q_cases._dirichlet_rule(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"], s)
+            n = np.rint(np.log(t) / math.log(q)).astype(np.int64)
+            m = np.arange(n.min(), n.max() + kmax + 1)
+            inner = FkParams(
+                alpha1=v["alpha1"], alpha2=v["alpha2"] - v["eta2"], beta1=v["beta1"] - v["lam3"],
+                beta2=v["beta2"], gamma1=v["alpha1"] - v["lam1"] + v["eta1"],
+                gamma2=v["beta2"] - v["lam2"] + v["mu2"], gamma3=v["beta1"] - v["lam3"],
+            )
+            shifts = q ** (v["lam3"] + k)
+            per_node = phi_k_p_tables(inner, t[:, None] * v["x"] * shifts, 0.1, s.qctx, pmax, 1e-14)[1]
+            table = phi_k_p_tables(inner, v["x"] * q ** (v["lam3"] + m), 0.1, s.qctx, pmax, 1e-14)[1]
+            indexed = table[n[:, None] + k - m[0]]
+            assert np.max(np.abs(indexed - per_node) / (1.0 + np.abs(per_node))) <= 1e-14
+
 
 class TestDiscreteWeights:
     P = DiscreteFkParams(

@@ -8,6 +8,7 @@ import pytest
 from saranfk import (
     CoeffSequence2D,
     DomainError,
+    EvalSettings,
     FkParams,
     Phi3Spec,
     PoleError,
@@ -24,7 +25,9 @@ from saranfk import (
     in_domain_fk,
     phi3,
     phi_k_q,
+    registry_lookup,
     rphis,
+    sample_parameters,
     saran_fk_reexpand,
     saran_fk_triple,
 )
@@ -168,6 +171,61 @@ class TestGauss2F1:
             r2 = gauss_2f1(0.8, 1.1, 1.9, z, tol=5e-9)
             allowed = r1.est_trunc_error * (1 + abs(complex(r1.value)))
             assert abs(complex(r1.value) - complex(r2.value)) <= allowed
+
+
+class TestChebyshevProxy:
+    """A real argument array of series._PROXY_MIN elements or more is summed
+    from a Chebyshev proxy; the direct route is _eval_2f1 with it disabled."""
+
+    @staticmethod
+    def direct(monkeypatch, *args):
+        with monkeypatch.context() as m:
+            m.setattr(series, "_PROXY_MIN", math.inf)
+            return series._eval_2f1(*args)
+
+    @pytest.mark.parametrize("case_id", ["f2-curious", "manocha-reduced"])
+    def test_seed42_grids_within_estimate(self, case_id, monkeypatch):
+        proxy, calls = series._proxy_2f1, []
+        monkeypatch.setattr(series, "_proxy_2f1", lambda *args: calls.append(args) or proxy(*args))
+        case = registry_lookup(case_id)
+        for pt in sample_parameters(case, 42, case.default_samples):
+            case.rhs(pt, EvalSettings.default())
+        assert len(calls) == 2 * case.default_samples  # both 2F1 factors
+        for args in calls:
+            value, _, converged, est = proxy(*args)
+            want = self.direct(monkeypatch, *args)[0]
+            assert converged and est <= args[4]
+            assert np.max(np.abs(value - want)) <= est * (1.0 + np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("a, b, c", [(0.7, 1.3, 2.4), (0.5, 0.6, 2.0), (1.5, 0.5, 1.2)])
+    @pytest.mark.parametrize("top", [0.97, 0.999])
+    def test_interval_near_one(self, a, b, c, top, monkeypatch):
+        # Either the proxy resolves the interval and stays within its
+        # estimate, or the array falls back to the direct route's bits.
+        z = np.linspace(0.5, top, 300)
+        value, _, converged, est = series._eval_2f1(a, b, c, z, 1e-12)
+        if series._proxy_2f1(a, b, c, z, 1e-12, 250_000) is None:
+            want = self.direct(monkeypatch, a, b, c, z, 1e-12)
+            assert np.array_equal(value, want[0]) and (converged, est) == want[2:]
+            return
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.hyp2f1(a, b, c, x)) for x in z[::15]])
+        assert converged
+        assert np.max(np.abs(value[::15] - want)) <= est * (1.0 + np.max(np.abs(value)))
+
+    def test_size_threshold(self, monkeypatch):
+        z = np.linspace(-3.5, 0.85, 256)
+        small = series._eval_2f1(0.7, 1.3, 2.4, z[:255], 1e-12)
+        want = self.direct(monkeypatch, 0.7, 1.3, 2.4, z[:255], 1e-12)
+        assert np.array_equal(small[0], want[0]) and small[1:] == want[1:]
+        calls = []
+        monkeypatch.setattr(series, "_proxy_2f1", lambda *args: calls.append(args))
+        series._eval_2f1(0.7, 1.3, 2.4, z, 1e-12)
+        assert len(calls) == 1
+
+    def test_past_one_keeps_domain_error(self):
+        with pytest.raises(DomainError):
+            series._eval_2f1(0.5, 0.5, 1.5, np.linspace(0.5, 1.6, 300), 1e-12)
 
 
 class TestHyperPfq:
