@@ -7,7 +7,7 @@ for the base q^a); the raw-base entry points are the primitive series `rphis`
 and the discrete double-sum RHS `gasper_discrete_3phi2`, whose free
 parameters genuinely live at base level.
 
-Numerics.  Every series is summed by term recurrence: ratios of the form
+Numerics.  Series are summed by term recurrence: ratios of the form
 (1 - a q^l) / (1 - b q^l) stay moderate even when individual q-shifted
 factorials overflow (upper parameters q^{-n} with large n), so terminating
 series on the q-lattice evaluate stably.  Terminating series are cut off
@@ -22,10 +22,17 @@ jackson_integral grow their index boxes and lattices through series._grow,
 with the boundary slabs as tails, and the first sizes of the series and of
 the Phi_K p-sum come from series._series_len, as in series.  q_measure_rule
 keeps its own cut-off: it returns a lattice rule, not a sum, and evaluates
-only the nodes a doubled lattice adds.  Tables follow the dtype of their
+only the nodes a doubled lattice adds.  One family skips the recurrence: a
+terminating r_phi_s with r = s + 2 whose cut-off array n matches an upper
+entry q^-n and an argument W q^n, the 3phi1 of the q-measure density and of
+the limit weights.  _lattice_sum sums it as one q-binomial convolution over
+the whole lattice, and leaves it to the recurrence where (q; q)_max n is not
+a normal double or a sum is not finite.  Tables follow the dtype of their
 inputs: real exponents and arguments sum in float64.  Every (a;q)_k table
 comes from core._q_tables, which stacks the bases of a build in one call; the
 row of a base q^-r is exactly zero past k = r, as the terms of r_phi_s are.
+The one exception is the densities' (q^x; q)_n / (q; q)_n, a cumulative
+product of factor ratios, since (q; q)_n alone underflows near q = 1.
 
 Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
 decomposition against three lattice rules, and `_shift_sum` the one
@@ -49,7 +56,6 @@ from .core import (
     _q_tables,
     q_gamma,
     q_pochhammer_inf,
-    q_pochhammer_inf_ratio,
     q_termination_index,
 )
 from .errors import ConvergenceError, DomainError, PoleError
@@ -91,6 +97,47 @@ def _check_lower_poles(lowers, q: float, below: int | None = None):
                 raise PoleError(f"lower parameter {bv} equals q^-{n}: series undefined")
 
 
+def _lattice_sum(uppers, lowers, z, ta, q: float, dtype):
+    """The terminating r_phi_s with r = s + 2 along a q-lattice, or None.
+
+    It applies where one upper entry is an array equal to q^-n, n = ta, and
+    z q^-n is one value W, each to 8 ulp, and every other entry is a scalar.
+    W is the middle of the sorted z q^-n, which most of them round to, so a
+    lattice cut into blocks sums with the W of the whole.  By
+    (q^-n; q)_k = (-1)^k q^(k(k-1)/2 - nk) (q; q)_n / (q; q)_(n-k) every row
+    is one q-binomial convolution,
+
+        S(n) = (q; q)_n sum_{k<=n} c_k / (q; q)_(n-k),
+        c_k = prod (A; q)_k / (prod (C; q)_k (q; q)_k) W^k,
+
+    of two sequences no n changes.  None also where (q; q)_K, K = max n, is
+    not a normal double, or where a sum is not finite: the term recurrence
+    then decides, with its pole and overflow behaviour."""
+    var = [i for i, u in enumerate(uppers) if np.ndim(u)]
+    if (len(uppers) != len(lowers) + 2 or len(var) != 1 or not ta.size
+            or any(np.ndim(b) for b in lowers)):
+        return None
+    K = int(ta.max())
+    u = np.asarray(uppers[var[0]])
+    fixed = [v for i, v in enumerate(uppers) if i != var[0]]
+    ulps = 8 * np.finfo(np.float64).eps
+    with np.errstate(all="ignore"):
+        if not (abs(u * q ** ta.astype(np.float64) - 1.0) <= ulps).all():
+            return None
+        zu = np.broadcast_to(z * u, ta.shape)
+        W = np.sort(zu, axis=None)[(zu.size - 1) // 2]
+        if not (abs(zu - W) <= ulps * abs(W)).all():
+            return None
+        tables = _q_tables([q, *fixed, *lowers], K, q)
+        qq = tables[0].real
+        if not qq[-1] >= np.finfo(np.float64).tiny:
+            return None
+        num = np.prod(tables[1 : len(uppers)], axis=0)
+        c = num / (np.prod(tables[len(uppers) :], axis=0) * qq) * W ** np.arange(K + 1)
+        total = (qq * np.convolve(c, 1.0 / qq)[: K + 1]).astype(dtype)[ta]
+    return total if np.isfinite(total).all() else None
+
+
 def _rphis_array(
     uppers: Sequence,
     lowers: Sequence,
@@ -104,7 +151,10 @@ def _rphis_array(
     argument.  Returns (value array, terms, converged, tail estimate).
 
     terminate_after gives, per broadcast element, the index of the last
-    nonzero term; later terms are forced to zero.
+    nonzero term; later terms are forced to zero.  An array terminate_after
+    first tries _lattice_sum, the convolution of a 3phi1-type series along a
+    q-lattice; where it declines, and for an int, the block recurrence sums
+    the series.
     """
     q = ctx.q
     spow = 1 + len(lowers) - len(uppers)
@@ -154,8 +204,12 @@ def _rphis_array(
         return ops, poles
 
     if ta is not None:
-        total, ell, _, _ = _sum_terms(block, shape, dtype, nsteps)
-        return total, ell, bool(np.isfinite(total).all()), 0.0
+        total = None
+        if isinstance(terminate_after, np.ndarray):
+            total = _lattice_sum(uppers, lowers, np.asarray(z), ta, q, dtype)
+        if total is None:
+            total, _, _, _ = _sum_terms(block, shape, dtype, nsteps)
+        return total, nsteps, bool(np.isfinite(total).all()), 0.0
     total, ell, small, est = _sum_terms(block, shape, dtype, nsteps, tol, 0.25)
     return total, ell, small >= 3 and ell >= 8, est
 
@@ -234,7 +288,9 @@ def _axis_size(zval, tol: float, terminations) -> int:
 
 def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
     """Triple basic hypergeometric series, summed over an adaptive index box
-    with the joint q-shifted factorials gathered from cumulative tables."""
+    with the joint q-shifted factorials gathered from cumulative tables.
+    ConvergenceError when a box sums to a value that is not finite: a larger
+    box keeps every term of it."""
     q = ctx.q
     spec.validate(q)
     x, y, z = complex(x), complex(y), complex(z)
@@ -275,7 +331,10 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
         for j, idx in zip((6, 8, 10, 12), (m + n + p, m + n, n + p, m + p)):
             if groups[j] or groups[j + 1]:
                 tensor = tensor * (prods[j] / prods[j + 1])[idx]
-        return tensor.sum(), _face_tails(tensor, complete), 0.0, tensor.size
+        total = tensor.sum()
+        if not np.isfinite(total):
+            raise ConvergenceError(f"phi3 gave the non-finite value {_as_scalar(total)}")
+        return total, _face_tails(tensor, complete), 0.0, tensor.size
 
     return _grow(build, sizes, [96, 96, 96], tol, 0.2)
 
@@ -449,23 +508,37 @@ def _lattice_index(t, q: float) -> int:
     return n
 
 
+def _lattice_ratio(x, n: np.ndarray, q: float):
+    """(t q; q)_inf / (t q^x; q)_inf at t = q^n over its value at t = 1,
+    (q; q)_inf / (q^x; q)_inf = Gamma_q(x) (1 - q)^(x - 1).  That is
+    (q^x; q)_n / (q; q)_n, one cumulative product of factor ratios, which
+    stays in range where (q; q)_n alone underflows (q near 1)."""
+    j = np.arange(int(n.max()), dtype=np.float64)
+    steps = (1.0 - q**x * q**j) / (1.0 - q ** (j + 1.0))
+    out = np.ones(j.size + 1, steps.dtype)
+    np.cumprod(steps, out=out[1:])
+    return out[n]
+
+
 def _q_density_lattice(spec: QMeasureSpec, n: np.ndarray):
-    """Density values at lattice points t = q^n, vectorized over n."""
+    """Density values at lattice points t = q^n, vectorized over n.  The
+    factor (t q; q)_inf / (t q^x; q)_inf is _lattice_ratio times
+    Gamma_q(x) (1 - q)^(x - 1), whose Gamma_q(x) cancels the one in the
+    normalisation."""
     ctx = spec.ctx
     q = ctx.q
     t = q ** n.astype(np.float64)
     if isinstance(spec, QDirichletMeasure):
         a, b = _as_scalar(spec.alpha), _as_scalar(spec.beta)
-        const = q_gamma(a + b, ctx) / (q_gamma(a, ctx) * q_gamma(b, ctx))
-        ratio = q_pochhammer_inf_ratio(t * q, t * q**b, ctx)
-        return const * np.power(t, a - 1.0) * ratio
+        const = q_gamma(a + b, ctx) / q_gamma(a, ctx) * (1.0 - q) ** (b - 1.0)
+        return const * np.power(t, a - 1.0) * _lattice_ratio(b, n, q)
     a, b, g, e = (_as_scalar(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
     const = (
         q_gamma(e + g - a, ctx)
         * q_gamma(e + g - b, ctx)
-        / (q_gamma(e, ctx) * q_gamma(g, ctx) * q_gamma(e + g - a - b, ctx))
+        / (q_gamma(e, ctx) * q_gamma(e + g - a - b, ctx))
+        * (1.0 - q) ** (g - 1.0)
     )
-    ratio = q_pochhammer_inf_ratio(t * q, t * q**g, ctx)
     # The 3phi1 factor terminates at lattice points: its upper entry 1/t is
     # q^{-n} there, capping the series at n+1 exact terms.
     phi31 = _checked(*_rphis_array(
@@ -475,7 +548,7 @@ def _q_density_lattice(spec: QMeasureSpec, n: np.ndarray):
         ctx,
         terminate_after=n,
     ))
-    return const * np.power(t, e - 1.0) * ratio * phi31
+    return const * np.power(t, e - 1.0) * _lattice_ratio(g, n, q) * phi31
 
 
 def q_measure_density(spec: QMeasureSpec, t):
@@ -778,10 +851,13 @@ def discrete_weight_limit(which: str, i, p: DiscreteFkParams, ctx: QContext):
             * q_pochhammer_inf(q**mu, ctx)
             / (q_pochhammer_inf(q**g, ctx) * q_pochhammer_inf(q**lam, ctx))
         )
+        # The argument is q^(a-mu) q^i, not q^(a-mu+i), whose rounded exponent
+        # moves it by up to |ln q| ulp(i): a lattice with one W, as _rphis_array
+        # sums it in one convolution.
         phi = _checked(*_rphis_array(
             [q ** (lam - a), q ** (g - a), q ** (-fi)],
             [q**gl],
-            q ** (a - mu + fi),
+            q ** (a - mu) * q**fi,
             ctx,
             terminate_after=idx,
         ))

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from saranfk import (
     ConvergenceError,
@@ -40,6 +43,7 @@ from saranfk import (
 )
 from saranfk.core import (
     _q_tables,
+    q_gamma,
     q_pochhammer,
     q_pochhammer_inf,
     q_pochhammer_inf_ratio,
@@ -48,6 +52,7 @@ from saranfk.core import (
 from saranfk import q_cases
 from saranfk.qkernels import (
     _lattice_size,
+    _lattice_sum,
     _measure_decay,
     _q_density_lattice,
     _rphis_array,
@@ -232,6 +237,12 @@ class TestPhi3:
         with pytest.raises(PoleError):
             phi3(spec, 0.1, 0.1, 0.1, ctx05)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_sum_raises(self):
+        # The huge upper base overflows the terms to NaN (numpy warns on the way).
+        with pytest.raises(ConvergenceError):
+            phi3(Phi3Spec(a=(1e308,), h=(1e-308,)), 0.1, 0.2, 0.15, QContext(q=0.5))
+
 
 class TestPhiKq:
     def test_origin(self, ctx05):
@@ -388,6 +399,27 @@ class TestQMeasures:
         with pytest.raises(DomainError):
             QHypergeometricMeasure(0.5, 0.5, 0.4, -0.2, ctx05)
 
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_density_matches_gamma_and_product_form(self, q):
+        # The density's closed form: q-Gamma normalisation, the infinite
+        # product ratio (t q; q)_inf / (t q^x; q)_inf and the terminating 3phi1
+        # of a scalar rphis, at lattice points t = q^n.
+        ctx = QContext(q=q)
+        G = lambda x: q_gamma(x, ctx)
+        for n in (0, 1, 5, 30, 90):
+            t = q**n
+            a, b = 0.8, 1.3
+            want = (G(a + b) / (G(a) * G(b)) * t ** (a - 1)
+                    * q_pochhammer_inf_ratio(t * q, t * q**b, ctx))
+            got = q_measure_density(QDirichletMeasure(a, b, ctx), t)
+            assert got == pytest.approx(want, rel=1e-13)
+            a, b, g, e = 0.25 + 0.1j, 0.85, 1.3, 0.3
+            phi = rphis([q**a, q**b, 1 / t], [q**g], t * q ** (g - a - b), ctx).value
+            want = (G(e + g - a) * G(e + g - b) / (G(e) * G(g) * G(e + g - a - b)) * t ** (e - 1)
+                    * q_pochhammer_inf_ratio(t * q, t * q**g, ctx) * phi)
+            got = q_measure_density(QHypergeometricMeasure(a, b, g, e, ctx), t)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_classical_limit_of_densities(self):
         # On-lattice t near 1/2 at q close to 1.
         ctx = QContext(q=0.999)
@@ -404,6 +436,130 @@ class TestQMeasures:
             HypergeometricMeasure(eta - lam, g - lam, g - lam + eta - nu, nu), t
         )
         assert qh == pytest.approx(ch, rel=1e-2)
+
+
+def mp_lattice_3phi1(A, B, C, W, q, n):
+    """3phi1(A, B, q^-n; C; q, W q^n) term by term at 40 digits, from the
+    doubles A, B, C, W and q, with q^-n and q^n exact."""
+    with mpmath.workdps(40):
+        A, B, C, W, mq = (mpmath.mpmathify(v) for v in (A, B, C, W, q))
+        z = W * mq**n
+        term = total = mpmath.mpf(1)
+        for k in range(n):
+            term *= ((1 - A * mq**k) * (1 - B * mq**k) * (1 - mq ** (k - n))
+                     / ((1 - C * mq**k) * (1 - mq ** (k + 1))) * -z * mq**-k)
+            total += term
+        return complex(total)
+
+
+def density_lattice_args(A, B, C, W, q, K):
+    """The density's 3phi1 arguments on the lattice n = 0..K, formed as
+    _q_density_lattice forms them: t = q^n, upper 1/t, argument t W."""
+    n = np.arange(K + 1)
+    t = q ** n.astype(np.float64)
+    return [A, B, 1.0 / t], [C], t * W, n
+
+
+def assert_lattice_matches_mpmath(A, B, C, W, q, K, checked, rtol):
+    uppers, lowers, z, n = density_lattice_args(A, B, C, W, q, K)
+    dtype = np.complex128 if np.iscomplexobj(z) else np.float64
+    assert _lattice_sum(uppers, lowers, z, n, q, dtype) is not None
+    value, terms, converged, est = _rphis_array(uppers, lowers, z, QContext(q=q), terminate_after=n)
+    assert (terms, converged, est) == (K, True, 0.0)
+    for m in checked:
+        want = mp_lattice_3phi1(A, B, C, W, q, m)
+        assert abs(value[m] - want) <= rtol * abs(want), (m, value[m], want)
+
+
+class TestLatticeSum:
+    """The lattice path of _rphis_array: the terminating 3phi1 of the
+    q-measure densities and limit weights as one q-binomial convolution."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    @pytest.mark.parametrize("alpha", [0.25, 0.25 + 0.1j])
+    def test_density_series_matches_mpmath(self, q, alpha):
+        # The exponents of test_doubled_rule_equals_full_lattice, on the
+        # longest lattice whose q^n is a normal double, at most 447.
+        K = min(447, math.floor(math.log(np.finfo(np.float64).tiny) / math.log(q)))
+        a, b, g = alpha, 0.85, 1.3
+        assert_lattice_matches_mpmath(q**a, q**b, q**g, q ** (g - a - b), q, K,
+                                      [0, 1, 2, 7, 40, 150, K], 1e-14)
+
+    def test_worst_verdict_density_matches_mpmath(self):
+        q, a, b, g = 0.7, 0.36843892011770374, 0.8612735130189603, 0.5864825239365985
+        assert_lattice_matches_mpmath(q**a, q**b, q**g, q ** (g - a - b), q, 447,
+                                      [0, 3, 100, 300, 446, 447], 1e-14)
+
+    @given(
+        A=st.floats(min_value=0.01, max_value=0.99),
+        B=st.floats(min_value=0.01, max_value=0.99),
+        C=st.floats(min_value=0.01, max_value=0.99),
+        W=st.floats(min_value=0.2, max_value=2.0),
+        q=st.floats(min_value=0.2, max_value=0.9),
+        K=st.integers(min_value=0, max_value=30),
+    )
+    @hsettings(max_examples=40, deadline=None)
+    def test_matches_mpmath_property(self, A, B, C, W, q, K):
+        assert_lattice_matches_mpmath(A, B, C, W, q, K, range(K + 1), 1e-14)
+
+    def test_recurrence_where_q_factorial_underflows(self):
+        # At q = 0.999 (q; q)_693 is below the double range: the lattice path
+        # declines, silently, and the term recurrence of an int cut-off sums
+        # the row.
+        q = 0.999
+        uppers, lowers, z, n = density_lattice_args(q**0.6, q**0.9, q**1.5, 1.0, q, 693)
+        uppers[2], z, n = uppers[2][-1:], z[-1:], n[-1:]
+        ctx = QContext(q=q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _lattice_sum(uppers, lowers, z, n, q, np.float64) is None
+            got = _rphis_array(uppers, lowers, z, ctx, terminate_after=n)
+            want = _rphis_array(uppers, lowers, z, ctx, terminate_after=693)
+        assert np.isfinite(got[0]).all()
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_other_forms_keep_the_recurrence(self):
+        q = 0.6
+        ta = np.array([[0, 1, 7], [15, 16, 3]])
+        u = q ** -ta.astype(float)
+        # z q^-n not one value, two varying uppers, r = s + 1
+        for uppers, lowers, z in (
+            ([u, 0.4, -0.3], [0.7], np.array([0.2, -0.4, 0.6])),
+            ([u, 0.4 * u, 0.3], [0.7], 0.5 * q**ta),
+            ([u, 0.4], [0.7], 0.5 * q**ta),
+        ):
+            assert _lattice_sum(uppers, lowers, np.asarray(z), ta, q, np.float64) is None
+
+
+def mp_weight_limit(which, p, q, idx):
+    """discrete_weight_limit's w1 or w2 at 40 digits from the same doubles:
+    (q^a, q^mu; q)_inf / (q^g, q^lam; q)_inf (q^gl; q)_i / (q; q)_i q^(i mu)
+    3phi1(q^(lam-a), q^(g-a), q^-i; q^gl; q, q^(a-mu+i)), gl = g + lam - a - mu."""
+    a, g, lam, mu = ((p.alpha1, p.gamma1, p.lam1, p.mu1) if which == "w1"
+                     else (p.beta2, p.gamma2, p.lam2, p.mu2))
+    with mpmath.workdps(40):
+        mq = mpmath.mpf(q)
+        gl = g + lam - a - mu
+        pref = (mpmath.qp(mq**a, mq) * mpmath.qp(mq**mu, mq)
+                / (mpmath.qp(mq**g, mq) * mpmath.qp(mq**lam, mq)))
+        out = []
+        for i in idx:
+            phi = mp_lattice_3phi1(mq ** (lam - a), mq ** (g - a), mq**gl, mq ** (a - mu), mq, int(i))
+            out.append(complex(pref * mp_qp(mq**gl, i, mq) / mp_qp(mq, i, mq) * mq ** (i * mu) * phi).real)
+        return np.array(out)
+
+
+class TestWeightLimitLattice:
+    @pytest.mark.parametrize("which", ["w1", "w2"])
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    def test_limit_weights_match_mpmath(self, which, q):
+        # Two of w_tail's doubling blocks: the lattice from 0 and one after it.
+        ctx = QContext(q=q)
+        p = TestDiscreteWeights.P
+        for idx, checked in ((np.arange(64), slice(None)), (np.arange(64, 192), slice(None, None, 9))):
+            got = discrete_weight_limit(which, idx, p, ctx)[checked]
+            want = mp_weight_limit(which, p, q, idx[checked])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestQMoment:
