@@ -5,8 +5,9 @@ convolution-family extension.
 
 Right-hand sides are evaluated by weighted quadrature rules with all series
 factors vectorized over the nodes; left-hand sides go through the scalar
-series engines.  The two sides never share a code path beyond the scalar
-2F1 primitive.
+series engines.  Both sides of fa-erdelyi take their 2F1 families from
+_shifted_2f1, at different parameters and arguments; otherwise the two
+sides share no code path beyond the 2F1 primitive.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _sample_euler(rng) -> ParameterPoint:
 
 def _lhs_2f1(pt, s):
     v = pt.flat()
-    return complex(gauss_2f1(v["alpha"], v["beta"], v["gamma"], v["z"], s.series_tol).value)
+    return complex(_checked(*gauss_2f1(v["alpha"], v["beta"], v["gamma"], v["z"], s.series_tol)))
 
 
 def _rhs_euler1(pt, s):
@@ -289,7 +290,7 @@ def erdelyi_fk(v) -> FkParams:
 
 def _lhs_fk_erdelyi(pt, s):
     v = pt.flat()
-    return complex(saran_fk_reexpand(erdelyi_fk(v), v["x"], v["y"], v["z"], s.series_tol).value)
+    return complex(_checked(*saran_fk_reexpand(erdelyi_fk(v), v["x"], v["y"], v["z"], s.series_tol)))
 
 
 def _shifted_pair_table(t, w, x, M, first, second, tol):
@@ -360,7 +361,7 @@ def _sample_f2_curious(rng) -> ParameterPoint:
 
 def _lhs_f2_curious(pt, s):
     v = pt.flat()
-    return complex(appell_f2(v["a1"], v["b1"], v["b2"], v["c1"], v["c2"], v["y"], v["z"], s.series_tol).value)
+    return complex(_checked(*appell_f2(v["a1"], v["b1"], v["b2"], v["c1"], v["c2"], v["y"], v["z"], s.series_tol)))
 
 
 def _rhs_f2_curious(pt, s):
@@ -390,7 +391,7 @@ def _sample_f2_reduction(rng) -> ParameterPoint:
 
 def _lhs_f2_reduction(pt, s):
     v = pt.flat()
-    return complex(appell_f2(v["a"], v["b"], v["bp"], v["c"], v["bp"], v["y"], v["z"], s.series_tol).value)
+    return complex(_checked(*appell_f2(v["a"], v["b"], v["bp"], v["c"], v["bp"], v["y"], v["z"], s.series_tol)))
 
 
 def _rhs_f2_reduction(pt, s):
@@ -398,8 +399,8 @@ def _rhs_f2_reduction(pt, s):
     # the Pfaff-rotated variable y/(y+z-1).
     v = pt.flat()
     y, z = v["y"], v["z"]
-    f = gauss_2f1(v["a"], v["c"] - v["b"], v["c"], y / (y + z - 1.0), s.series_tol)
-    return complex((1.0 - y - z) ** (-v["a"]) * complex(f.value))
+    f = _checked(*gauss_2f1(v["a"], v["c"] - v["b"], v["c"], y / (y + z - 1.0), s.series_tol))
+    return complex((1.0 - y - z) ** (-v["a"]) * complex(f))
 
 
 def _sample_manocha(rng) -> ParameterPoint:
@@ -417,7 +418,7 @@ def _sample_manocha(rng) -> ParameterPoint:
 
 def _lhs_manocha(pt, s):
     v = pt.flat()
-    return complex(appell_f2(v["a"], v["b"], v["c"], v["d"], v["e"], v["y"], v["z"], s.series_tol).value)
+    return complex(_checked(*appell_f2(v["a"], v["b"], v["c"], v["d"], v["e"], v["y"], v["z"], s.series_tol)))
 
 
 def _f2_rows(a, b, c, lam, eta, X, Y, K: int, tol) -> np.ndarray:
@@ -522,36 +523,30 @@ _FA_CONSTRAINTS = tuple(
 )
 
 
-def _fa_combined_sequence(v: dict):
-    mode = FA_MODES[int(v["mode"])]
-    a, b = fa_sequences(mode, v)
-    conv = convolve2d(a, b)
-    nrt = 640
-    r3 = _ratio_table(v["g3"], v["tau3"], nrt)
-    r4 = _ratio_table(v["g4"], v["tau4"], nrt)
-    return a, b, CoeffSequence2D(
+def _lhs_fa_erdelyi(pt, s):
+    # The Dirichlet moments of t3 and t4 weight the convolution of the
+    # point's two sequences: (g3)_m / (tau3)_m (g4)_n / (tau4)_n.
+    v = pt.flat()
+    conv = convolve2d(*fa_sequences(FA_MODES[int(v["mode"])], v))
+    r3 = _ratio_table(v["g3"], v["tau3"], 320)
+    r4 = _ratio_table(v["g4"], v["tau4"], 320)
+    cseq = CoeffSequence2D(
         None,
         conv.decay_bound,
         table_builder=lambda M, N: np.outer(r3[: M + 1], r4[: N + 1]) * conv.table(M, N),
     )
-
-
-def _lhs_fa_erdelyi(pt, s):
-    v = pt.flat()
-    *_, cseq = _fa_combined_sequence(v)
-    res = generic_f_a(
+    return complex(_checked(*generic_f_a(
         cseq,
         v["alpha1"] + v["lam1"], v["beta1"], v["tau1"],
         v["alpha2"] + v["lam2"], v["beta2"], v["tau2"],
         v["x1"], v["x2"], v["x3"], v["x4"],
         s.series_tol,
-    )
-    return complex(res.value)
+    )))
 
 
 def _rhs_fa_erdelyi(pt, s):
     v = pt.flat()
-    aseq, bseq, _ = _fa_combined_sequence(v)
+    aseq, bseq = fa_sequences(FA_MODES[int(v["mode"])], v)
     x1, x2, x3, x4 = (v[k] for k in ("x1", "x2", "x3", "x4"))
     order = s.quad_order_quad
     rules = [
@@ -602,12 +597,12 @@ def fk_point(rng, args) -> ParameterPoint:
 
 def _lhs_fk_cross(pt, s):
     v = pt.flat()
-    return complex(saran_fk_triple(fk_params(v), v["x"], v["y"], v["z"], s.series_tol).value)
+    return complex(_checked(*saran_fk_triple(fk_params(v), v["x"], v["y"], v["z"], s.series_tol)))
 
 
 def _rhs_fk_cross(pt, s):
     v = pt.flat()
-    return complex(saran_fk_reexpand(fk_params(v), v["x"], v["y"], v["z"], s.series_tol).value)
+    return complex(_checked(*saran_fk_reexpand(fk_params(v), v["x"], v["y"], v["z"], s.series_tol)))
 
 
 # ---------------------------------------------------------------------------

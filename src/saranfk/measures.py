@@ -31,7 +31,7 @@ import scipy.special as sp
 
 from .core import _as_scalar
 from .errors import DomainError
-from .series import _connection_coeffs, _connection_ok, _series_2f1_near_one, _series_2f1_raw
+from .series import _checked, _connection_coeffs, _connection_ok, _series_2f1_near_one, _series_2f1_raw
 
 __all__ = [
     "DirichletMeasure",
@@ -161,7 +161,8 @@ def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-13):
     """Pointwise hypergeometric-measure density.
 
     Rejects parameter sets with Re(gamma - alpha - beta) <= 0.05 (see
-    _hyp_measure_const).
+    _hyp_measure_const), and raises ConvergenceError where the 2F1 factor
+    does not reach tol.
     """
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0.0) or np.any(t >= 1.0):
@@ -177,10 +178,9 @@ def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-13):
     if np.any(sm):
         # 2F1(alpha, beta; gamma; 1 - t) from t itself.
         _check_endpoint_expansion(a, b, g)
-        f[sm], *_ = _series_2f1_near_one(a, b, g, tt[sm], tol, 100_000)
+        f[sm] = _checked(*_series_2f1_near_one(a, b, g, tt[sm], tol, 100_000))
     if np.any(~sm):
-        s0, *_ = _series_2f1_raw((a, b), (g,), ww[~sm], tol, 100_000)
-        f[~sm] = s0
+        f[~sm] = _checked(*_series_2f1_raw((a, b), (g,), ww[~sm], tol, 100_000))
     out = const * np.power(tt, e - 1.0) * np.power(ww, g - 1.0) * f
     if all(v.imag == 0.0 for v in (a, b, g, e)):
         out = out.real
@@ -215,7 +215,7 @@ def _hypergeometric_rule(spec: HypergeometricMeasure, order: int, tol: float = 1
         # in s/2, into the weights.
         r = gauss_jacobi_rule(expo.real - 1.0, 0.0, order)
         half = r.nodes / 2.0
-        f, *_ = _series_2f1_raw(upper, lower, half, tol, 100_000)
+        f = _checked(*_series_2f1_raw(upper, lower, half, tol, 100_000))
         w = r.weights * 2.0 ** (-expo.real) * const * coef * np.power(1.0 - half, far - 1.0) * f
         if expo.imag != 0.0:
             w = w * np.power(half, 1j * expo.imag)

@@ -622,7 +622,7 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
 
 def _lhs_phik_cross(pt, s: EvalSettings):
     v = pt.flat()
-    return complex(phi3(_phi_k_spec(fk_params(v), s.q), v["x"], v["y"], v["z"], s.qctx, s.series_tol).value)
+    return complex(_checked(*phi3(_phi_k_spec(fk_params(v), s.q), v["x"], v["y"], v["z"], s.qctx, s.series_tol)))
 
 
 # ---------------------------------------------------------------------------

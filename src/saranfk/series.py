@@ -86,6 +86,10 @@ class SeriesResult:
     def __complex__(self):
         return complex(self.value)
 
+    def __iter__(self):
+        """The fields in order, so _checked(*result) reads a record like an engine's tuple."""
+        return iter((self.value, self.terms_used, self.converged, self.est_trunc_error))
+
 
 @dataclass(frozen=True)
 class FkParams:
@@ -458,34 +462,29 @@ def _proxy_2f1(a, b, c, z, tol, max_terms):
 
 
 def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
-    """Route a 2F1 evaluation, broadcasting over array arguments.
+    """Route a 2F1 evaluation with scalar a, b and c over a scalar or array
+    argument z.
 
-    A real argument array of _PROXY_MIN elements or more with scalar a, b
-    and c is summed from a Chebyshev proxy (_proxy_2f1) where one resolves
-    it; each element otherwise takes one of the routes below, split by
-    argument: the direct series for |z| <= 0.9 (and for a terminating
-    series), Pfaff's z / (z - 1), the expansion around z = 1, or the slow
-    direct series up to |z| < 1.
+    A real argument array of _PROXY_MIN elements or more is summed from a
+    Chebyshev proxy (_proxy_2f1) where one resolves it; each element
+    otherwise takes one of the routes below, split by argument: the direct
+    series for |z| <= 0.9 (and for a terminating series), Pfaff's z / (z - 1),
+    the expansion around z = 1, or the slow direct series up to |z| < 1.
 
     Returns (value, terms, converged, relative tail estimate).  Raises
     DomainError when no convergent route covers some argument.
     """
-    if np.ndim(c) == 0 and is_nonpositive_integer(c):
+    if is_nonpositive_integer(c):
         raise PoleError(f"2F1 lower parameter c={c} is a non-positive integer")
-    a = _snap_terminating(a) if np.ndim(a) == 0 else a
-    b = _snap_terminating(b) if np.ndim(b) == 0 else b
+    a, b = _snap_terminating(a), _snap_terminating(b)
 
     zarr = np.asarray(z)
-    scalars = np.ndim(a) == np.ndim(b) == np.ndim(c) == 0
-    if zarr.size >= _PROXY_MIN and scalars and not np.iscomplexobj(zarr):
+    if zarr.size >= _PROXY_MIN and not np.iscomplexobj(zarr):
         res = _proxy_2f1(a, b, c, zarr, tol, max_terms)
         if res is not None:
             return res
     az = np.abs(zarr)
-    terminating = (np.ndim(a) == 0 and is_nonpositive_integer(a)) or (
-        np.ndim(b) == 0 and is_nonpositive_integer(b)
-    )
-    if terminating or np.all(az <= 0.9):
+    if is_nonpositive_integer(a) or is_nonpositive_integer(b) or np.all(az <= 0.9):
         return _series_2f1_raw((a, b), (c,), z, tol, max_terms)
 
     # Mixed regimes: split the argument array by the transform that converges.
@@ -495,22 +494,18 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     m_direct = az <= 0.9
     m_pfaff = ~m_direct & (azp <= 0.9)
     rest = ~m_direct & ~m_pfaff
-    conn_allowed = scalars and _connection_ok(a, b, c)
     # The 1-z expansion only serves points inside the unit disc; outside it
     # the function continues onto the branch cut and the contract is a
     # domain error instead.
-    m_conn = rest & (np.abs(1.0 - zarr) <= 0.9) & (az < 1.0) if conn_allowed else np.zeros_like(rest)
+    m_conn = rest & (np.abs(1.0 - zarr) <= 0.9) & (az < 1.0) if _connection_ok(a, b, c) else np.zeros_like(rest)
     rest = rest & ~m_conn
     m_slow = rest & (az < 1.0)
     m_pfaff_slow = rest & ~m_slow & (azp < 1.0)
     if np.any(rest & ~m_slow & ~m_pfaff_slow):
         raise DomainError("2F1 argument outside |z|<1 and every transform range")
 
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), zarr.shape)
-    cplx = any(np.iscomplexobj(np.asarray(v)) for v in (a, b, c, z))
-    dtype = np.complex128 if cplx else np.float64
-    ab, bb, cb, zb = (np.broadcast_to(np.asarray(v), shape) for v in (a, b, c, zarr))
-    out = np.zeros(shape, dtype=dtype)
+    cplx = any(np.iscomplexobj(v) for v in (a, b, c, zarr))
+    out = np.zeros(zarr.shape, dtype=np.complex128 if cplx else np.float64)
     terms = 0
     converged = True
     est = 0.0
@@ -519,7 +514,7 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
         nonlocal terms, converged, est, out
         if not np.any(mask):
             return
-        vals, n, ok, e = fn(ab[mask], bb[mask], cb[mask], zb[mask])
+        vals, n, ok, e = fn(zarr[mask])
         if np.iscomplexobj(vals) and not np.iscomplexobj(out):
             out = out.astype(np.complex128)
         out[mask] = vals
@@ -527,55 +522,52 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
         converged = converged and ok
         est = max(est, e)
 
-    def direct(A, B, C, Z):
-        return _series_2f1_raw((A, B), (C,), Z, tol, max_terms)
+    def direct(Z, B=b):
+        return _series_2f1_raw((a, B), (c,), Z, tol, max_terms)
 
-    def slow(A, B, C, Z, cap=max_terms):
+    def slow(Z, B=b, cap=max_terms):
         # Past |z| = 0.9 the terms fall like r^n, r the ratio of the last
         # step, which a + b > c + 1 keeps above |z|: summed to tol / 2, the
         # estimate is scaled by (1 - |z|) / (1 - r).
-        v, n, ok, e = _series_2f1_raw((A, B), (C,), Z, tol / 2, cap)
+        v, n, ok, e = _series_2f1_raw((a, B), (c,), Z, tol / 2, cap)
         top = float(np.max(np.abs(Z)))
-        r = max(top, top * float(np.max(np.abs((A + n) * (B + n) / ((C + n) * (n + 1.0))))))
+        r = max(top, top * abs((a + n) * (B + n) / ((c + n) * (n + 1.0))))
         e = e * (1.0 - top) / (1.0 - r) if r < 1.0 else math.inf
         return v, n, ok and e <= tol, e
 
-    def pfaff(A, B, C, Z, series=direct):
-        v, n, ok, e = series(A, C - B, C, Z / (Z - 1.0))
-        base = 1.0 - Z
-        if not np.iscomplexobj(base) and np.any(base <= 0):
-            base = base.astype(np.complex128)
-        pref = np.power(base, -A)
-        return pref * v, n, ok, e
+    def pfaff(Z, series=direct):
+        # A real Z here lies below 1/2, so 1 - Z > 0.
+        v, n, ok, e = series(Z / (Z - 1.0), c - b)
+        return np.power(1.0 - Z, -a) * v, n, ok, e
 
-    def near_one(A, B, C, Z):
+    def near_one(Z):
         # Near an integer c - a - b the connection formula cancels and its
         # estimate exceeds tol; the direct series, up to 20000 terms, then
         # takes over where it converges.
         res = _series_2f1_near_one(a, b, c, 1.0 - Z, tol, max_terms)
         if res[2]:
             return res
-        v, n, ok, e = slow(A, B, C, Z, min(max_terms, 20_000))
+        v, n, ok, e = slow(Z, cap=min(max_terms, 20_000))
         return (v, res[1] + n, ok, e) if ok else res
 
     do(m_direct, direct)
     do(m_pfaff, pfaff)
     do(m_conn, near_one)
     do(m_slow, slow)
-    do(m_pfaff_slow, lambda A, B, C, Z: pfaff(A, B, C, Z, slow))
+    do(m_pfaff_slow, lambda Z: pfaff(Z, slow))
 
     if not cplx and np.iscomplexobj(out):
         # Real parameters and 0 < z < 1 give a real function; the imaginary
         # residue is rounding noise from the log-gamma prefactors.
         out = out.real
-    if zarr.ndim == 0:
-        return out[()], terms, converged, est
-    return out, terms, converged, est
+    # out[()] is the scalar of a 0-d out and out itself otherwise.
+    return out[()], terms, converged, est
 
 
 def _checked(value, terms, converged, est):
-    """The value of a (value, terms, converged, estimate) evaluation that has
-    no result to carry the flag; ConvergenceError if it did not converge."""
+    """The value of a (value, terms, converged, estimate) evaluation, an
+    engine's tuple or a SeriesResult unpacked; ConvergenceError if it did not
+    converge."""
     if not converged:
         raise ConvergenceError(f"series did not converge after {terms} terms (estimate {est:.1e})")
     return value
@@ -583,19 +575,20 @@ def _checked(value, terms, converged, est):
 
 def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
     """F[k] = 2F1(a+k, b; c; z) for k < K, stacked on a new first axis, over
-    an array z; a + k must avoid zero.
+    a scalar or array z with scalar a, b and c.
 
     Two seed series by _eval_2f1 (ConvergenceError if either does not
     converge), then DLMF 15.5.11 run forward,
 
         (a+k)(1-z) F[k+1] = (2(a+k) - c + (b-a-k) z) F[k] + (c-a-k) F[k-1].
 
-    For real z < 1 the family grows like (1-z)^-k k^(b-c) or falls like
-    k^-b, and the other solution of the recurrence falls behind it, so
-    forward is the stable direction: errors stay relative to F.  If b is
-    near a non-positive integer the first term vanishes and F is the small
-    solution; the error is then eps (1-z)^-k, relative to the growth
-    that the callers' outer series is built to absorb."""
+    A step where a + k is zero is singular; F[k+1] is then seeded too.  For
+    real z < 1 the family grows like (1-z)^-k k^(b-c) or falls like k^-b,
+    and the other solution of the recurrence falls behind it, so forward is
+    the stable direction: errors stay relative to F.  If b is near a
+    non-positive integer the first term vanishes and F is the small
+    solution; the error is then eps (1-z)^-k, relative to the growth that
+    the callers' outer series is built to absorb."""
     F0 = _checked(*_eval_2f1(a, b, c, z, tol))
     F = np.empty((K,) + np.shape(F0), dtype=np.result_type(F0, a, b, c, z))
     F[0] = F0
@@ -603,10 +596,14 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
         F[1] = _checked(*_eval_2f1(a + 1.0, b, c, z, tol))
     z = np.asarray(z)
     inv = 1.0 / (1.0 - z)
+    k0 = -round(complex(a).real) if is_nonpositive_integer(a) else 0
     for k in range(1, K - 1):
         ak = a + k
+        if k == k0:
+            F[k + 1] = _checked(*_eval_2f1(ak + 1.0, b, c, z, tol))
+            continue
         step = ((2.0 * ak - c) / ak + (b - ak) / ak * z) * inv
-        np.add(step * F[k], (c - ak) / ak * inv * F[k - 1], out=F[k + 1])
+        np.add(step * F[k], (c - ak) / ak * inv * F[k - 1], out=F[k + 1, ...])
     return F
 
 
@@ -1150,7 +1147,10 @@ def generic_f_a(
     tol: float = 1e-12,
 ) -> SeriesResult:
     """Double series sum a(m,n) 2F1(alpha1+m, beta1; gamma1; x1)
-    2F1(alpha2+n, beta2; gamma2; x2) x3^m x4^n."""
+    2F1(alpha2+n, beta2; gamma2; x2) x3^m x4^n, both families by the
+    recurrence of _shifted_2f1 (ConvergenceError if a seed series does not
+    converge).  The M x N box grows through _grow; its estimate includes
+    the rounding floor 4 eps (sqrt(M N) |S| + sum |t|) / (1 + |S|)."""
     for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
         if is_nonpositive_integer(g):
             raise PoleError(f"generic_f_a parameter {name} is a non-positive integer")
@@ -1165,14 +1165,13 @@ def generic_f_a(
 
     def build(sizes):
         M, N = sizes
-        fm = np.arange(M, dtype=np.float64)
-        fn = np.arange(N, dtype=np.float64)
-        f1, n1, ok1, _ = _eval_2f1(np.asarray(alpha1) + fm, beta1, gamma1, x1, tol * 1e-2)
-        f2, n2, ok2, _ = _eval_2f1(np.asarray(alpha2) + fn, beta2, gamma2, x2, tol * 1e-2)
+        f1 = _shifted_2f1(alpha1, beta1, gamma1, x1, M, tol * 1e-2)
+        f2 = _shifted_2f1(alpha2, beta2, gamma2, x2, N, tol * 1e-2)
         coefs = a.table(M - 1, N - 1)
-        tensor = coefs * np.outer(f1 * np.power(x3, fm), f2 * np.power(x4, fn))
-        floor = 0.0 if ok1 and ok2 else math.inf
-        return tensor.sum(), _face_tails(tensor), floor, n1 + n2 + tensor.size
+        tensor = coefs * np.outer(f1 * np.power(x3, np.arange(M)), f2 * np.power(x4, np.arange(N)))
+        total = tensor.sum()
+        rounding = 4 * _EPS * (math.sqrt(M * N) * abs(total) + float(np.abs(tensor).sum()))
+        return total, _face_tails(tensor), _tail_est(rounding, 1.0, total), M + N + tensor.size
 
     sizes = [_series_len(r3, tol, 12, 220), _series_len(r4, tol, 12, 220)]
     return _grow(build, sizes, [320, 320], tol, 0.2)

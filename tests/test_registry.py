@@ -9,6 +9,7 @@ import scipy.special as sps
 
 from saranfk import (
     ConfigError,
+    ConvergenceError,
     EvalSettings,
     builtin_registry,
     gauss_2f1,
@@ -17,10 +18,10 @@ from saranfk import (
     sample_parameters,
     verify_identity,
 )
-from saranfk import classical_cases, q_cases, qkernels, series
+from saranfk import classical_cases, measures, q_cases, qkernels, series
 from saranfk.classical_cases import _f2_rows, fk_erdelyi_inner_tables
 from saranfk.core import q_pochhammer_table
-from saranfk.measures import DirichletMeasure, measure_rule
+from saranfk.measures import DirichletMeasure, HypergeometricMeasure, hypergeometric_density, measure_rule
 from saranfk.series import _series_len
 from saranfk.registry import Constraint, ParameterPoint
 
@@ -253,6 +254,52 @@ class TestNodeSeriesHonesty:
         res = verify_identity(registry_lookup(case_id), seed=42, count=1)
         assert not res.passed
         assert res.failures[0].message.startswith("ConvergenceError")
+
+
+def _unconverged(engine):
+    """engine, reporting converged=False: a record through
+    dataclasses.replace, a private engine's tuple by its flag."""
+
+    def run(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        if isinstance(res, tuple):
+            value, terms, _, est = res
+            return value, terms, False, est
+        return dataclasses.replace(res, converged=False)
+
+    return run
+
+
+class TestRecordHonesty:
+    @pytest.mark.parametrize(
+        "case_id, module, name",
+        [
+            ("euler-1", classical_cases, "gauss_2f1"),
+            ("f2-reduction-proof", classical_cases, "appell_f2"),
+            ("f2-reduction-proof", classical_cases, "gauss_2f1"),
+            ("fk-erdelyi", classical_cases, "saran_fk_reexpand"),
+            ("f2-curious", classical_cases, "appell_f2"),
+            ("manocha", classical_cases, "appell_f2"),
+            ("fa-erdelyi", classical_cases, "generic_f_a"),
+            ("fk-cross-form", classical_cases, "saran_fk_triple"),
+            ("fk-cross-form", classical_cases, "saran_fk_reexpand"),
+            ("phik-cross-form", q_cases, "phi3"),
+            ("erdelyi-3", measures, "_series_2f1_raw"),
+        ],
+    )
+    def test_unconverged_engine_fails_every_point(self, monkeypatch, case_id, module, name):
+        # One engine of an identity side now reports converged=False: every
+        # point must fail.
+        monkeypatch.setattr(module, name, _unconverged(getattr(module, name)))
+        res = verify_identity(registry_lookup(case_id), seed=42, count=2)
+        assert len(res.failures) == 2
+        assert all(f.message.startswith("ConvergenceError") for f in res.failures)
+
+    @pytest.mark.parametrize("name", ["_series_2f1_raw", "_series_2f1_near_one"])
+    def test_unconverged_density_series_raises(self, monkeypatch, name):
+        monkeypatch.setattr(measures, name, _unconverged(getattr(measures, name)))
+        with pytest.raises(ConvergenceError):
+            hypergeometric_density(HypergeometricMeasure(0.4, 0.5, 1.6, 0.8), np.array([0.2, 0.7]))
 
 
 Q_SERIES_IDS = [

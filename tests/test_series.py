@@ -426,6 +426,37 @@ class TestShiftedFamily:
                     want = float(mpmath.hyp2f1(a + k, b, c, z))
                     assert abs(F[k, i] - want) <= 1e-13 * (1 + abs(want))
 
+    @pytest.mark.parametrize("z", [0.3, 0.3 + 0.2j])
+    def test_scalar_argument(self, z):
+        F = _shifted_2f1(0.7, 0.9, 1.6, z, 40, 1e-15)
+        assert F.shape == (40,)
+        with mpmath.workdps(30):
+            for k in range(40):
+                want = complex(mpmath.hyp2f1(0.7 + k, 0.9, 1.6, z))
+                assert abs(F[k] - want) <= 1e-13 * (1 + abs(want))
+
+    @pytest.mark.parametrize("a, b, c", [(0.7, 0.9, 1.6), (0.7, -0.4, 1.6), (0.7 + 0.3j, 0.9, 1.6)])
+    def test_complex_argument(self, a, b, c):
+        zs = np.array([0.3 + 0.2j, -0.5 + 0.5j, 0.6j, 0.85 + 0.1j, -0.3 - 0.45j])
+        F = _shifted_2f1(a, b, c, zs, 141, 1e-15)
+        assert F.shape == (141, 5)
+        with mpmath.workdps(30):
+            for k in range(141):
+                for i, z in enumerate(zs):
+                    want = complex(mpmath.hyp2f1(a + k, b, c, z))
+                    assert abs(F[k, i] - want) <= 1e-13 * (1 + abs(want))
+
+    def test_family_through_zero_first_parameter(self):
+        # a + 3 = 0: the recurrence step there is singular, and the
+        # family goes on from a seeded F[4].
+        zs = np.array([0.3, -0.5])
+        F = _shifted_2f1(-3.0, 0.9, 1.6, zs, 12, 1e-15)
+        with mpmath.workdps(30):
+            for k in range(12):
+                for i, z in enumerate(zs):
+                    want = float(mpmath.hyp2f1(-3.0 + k, 0.9, 1.6, z))
+                    assert abs(F[k, i] - want) <= 1e-13 * (1 + abs(want))
+
 
 class TestFkL:
     def test_all_zero(self):
@@ -502,6 +533,34 @@ class TestConvolutionFamily:
                       gamma1=1.5, gamma2=1.7, gamma3=g3)
         want = saran_fk_triple(pk, x1, x2, x3 * x4).value
         assert got == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "seq, x1, x2, x3, x4",
+        [
+            (None, 0.3, 0.2, 0.1, 0.15),
+            (0.3, 0.3, 0.2, 0.2, 0.15),
+            (0.3, 0.3 + 0.2j, -0.2 + 0.1j, 0.2, 0.15),
+        ],
+    )
+    def test_estimate_covers_rounding(self, seq, x1, x2, x3, x4):
+        # Against 30-digit sums: the delta sequence is a product of two 2F1,
+        # the geometric one r^(m+n) a product of two single sums.
+        a = delta_sequence() if seq is None else geometric_sequence(seq)
+        r = generic_f_a(a, 0.5, 0.7, 1.5, 0.8, 0.9, 1.7, x1, x2, x3, x4)
+        assert r.converged
+        with mpmath.workdps(30):
+            def family_sum(alpha, beta, gamma, x, w):
+                if seq is None:
+                    return mpmath.hyp2f1(alpha, beta, gamma, x)
+                return mpmath.fsum((seq * w) ** k * mpmath.hyp2f1(alpha + k, beta, gamma, x) for k in range(80))
+
+            want = complex(family_sum(0.5, 0.7, 1.5, x1, x3) * family_sum(0.8, 0.9, 1.7, x2, x4))
+        assert abs(complex(r.value) - want) <= r.est_trunc_error * (1 + abs(want))
+
+    def test_first_parameter_through_zero(self):
+        got = generic_f_a(delta_sequence(), -2.0, 0.7, 1.5, -1.0, 0.9, 1.7, 0.3, 0.2, 0.1, 0.15).value
+        want = gauss_2f1(-2.0, 0.7, 1.5, 0.3).value * gauss_2f1(-1.0, 0.9, 1.7, 0.2).value
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_convolution_identity_element(self):
         seq = geometric_sequence(0.3)
