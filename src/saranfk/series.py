@@ -27,13 +27,16 @@ series.
 
 The term recurrences of the direct pFq series (2F1, the 3F2 of erdelyi-3 and
 hyper_pfq) and, in qkernels, of r_phi_s go through _sum_terms.  It forms the
-terms in blocks of 8, 16, 32, ... from one vectorized ratio expression per
-block and a short loop over its rows, then applies the stopping rule to the
-rows in order, so a series stops at the same term as when summed one term at a
-time, with width times array size within 2^15 elements; a series of one
-element runs them in Python scalars, in blocks of at most 512 terms, with
-bit-identical real results.  An operand every term shares (the argument z) is
-passed once, not per row.
+terms in blocks from one vectorized ratio expression per block and a short
+loop over its rows, then applies the stopping rule to the rows in order, so a
+series stops at the same term as when summed one term at a time.  The first
+block has 8 rows; each next one is sized from the observed decay of the last,
+to end just past the predicted stop (8 rows at least, twice the last at most,
+and twice the last while the terms do not yet fall), with width times array
+size within 2^15 elements.  A series of one element runs them in Python
+scalars, in blocks of 8, 16, ... up to 512 terms, with bit-identical real
+results.  An operand every term shares (the argument z) is passed once, not
+per row.
 """
 
 from __future__ import annotations
@@ -211,8 +214,13 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
     of three terms with _tail_est(max|t_n|, margin, max|S_n|) <= tol; the
     rule runs in Python over the per-row maxima.  Otherwise it runs max_terms
     steps.  A pole row reached before the stop raises PoleError; its
-    denominators are not divided by.  W starts at 8 and doubles per block,
-    capped so that W times the broadcast size stays within _BLOCK_ELEMS.
+    denominators are not divided by.  W starts at 8.  After a block that
+    does not stop the sum, the next W is the number of rows the rule is
+    predicted to need, from the block's last estimate and the fall of its
+    per-row max|t| over its second half, plus one, clipped to [8, 2W]; it
+    is 2W where those maxima do not fall, or without tol.  Only block
+    boundaries depend on W, never the terms or the stop.  W times the
+    broadcast size stays within _BLOCK_ELEMS.
 
     Returns (partial sum, n, trailing run of small terms, last estimate).
     """
@@ -227,7 +235,7 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
     width, small, n, est = 8, 0, 0, math.inf
     while n < max_terms:
         W = min(width, cap, max_terms - n)
-        width *= 2
+        width = 2 * W
         ops, poles = block(n, W)
         steps = np.empty((W,) + shape, dtype=dtype)
         sums = np.empty_like(steps)
@@ -252,6 +260,17 @@ def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8
                         return sums[j].copy(), n + j + 1, small, est
                 else:
                     small = 0
+            # Where the row maxima fall, by r per row over the block's second
+            # half, the run of three small terms ends about log(tol / est) /
+            # log(r) + 2 rows on: the next block takes one row more, within
+            # [8, 2W].  Rising or flat terms keep doubling.
+            h = rows // 2
+            log_r = 0.0
+            if 0 < tails[-1] < tails[h]:
+                log_r = (math.log(tails[-1]) - math.log(tails[h])) / (rows - 1 - h)
+            if log_r < 0 and tol > 0 and math.isfinite(est):
+                need = 3 - small if small else math.ceil((math.log(tol) - math.log(est)) / log_r) + 2
+                width = min(max(need + 1, min_terms - n - W, 8), 2 * W)
         if rows < W:
             raise PoleError("series denominator factor vanished")
         n += W
@@ -594,16 +613,24 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
     F[0] = F0
     if K > 1:
         F[1] = _checked(*_eval_2f1(a + 1.0, b, c, z, tol))
-    z = np.asarray(z)
-    inv = 1.0 / (1.0 - z)
     k0 = -round(complex(a).real) if is_nonpositive_integer(a) else 0
+    if np.ndim(z) == 0:
+        # Python scalars: the same operations in the same order as on arrays,
+        # without numpy's per-operation overhead on 0-d values.
+        a, b, c, z = (np.asarray(v).item() for v in (a, b, c, z))
+        G = F.tolist()
+    else:
+        G = F
+    inv = 1.0 / (1.0 - z)
     for k in range(1, K - 1):
         ak = a + k
         if k == k0:
-            F[k + 1] = _checked(*_eval_2f1(ak + 1.0, b, c, z, tol))
+            G[k + 1] = _checked(*_eval_2f1(ak + 1.0, b, c, z, tol))
             continue
         step = ((2.0 * ak - c) / ak + (b - ak) / ak * z) * inv
-        np.add(step * F[k], (c - ak) / ak * inv * F[k - 1], out=F[k + 1, ...])
+        G[k + 1] = step * G[k] + (c - ak) / ak * inv * G[k - 1]
+    if G is not F:
+        F[...] = G
     return F
 
 

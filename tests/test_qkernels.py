@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 
 import mpmath
@@ -50,6 +51,7 @@ from saranfk.core import (
     q_pochhammer_table,
 )
 from saranfk import q_cases
+from saranfk import qkernels
 from saranfk.qkernels import (
     _lattice_size,
     _lattice_sum,
@@ -529,6 +531,120 @@ class TestLatticeSum:
             ([u, 0.4], [0.7], 0.5 * q**ta),
         ):
             assert _lattice_sum(uppers, lowers, np.asarray(z), ta, q, np.float64) is None
+
+
+def loop_table(uppers, lowers, X, q, n_terms=400):
+    """A non-terminating r_phi_s (r = s + 1) one term at a time over arrays."""
+    term = total = np.ones(np.broadcast_shapes(X.shape, *(np.shape(v) for v in (*uppers, *lowers))))
+    for n in range(n_terms):
+        num = math.prod(1.0 - np.asarray(u) * q**n for u in uppers)
+        den = (1.0 - q ** (n + 1)) * math.prod(1.0 - np.asarray(b) * q**n for b in lowers)
+        term = term * (num / den) * X
+        total = total + term
+    return total
+
+
+def mp_qhyper(uppers, lowers, X, q) -> complex:
+    with mpmath.workdps(30):
+        return complex(mpmath.qhyper([mpmath.mpmathify(u) for u in uppers],
+                                     [mpmath.mpmathify(b) for b in lowers],
+                                     mpmath.mpf(q), mpmath.mpmathify(X)))
+
+
+def spy_family(monkeypatch):
+    """Patch _family_sum to record, per call, whether it took the series."""
+    taken = []
+    family = qkernels._family_sum
+
+    def spy(*args, **kwargs):
+        out = family(*args, **kwargs)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(qkernels, "_family_sum", spy)
+    return taken
+
+
+FAMILY_P = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
+
+
+class TestFamilyRoute:
+    """The shifted 2phi1/3phi2 tables of phi_k_p_tables over node grids,
+    summed as one matrix product of coefficients and argument powers."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
+    @pytest.mark.parametrize("form", ["real", "complex", "3phi2"])
+    def test_grid_tables_match_term_loop_and_mpmath(self, monkeypatch, q, form):
+        ctx = QContext(q=q)
+        p, extra = FAMILY_P, ()
+        if form == "complex":
+            p = dataclasses.replace(p, alpha1=0.5 + 0.3j, beta1=0.9 - 0.2j, beta2=0.6 + 0.1j)
+        if form == "3phi2":
+            extra = ((0.4, 1.7), (1.2, 0.8), (0.3, 1.4))
+        X = np.array([-0.6, -0.2, 0.3, 0.75])
+        Y = np.array([0.5, -0.45, 0.1])
+        pmax = 20
+        taken = spy_family(monkeypatch)
+        _, A, B, okA, okB = phi_k_p_tables(p, X, Y, ctx, pmax, 1e-14, extra)
+        assert taken == [True, True] and okA and okB
+        shifts = q ** np.arange(pmax + 1.0)
+        (u1, l1), (u2, l2), _ = [([q**u], [q**l]) for u, l in extra] or [([], [])] * 3
+        sides = (
+            (A, [q**p.beta1 * shifts, q**p.alpha1, *u1], [q**p.gamma1, *l1], X),
+            (B, [q**p.alpha2 * shifts, q**p.beta2, *u2], [q**p.gamma2, *l2], Y),
+        )
+        for table, uppers, lowers, args in sides:
+            want = loop_table(uppers, lowers, args[:, None], q)
+            assert np.all(np.abs(table - want) <= 1e-14 * (1.0 + np.abs(want)))
+            for i in (0, 1, -1):
+                for j in (0, 7, pmax):
+                    ref = mp_qhyper([uppers[0][j], *uppers[1:]], lowers, args[i], q)
+                    assert abs(table[i, j] - ref) <= 1e-14 * (1.0 + abs(ref)), (i, j)
+
+    @pytest.mark.parametrize("X", [0.3, np.array([-0.45])], ids=["scalar", "one"])
+    def test_one_element_argument_keeps_the_recurrence(self, monkeypatch, X):
+        ctx = QContext(q=0.5)
+        taken = spy_family(monkeypatch)
+        got = phi_k_p_tables(FAMILY_P, X, X, ctx, 12)
+        assert taken == [False, False]
+        monkeypatch.setattr(qkernels, "_family_sum", lambda *args, **kwargs: None)
+        want = phi_k_p_tables(FAMILY_P, X, X, ctx, 12)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_lower_pole_still_raises(self, monkeypatch):
+        q = 0.5
+        taken = spy_family(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError):
+                _rphis_array([q**0.3 * q ** np.arange(5.0), 0.4], [q**-3],
+                             np.array([0.2, -0.3])[:, None], QContext(q=q))
+        assert taken == [False]
+
+    def test_only_grid_tables_take_it_in_the_verdict(self, monkeypatch):
+        # Every multi-node phi_k_p_tables family takes it (210 of 546 table
+        # families at seed 42); no other _rphis_array caller does.
+        taken = spy_family(monkeypatch)
+        calls = []
+        rphis_array = qkernels._rphis_array
+
+        def spy(uppers, lowers, z, *args, **kwargs):
+            before = len(taken)
+            out = rphis_array(uppers, lowers, z, *args, **kwargs)
+            calls.append((sys._getframe(1).f_code.co_name, np.size(z), True in taken[before:]))
+            return out
+
+        monkeypatch.setattr(qkernels, "_rphis_array", spy)
+        monkeypatch.setattr(q_cases, "_rphis_array", spy)
+        for case in q_cases.build():
+            for q in (0.2, 0.5, 0.7):
+                assert verify_identity(case, seed=42, settings=EvalSettings(q=q)).passed
+        callers = {name for name, _, _ in calls}
+        assert {"phi_k_p_tables", "_lhs_2phi1", "_rhs_gasper1", "_rhs_gasper3"} <= callers
+        for name, size, took in calls:
+            assert took == (name == "phi_k_p_tables" and size >= 2), name
+        assert sum(took for *_, took in calls) == 210
 
 
 def mp_weight_limit(which, p, q, idx):

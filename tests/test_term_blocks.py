@@ -1,8 +1,8 @@
 """Block-summed term recurrences against the term-at-a-time loops they replace.
 
-`_series_2f1_raw` and `_rphis_array` form their terms W at a time, W = 8, 16,
-32, ... (fewer for large arrays), and apply the three-small-terms rule to the
-rows afterwards.  The reference loops below form one term per step and test
+`_series_2f1_raw` and `_rphis_array` form their terms W at a time, W = 8
+first and then sized from the observed decay (fewer for large arrays), and
+apply the three-small-terms rule to the rows afterwards.  The reference loops below form one term per step and test
 the rule after each.  Both must stop at the same term with the same flag;
 real series give bit-identical values, complex ones agree to 1e-12 (1 + |v|).
 A series of one element (shape (), (1,) or (1, 1)) is summed in Python
@@ -361,3 +361,63 @@ def test_size_one_series_at_the_term_cap():
     res = gauss_2f1(1, 1, 2, 1 - 1e-7)
     assert (res.terms_used, res.converged) == (250_000, False)
     assert float(res.value).hex() == "0x1.9f6938c1b8041p+3"
+
+
+# ---------------------------------------------------------------------------
+# Block widths sized from the observed decay
+# ---------------------------------------------------------------------------
+
+
+def ref_stop(ratios, tol, max_terms, margin=1.0, min_terms=8):
+    """The term-at-a-time loop over ratio rows: (partial sum, stop index)."""
+    term = np.ones(ratios.shape[1:])
+    total = np.ones(ratios.shape[1:])
+    small = 0
+    for n in range(max_terms):
+        term = term * ratios[n]
+        total = total + term
+        if _tail_est(float(np.max(np.abs(term))), margin, float(np.max(np.abs(total)))) <= tol:
+            small += 1
+            if small >= 3 and n + 1 >= min_terms:
+                return total, n + 1
+        else:
+            small = 0
+    return total, max_terms
+
+
+def counted_sum(ratios, tol, max_terms, margin=1.0):
+    """_sum_terms over the rows of ratios, and the rows its blocks formed."""
+    formed = []
+
+    def block(n0, W):
+        formed.append(W)
+        return [(np.multiply, ratios[n0 : n0 + W])], None
+
+    total, n, small, _ = series._sum_terms(block, ratios.shape[1:], np.float64, max_terms, tol, margin)
+    return total, n, small, sum(formed)
+
+
+@pytest.mark.parametrize("size", [4, 64])
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.9, 0.97])
+def test_geometric_blocks_form_few_spare_rows(r, size):
+    # Margin 1 - r, as for a direct 2F1 at max|z| = r.  Widths 8, 16, 32, ...
+    # formed 31, 240 and 107 rows past the stop at r = 0.3, 0.9 and 0.97;
+    # blocks sized from the decay form at most 8.
+    rows = np.broadcast_to(r * np.linspace(0.5, 1.0, size), (5000, size))
+    want, stop = ref_stop(rows, 1e-12, 5000, 1.0 - r)
+    total, n, small, formed = counted_sum(rows, 1e-12, 5000, 1.0 - r)
+    assert (n, small) == (stop, 3)
+    np.testing.assert_array_equal(total, want)
+    assert stop <= formed <= stop + 8
+
+
+def test_rising_terms_reach_their_stop():
+    # x^n / n! with x up to 40: the terms rise for 40 rows, over blocks that
+    # keep doubling, before they fall to the stop.
+    x = np.array([40.0, 12.0, -25.0])
+    rows = x / np.arange(1.0, 401.0)[:, None]
+    want, stop = ref_stop(rows, 1e-12, 400)
+    total, n, small, formed = counted_sum(rows, 1e-12, 400)
+    assert stop > 60 and (n, small) == (stop, 3)
+    np.testing.assert_array_equal(total, want)
+    assert total[0] == pytest.approx(math.exp(40.0), rel=1e-12)
