@@ -29,14 +29,12 @@ the limit weights.  _lattice_sum sums it as one q-binomial convolution over
 the whole lattice, and leaves it to the recurrence where (q; q)_max n is not
 a normal double or a sum is not finite.  A second family skips it too: a
 non-terminating r_phi_s with r = s + 1 whose parameters vary only along axes
-on which an argument of two elements or more is constant, the shifted 2phi1
-and 3phi2 tables of phi_k_p_tables over a node grid.  Its n-th term is
-C[params, n] z^n, and _family_sum sums it as one matrix product, growing its
-length as _grow does until the last three terms pass the term loops' rule.
-A one-element argument (a Phi_K point value) keeps the recurrence, so point
-values keep their bits; a vanishing denominator also leaves the series to
-the recurrence, which raises PoleError.  Tables follow the dtype of their
-inputs: real exponents and arguments sum in float64.  Every (a;q)_k table
+on which the argument is constant, the shifted 2phi1 and 3phi2 tables of
+phi_k_p_tables.  Its n-th term is C[params, n] z^n, and _family_sum sums it
+as one matrix product, growing its length as _grow does until the last three
+terms pass the term loops' estimate; a vanishing denominator leaves the
+series to the recurrence, which raises PoleError.  Tables follow the dtype of
+their inputs: real exponents and arguments sum in float64.  Every (a;q)_k table
 comes from core._q_tables, which stacks the bases of a build in one call; the
 row of a base q^-r is exactly zero past k = r, as the terms of r_phi_s are.
 The one exception is the densities' (q^x; q)_n / (q; q)_n, a cumulative
@@ -151,45 +149,43 @@ def _family_sum(params, nup: int, z, q: float, tol: float, max_terms: int, shape
     or None.
 
     It applies where the parameter arrays (params, the nup uppers first) vary
-    along some axes, z along others and z holds two elements at least: the
-    n-th term is then C[params, n] z^n, with C from one _q_tables call, and
-    the sum is (z^n) @ C^T.  N starts at _series_len(max|z|, tol) and grows
-    as _grow grows it, to min(max_terms, 1.5 N + 8), until the last three
-    terms, max|C[:, n]| max|z|^n, pass the term driver's rule with margin
-    0.25.  Returns (value, N, converged, estimate) like the recurrence, or
-    None where a denominator (b; q)_n or (q; q)_n vanishes or a sum is not
-    finite, which the recurrence then decides."""
+    along some axes and z only along others: the n-th term is then
+    C[params, n] z^n, with C from one _q_tables call, and the sum is
+    (z^n) @ C^T.  N starts at _series_len(max|z|, tol) and grows as _grow
+    grows it, to min(max_terms, 1.5 N + 8), until the last three terms,
+    max|C[:, n]| max|z|^n, pass _tail_est with margin 0.25 against the
+    largest |sum|.  Returns (value, N, converged, estimate) like the
+    recurrence, or None where a denominator (b; q)_n or (q; q)_n vanishes or
+    a sum is not finite, which the recurrence then decides."""
     ps, zs = ((1,) * (len(shape) - len(s)) + s for s in (
         np.broadcast_shapes(*(v.shape for v in params)), np.shape(z)))
-    if (2 * nup != len(params) + 1 or np.size(z) < 2 or math.prod(ps) < 2
+    if (2 * nup != len(params) + 1 or math.prod(ps) < 2
             or any(a > 1 and b > 1 for a, b in zip(ps, zs))):
         return None
     zflat = np.ravel(z)
     top = float(np.abs(zflat).max())
-    axes = [i for i, s in enumerate(zs) if s > 1] + [i for i, s in enumerate(ps) if s > 1]
+    bases = np.concatenate([*(v.ravel() for v in params), [q]])
+    ends = list(accumulate(v.size for v in params))
     N = max(_series_len(top, tol), 8)
     while True:
-        n = np.arange(N + 1, dtype=np.float64)
-        tables = _q_tables(np.concatenate([*(v.ravel() for v in params), [q]]), N, q)
-        rows = [r.reshape((1,) * (len(ps) - v.ndim) + v.shape + (N + 1,)) for r, v in zip(
-            np.split(tables, np.cumsum([v.size for v in params])), params)]
+        tables = _q_tables(bases, N, q)
+        rows = [tables[e - v.size : e].reshape((1,) * (len(ps) - v.ndim) + v.shape + (N + 1,))
+                for e, v in zip(ends, params)]
         den = math.prod(rows[nup:]) * tables[-1]
         if not (abs(den) >= 1e-280).all():
             return None
         C = (math.prod(rows[:nup]) / den).reshape(-1, N + 1)
-        powers = zflat[:, None] ** n
-        total = powers @ C.T
+        total = np.vander(zflat, N + 1, increasing=True) @ C.T
         if not np.isfinite(total).all():
             return None
-        tails = np.abs(C[:, -3:]).max(axis=0) * top ** n[-3:]
-        partial = [total, total - np.outer(powers[:, N], C[:, N])]
-        partial.append(partial[-1] - np.outer(powers[:, N - 1], C[:, N - 1]))
-        ests = [_tail_est(t, 0.25, float(np.abs(s).max())) for t, s in zip(tails, partial[::-1])]
-        converged = all(e <= tol for e in ests)
+        tails = np.abs(C[:, -3:]).max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)
+        ests = _tail_est(tails, 0.25, float(np.abs(total).max()))
+        converged = bool((ests <= tol).all())
         if converged or N >= max_terms:
+            axes = [i for i, s in enumerate(zs) if s > 1] + [i for i, s in enumerate(ps) if s > 1]
             value = total.reshape([s for s in zs if s > 1] + [s for s in ps if s > 1])
-            value = value.transpose(np.argsort(axes)).reshape(shape).astype(dtype)
-            return value, N, converged, ests[-1]
+            value = value.transpose(np.argsort(axes)).reshape(shape).astype(dtype, copy=False)
+            return value, N, converged, float(ests[-1])
         N = min(max_terms, int(1.5 * N) + 8)
 
 
@@ -211,10 +207,7 @@ def _rphis_array(
     q-lattice; where it declines, and for an int, the block recurrence sums
     the series.  Without terminate_after, _family_sum is tried first: an
     r = s + 1 family whose parameters vary only along axes on which z is
-    constant, z of two elements at least, is one matrix product of a
-    coefficient table and the powers of z.  A one-element z keeps the
-    recurrence, so Phi_K point values keep their bits: the product saved no
-    measurable time there and moved more of the verdict's residuals.
+    constant is one matrix product of a coefficient table and the powers of z.
     """
     q = ctx.q
     spow = 1 + len(lowers) - len(uppers)
@@ -447,8 +440,7 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
     return coef, A, B, okA, okB
 
 
-# The one node 1 with weight 1, whose rule sums are point values.  It has no node
-# axis: a length-1 axis would cost the term loops of its tables a tenth of their time.
+# The one node 1 with weight 1, whose rule sums are point values; it has no node axis.
 _ONE_NODE = (np.float64(1.0), np.float64(1.0))
 
 

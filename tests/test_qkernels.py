@@ -569,8 +569,9 @@ FAMILY_P = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
 
 
 class TestFamilyRoute:
-    """The shifted 2phi1/3phi2 tables of phi_k_p_tables over node grids,
-    summed as one matrix product of coefficients and argument powers."""
+    """The shifted 2phi1/3phi2 tables of phi_k_p_tables, over node grids and
+    single nodes, summed as one matrix product of coefficients and argument
+    powers."""
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
     @pytest.mark.parametrize("form", ["real", "complex", "3phi2"])
@@ -602,15 +603,24 @@ class TestFamilyRoute:
                     assert abs(table[i, j] - ref) <= 1e-14 * (1.0 + abs(ref)), (i, j)
 
     @pytest.mark.parametrize("X", [0.3, np.array([-0.45])], ids=["scalar", "one"])
-    def test_one_element_argument_keeps_the_recurrence(self, monkeypatch, X):
-        ctx = QContext(q=0.5)
+    def test_one_element_argument_takes_it(self, monkeypatch, X):
+        # A point value's tables: one node, parameters varying along p.
+        q, pmax = 0.5, 12
+        ctx = QContext(q=q)
         taken = spy_family(monkeypatch)
-        got = phi_k_p_tables(FAMILY_P, X, X, ctx, 12)
-        assert taken == [False, False]
+        got = phi_k_p_tables(FAMILY_P, X, X, ctx, pmax)
+        assert taken == [True, True] and got[3] and got[4]
         monkeypatch.setattr(qkernels, "_family_sum", lambda *args, **kwargs: None)
-        want = phi_k_p_tables(FAMILY_P, X, X, ctx, 12)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        want = phi_k_p_tables(FAMILY_P, X, X, ctx, pmax)
+        shifts = q ** np.arange(pmax + 1.0)
+        p = FAMILY_P
+        for table, loop, (sh, a, c) in zip(got[1:3], want[1:3], (
+                (p.beta1, p.alpha1, p.gamma1), (p.alpha2, p.beta2, p.gamma2))):
+            assert table.shape == loop.shape
+            assert np.all(np.abs(table - loop) <= 1e-14 * (1.0 + np.abs(loop)))
+            for j in (0, 5, pmax):
+                ref = mp_qhyper([q**sh * shifts[j], q**a], [q**c], float(np.ravel(X)[0]), q)
+                assert abs(table[..., j].item() - ref) <= 1e-14 * (1.0 + abs(ref)), j
 
     def test_lower_pole_still_raises(self, monkeypatch):
         q = 0.5
@@ -622,9 +632,9 @@ class TestFamilyRoute:
                              np.array([0.2, -0.3])[:, None], QContext(q=q))
         assert taken == [False]
 
-    def test_only_grid_tables_take_it_in_the_verdict(self, monkeypatch):
-        # Every multi-node phi_k_p_tables family takes it (210 of 546 table
-        # families at seed 42); no other _rphis_array caller does.
+    def test_only_phi_k_p_tables_take_it_in_the_verdict(self, monkeypatch):
+        # Every phi_k_p_tables family takes it (546 at seed 42), grids and
+        # one-node point values alike; no other _rphis_array caller does.
         taken = spy_family(monkeypatch)
         calls = []
         rphis_array = qkernels._rphis_array
@@ -642,9 +652,11 @@ class TestFamilyRoute:
                 assert verify_identity(case, seed=42, settings=EvalSettings(q=q)).passed
         callers = {name for name, _, _ in calls}
         assert {"phi_k_p_tables", "_lhs_2phi1", "_rhs_gasper1", "_rhs_gasper3"} <= callers
-        for name, size, took in calls:
-            assert took == (name == "phi_k_p_tables" and size >= 2), name
-        assert sum(took for *_, took in calls) == 210
+        for name, _, took in calls:
+            assert took == (name == "phi_k_p_tables"), name
+        assert sum(took for *_, took in calls) == 546
+        sizes = {size for name, size, _ in calls if name == "phi_k_p_tables"}
+        assert 1 in sizes and max(sizes) > 1
 
 
 def mp_weight_limit(which, p, q, idx):
