@@ -17,8 +17,8 @@ import numpy as np
 import scipy.special as sps
 
 from .core import pochhammer_table
-from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, measure_rule
-from .registry import Constraint, IdentityCase, ParameterPoint, _dirichlet_pos, _pos, _u
+from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _slot_exponents, measure_rule
+from .registry import Constraint, IdentityCase, ParameterPoint, _dirichlet_pos, _measure_pos, _slot_pos, _u
 from .series import (
     CoeffSequence2D,
     FkParams,
@@ -202,27 +202,17 @@ def _sample_erdelyi3(rng) -> ParameterPoint:
     )
 
 
-def _erdelyi3_spec(v) -> HypergeometricMeasure:
-    return HypergeometricMeasure(
-        v["eta"] - v["lam"],
-        v["gamma"] - v["lam"],
-        v["gamma"] - v["lam"] + v["eta"] - v["nu"],
-        v["nu"],
-    )
-
-
 def _rhs_erdelyi3(pt, s):
     v = pt.flat()
-    t, w = measure_rule(_erdelyi3_spec(v), s.quad_order)
+    spec = HypergeometricMeasure(*_slot_exponents(v["eta"], v["gamma"], v["lam"], v["nu"]))
+    t, w = measure_rule(spec, s.quad_order)
     upper, lower = (v["alpha"], v["beta"], v["eta"]), (v["lam"], v["nu"])
     vals = _checked(*_series_2f1_raw(upper, lower, v["z"] * t, s.series_tol, 250_000))
     return complex(np.sum(w * vals))
 
 
 _ERDELYI3_CONSTRAINTS = (
-    _pos("Re(nu) > 0", lambda v: v["nu"]),
-    _pos("Re(lam) > 0", lambda v: v["lam"]),
-    _pos("Re(gamma-lam+eta-nu) > 0", lambda v: v["gamma"] - v["lam"] + v["eta"] - v["nu"]),
+    _slot_pos("eta", "gamma", "lam", "nu"),
     # Engineering margins for the endpoint expansion of the measure density:
     # gamma-alpha-beta of the measure equals lam-nu and must sit away from
     # the integers and from zero.
@@ -262,15 +252,18 @@ def _sample_fk_erdelyi(rng) -> ParameterPoint:
     )
 
 
+def erdelyi_measures(v) -> tuple[DirichletMeasure, ...]:
+    """The Dirichlet measures of Theorems 1.1 and 4.6, on the u, v, w axes."""
+    return (
+        DirichletMeasure(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"]),
+        DirichletMeasure(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"]),
+        DirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"]),
+    )
+
+
 # The hypotheses of Theorem 1.1, restated word for word by its q-analogue,
-# Theorem 4.6.
-ERDELYI_HYPOTHESES = (
-    _pos("Re(alpha1+eta1) > Re(lam1)", lambda v: v["alpha1"] + v["eta1"] - v["lam1"]),
-    _pos("Re(lam1) > 0", lambda v: v["lam1"]),
-    _pos("Re(beta2+mu2) > Re(lam2)", lambda v: v["beta2"] + v["mu2"] - v["lam2"]),
-    _pos("Re(lam2) > 0", lambda v: v["lam2"]),
-    *_dirichlet_pos("beta1", "gamma3"),
-)
+# Theorem 4.6: its three measures exist.
+ERDELYI_HYPOTHESES = (_measure_pos("Theorem 1.1 measures", erdelyi_measures),)
 _FK_DOMAIN = Constraint("(x,y,z) in F_K domain", lambda pt: in_domain_fk(*(pt.arguments[k] for k in "xyz")))
 
 
@@ -312,10 +305,7 @@ def fk_erdelyi_inner_tables(pt, s):
     F_K Erdelyi integral; also used by the proof-step consistency checks."""
     v = pt.flat()
     x, y, z = v["x"], v["y"], v["z"]
-    order = s.quad_order_triple
-    tu, wu = measure_rule(DirichletMeasure(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"]), order)
-    tv, wv = measure_rule(DirichletMeasure(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"]), order)
-    tw, ww = measure_rule(DirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"]), order)
+    (tu, wu), (tv, wv), (tw, ww) = (measure_rule(m, s.quad_order_triple) for m in erdelyi_measures(v))
     zeff = abs(z) / ((1.0 - abs(x)) * (1.0 - abs(y)))
     M = _series_len(zeff, s.series_tol, lo=16, hi=140)
 
@@ -516,11 +506,7 @@ def _sample_fa_erdelyi(rng) -> ParameterPoint:
     )
 
 
-_FA_CONSTRAINTS = tuple(
-    _pos(f"Re(tau{j}) > Re(g{j})", lambda v, j=j: v[f"tau{j}"] - v[f"g{j}"]) for j in range(1, 5)
-) + tuple(
-    _pos(f"Re(g{j}) > 0", lambda v, j=j: v[f"g{j}"]) for j in range(1, 5)
-)
+_FA_CONSTRAINTS = tuple(_dirichlet_pos(f"g{j}", f"tau{j}") for j in range(1, 5))
 
 
 def _lhs_fa_erdelyi(pt, s):
@@ -614,31 +600,31 @@ def build() -> tuple[IdentityCase, ...]:
     return (
         IdentityCase(
             id="euler-1", anchor="Eq. (1.2)",
-            constraints=_dirichlet_pos("beta", "gamma"),
+            constraints=(_dirichlet_pos("beta", "gamma"),),
             sampler=_sample_euler, lhs=_lhs_2f1, rhs=_rhs_euler1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="euler-2", anchor="Eq. (1.3)",
-            constraints=_dirichlet_pos("alpha", "gamma"),
+            constraints=(_dirichlet_pos("alpha", "gamma"),),
             sampler=_sample_euler2, lhs=_lhs_2f1, rhs=_rhs_euler2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="bateman", anchor="Eq. (1.5)",
-            constraints=_dirichlet_pos("lam", "gamma"),
+            constraints=(_dirichlet_pos("lam", "gamma"),),
             sampler=_sample_bateman, lhs=_lhs_2f1, rhs=_rhs_bateman,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-1", anchor="Eq. (1.6)",
-            constraints=_dirichlet_pos("lam", "gamma"),
+            constraints=(_dirichlet_pos("lam", "gamma"),),
             sampler=_sample_erdelyi1, lhs=_lhs_2f1, rhs=_rhs_erdelyi1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-2", anchor="Eq. (1.7)",
-            constraints=_dirichlet_pos("eta", "gamma"),
+            constraints=(_dirichlet_pos("eta", "gamma"),),
             sampler=_sample_erdelyi2, lhs=_lhs_2f1, rhs=_rhs_erdelyi2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
@@ -656,7 +642,7 @@ def build() -> tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="f2-curious", anchor="Theorem 3.2",
-            constraints=(*_dirichlet_pos("d1", "c1"), *_dirichlet_pos("b2", "c2"), _YZ_DISC),
+            constraints=(_dirichlet_pos("d1", "c1"), _dirichlet_pos("b2", "c2"), _YZ_DISC),
             sampler=_sample_f2_curious, lhs=_lhs_f2_curious, rhs=_rhs_f2_curious,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
@@ -668,13 +654,13 @@ def build() -> tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="manocha", anchor="Eq. (3.10)",
-            constraints=(*_dirichlet_pos("lam", "d"), *_dirichlet_pos("eta", "e")),
+            constraints=(_dirichlet_pos("lam", "d"), _dirichlet_pos("eta", "e")),
             sampler=_sample_manocha, lhs=_lhs_manocha, rhs=_rhs_manocha,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="manocha-reduced", anchor="Eq. (3.11)",
-            constraints=(*_dirichlet_pos("lam", "d"), *_dirichlet_pos("c", "e")),
+            constraints=(_dirichlet_pos("lam", "d"), _dirichlet_pos("c", "e")),
             sampler=_sample_manocha_reduced, lhs=_lhs_manocha, rhs=_rhs_manocha_reduced,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),

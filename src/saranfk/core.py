@@ -212,7 +212,8 @@ def q_pochhammer_inf_ratio(a, b, ctx: QContext):
 
     Near q = 1 the individual infinite products underflow while their ratio
     stays moderate, so the quotient form is the only stable one.  Broadcasts
-    over arrays in a and b.
+    over arrays in a and b.  No engine calls it: it is kept as the reference
+    form that test_core, test_qkernels and demo 04 check the engines against.
     """
     a = np.asarray(a)
     b = np.asarray(b)

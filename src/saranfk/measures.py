@@ -78,6 +78,12 @@ class HypergeometricMeasure:
 MeasureSpec = DirichletMeasure | HypergeometricMeasure
 
 
+def _slot_exponents(eta, gamma, lam, nu) -> tuple:
+    """Gasper's slot map, the hypergeometric measure's exponents in (2.3).  The
+    measure exists where Re(nu), Re(gamma - lam + eta - nu) and Re(lam) > 0."""
+    return eta - lam, gamma - lam, gamma - lam + eta - nu, nu
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights on (0,1) exact for degree <= 2n-1 against t^a (1-t)^b."""
@@ -157,7 +163,7 @@ def _check_endpoint_expansion(a, b, g):
         )
 
 
-def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-13):
+def hypergeometric_density(spec: HypergeometricMeasure, t, tol: float = 1e-12):
     """Pointwise hypergeometric-measure density.
 
     Rejects parameter sets with Re(gamma - alpha - beta) <= 0.05 (see

@@ -21,18 +21,18 @@ with unit weights on the left.  Unconverged series fail the point
 (`series._checked`).
 
 Theorem 4.6 and the Phi_K cross form restate their classical counterparts, so
-their parameter maps (`fk_params`, `erdelyi_fk`), hypotheses
-(`ERDELYI_HYPOTHESES`) and cross-form sampler (`fk_point`) come from
-`classical_cases`.
+their parameter maps (`fk_params`, `erdelyi_fk`), measures
+(`erdelyi_measures`), hypotheses (`ERDELYI_HYPOTHESES`) and cross-form
+sampler (`fk_point`) come from `classical_cases`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .classical_cases import ERDELYI_HYPOTHESES, erdelyi_fk, fk_params, fk_point
+from .classical_cases import ERDELYI_HYPOTHESES, erdelyi_fk, erdelyi_measures, fk_params, fk_point
 from .core import _q_tables, q_pochhammer_inf
-from .measures import _moment_powers
+from .measures import DirichletMeasure, _moment_powers, _slot_exponents
 from .qkernels import (
     _ONE_NODE,
     DiscreteFkParams,
@@ -51,7 +51,8 @@ from .qkernels import (
     phi3,
     q_measure_rule,
 )
-from .registry import Constraint, EvalSettings, IdentityCase, ParameterPoint, _dirichlet_pos, _pos, _u
+from .registry import (Constraint, EvalSettings, IdentityCase, ParameterPoint, _dirichlet_pos, _measure_pos,
+                       _pos, _slot_pos, _u)
 from .series import FkParams, _checked, _series_len
 
 Q_ARG_CAP = 0.3
@@ -121,9 +122,8 @@ def _sample_gasper3(rng) -> ParameterPoint:
 
 def _slot_rule(eta, gamma, lam, nu, s: EvalSettings):
     """Lattice rule of the hypergeometric q-measure in the slots of Gasper's
-    (2.3): (eta - lam, gamma - lam, gamma - lam + eta - nu, nu)."""
-    spec = QHypergeometricMeasure(eta - lam, gamma - lam, gamma - lam + eta - nu, nu, s.qctx)
-    return q_measure_rule(spec)
+    (2.3), measures._slot_exponents."""
+    return q_measure_rule(QHypergeometricMeasure(*_slot_exponents(eta, gamma, lam, nu), s.qctx))
 
 
 def _rhs_gasper3(pt, s: EvalSettings):
@@ -190,6 +190,15 @@ def _slot_axis(rng, j: int) -> dict:
     gamma = _u(rng, 0.5, 1.5)
     eta = nu - gamma + lam + _u(rng, 0.4, 1.2)
     return {f"lam{j}": lam, f"nu{j}": nu, f"gamma{j}": gamma, f"eta{j}": eta}
+
+
+def _axis_slot_pos(j: int) -> Constraint:
+    """_slot_pos on the symbols of _slot_axis j, vacuous for points with fewer axes."""
+    c = _slot_pos(f"eta{j}", f"gamma{j}", f"lam{j}", f"nu{j}")
+    return Constraint(c.name, lambda pt: f"lam{j}" not in pt.values or c.check(pt))
+
+
+_SLOT_AXES_CONSTRAINTS = tuple(_axis_slot_pos(j) for j in (1, 2, 3))
 
 
 def _sample_joshi_vyas(rng) -> ParameterPoint:
@@ -269,23 +278,6 @@ def _rhs_joshi_vyas(pt, s: EvalSettings):
     return complex(tensor.sum())
 
 
-def _jv_constraints() -> tuple:
-    out = []
-    for j in (1, 2, 3):
-        def chk(pt, j=j):
-            v = pt.values
-            if f"lam{j}" not in v:
-                return True
-            return (
-                v[f"lam{j}"] > 0
-                and v[f"nu{j}"] > 0
-                and v[f"gamma{j}"] + v[f"eta{j}"] - v[f"lam{j}"] - v[f"nu{j}"] > 0
-            )
-
-        out.append(Constraint(f"axis {j} measure hypotheses", chk))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Triple-series corollaries
 # ---------------------------------------------------------------------------
@@ -300,14 +292,6 @@ def _sample_qfk_phi3(rng, x_zero=False) -> ParameterPoint:
         vals.update(_slot_axis(rng, j))
     x, y, z = _qargs(rng)
     return ParameterPoint(values=vals, arguments={"x": 0.0 if x_zero else x, "y": y, "z": z})
-
-
-_QFK_PHI3_CONSTRAINTS = tuple(
-    _pos(f"min hypotheses axis {j}", lambda v, j=j: min(
-        v[f"gamma{j}"] + v[f"eta{j}"] - v[f"lam{j}"] - v[f"nu{j}"], v[f"lam{j}"], v[f"nu{j}"]
-    ))
-    for j in (1, 2, 3)
-)
 
 
 def _rhs_qfk_phi3(pt, s: EvalSettings):
@@ -331,11 +315,9 @@ def _sample_qfk_lr(rng) -> ParameterPoint:
 
 
 _QFK_LR_CONSTRAINTS = (
-    _pos("axis 1 hypotheses", lambda v: min(
-        v["gamma1"] + v["eta1"] - v["alpha1"] - v["nu1"], v["alpha1"], v["nu1"])),
-    _pos("axis 2 hypotheses", lambda v: min(
-        v["gamma2"] + v["eta2"] - v["beta2"] - v["nu2"], v["beta2"], v["nu2"])),
-    _pos("Re(gamma3) > Re(nu3) > 0", lambda v: min(v["gamma3"] - v["nu3"], v["nu3"])),
+    _slot_pos("eta1", "gamma1", "alpha1", "nu1"),
+    _slot_pos("eta2", "gamma2", "beta2", "nu2"),
+    _dirichlet_pos("nu3", "gamma3"),
 )
 
 
@@ -485,12 +467,13 @@ def _sample_fk_limits(rng) -> ParameterPoint:
     return ParameterPoint(values=vals, arguments={"x": x, "y": y, "z": z})
 
 
+# The limit weights are the lattice masses of the slot q-measures (lam_j,
+# gamma_j, alpha1 or beta2, mu_j) on axes 1 and 2 and of the q-Dirichlet
+# (mu3, gamma3 - mu3) on axis 3: these measures must exist.
 _FK_LIMITS_CONSTRAINTS = (
-    _pos("axis 1 hypotheses", lambda v: min(
-        v["gamma1"] + v["lam1"] - v["alpha1"] - v["mu1"], v["alpha1"], v["mu1"])),
-    _pos("axis 2 hypotheses", lambda v: min(
-        v["gamma2"] + v["lam2"] - v["beta2"] - v["mu2"], v["beta2"], v["mu2"])),
-    _pos("Re(gamma3) > Re(mu3) > 0", lambda v: min(v["gamma3"] - v["mu3"], v["mu3"])),
+    _slot_pos("lam1", "gamma1", "alpha1", "mu1"),
+    _slot_pos("lam2", "gamma2", "beta2", "mu2"),
+    _dirichlet_pos("mu3", "gamma3"),
 )
 
 
@@ -563,11 +546,7 @@ def _lhs_qfk_erdelyi(pt, s: EvalSettings):
 
 def _rhs_qfk_erdelyi(pt, s: EvalSettings):
     v = pt.flat()
-    rules = [
-        _dirichlet_rule(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"], s),
-        _dirichlet_rule(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"], s),
-        _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s),
-    ]
+    rules = [_dirichlet_rule(m.alpha, m.beta, s) for m in erdelyi_measures(v)]
     total = _shift_sum(QfkShiftParams(**pt.values), rules, v["x"], v["y"], v["z"], s.qctx, s.series_tol)
     return complex(_checked(*total))
 
@@ -586,11 +565,13 @@ def _sample_qfk_simplified(rng) -> ParameterPoint:
     )
 
 
-_QFK_SIMPLIFIED_CONSTRAINTS = (
-    _pos("min(alpha1, eta1, beta2, mu2) > 0",
-         lambda v: min(v["alpha1"], v["eta1"], v["beta2"], v["mu2"])),
-    *_dirichlet_pos("beta1", "gamma3"),
-)
+def _simplified_measures(v) -> tuple[DirichletMeasure, ...]:
+    """The Dirichlet measures of Corollary 4.7, on the u, v, w axes."""
+    return (DirichletMeasure(v["alpha1"], v["eta1"]), DirichletMeasure(v["beta2"], v["mu2"]),
+            DirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"]))
+
+
+_QFK_SIMPLIFIED_CONSTRAINTS = (_measure_pos("Corollary 4.7 measures", _simplified_measures),)
 
 
 def _rhs_qfk_simplified(pt, s: EvalSettings):
@@ -598,9 +579,7 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
     q = s.q
     ctx = s.qctx
     x, y, z = v["x"], v["y"], v["z"]
-    tu, wu = _dirichlet_rule(v["alpha1"], v["eta1"], s)
-    tv, wv = _dirichlet_rule(v["beta2"], v["mu2"], s)
-    tw, ww = _dirichlet_rule(v["beta1"], v["gamma3"] - v["beta1"], s)
+    (tu, wu), (tv, wv), (tw, ww) = (_dirichlet_rule(m.alpha, m.beta, s) for m in _simplified_measures(v))
     K = _series_len(abs(z), s.series_tol, 8, 240)
     baseU = tu * x * q ** v["beta1"]
     baseV = tv * y * q ** v["alpha2"]
@@ -634,44 +613,37 @@ def build() -> tuple[IdentityCase, ...]:
     return (
         IdentityCase(
             id="gasper-q-erdelyi-1", anchor="Eq. (2.1)",
-            constraints=_dirichlet_pos("lam", "gamma"),
+            constraints=(_dirichlet_pos("lam", "gamma"),),
             sampler=_sample_gasper1, lhs=_lhs_2phi1, rhs=_rhs_gasper1,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=8,
         ),
         IdentityCase(
             id="gasper-q-erdelyi-3", anchor="Eq. (2.3)",
-            constraints=(
-                _pos("Re(lam) > 0", lambda v: v["lam"]),
-                _pos("Re(nu) > 0", lambda v: v["nu"]),
-                _pos("Re(gamma+eta-lam-nu) > 0", lambda v: v["gamma"] + v["eta"] - v["lam"] - v["nu"]),
-            ),
+            constraints=(_slot_pos("eta", "gamma", "lam", "nu"),),
             sampler=_sample_gasper3, lhs=_lhs_2phi1, rhs=_rhs_gasper3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=8,
         ),
         IdentityCase(
             id="ernst-q-bateman", anchor="Bateman-type q-integral",
-            constraints=tuple(
-                _pos(f"0 < nu{j} < gamma{j}", lambda v, j=j: min(v[f"nu{j}"], v[f"gamma{j}"] - v[f"nu{j}"]))
-                for j in (1, 2, 3)
-            ),
+            constraints=tuple(_dirichlet_pos(f"nu{j}", f"gamma{j}") for j in (1, 2, 3)),
             sampler=_sample_ernst, lhs=_lhs_phi_k, rhs=_rhs_ernst,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="joshi-vyas-general", anchor="Theorem 4.1",
-            constraints=_jv_constraints(),
+            constraints=_SLOT_AXES_CONSTRAINTS,
             sampler=_sample_joshi_vyas, lhs=_lhs_joshi_vyas, rhs=_rhs_joshi_vyas,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=9,
         ),
         IdentityCase(
             id="qfk-phi3", anchor="Corollary 4.2",
-            constraints=_QFK_PHI3_CONSTRAINTS,
+            constraints=_SLOT_AXES_CONSTRAINTS,
             sampler=_sample_qfk_phi3, lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="qfk-phi3-x0", anchor="Corollary 4.2 at x=0",
-            constraints=_QFK_PHI3_CONSTRAINTS,
+            constraints=_SLOT_AXES_CONSTRAINTS,
             sampler=lambda rng: _sample_qfk_phi3(rng, x_zero=True),
             lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,

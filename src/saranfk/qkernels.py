@@ -65,7 +65,7 @@ from .core import (
     q_termination_index,
 )
 from .errors import ConvergenceError, DomainError, PoleError
-from .measures import _moment_powers, _rule_sum
+from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _rule_sum
 from .series import (
     FkParams, SeriesResult, _Same, _checked, _face_tails, _grow, _series_len, _sum_terms, _tail_est,
 )
@@ -521,20 +521,21 @@ def jackson_integral(f, k: int, ctx: QContext):
 
 @dataclass(frozen=True)
 class QDirichletMeasure:
-    """q-deformation of the Dirichlet measure; parameters are exponents."""
+    """q-deformation of the Dirichlet measure; parameters are exponents.  Its
+    hypotheses are its classical twin's, which raises DomainError."""
 
     alpha: complex
     beta: complex
     ctx: QContext
 
     def __post_init__(self):
-        if min(complex(self.alpha).real, complex(self.beta).real) <= 0:
-            raise DomainError("q-Dirichlet measure needs min(Re a, Re b) > 0")
+        DirichletMeasure(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
 class QHypergeometricMeasure:
-    """q-deformation of the hypergeometric measure (slot exponents)."""
+    """q-deformation of the hypergeometric measure (slot exponents).  Its
+    hypotheses are its classical twin's, which raises DomainError."""
 
     alpha: complex
     beta: complex
@@ -543,12 +544,7 @@ class QHypergeometricMeasure:
     ctx: QContext
 
     def __post_init__(self):
-        a, b, g, e = (complex(v) for v in (self.alpha, self.beta, self.gamma, self.eta))
-        if min(e.real, g.real, (e + g - a - b).real) <= 0:
-            raise DomainError(
-                "q-hypergeometric measure needs min(Re eta, Re gamma,"
-                " Re(eta+gamma-alpha-beta)) > 0"
-            )
+        HypergeometricMeasure(self.alpha, self.beta, self.gamma, self.eta)
 
 
 QMeasureSpec = QDirichletMeasure | QHypergeometricMeasure

@@ -7,8 +7,9 @@ of points and aggregates residuals; evaluator errors are recorded as
 failures, never aborting the batch.
 
 The vocabulary both case modules draw and constrain with lives here too:
-Constraint, its Re(...) > 0 form _pos, the Dirichlet hypotheses
-_dirichlet_pos, and the uniform draw _u.
+Constraint, its Re(...) > 0 form _pos, the measure hypotheses _measure_pos
+with its Dirichlet and slot forms _dirichlet_pos and _slot_pos, and the
+uniform draw _u.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .core import QContext
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .measures import DirichletMeasure, HypergeometricMeasure, _slot_exponents
 
 __all__ = [
     "EvalSettings",
@@ -107,11 +109,29 @@ def _pos(name: str, fn) -> Constraint:
     return Constraint(name, lambda pt, f=fn: complex(f(pt.flat())).real > 0.0)
 
 
-def _dirichlet_pos(small: str, big: str) -> tuple[Constraint, Constraint]:
-    """Re(big) > Re(small) > 0, the hypotheses of the Dirichlet measure with
-    exponents (small, big - small)."""
-    return (_pos(f"Re({big}) > Re({small})", lambda v: v[big] - v[small]),
-            _pos(f"Re({small}) > 0", lambda v: v[small]))
+def _measure_pos(name: str, build) -> Constraint:
+    """Constraint that the measure build(symbols) exists: the measure classes
+    own their hypotheses, and a point that breaks them raises DomainError."""
+    def check(pt):
+        try:
+            build(pt.flat())
+        except DomainError:
+            return False
+        return True
+
+    return Constraint(name, check)
+
+
+def _dirichlet_pos(small: str, big: str) -> Constraint:
+    """Re(big) > Re(small) > 0, the Dirichlet measure (small, big - small)."""
+    return _measure_pos(f"Re({big}) > Re({small}) > 0",
+                        lambda v: DirichletMeasure(v[small], v[big] - v[small]))
+
+
+def _slot_pos(eta: str, gamma: str, lam: str, nu: str) -> Constraint:
+    """The hypergeometric measure in Gasper's slots (measures._slot_exponents)."""
+    return _measure_pos(f"slot measure ({eta}, {gamma}, {lam}, {nu})",
+                        lambda v: HypergeometricMeasure(*_slot_exponents(v[eta], v[gamma], v[lam], v[nu])))
 
 
 def _u(rng, lo, hi) -> float:

@@ -180,3 +180,18 @@ class TestMeasureRule:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         t, w = measure_rule(HypergeometricMeasure(0.3, 0.4, 1.2, 1.1), 96)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_hypergeometric_density_default_tol_near_one_route():
+    # The t <= 1/2 route's rounding estimate is about 1.5e-13 here (seed-42
+    # erdelyi-3 point 27); the default tol must admit it.
+    import mpmath as mp
+
+    spec = HypergeometricMeasure(-1.361083679316093, 0.8977851592249251, 0.44008644413884856, 0.6356073698602176)
+    got = hypergeometric_density(spec, 0.41)
+    with mp.workdps(30):
+        a, b, g, e = (mp.mpf(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
+        t = mp.mpf(0.41)
+        const = mp.gamma(e + g - a) * mp.gamma(e + g - b) / (mp.gamma(e) * mp.gamma(g) * mp.gamma(e + g - a - b))
+        want = float(const * t ** (e - 1) * (1 - t) ** (g - 1) * mp.hyp2f1(a, b, g, 1 - t))
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
