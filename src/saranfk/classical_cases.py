@@ -24,8 +24,8 @@ from .series import (
     FkParams,
     _checked,
     _eval_2f1,
-    _series_2f1_raw,
     _series_len,
+    _series_pfq,
     _shifted_2f1,
     appell_f2,
     convolve2d,
@@ -207,7 +207,7 @@ def _rhs_erdelyi3(pt, s):
     spec = HypergeometricMeasure(*_slot_exponents(v["eta"], v["gamma"], v["lam"], v["nu"]))
     t, w = measure_rule(spec, s.quad_order)
     upper, lower = (v["alpha"], v["beta"], v["eta"]), (v["lam"], v["nu"])
-    vals = _checked(*_series_2f1_raw(upper, lower, v["z"] * t, s.series_tol, 250_000))
+    vals = _checked(*_series_pfq(upper, lower, v["z"] * t, s.series_tol, 250_000))
     return complex(np.sum(w * vals))
 
 

@@ -84,6 +84,12 @@ def _slot_exponents(eta, gamma, lam, nu) -> tuple:
     return eta - lam, gamma - lam, gamma - lam + eta - nu, nu
 
 
+def _slot_inverse(alpha, beta, gamma, eta) -> tuple:
+    """The (eta, gamma, lam, nu) that _slot_exponents maps to these exponents."""
+    lam = eta + gamma - alpha - beta
+    return alpha + lam, beta + lam, lam, eta
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights on (0,1) exact for degree <= 2n-1 against t^a (1-t)^b."""

@@ -31,7 +31,8 @@ a normal double or a sum is not finite.  A second family skips it too: a
 non-terminating r_phi_s with r = s + 1 whose parameters vary only along axes
 on which the argument is constant, the shifted 2phi1 and 3phi2 tables of
 phi_k_p_tables.  Its n-th term is C[params, n] z^n, and _family_sum sums it
-as one matrix product, growing its length as _grow does until the last three
+as one matrix product by series._power_sum, the core of the classical
+node-array pFq route, growing its length as _grow does until the last three
 terms pass the term loops' estimate; a vanishing denominator leaves the
 series to the recurrence, which raises PoleError.  Tables follow the dtype of
 their inputs: real exponents and arguments sum in float64.  Every (a;q)_k table
@@ -65,9 +66,9 @@ from .core import (
     q_termination_index,
 )
 from .errors import ConvergenceError, DomainError, PoleError
-from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _rule_sum
+from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _rule_sum, _slot_inverse
 from .series import (
-    FkParams, SeriesResult, _Same, _checked, _face_tails, _grow, _series_len, _sum_terms, _tail_est,
+    FkParams, SeriesResult, _Same, _checked, _face_tails, _grow, _power_sum, _series_len, _sum_terms,
 )
 
 __all__ = [
@@ -145,48 +146,42 @@ def _lattice_sum(uppers, lowers, z, ta, q: float, dtype):
 
 
 def _family_sum(params, nup: int, z, q: float, tol: float, max_terms: int, shape, dtype):
-    """A non-terminating r_phi_s family with r = s + 1 as one matrix product,
+    """A non-terminating r_phi_s family with r = s + 1 by series._power_sum,
     or None.
 
     It applies where the parameter arrays (params, the nup uppers first) vary
     along some axes and z only along others: the n-th term is then
-    C[params, n] z^n, with C from one _q_tables call, and the sum is
-    (z^n) @ C^T.  N starts at _series_len(max|z|, tol) and grows as _grow
-    grows it, to min(max_terms, 1.5 N + 8), until the last three terms,
-    max|C[:, n]| max|z|^n, pass _tail_est with margin 0.25 against the
-    largest |sum|.  Returns (value, N, converged, estimate) like the
-    recurrence, or None where a denominator (b; q)_n or (q; q)_n vanishes or
-    a sum is not finite, which the recurrence then decides."""
+    C[params, n] z^n, with C from one _q_tables call, summed at margin 0.25
+    from N = _series_len(max|z|, tol) terms.  Returns (value, N, converged,
+    estimate) like the recurrence, or None where a denominator (b; q)_n or
+    (q; q)_n vanishes, or where _power_sum declines, which the recurrence
+    then decides."""
     ps, zs = ((1,) * (len(shape) - len(s)) + s for s in (
         np.broadcast_shapes(*(v.shape for v in params)), np.shape(z)))
     if (2 * nup != len(params) + 1 or math.prod(ps) < 2
             or any(a > 1 and b > 1 for a, b in zip(ps, zs))):
         return None
-    zflat = np.ravel(z)
-    top = float(np.abs(zflat).max())
     bases = np.concatenate([*(v.ravel() for v in params), [q]])
     ends = list(accumulate(v.size for v in params))
-    N = max(_series_len(top, tol), 8)
-    while True:
+
+    def coef(N):
         tables = _q_tables(bases, N, q)
         rows = [tables[e - v.size : e].reshape((1,) * (len(ps) - v.ndim) + v.shape + (N + 1,))
                 for e, v in zip(ends, params)]
         den = math.prod(rows[nup:]) * tables[-1]
         if not (abs(den) >= 1e-280).all():
             return None
-        C = (math.prod(rows[:nup]) / den).reshape(-1, N + 1)
-        total = np.vander(zflat, N + 1, increasing=True) @ C.T
-        if not np.isfinite(total).all():
-            return None
-        tails = np.abs(C[:, -3:]).max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)
-        ests = _tail_est(tails, 0.25, float(np.abs(total).max()))
-        converged = bool((ests <= tol).all())
-        if converged or N >= max_terms:
-            axes = [i for i, s in enumerate(zs) if s > 1] + [i for i, s in enumerate(ps) if s > 1]
-            value = total.reshape([s for s in zs if s > 1] + [s for s in ps if s > 1])
-            value = value.transpose(np.argsort(axes)).reshape(shape).astype(dtype, copy=False)
-            return value, N, converged, float(ests[-1])
-        N = min(max_terms, int(1.5 * N) + 8)
+        return (math.prod(rows[:nup]) / den).reshape(-1, N + 1)
+
+    N = max(_series_len(float(np.abs(z).max()), tol), 8)
+    res = _power_sum(coef, z, tol, 0.25, max_terms, N)
+    if res is None:
+        return None
+    total, N, converged, est = res
+    axes = [i for i, s in enumerate(zs) if s > 1] + [i for i, s in enumerate(ps) if s > 1]
+    value = total.reshape([s for s in zs if s > 1] + [s for s in ps if s > 1])
+    value = value.transpose(np.argsort(axes)).reshape(shape).astype(dtype, copy=False)
+    return value, N, converged, est
 
 
 def _rphis_array(
@@ -653,14 +648,8 @@ def q_moment(spec: QMeasureSpec, ell: int):
         a, b = complex(spec.alpha), complex(spec.beta)
         num, den = _q_tables([q**a, q ** (a + b)], ell, q)[:, ell]
         return _as_scalar(num / den)
-    a, b, g, e = (complex(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta))
-    # Slot solve: the measure was built from (eta-lam, gam-lam,
-    # gam-lam+eta-nu, nu); recover the original exponents.
-    nu = e
-    lam = e + g - a - b
-    eta_big = a + lam
-    gam_big = b + lam
-    qnu, qlam, qgam, qeta = _q_tables([q**nu, q**lam, q**gam_big, q**eta_big], ell, q)[:, ell]
+    eta, gam, lam, nu = _slot_inverse(*(complex(v) for v in (spec.alpha, spec.beta, spec.gamma, spec.eta)))
+    qnu, qlam, qgam, qeta = _q_tables([q**nu, q**lam, q**gam, q**eta], ell, q)[:, ell]
     return _as_scalar(qnu * qlam / (qgam * qeta))
 
 

@@ -25,18 +25,20 @@ beside one as long and 64000 beside short ones (an end argument near 1).
 First sizes come from _series_len, or from the domain ratio for the triple
 series.
 
-The term recurrences of the direct pFq series (2F1, the 3F2 of erdelyi-3 and
-hyper_pfq) and, in qkernels, of r_phi_s go through _sum_terms.  It forms the
-terms in blocks from one vectorized ratio expression per block and a short
-loop over its rows, then applies the stopping rule to the rows in order, so a
-series stops at the same term as when summed one term at a time.  The first
-block has 8 rows; each next one is sized from the observed decay of the last,
-to end just past the predicted stop (8 rows at least, twice the last at most,
-and twice the last while the terms do not yet fall), with width times array
-size within 2^15 elements.  A series of one element runs them in Python
-scalars, in blocks of 8, 16, ... up to 512 terms, with bit-identical real
-results.  An operand every term shares (the argument z) is passed once, not
-per row.
+A direct pFq over quadrature nodes (2F1 in _eval_2f1's direct and Pfaff
+parts, the 3F2 of erdelyi-3) is one coefficient row times the powers of its
+arguments, which _series_pfq sums by _power_sum, as qkernels' table families
+do.  The other term recurrences, of pFq and of r_phi_s, go through
+_sum_terms.  It forms the terms in blocks from one vectorized ratio
+expression per block and a short loop over its rows, then applies the
+stopping rule to the rows in order, so a series stops at the same term as
+when summed one term at a time.  The first block has 8 rows; each next one is
+sized from the observed decay of the last, to end just past the predicted
+stop (8 rows at least, twice the last at most, and twice the last while the
+terms do not yet fall), with width times array size within 2^15 elements.  A
+series of one element runs them in Python scalars, in blocks of 8, 16, ... up
+to 512 terms, with bit-identical real results.  An operand every term shares
+(the argument z) is passed once, not per row.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def _face_tails(tensor: np.ndarray, complete=()) -> list:
 
 
 # A block of W terms holds at most this many elements per array, so an input
-# of this size or more is summed one term per block.
+# of this size or more is summed one term per block; so does each piece of
+# _power_sum's power matrix.
 _BLOCK_ELEMS = 1 << 15
 _SCALAR_WIDTH = 512  # rows per block of a one-element series, held as lists
 _PY_OPS = {np.multiply: operator.mul, np.true_divide: operator.truediv}
@@ -310,6 +313,37 @@ def _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms):
     return np.full(shape, total, dtype=dtype)[()], n, small, est
 
 
+def _power_sum(coef, z, tol, margin, max_terms, N):
+    """sum_n C[:, n] z^n for every row of C = coef(N) and argument in z, as
+    (z^n) @ C^T of shape (z.size, rows), its power matrix formed for as many
+    arguments at a time as keep it within _BLOCK_ELEMS entries.  N grows as
+    _grow grows it, to min(max_terms, 1.5 N + 8), until the last three terms,
+    max|C[:, n]| max|z|^n, pass _tail_est with margin against the largest
+    |sum|.  Returns (sums, N, converged, last estimate) like a term loop, or
+    None, leaving the series to the caller's recurrence, where one power row
+    would exceed _BLOCK_ELEMS, coef returns None (a vanishing denominator) or
+    a sum is not finite.  Overflow there is not warned of."""
+    zflat = np.ravel(z)
+    top = float(np.abs(zflat).max())
+    while N < _BLOCK_ELEMS:
+        step = _BLOCK_ELEMS // (N + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = coef(N)
+            if C is None:
+                return None
+            total = np.concatenate([np.vander(zflat[i : i + step], N + 1, increasing=True) @ C.T
+                                    for i in range(0, zflat.size, step)])
+            if not np.isfinite(total).all():
+                return None
+            tails = np.abs(C[:, -3:]).max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)
+        ests = _tail_est(tails, margin, float(np.abs(total).max()))
+        converged = bool((ests <= tol).all())
+        if converged or N >= max_terms:
+            return total, N, converged, float(ests[-1])
+        N = min(max_terms, int(1.5 * N) + 8)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Gauss 2F1
 # ---------------------------------------------------------------------------
@@ -351,6 +385,30 @@ def _series_2f1_raw(upper, lower, z, tol, max_terms, min_terms=8):
 
     total, n, small, est = _sum_terms(block, shape, dtype, max_terms, tol, margin, min_terms)
     return total, n, small >= 3, est
+
+
+def _series_pfq(upper, lower, z, tol, max_terms):
+    """_series_2f1_raw, or _power_sum where p = q + 1, every parameter is a
+    scalar and z holds two or more arguments, all with |z| < 1: they share
+    one coefficient row, the cumulative product of the term ratios
+    (a+n)(b+n)... / ((n+1)(c+n)...), summed at margin 1 - max|z| from
+    N = _series_len(max|z|, tol) terms, or past -Re(c) of a negative lower
+    parameter.  Where _power_sum declines, the recurrence sums the series."""
+    z = np.asarray(z)
+    if z.size >= 2 and len(upper) == len(lower) + 1 and not any(np.ndim(v) for v in (*upper, *lower)):
+        top = float(np.abs(z).max())
+        if top < 1.0:
+            def coef(N):
+                k = np.arange(N, dtype=np.float64)
+                num = math.prod(u + k for u in upper)
+                den = math.prod((c + k for c in lower), start=k + 1.0)
+                return np.cumprod(np.concatenate([[1.0], num / den]))[None] if den.all() else None
+
+            N = max(_series_len(top, tol), 8, 2 + math.ceil(-min((complex(c).real for c in lower), default=0.0)))
+            res = _power_sum(coef, z, tol, 1.0 - top, max_terms, N)
+            if res is not None:
+                return (res[0].reshape(z.shape), *res[1:])
+    return _series_2f1_raw(upper, lower, z, tol, max_terms)
 
 
 def _connection_ok(a, b, c) -> bool:
@@ -504,7 +562,7 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
             return res
     az = np.abs(zarr)
     if is_nonpositive_integer(a) or is_nonpositive_integer(b) or np.all(az <= 0.9):
-        return _series_2f1_raw((a, b), (c,), z, tol, max_terms)
+        return _series_pfq((a, b), (c,), zarr, tol, max_terms)
 
     # Mixed regimes: split the argument array by the transform that converges.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -542,7 +600,7 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
         est = max(est, e)
 
     def direct(Z, B=b):
-        return _series_2f1_raw((a, B), (c,), Z, tol, max_terms)
+        return _series_pfq((a, B), (c,), Z, tol, max_terms)
 
     def slow(Z, B=b, cap=max_terms):
         # Past |z| = 0.9 the terms fall like r^n, r the ratio of the last

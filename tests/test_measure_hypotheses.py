@@ -17,7 +17,7 @@ from saranfk import (
     QDirichletMeasure,
     QHypergeometricMeasure,
 )
-from saranfk.measures import _slot_exponents
+from saranfk.measures import _slot_exponents, _slot_inverse
 from saranfk.registry import ParameterPoint, _dirichlet_pos, _slot_pos, registry_lookup
 
 _REAL = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -63,6 +63,17 @@ def test_slot_map_states_gaspers_hypotheses(eta, gamma, lam, nu):
         return
     want = min(parts) > 0
     assert constructs(HypergeometricMeasure, *_slot_exponents(eta, gamma, lam, nu)) == want
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(eta=EXPONENT, gamma=EXPONENT, lam=EXPONENT, nu=EXPONENT)
+def test_slot_inverse_round_trips(eta, gamma, lam, nu):
+    # Each way is a few additions of terms of modulus at most 3 sqrt(2).
+    slots = (eta, gamma, lam, nu)
+    exps = _slot_exponents(*slots)
+    bound = 64 * 2.0**-52 * (1.0 + sum(abs(v) for v in slots))
+    assert all(abs(got - want) <= bound for got, want in zip(_slot_inverse(*exps), slots))
+    assert all(abs(got - want) <= bound for got, want in zip(_slot_exponents(*_slot_inverse(*exps)), exps))
 
 
 @hsettings(max_examples=300, deadline=None)
