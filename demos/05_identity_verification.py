@@ -42,6 +42,8 @@ for k, v in sorted(pt.values.items()):
 print(f"  arguments: {dict((k, round(v, 4)) for k, v in pt.arguments.items())}")
 for c in case.constraints:
     print(f"  constraint '{c.name}': {'ok' if c.check(pt) else 'VIOLATED'}")
+for m in case.measures(pt.flat()):
+    print(f"  measure {type(m).__name__}{tuple(round(x, 4) for x in vars(m).values())}: exists")
 
 print()
 print("=" * 70)

@@ -5,9 +5,12 @@ convolution-family extension.
 
 Right-hand sides are evaluated by weighted quadrature rules with all series
 factors vectorized over the nodes; left-hand sides go through the scalar
-series engines.  Both sides of fa-erdelyi take their 2F1 families from
-_shifted_2f1, at different parameters and arguments; otherwise the two
-sides share no code path beyond the 2F1 primitive.
+series engines.  A case's measures function (IdentityCase.measures) lists
+the measures its right-hand side integrates against, and _rules, the one
+place that picks a quadrature order, builds their rules.  Both sides of
+fa-erdelyi take their 2F1 families from _shifted_2f1, at different
+parameters and arguments; otherwise the two sides share no code path beyond
+the 2F1 primitive.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import scipy.special as sps
 
 from .core import pochhammer_table
 from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _slot_exponents, measure_rule
-from .registry import Constraint, IdentityCase, ParameterPoint, _dirichlet_pos, _measure_pos, _slot_pos, _u
+from .registry import Constraint, IdentityCase, ParameterPoint, _u
 from .series import (
     CoeffSequence2D,
     FkParams,
@@ -71,6 +74,39 @@ def _yz_args(rng, total=0.8):
 # ---------------------------------------------------------------------------
 
 
+def _measure(v, names) -> DirichletMeasure | HypergeometricMeasure:
+    """The measure named by the point's symbols: (small, big) is the Dirichlet
+    measure (small, big - small), which exists where Re(big) > Re(small) > 0,
+    and (eta, gamma, lam, nu) the hypergeometric measure in Gasper's slots
+    (measures._slot_exponents)."""
+    x = [v[k] for k in names]
+    return DirichletMeasure(x[0], x[1] - x[0]) if len(x) == 2 else HypergeometricMeasure(*_slot_exponents(*x))
+
+
+def _measures(*axes):
+    """The measures function of one _measure per axis of symbol names."""
+    return lambda v: tuple(_measure(v, names) for names in axes)
+
+
+# Each case's measures; lam_measures serves Bateman's (1.5), Erdelyi's (1.6)
+# and Gasper's (2.1), slot_measures Erdelyi's (1.8) and Gasper's (2.3).
+_euler1_measures = _measures(("beta", "gamma"))
+_euler2_measures = _measures(("alpha", "gamma"))
+lam_measures = _measures(("lam", "gamma"))
+_erdelyi2_measures = _measures(("eta", "gamma"))
+slot_measures = _measures(("eta", "gamma", "lam", "nu"))
+_manocha_measures = _measures(("lam", "d"), ("eta", "e"))
+_manocha_reduced_measures = _measures(("lam", "d"), ("c", "e"))
+_fa_measures = _measures(*((f"g{j}", f"tau{j}") for j in range(1, 5)))
+
+
+def _rules(measures, s) -> list:
+    """The Gauss-Jacobi measure rule of each measure: at quad_order for one or
+    two measures, quad_order_triple for three and quad_order_quad for four."""
+    order = {3: s.quad_order_triple, 4: s.quad_order_quad}.get(len(measures), s.quad_order)
+    return [measure_rule(m, order) for m in measures]
+
+
 def _ratio_table(a, b, n: int) -> np.ndarray:
     """[(a)_k / (b)_k for k = 0..n] via a running ratio."""
     out = np.ones(n + 1)
@@ -99,7 +135,7 @@ def _lhs_2f1(pt, s):
 
 def _rhs_euler1(pt, s):
     v = pt.flat()
-    t, w = measure_rule(DirichletMeasure(v["beta"], v["gamma"] - v["beta"]), s.quad_order)
+    [(t, w)] = _rules(_euler1_measures(v), s)
     return complex(np.sum(w * np.power(1.0 - v["z"] * t, -v["alpha"])))
 
 
@@ -113,7 +149,7 @@ def _sample_euler2(rng) -> ParameterPoint:
 
 def _rhs_euler2(pt, s):
     v = pt.flat()
-    t, w = measure_rule(DirichletMeasure(v["alpha"], v["gamma"] - v["alpha"]), s.quad_order)
+    [(t, w)] = _rules(_euler2_measures(v), s)
     return complex(np.sum(w * np.power(1.0 - v["z"] * t, -v["beta"])))
 
 
@@ -132,7 +168,7 @@ def _sample_bateman(rng) -> ParameterPoint:
 
 def _rhs_bateman(pt, s):
     v = pt.flat()
-    t, w = measure_rule(DirichletMeasure(v["lam"], v["gamma"] - v["lam"]), s.quad_order)
+    [(t, w)] = _rules(lam_measures(v), s)
     inner = _checked(*_eval_2f1(v["alpha"], v["beta"], v["lam"], v["z"] * t, s.series_tol))
     return complex(np.sum(w * inner))
 
@@ -154,7 +190,7 @@ def _sample_erdelyi1(rng) -> ParameterPoint:
 def _rhs_erdelyi1(pt, s):
     v = pt.flat()
     a, b, g, lam, ap, z = (v[k] for k in ("alpha", "beta", "gamma", "lam", "alphap", "z"))
-    t, w = measure_rule(DirichletMeasure(lam, g - lam), s.quad_order)
+    [(t, w)] = _rules(lam_measures(v), s)
     f1 = _checked(*_eval_2f1(a - ap, b, lam, z * t, s.series_tol))
     f2 = _checked(*_eval_2f1(ap, b - lam, g - lam, (1.0 - t) * z / (1.0 - t * z), s.series_tol))
     return complex(np.sum(w * np.power(1.0 - z * t, -ap) * f1 * f2))
@@ -177,7 +213,7 @@ def _sample_erdelyi2(rng) -> ParameterPoint:
 def _rhs_erdelyi2(pt, s):
     v = pt.flat()
     a, b, g, eta, lam, z = (v[k] for k in ("alpha", "beta", "gamma", "eta", "lam", "z"))
-    t, w = measure_rule(DirichletMeasure(eta, g - eta), s.quad_order)
+    [(t, w)] = _rules(_erdelyi2_measures(v), s)
     f1 = _checked(*_eval_2f1(lam - a, lam - b, eta, z * t, s.series_tol))
     f2 = _checked(*_eval_2f1(a + b - lam, lam - eta, g - eta, (1.0 - t) * z / (1.0 - t * z), s.series_tol))
     return complex(np.sum(w * np.power(1.0 - z * t, lam - a - b) * f1 * f2))
@@ -204,15 +240,13 @@ def _sample_erdelyi3(rng) -> ParameterPoint:
 
 def _rhs_erdelyi3(pt, s):
     v = pt.flat()
-    spec = HypergeometricMeasure(*_slot_exponents(v["eta"], v["gamma"], v["lam"], v["nu"]))
-    t, w = measure_rule(spec, s.quad_order)
+    [(t, w)] = _rules(slot_measures(v), s)
     upper, lower = (v["alpha"], v["beta"], v["eta"]), (v["lam"], v["nu"])
     vals = _checked(*_series_pfq(upper, lower, v["z"] * t, s.series_tol, 250_000))
     return complex(np.sum(w * vals))
 
 
 _ERDELYI3_CONSTRAINTS = (
-    _slot_pos("eta", "gamma", "lam", "nu"),
     # Engineering margins for the endpoint expansion of the measure density:
     # gamma-alpha-beta of the measure equals lam-nu and must sit away from
     # the integers and from zero.
@@ -261,9 +295,6 @@ def erdelyi_measures(v) -> tuple[DirichletMeasure, ...]:
     )
 
 
-# The hypotheses of Theorem 1.1, restated word for word by its q-analogue,
-# Theorem 4.6: its three measures exist.
-ERDELYI_HYPOTHESES = (_measure_pos("Theorem 1.1 measures", erdelyi_measures),)
 _FK_DOMAIN = Constraint("(x,y,z) in F_K domain", lambda pt: in_domain_fk(*(pt.arguments[k] for k in "xyz")))
 
 
@@ -305,7 +336,7 @@ def fk_erdelyi_inner_tables(pt, s):
     F_K Erdelyi integral; also used by the proof-step consistency checks."""
     v = pt.flat()
     x, y, z = v["x"], v["y"], v["z"]
-    (tu, wu), (tv, wv), (tw, ww) = (measure_rule(m, s.quad_order_triple) for m in erdelyi_measures(v))
+    (tu, wu), (tv, wv), (tw, ww) = _rules(erdelyi_measures(v), s)
     zeff = abs(z) / ((1.0 - abs(x)) * (1.0 - abs(y)))
     M = _series_len(zeff, s.series_tol, lo=16, hi=140)
 
@@ -354,11 +385,15 @@ def _lhs_f2_curious(pt, s):
     return complex(_checked(*appell_f2(v["a1"], v["b1"], v["b2"], v["c1"], v["c2"], v["y"], v["z"], s.series_tol)))
 
 
+def _f2_curious_measures(v) -> tuple[DirichletMeasure, ...]:
+    """The Dirichlet measures of Theorem 3.2, on the v and w axes."""
+    return DirichletMeasure(v["c1"] - v["d1"], v["d1"]), DirichletMeasure(v["b2"], v["c2"] - v["b2"])
+
+
 def _rhs_f2_curious(pt, s):
     v = pt.flat()
     y, z = v["y"], v["z"]
-    tv, wv = measure_rule(DirichletMeasure(v["c1"] - v["d1"], v["d1"]), s.quad_order)
-    tw, ww = measure_rule(DirichletMeasure(v["b2"], v["c2"] - v["b2"]), s.quad_order)
+    (tv, wv), (tw, ww) = _rules(_f2_curious_measures(v), s)
     V = tv[:, None]
     W = tw[None, :]
     Q = 1.0 - V * y - W * z
@@ -428,8 +463,7 @@ def _f2_rows(a, b, c, lam, eta, X, Y, K: int, tol) -> np.ndarray:
 def _rhs_manocha(pt, s):
     v = pt.flat()
     y, z = v["y"], v["z"]
-    tv, wv = measure_rule(DirichletMeasure(v["lam"], v["d"] - v["lam"]), s.quad_order)
-    tw, ww = measure_rule(DirichletMeasure(v["eta"], v["e"] - v["eta"]), s.quad_order)
+    (tv, wv), (tw, ww) = _rules(_manocha_measures(v), s)
     V = tv[:, None]
     W = tw[None, :]
     Q = 1.0 - V * y - W * z
@@ -458,8 +492,7 @@ def _sample_manocha_reduced(rng) -> ParameterPoint:
 def _rhs_manocha_reduced(pt, s):
     v = pt.flat()
     y, z = v["y"], v["z"]
-    tv, wv = measure_rule(DirichletMeasure(v["lam"], v["d"] - v["lam"]), s.quad_order)
-    tw, ww = measure_rule(DirichletMeasure(v["c"], v["e"] - v["c"]), s.quad_order)
+    (tv, wv), (tw, ww) = _rules(_manocha_reduced_measures(v), s)
     V = tv[:, None]
     W = tw[None, :]
     Q = 1.0 - V * y - W * z
@@ -506,9 +539,6 @@ def _sample_fa_erdelyi(rng) -> ParameterPoint:
     )
 
 
-_FA_CONSTRAINTS = tuple(_dirichlet_pos(f"g{j}", f"tau{j}") for j in range(1, 5))
-
-
 def _lhs_fa_erdelyi(pt, s):
     # The Dirichlet moments of t3 and t4 weight the convolution of the
     # point's two sequences: (g3)_m / (tau3)_m (g4)_n / (tau4)_n.
@@ -534,12 +564,7 @@ def _rhs_fa_erdelyi(pt, s):
     v = pt.flat()
     aseq, bseq = fa_sequences(FA_MODES[int(v["mode"])], v)
     x1, x2, x3, x4 = (v[k] for k in ("x1", "x2", "x3", "x4"))
-    order = s.quad_order_quad
-    rules = [
-        measure_rule(DirichletMeasure(v[f"g{j}"], v[f"tau{j}"] - v[f"g{j}"]), order)
-        for j in range(1, 5)
-    ]
-    (t1, w1), (t2, w2), (t3, w3), (t4, w4) = rules
+    (t1, w1), (t2, w2), (t3, w3), (t4, w4) = _rules(_fa_measures(v), s)
     ratio = max(
         aseq.decay_bound * abs(x3) / (1 - abs(x1)),
         aseq.decay_bound * abs(x4) / (1 - abs(x2)),
@@ -600,49 +625,49 @@ def build() -> tuple[IdentityCase, ...]:
     return (
         IdentityCase(
             id="euler-1", anchor="Eq. (1.2)",
-            constraints=(_dirichlet_pos("beta", "gamma"),),
+            constraints=(), measures=_euler1_measures,
             sampler=_sample_euler, lhs=_lhs_2f1, rhs=_rhs_euler1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="euler-2", anchor="Eq. (1.3)",
-            constraints=(_dirichlet_pos("alpha", "gamma"),),
+            constraints=(), measures=_euler2_measures,
             sampler=_sample_euler2, lhs=_lhs_2f1, rhs=_rhs_euler2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="bateman", anchor="Eq. (1.5)",
-            constraints=(_dirichlet_pos("lam", "gamma"),),
+            constraints=(), measures=lam_measures,
             sampler=_sample_bateman, lhs=_lhs_2f1, rhs=_rhs_bateman,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-1", anchor="Eq. (1.6)",
-            constraints=(_dirichlet_pos("lam", "gamma"),),
+            constraints=(), measures=lam_measures,
             sampler=_sample_erdelyi1, lhs=_lhs_2f1, rhs=_rhs_erdelyi1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-2", anchor="Eq. (1.7)",
-            constraints=(_dirichlet_pos("eta", "gamma"),),
+            constraints=(), measures=_erdelyi2_measures,
             sampler=_sample_erdelyi2, lhs=_lhs_2f1, rhs=_rhs_erdelyi2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-3", anchor="Eq. (1.8)",
-            constraints=_ERDELYI3_CONSTRAINTS,
+            constraints=_ERDELYI3_CONSTRAINTS, measures=slot_measures,
             sampler=_sample_erdelyi3, lhs=_lhs_2f1, rhs=_rhs_erdelyi3,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="fk-erdelyi", anchor="Theorem 1.1",
-            constraints=(*ERDELYI_HYPOTHESES, _FK_DOMAIN),
+            constraints=(_FK_DOMAIN,), measures=erdelyi_measures,
             sampler=_sample_fk_erdelyi, lhs=_lhs_fk_erdelyi, rhs=_rhs_fk_erdelyi,
             tol=1e-6, cost_class="triple-integral", default_samples=10,
         ),
         IdentityCase(
             id="f2-curious", anchor="Theorem 3.2",
-            constraints=(_dirichlet_pos("d1", "c1"), _dirichlet_pos("b2", "c2"), _YZ_DISC),
+            constraints=(_YZ_DISC,), measures=_f2_curious_measures,
             sampler=_sample_f2_curious, lhs=_lhs_f2_curious, rhs=_rhs_f2_curious,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
@@ -654,19 +679,19 @@ def build() -> tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="manocha", anchor="Eq. (3.10)",
-            constraints=(_dirichlet_pos("lam", "d"), _dirichlet_pos("eta", "e")),
+            constraints=(), measures=_manocha_measures,
             sampler=_sample_manocha, lhs=_lhs_manocha, rhs=_rhs_manocha,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="manocha-reduced", anchor="Eq. (3.11)",
-            constraints=(_dirichlet_pos("lam", "d"), _dirichlet_pos("c", "e")),
+            constraints=(), measures=_manocha_reduced_measures,
             sampler=_sample_manocha_reduced, lhs=_lhs_manocha, rhs=_rhs_manocha_reduced,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="fa-erdelyi", anchor="Theorem 3.3",
-            constraints=_FA_CONSTRAINTS,
+            constraints=(), measures=_fa_measures,
             sampler=_sample_fa_erdelyi, lhs=_lhs_fa_erdelyi, rhs=_rhs_fa_erdelyi,
             tol=1e-8, cost_class="triple-integral", default_samples=20,
         ),

@@ -4,9 +4,12 @@ corollaries, the discrete finite-sum analogue with its weight limits, and the
 shift-operator q-Erdelyi integral with its simplification.
 
 Right-hand sides are Jackson lattice sums built from q-measure rules
-(effective nodes and weights); the series factors inside every integrand are
-vectorized over the lattice through the broadcasting term recurrence, with
-terminating series cut exactly at their lattice-index bound.
+(effective nodes and weights): each case's measures function
+(IdentityCase.measures) lists its classical measures, and _q_rules builds
+their q-twins' lattice rules; fk-discrete-limits' measures only state its
+hypotheses, since its rules are the limit weights.  The series factors inside
+every integrand are vectorized over the lattice through the broadcasting term
+recurrence, with terminating series cut exactly at their lattice-index bound.
 
 Shared sums.  `qkernels._phi_k_sum` sums Phi_K against three lattice rules
 through its third-index decomposition.  With one-node rules it is the point
@@ -20,19 +23,20 @@ of Gasper's (2.1).  `qkernels._fk_discrete_sum` is both sides of fk-discrete,
 with unit weights on the left.  Unconverged series fail the point
 (`series._checked`).
 
-Theorem 4.6 and the Phi_K cross form restate their classical counterparts, so
-their parameter maps (`fk_params`, `erdelyi_fk`), measures
-(`erdelyi_measures`), hypotheses (`ERDELYI_HYPOTHESES`) and cross-form
-sampler (`fk_point`) come from `classical_cases`.
+Gasper's (2.1) and (2.3), Theorem 4.6 and the Phi_K cross form restate their
+classical counterparts, so their measures (`lam_measures`, `slot_measures`,
+`erdelyi_measures`), parameter maps (`fk_params`, `erdelyi_fk`) and
+cross-form sampler (`fk_point`) come from `classical_cases`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .classical_cases import ERDELYI_HYPOTHESES, erdelyi_fk, erdelyi_measures, fk_params, fk_point
+from .classical_cases import (_measure, _measures, erdelyi_fk, erdelyi_measures, fk_params, fk_point, lam_measures,
+                              slot_measures)
 from .core import _q_tables, q_pochhammer_inf
-from .measures import DirichletMeasure, _moment_powers, _slot_exponents
+from .measures import DirichletMeasure, _moment_powers
 from .qkernels import (
     _ONE_NODE,
     DiscreteFkParams,
@@ -51,8 +55,7 @@ from .qkernels import (
     phi3,
     q_measure_rule,
 )
-from .registry import (Constraint, EvalSettings, IdentityCase, ParameterPoint, _dirichlet_pos, _measure_pos,
-                       _pos, _slot_pos, _u)
+from .registry import Constraint, EvalSettings, IdentityCase, ParameterPoint, _pos, _u
 from .series import FkParams, _checked, _series_len
 
 Q_ARG_CAP = 0.3
@@ -67,8 +70,11 @@ def _phi_k_value(p: FkParams, v, s: EvalSettings, rules=(_ONE_NODE,) * 3, extra=
     return complex(_checked(*_phi_k_sum(p, rules, v["x"], v["y"], v["z"], s.qctx, s.series_tol, extra)))
 
 
-def _dirichlet_rule(a, b, s: EvalSettings):
-    return q_measure_rule(QDirichletMeasure(a, b, s.qctx))
+def _q_rules(measures, s: EvalSettings) -> list:
+    """The lattice rule of each classical measure's q-twin at s.q."""
+    return [q_measure_rule(QDirichletMeasure(m.alpha, m.beta, s.qctx) if isinstance(m, DirichletMeasure)
+                           else QHypergeometricMeasure(m.alpha, m.beta, m.gamma, m.eta, s.qctx))
+            for m in measures]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +104,7 @@ def _lhs_2phi1(pt, s: EvalSettings):
 def _rhs_gasper1(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
-    t, w = _dirichlet_rule(v["lam"], v["gamma"] - v["lam"], s)
+    [(t, w)] = _q_rules(lam_measures(v), s)
     f2, xt = _shift_factor(t, v["x"], v["alphap"], v["beta"] - v["lam"], v["gamma"] - v["lam"], s.qctx)
     f1 = _checked(*_rphis_array(
         [q ** (v["alpha"] - v["alphap"]), q ** v["beta"]], [q ** v["lam"]], xt, s.qctx, tol=s.series_tol
@@ -120,16 +126,10 @@ def _sample_gasper3(rng) -> ParameterPoint:
     )
 
 
-def _slot_rule(eta, gamma, lam, nu, s: EvalSettings):
-    """Lattice rule of the hypergeometric q-measure in the slots of Gasper's
-    (2.3), measures._slot_exponents."""
-    return q_measure_rule(QHypergeometricMeasure(*_slot_exponents(eta, gamma, lam, nu), s.qctx))
-
-
 def _rhs_gasper3(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
-    t, w = _slot_rule(v["eta"], v["gamma"], v["lam"], v["nu"], s)
+    [(t, w)] = _q_rules(slot_measures(v), s)
     f = _checked(*_rphis_array(
         [q ** v["alpha"], q ** v["beta"], q ** v["eta"]],
         [q ** v["lam"], q ** v["nu"]],
@@ -169,10 +169,12 @@ def _lhs_phi_k(pt, s: EvalSettings):
     return _phi_k_value(fk_params(v), v, s)
 
 
+_ernst_measures = _measures(*((f"nu{j}", f"gamma{j}") for j in (1, 2, 3)))
+
+
 def _rhs_ernst(pt, s: EvalSettings):
     v = pt.flat()
-    rules = [_dirichlet_rule(v[f"nu{j}"], v[f"gamma{j}"] - v[f"nu{j}"], s) for j in (1, 2, 3)]
-    return _phi_k_value(fk_params(v, _NU_FK), v, s, rules)
+    return _phi_k_value(fk_params(v, _NU_FK), v, s, _q_rules(_ernst_measures(v), s))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +186,7 @@ JV_VARIANTS = tuple((k, mode) for k in (1, 2, 3) for mode in ("poly", "hyper"))
 
 def _slot_axis(rng, j: int) -> dict:
     """One axis (lam_j, nu_j, gamma_j, eta_j) of a hypergeometric q-measure in
-    the slots of _slot_rule, with gamma_j + eta_j - lam_j - nu_j > 0."""
+    Gasper's slots, with gamma_j + eta_j - lam_j - nu_j > 0."""
     lam = _u(rng, 0.5, 1.0)
     nu = _u(rng, 0.5, 1.0)
     gamma = _u(rng, 0.5, 1.5)
@@ -192,13 +194,10 @@ def _slot_axis(rng, j: int) -> dict:
     return {f"lam{j}": lam, f"nu{j}": nu, f"gamma{j}": gamma, f"eta{j}": eta}
 
 
-def _axis_slot_pos(j: int) -> Constraint:
-    """_slot_pos on the symbols of _slot_axis j, vacuous for points with fewer axes."""
-    c = _slot_pos(f"eta{j}", f"gamma{j}", f"lam{j}", f"nu{j}")
-    return Constraint(c.name, lambda pt: f"lam{j}" not in pt.values or c.check(pt))
-
-
-_SLOT_AXES_CONSTRAINTS = tuple(_axis_slot_pos(j) for j in (1, 2, 3))
+def _slot_axes_measures(v) -> tuple:
+    """The slot measures of Theorem 4.1 and Corollary 4.2, one per _slot_axis
+    the point has."""
+    return tuple(_measure(v, (f"eta{j}", f"gamma{j}", f"lam{j}", f"nu{j}")) for j in (1, 2, 3) if f"lam{j}" in v)
 
 
 def _sample_joshi_vyas(rng) -> ParameterPoint:
@@ -269,8 +268,7 @@ def _rhs_joshi_vyas(pt, s: EvalSettings):
     k, mode = JV_VARIANTS[int(v["variant"])]
     sizes = _jv_sizes(v, k, mode, s.series_tol)
     tensor = _jv_coeff_tensor(v, k, mode, sizes, s.q)
-    for j in range(1, k + 1):
-        t, w = _slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s)
+    for j, (t, w) in enumerate(_q_rules(_slot_axes_measures(v), s), start=1):
         vec = _moment_powers(t, w, v[f"z{j}"], sizes[j - 1] - 1)
         shape = [1] * k
         shape[j - 1] = sizes[j - 1]
@@ -296,7 +294,7 @@ def _sample_qfk_phi3(rng, x_zero=False) -> ParameterPoint:
 
 def _rhs_qfk_phi3(pt, s: EvalSettings):
     v = pt.flat()
-    rules = [_slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s) for j in (1, 2, 3)]
+    rules = _q_rules(_slot_axes_measures(v), s)
     return _phi_k_value(fk_params(v, _NU_FK), v, s, rules, [(v[f"eta{j}"], v[f"lam{j}"]) for j in (1, 2, 3)])
 
 
@@ -314,21 +312,19 @@ def _sample_qfk_lr(rng) -> ParameterPoint:
     return ParameterPoint(values=vals, arguments={"x": x, "y": y, "z": z})
 
 
-_QFK_LR_CONSTRAINTS = (
-    _slot_pos("eta1", "gamma1", "alpha1", "nu1"),
-    _slot_pos("eta2", "gamma2", "beta2", "nu2"),
-    _dirichlet_pos("nu3", "gamma3"),
-)
+def _lr_measures(eta: str, nu: str):
+    """The measures function of Corollary 4.3 (eta, nu = "eta", "nu") and of
+    the limit weights of (4.6)-(4.9), which name eta_j and nu_j lam_j and mu_j."""
+    return _measures((f"{eta}1", "gamma1", "alpha1", f"{nu}1"), (f"{eta}2", "gamma2", "beta2", f"{nu}2"),
+                     (f"{nu}3", "gamma3"))
+
+
+_qfk_lr_measures, _fk_limits_measures = _lr_measures("eta", "nu"), _lr_measures("lam", "mu")
 
 
 def _rhs_qfk_lr(pt, s: EvalSettings):
     v = pt.flat()
-    rules = [
-        _slot_rule(v["eta1"], v["gamma1"], v["alpha1"], v["nu1"], s),
-        _slot_rule(v["eta2"], v["gamma2"], v["beta2"], v["nu2"], s),
-        _dirichlet_rule(v["nu3"], v["gamma3"] - v["nu3"], s),
-    ]
-    return _phi_k_value(fk_params(v, "eta1 alpha2 beta1 eta2 nu1 nu2 nu3"), v, s, rules)
+    return _phi_k_value(fk_params(v, "eta1 alpha2 beta1 eta2 nu1 nu2 nu3"), v, s, _q_rules(_qfk_lr_measures(v), s))
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +463,6 @@ def _sample_fk_limits(rng) -> ParameterPoint:
     return ParameterPoint(values=vals, arguments={"x": x, "y": y, "z": z})
 
 
-# The limit weights are the lattice masses of the slot q-measures (lam_j,
-# gamma_j, alpha1 or beta2, mu_j) on axes 1 and 2 and of the q-Dirichlet
-# (mu3, gamma3 - mu3) on axis 3: these measures must exist.
-_FK_LIMITS_CONSTRAINTS = (
-    _slot_pos("lam1", "gamma1", "alpha1", "mu1"),
-    _slot_pos("lam2", "gamma2", "beta2", "mu2"),
-    _dirichlet_pos("mu3", "gamma3"),
-)
-
-
 def _rhs_fk_limits(pt, s: EvalSettings):
     """Triple sum of limit weights times the shifted q-F_K; the lattice-sum
     rewrite of the corollary reached by sending the truncation orders of the
@@ -546,7 +532,7 @@ def _lhs_qfk_erdelyi(pt, s: EvalSettings):
 
 def _rhs_qfk_erdelyi(pt, s: EvalSettings):
     v = pt.flat()
-    rules = [_dirichlet_rule(m.alpha, m.beta, s) for m in erdelyi_measures(v)]
+    rules = _q_rules(erdelyi_measures(v), s)
     total = _shift_sum(QfkShiftParams(**pt.values), rules, v["x"], v["y"], v["z"], s.qctx, s.series_tol)
     return complex(_checked(*total))
 
@@ -571,15 +557,12 @@ def _simplified_measures(v) -> tuple[DirichletMeasure, ...]:
             DirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"]))
 
 
-_QFK_SIMPLIFIED_CONSTRAINTS = (_measure_pos("Corollary 4.7 measures", _simplified_measures),)
-
-
 def _rhs_qfk_simplified(pt, s: EvalSettings):
     v = pt.flat()
     q = s.q
     ctx = s.qctx
     x, y, z = v["x"], v["y"], v["z"]
-    (tu, wu), (tv, wv), (tw, ww) = (_dirichlet_rule(m.alpha, m.beta, s) for m in _simplified_measures(v))
+    (tu, wu), (tv, wv), (tw, ww) = _q_rules(_simplified_measures(v), s)
     K = _series_len(abs(z), s.series_tol, 8, 240)
     baseU = tu * x * q ** v["beta1"]
     baseV = tv * y * q ** v["alpha2"]
@@ -613,44 +596,44 @@ def build() -> tuple[IdentityCase, ...]:
     return (
         IdentityCase(
             id="gasper-q-erdelyi-1", anchor="Eq. (2.1)",
-            constraints=(_dirichlet_pos("lam", "gamma"),),
+            constraints=(), measures=lam_measures,
             sampler=_sample_gasper1, lhs=_lhs_2phi1, rhs=_rhs_gasper1,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=8,
         ),
         IdentityCase(
             id="gasper-q-erdelyi-3", anchor="Eq. (2.3)",
-            constraints=(_slot_pos("eta", "gamma", "lam", "nu"),),
+            constraints=(), measures=slot_measures,
             sampler=_sample_gasper3, lhs=_lhs_2phi1, rhs=_rhs_gasper3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=8,
         ),
         IdentityCase(
             id="ernst-q-bateman", anchor="Bateman-type q-integral",
-            constraints=tuple(_dirichlet_pos(f"nu{j}", f"gamma{j}") for j in (1, 2, 3)),
+            constraints=(), measures=_ernst_measures,
             sampler=_sample_ernst, lhs=_lhs_phi_k, rhs=_rhs_ernst,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="joshi-vyas-general", anchor="Theorem 4.1",
-            constraints=_SLOT_AXES_CONSTRAINTS,
+            constraints=(), measures=_slot_axes_measures,
             sampler=_sample_joshi_vyas, lhs=_lhs_joshi_vyas, rhs=_rhs_joshi_vyas,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=9,
         ),
         IdentityCase(
             id="qfk-phi3", anchor="Corollary 4.2",
-            constraints=_SLOT_AXES_CONSTRAINTS,
+            constraints=(), measures=_slot_axes_measures,
             sampler=_sample_qfk_phi3, lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="qfk-phi3-x0", anchor="Corollary 4.2 at x=0",
-            constraints=_SLOT_AXES_CONSTRAINTS,
+            constraints=(), measures=_slot_axes_measures,
             sampler=lambda rng: _sample_qfk_phi3(rng, x_zero=True),
             lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="qfk-lr", anchor="Corollary 4.3",
-            constraints=_QFK_LR_CONSTRAINTS,
+            constraints=(), measures=_qfk_lr_measures,
             sampler=_sample_qfk_lr, lhs=_lhs_phi_k, rhs=_rhs_qfk_lr,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
@@ -668,19 +651,19 @@ def build() -> tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="fk-discrete-limits", anchor="Eqs. (4.6)-(4.9)",
-            constraints=_FK_LIMITS_CONSTRAINTS,
+            constraints=(), measures=_fk_limits_measures,
             sampler=_sample_fk_limits, lhs=_lhs_phi_k, rhs=_rhs_fk_limits,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=5,
         ),
         IdentityCase(
             id="qfk-erdelyi", anchor="Theorem 4.6",
-            constraints=ERDELYI_HYPOTHESES,
+            constraints=(), measures=erdelyi_measures,
             sampler=_sample_qfk_erdelyi, lhs=_lhs_qfk_erdelyi, rhs=_rhs_qfk_erdelyi,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),
         IdentityCase(
             id="qfk-erdelyi-simplified", anchor="Corollary 4.7",
-            constraints=_QFK_SIMPLIFIED_CONSTRAINTS,
+            constraints=(), measures=_simplified_measures,
             sampler=_sample_qfk_simplified, lhs=_lhs_qfk_erdelyi, rhs=_rhs_qfk_simplified,
             tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
         ),

@@ -6,10 +6,11 @@ evaluators, and a tolerance.  verify_identity evaluates both sides on a batch
 of points and aggregates residuals; evaluator errors are recorded as
 failures, never aborting the batch.
 
-The vocabulary both case modules draw and constrain with lives here too:
-Constraint, its Re(...) > 0 form _pos, the measure hypotheses _measure_pos
-with its Dirichlet and slot forms _dirichlet_pos and _slot_pos, and the
-uniform draw _u.
+A case's measures function maps a point to the measures its right-hand side
+integrates against; the measure classes own their hypotheses, so a drawn
+point whose measures raise DomainError is rejected with no constraint of its
+own.  The rest of the vocabulary both case modules draw and constrain with
+lives here too: Constraint, its Re(...) > 0 form _pos, and the uniform draw _u.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import QContext
 from .errors import ConfigError, DomainError
-from .measures import DirichletMeasure, HypergeometricMeasure, _slot_exponents
+from .measures import MeasureSpec
 
 __all__ = [
     "EvalSettings",
@@ -45,7 +46,8 @@ class EvalSettings:
     """Numerical knobs shared by all identity evaluations.
 
     quad_order applies to 1-D and 2-D classical integrals, quad_order_triple
-    per axis of 3-D ones and quad_order_quad per axis of 4-D ones.
+    per axis of 3-D ones and quad_order_quad per axis of 4-D ones; the one
+    place that picks among them is classical_cases._rules.
     jackson_tail_tol sets every q-lattice cut-off: the q-measure rules and
     Jackson integrals stop where their tails fall below it, and the limit
     weights of fk-discrete-limits where they fall below jackson_tail_tol/1e4.
@@ -109,31 +111,6 @@ def _pos(name: str, fn) -> Constraint:
     return Constraint(name, lambda pt, f=fn: complex(f(pt.flat())).real > 0.0)
 
 
-def _measure_pos(name: str, build) -> Constraint:
-    """Constraint that the measure build(symbols) exists: the measure classes
-    own their hypotheses, and a point that breaks them raises DomainError."""
-    def check(pt):
-        try:
-            build(pt.flat())
-        except DomainError:
-            return False
-        return True
-
-    return Constraint(name, check)
-
-
-def _dirichlet_pos(small: str, big: str) -> Constraint:
-    """Re(big) > Re(small) > 0, the Dirichlet measure (small, big - small)."""
-    return _measure_pos(f"Re({big}) > Re({small}) > 0",
-                        lambda v: DirichletMeasure(v[small], v[big] - v[small]))
-
-
-def _slot_pos(eta: str, gamma: str, lam: str, nu: str) -> Constraint:
-    """The hypergeometric measure in Gasper's slots (measures._slot_exponents)."""
-    return _measure_pos(f"slot measure ({eta}, {gamma}, {lam}, {nu})",
-                        lambda v: HypergeometricMeasure(*_slot_exponents(v[eta], v[gamma], v[lam], v[nu])))
-
-
 def _u(rng, lo, hi) -> float:
     """One uniform draw from [lo, hi), the samplers' basic step."""
     return float(rng.uniform(lo, hi))
@@ -144,7 +121,9 @@ Evaluator = Callable[[ParameterPoint, EvalSettings], complex]
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """Registry entry pairing a parameter sampler with LHS/RHS evaluators."""
+    """Registry entry pairing a parameter sampler with LHS/RHS evaluators;
+    measures(symbols) lists the measures the RHS integrates against and
+    raises DomainError where one does not exist."""
 
     id: str
     anchor: str
@@ -156,6 +135,7 @@ class IdentityCase:
     cost_class: str  # cheap | single-integral | triple-integral | q-lattice
     uses_q: bool = False
     default_samples: int = 10
+    measures: Callable[[dict], tuple[MeasureSpec, ...]] = lambda symbols: ()
 
 
 @dataclass(frozen=True)
@@ -189,8 +169,8 @@ REJECTION_CAP = 2000
 def sample_parameters(
     case: IdentityCase, seed: int, count: int
 ) -> list[ParameterPoint]:
-    """Deterministic batch of parameter points satisfying the case's
-    constraints, by rejection sampling with a hard attempt cap."""
+    """Deterministic batch of points whose measures exist and which satisfy
+    the case's constraints, by rejection sampling with a hard attempt cap."""
     if not 1 <= count <= 10_000:
         raise ConfigError(f"sample count must lie in 1..10000, got {count}")
     rng = _case_rng(case.id, seed)
@@ -200,9 +180,13 @@ def sample_parameters(
         attempts += 1
         if attempts > REJECTION_CAP * count:
             raise ConfigError(
-                f"{case.id}: rejection cap exceeded; sampler and constraints disagree"
+                f"{case.id}: rejection cap exceeded; sampler, measures and constraints disagree"
             )
         pt = case.sampler(rng)
+        try:
+            case.measures(pt.flat())
+        except DomainError:
+            continue
         if all(c.check(pt) for c in case.constraints):
             points.append(pt)
     return points

@@ -1,8 +1,9 @@
 """The measure classes own the measures' hypotheses.
 
-The registry's measure constraints accept a point exactly where the classical
-measure constructs, and each q-measure raises DomainError exactly where its
-classical twin does, for real and complex exponents of either sign.
+A case's measures function raises DomainError exactly where the classical
+measure does, and builds that measure where it exists; each q-measure raises
+DomainError exactly where its classical twin does, for real and complex
+exponents of either sign.
 """
 
 import pytest
@@ -17,8 +18,9 @@ from saranfk import (
     QDirichletMeasure,
     QHypergeometricMeasure,
 )
+from saranfk.classical_cases import lam_measures, slot_measures
 from saranfk.measures import _slot_exponents, _slot_inverse
-from saranfk.registry import ParameterPoint, _dirichlet_pos, _slot_pos, registry_lookup
+from saranfk.registry import registry_lookup
 
 _REAL = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 EXPONENT = st.one_of(_REAL, st.builds(complex, _REAL, _REAL))
@@ -33,23 +35,24 @@ def constructs(build, *args) -> bool:
     return True
 
 
-def accepts(constraint, **values) -> bool:
-    return constraint.check(ParameterPoint(values=values, arguments={}))
-
-
 @hsettings(max_examples=300, deadline=None)
 @given(small=EXPONENT, big=EXPONENT)
-def test_dirichlet_pos_is_the_dirichlet_measure(small, big):
+def test_lam_measures_is_the_dirichlet_measure(small, big):
     want = constructs(DirichletMeasure, small, big - small)
-    assert accepts(_dirichlet_pos("s", "b"), s=small, b=big) == want
+    v = {"lam": small, "gamma": big}
+    assert constructs(lam_measures, v) == want
+    if want:
+        assert lam_measures(v) == (DirichletMeasure(small, big - small),)
 
 
 @hsettings(max_examples=300, deadline=None)
 @given(eta=EXPONENT, gamma=EXPONENT, lam=EXPONENT, nu=EXPONENT)
-def test_slot_pos_is_the_slot_measure(eta, gamma, lam, nu):
+def test_slot_measures_is_the_slot_measure(eta, gamma, lam, nu):
     want = constructs(HypergeometricMeasure, *_slot_exponents(eta, gamma, lam, nu))
-    c = _slot_pos("e", "g", "l", "n")
-    assert accepts(c, e=eta, g=gamma, l=lam, n=nu) == want
+    v = {"eta": eta, "gamma": gamma, "lam": lam, "nu": nu}
+    assert constructs(slot_measures, v) == want
+    if want:
+        assert slot_measures(v) == (HypergeometricMeasure(*_slot_exponents(eta, gamma, lam, nu)),)
 
 
 @hsettings(max_examples=300, deadline=None)
@@ -102,8 +105,10 @@ def test_q_measure_boundaries_raise(build, args):
 
 
 @pytest.mark.parametrize("nu1, want", [(0.6, True), (-0.6, False)])
-def test_axis_constraint_passes_a_point_without_the_axis(nu1, want):
+def test_slot_axes_measures_pass_a_point_without_the_axis(nu1, want):
     # A one-axis point of joshi-vyas-general is judged on axis 1 alone.
     case = registry_lookup("joshi-vyas-general")
     values = {"lam1": 0.7, "nu1": nu1, "gamma1": 1.0, "eta1": 1.2}
-    assert all(accepts(c, **values) for c in case.constraints) == want
+    assert constructs(case.measures, values) == want
+    if want:
+        assert case.measures(values) == (HypergeometricMeasure(*_slot_exponents(1.2, 1.0, 0.7, nu1)),)

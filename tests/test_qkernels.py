@@ -810,7 +810,7 @@ class TestShiftKernel:
         kmax, pmax, k = 6, 8, np.arange(7)
         for pt in sample_parameters(case, 42, case.default_samples):
             v = pt.flat()
-            t, _ = q_cases._dirichlet_rule(v["alpha1"] - v["lam1"] + v["eta1"], v["lam1"], s)
+            [(t, _)] = q_cases._q_rules(case.measures(v)[:1], s)
             n = np.rint(np.log(t) / math.log(q)).astype(np.int64)
             m = np.arange(n.min(), n.max() + kmax + 1)
             inner = FkParams(

@@ -10,6 +10,7 @@ import scipy.special as sps
 from saranfk import (
     ConfigError,
     ConvergenceError,
+    DomainError,
     EvalSettings,
     builtin_registry,
     gauss_2f1,
@@ -86,6 +87,8 @@ class TestSampling:
             for pt in sample_parameters(case, 3, 4):
                 for c in case.constraints:
                     assert c.check(pt), f"{case.id}: {c.name}"
+                specs = case.measures(pt.flat())
+                assert all(isinstance(m, (DirichletMeasure, HypergeometricMeasure)) for m in specs), case.id
 
     def test_erdelyi1_argument_cap(self):
         case = registry_lookup("erdelyi-1")
@@ -98,6 +101,14 @@ class TestSampling:
             case,
             constraints=(Constraint("never", lambda pt: False),),
         )
+        with pytest.raises(ConfigError):
+            sample_parameters(impossible, 1, 2)
+
+    def test_rejection_cap_on_measures(self):
+        def never(v):
+            raise DomainError("no measure")
+
+        impossible = dataclasses.replace(registry_lookup("euler-1"), measures=never)
         with pytest.raises(ConfigError):
             sample_parameters(impossible, 1, 2)
 
@@ -186,6 +197,42 @@ class TestVerification:
     def test_tol_override(self):
         res = verify_identity(registry_lookup("euler-1"), seed=3, count=5, tol_override=1e-20)
         assert not res.passed
+
+
+def q_twin(m, ctx):
+    if isinstance(m, DirichletMeasure):
+        return qkernels.QDirichletMeasure(m.alpha, m.beta, ctx)
+    return qkernels.QHypergeometricMeasure(m.alpha, m.beta, m.gamma, m.eta, ctx)
+
+
+class TestRightHandSideMeasures:
+    """Every right-hand side integrates against exactly case.measures(v): a
+    classical one through measure_rule at quad_order for one or two measures,
+    quad_order_triple for three and quad_order_quad for four, a q one through
+    q_measure_rule on each measure's q-twin."""
+
+    # Its measures only state its hypotheses: its rules are the limit weights.
+    HYPOTHESES_ONLY = ("fk-discrete-limits",)
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
+    def test_rhs_rules_are_the_case_measures(self, monkeypatch, case_id):
+        case = registry_lookup(case_id)
+        s = EvalSettings.default()
+        seen = []
+        rule, q_rule = classical_cases.measure_rule, q_cases.q_measure_rule
+        monkeypatch.setattr(classical_cases, "measure_rule", lambda m, n: seen.append((m, n)) or rule(m, n))
+        monkeypatch.setattr(q_cases, "q_measure_rule", lambda m: seen.append((m, None)) or q_rule(m))
+        order = {3: s.quad_order_triple, 4: s.quad_order_quad}
+        for pt in sample_parameters(case, 42, case.default_samples):
+            seen.clear()
+            case.rhs(pt, s)
+            specs = case.measures(pt.flat())
+            if case_id in self.HYPOTHESES_ONLY:
+                assert specs and not seen
+            elif case.uses_q:
+                assert seen == [(q_twin(m, s.qctx), None) for m in specs]
+            else:
+                assert seen == [(m, order.get(len(specs), s.quad_order)) for m in specs]
 
 
 class TestRegistryWideInvariants:
@@ -333,8 +380,7 @@ def qfk_phi3_rhs_restated(v, s):
     (b1 q^p, a1, eta1; nu1, lam1; x t1) and (a2 q^p, b2, eta2; nu2, lam2; y t2)
     over the slot rules, contracted by broadcast sums."""
     q = s.q
-    rules = [q_cases._slot_rule(v[f"eta{j}"], v[f"gamma{j}"], v[f"lam{j}"], v[f"nu{j}"], s) for j in (1, 2, 3)]
-    (t1, w1), (t2, w2), (t3, w3) = rules
+    (t1, w1), (t2, w2), (t3, w3) = q_cases._q_rules(q_cases._slot_axes_measures(v), s)
     pmax = _series_len(abs(v["z"]), s.series_tol, 8, 160)
     shifts = q ** np.arange(pmax + 1.0)
 
