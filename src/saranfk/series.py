@@ -316,29 +316,36 @@ def _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms):
 def _power_sum(coef, z, tol, margin, max_terms, N):
     """sum_n C[:, n] z^n for every row of C = coef(N) and argument in z, as
     (z^n) @ C^T of shape (z.size, rows), its power matrix formed for as many
-    arguments at a time as keep it within _BLOCK_ELEMS entries.  N grows as
-    _grow grows it, to min(max_terms, 1.5 N + 8), until the last three terms,
-    max|C[:, n]| max|z|^n, pass _tail_est with margin against the largest
-    |sum|.  Returns (sums, N, converged, last estimate) like a term loop, or
-    None, leaving the series to the caller's recurrence, where one power row
-    would exceed _BLOCK_ELEMS, coef returns None (a vanishing denominator) or
-    a sum is not finite.  Overflow there is not warned of."""
+    arguments at a time as keep it within _BLOCK_ELEMS entries.  N grows to
+    min(max_terms, 1.5 N + 8) until the last three terms, max|C[:, n]|
+    max|z|^n, pass _tail_est with margin against the largest |sum|.  Returns
+    (sums, N, converged, last estimate), or None, leaving the series to the
+    caller's recurrence, where a power row would exceed _BLOCK_ELEMS, coef
+    returns None (a vanishing denominator), a sum is not finite or its terms
+    add in magnitude past 4 (1 + |sum|).  Overflow there is not warned of."""
     zflat = np.ravel(z)
     top = float(np.abs(zflat).max())
+
+    def powers(w, D):
+        return np.concatenate([np.vander(w[i : i + step], N + 1, increasing=True) @ D.T
+                               for i in range(0, w.size, step)])
     while N < _BLOCK_ELEMS:
         step = _BLOCK_ELEMS // (N + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             C = coef(N)
             if C is None:
                 return None
-            total = np.concatenate([np.vander(zflat[i : i + step], N + 1, increasing=True) @ C.T
-                                    for i in range(0, zflat.size, step)])
+            total = powers(zflat, C)
             if not np.isfinite(total).all():
                 return None
             tails = np.abs(C[:, -3:]).max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)
         ests = _tail_est(tails, margin, float(np.abs(total).max()))
         converged = bool((ests <= tol).all())
         if converged or N >= max_terms:
+            # The product's strided partial sums lose digits where terms cancel.
+            cancel = np.iscomplexobj(C) or np.iscomplexobj(zflat) or min(C.min(), zflat.min()) < 0.0
+            if cancel and not (powers(np.abs(zflat), np.abs(C)) <= 4.0 * (1.0 + np.abs(total))).all():
+                return None
             return total, N, converged, float(ests[-1])
         N = min(max_terms, int(1.5 * N) + 8)
     return None

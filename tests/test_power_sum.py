@@ -66,6 +66,7 @@ def test_real_2f1_route_no_less_accurate(a, b, c, zs):
 @given(a=_cplx(-3, 3), b=_cplx(-3, 3), c=_cplx(0.1, 4), zs=st.lists(_DISC, min_size=2, max_size=64))
 def test_complex_2f1_route_no_less_accurate(a, b, c, zs):
     z = np.array(zs)
+    a, b = _snap_terminating(a), _snap_terminating(b)
     got, _, ok, _ = _eval_2f1(a, b, c, z, TOL)
     ref, _, ref_ok, _ = _series_2f1_raw((a, b), (c,), z, TOL, MAX_TERMS)
     assert ok == ref_ok
@@ -135,6 +136,14 @@ class TestEdges:
             warnings.simplefilter("error")
             assert series._power_sum(coef, np.array([0.5, -0.5]), TOL, 0.5, MAX_TERMS, 24) is None
 
+    def test_heavily_cancelling_series_keeps_the_recurrence(self):
+        # At z = -0.875 the terms of (1 - z)^-3 add in magnitude to about 450
+        # (1 + |sum|), past what the route sums; the recurrence sums it.
+        z = np.array([0.0, -0.875])
+        got = _series_pfq((1.0, 3.0), (1.0,), z, TOL, MAX_TERMS)
+        want = _series_2f1_raw((1.0, 3.0), (1.0,), z, TOL, MAX_TERMS)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
     def test_one_argument_keeps_the_recurrence(self):
         for z in (0.45, np.array([0.45]), np.array([[0.45]])):
             got = _series_pfq((0.3, 0.7), (1.9,), z, TOL, MAX_TERMS)
@@ -161,3 +170,12 @@ def test_converged_error_within_estimate_under_cancellation():
     want = mp_hyper((-20.5, 15.0), (1.5,), z).real
     assert ok
     assert np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= est
+
+
+@pytest.mark.xfail(strict=True, reason="_snap_terminating rounds an upper parameter within POLE_TOL of "
+                   "zero onto it, and the terminating sum reports converged with estimate 0")
+def test_converged_error_within_estimate_near_a_terminating_parameter():
+    z = np.array([0.0, 0.5])
+    value, _, ok, est = _eval_2f1(1j, 3.121575810339679e-10j, 1.0, z, TOL)
+    want = mp_hyper((1j, 3.121575810339679e-10j), (1.0,), z)
+    assert not ok or np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= est
