@@ -21,7 +21,8 @@ import scipy.special as sps
 
 from .core import pochhammer_table
 from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _slot_exponents, measure_rule
-from .registry import Constraint, IdentityCase, ParameterPoint, _u
+from .errors import DomainError
+from .registry import IdentityCase, ParameterPoint, _u
 from .series import (
     CoeffSequence2D,
     FkParams,
@@ -37,7 +38,6 @@ from .series import (
     gauss_2f1,
     generic_f_a,
     geometric_sequence,
-    in_domain_fk,
     saran_fk_reexpand,
     saran_fk_triple,
 )
@@ -58,9 +58,6 @@ def _fk_args(rng, shrink=0.8):
     y = _u(rng, 0.05, 0.45)
     z = _u(rng, 0.1, 1.0) * shrink * (1.0 - x) * (1.0 - y)
     return x, y, z
-
-
-_YZ_DISC = Constraint("|y|+|z| < 1", lambda pt: abs(pt.arguments["y"]) + abs(pt.arguments["z"]) < 1)
 
 
 def _yz_args(rng, total=0.8):
@@ -220,12 +217,15 @@ def _rhs_erdelyi2(pt, s):
 
 
 def _sample_erdelyi3(rng) -> ParameterPoint:
+    """lam - nu, the measure's gamma - alpha - beta, drawn at least 0.35 and
+    kept 0.05 from the integers: an engineering margin for the endpoint
+    expansion of the measure density."""
     nu = _u(rng, 0.4, 0.8)
     dl = _u(rng, 0.35, 1.45)
     lam = nu + dl
     gamma = lam + _u(rng, 0.4, 1.0)
     eta = nu + (lam - gamma) + _u(rng, 0.4, 1.2)
-    return ParameterPoint(
+    pt = ParameterPoint(
         values={
             "alpha": _u(rng, 0.1, 2.2),
             "beta": _u(rng, 0.1, 2.2),
@@ -236,6 +236,9 @@ def _sample_erdelyi3(rng) -> ParameterPoint:
         },
         arguments={"z": _u(rng, 0.05, 0.7)},
     )
+    if abs(lam - nu - round(lam - nu)) <= 0.05:
+        raise DomainError("erdelyi-3: lam - nu within 0.05 of an integer")
+    return pt
 
 
 def _rhs_erdelyi3(pt, s):
@@ -244,18 +247,6 @@ def _rhs_erdelyi3(pt, s):
     upper, lower = (v["alpha"], v["beta"], v["eta"]), (v["lam"], v["nu"])
     vals = _checked(*_series_pfq(upper, lower, v["z"] * t, s.series_tol, 250_000))
     return complex(np.sum(w * vals))
-
-
-_ERDELYI3_CONSTRAINTS = (
-    # Engineering margins for the endpoint expansion of the measure density:
-    # gamma-alpha-beta of the measure equals lam-nu and must sit away from
-    # the integers and from zero.
-    Constraint("lam-nu > 0.3", lambda pt: pt.values["lam"] - pt.values["nu"] > 0.3),
-    Constraint(
-        "lam-nu off integers",
-        lambda pt: abs((pt.values["lam"] - pt.values["nu"]) - round(pt.values["lam"] - pt.values["nu"])) > 0.05,
-    ),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +284,6 @@ def erdelyi_measures(v) -> tuple[DirichletMeasure, ...]:
         DirichletMeasure(v["beta2"] - v["lam2"] + v["mu2"], v["lam2"]),
         DirichletMeasure(v["beta1"], v["gamma3"] - v["beta1"]),
     )
-
-
-_FK_DOMAIN = Constraint("(x,y,z) in F_K domain", lambda pt: in_domain_fk(*(pt.arguments[k] for k in "xyz")))
 
 
 def fk_params(v, names: str = "alpha1 alpha2 beta1 beta2 gamma1 gamma2 gamma3") -> FkParams:
@@ -625,79 +613,77 @@ def build() -> tuple[IdentityCase, ...]:
     return (
         IdentityCase(
             id="euler-1", anchor="Eq. (1.2)",
-            constraints=(), measures=_euler1_measures,
+            measures=_euler1_measures,
             sampler=_sample_euler, lhs=_lhs_2f1, rhs=_rhs_euler1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="euler-2", anchor="Eq. (1.3)",
-            constraints=(), measures=_euler2_measures,
+            measures=_euler2_measures,
             sampler=_sample_euler2, lhs=_lhs_2f1, rhs=_rhs_euler2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="bateman", anchor="Eq. (1.5)",
-            constraints=(), measures=lam_measures,
+            measures=lam_measures,
             sampler=_sample_bateman, lhs=_lhs_2f1, rhs=_rhs_bateman,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-1", anchor="Eq. (1.6)",
-            constraints=(), measures=lam_measures,
+            measures=lam_measures,
             sampler=_sample_erdelyi1, lhs=_lhs_2f1, rhs=_rhs_erdelyi1,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-2", anchor="Eq. (1.7)",
-            constraints=(), measures=_erdelyi2_measures,
+            measures=_erdelyi2_measures,
             sampler=_sample_erdelyi2, lhs=_lhs_2f1, rhs=_rhs_erdelyi2,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="erdelyi-3", anchor="Eq. (1.8)",
-            constraints=_ERDELYI3_CONSTRAINTS, measures=slot_measures,
+            measures=slot_measures,
             sampler=_sample_erdelyi3, lhs=_lhs_2f1, rhs=_rhs_erdelyi3,
             tol=1e-9, cost_class="single-integral", default_samples=50,
         ),
         IdentityCase(
             id="fk-erdelyi", anchor="Theorem 1.1",
-            constraints=(_FK_DOMAIN,), measures=erdelyi_measures,
+            measures=erdelyi_measures,
             sampler=_sample_fk_erdelyi, lhs=_lhs_fk_erdelyi, rhs=_rhs_fk_erdelyi,
             tol=1e-6, cost_class="triple-integral", default_samples=10,
         ),
         IdentityCase(
             id="f2-curious", anchor="Theorem 3.2",
-            constraints=(_YZ_DISC,), measures=_f2_curious_measures,
+            measures=_f2_curious_measures,
             sampler=_sample_f2_curious, lhs=_lhs_f2_curious, rhs=_rhs_f2_curious,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="f2-reduction-proof", anchor="Eqs. (3.7)+Pfaff",
-            constraints=(_YZ_DISC,),
             sampler=_sample_f2_reduction, lhs=_lhs_f2_reduction, rhs=_rhs_f2_reduction,
             tol=1e-10, cost_class="cheap", default_samples=25,
         ),
         IdentityCase(
             id="manocha", anchor="Eq. (3.10)",
-            constraints=(), measures=_manocha_measures,
+            measures=_manocha_measures,
             sampler=_sample_manocha, lhs=_lhs_manocha, rhs=_rhs_manocha,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="manocha-reduced", anchor="Eq. (3.11)",
-            constraints=(), measures=_manocha_reduced_measures,
+            measures=_manocha_reduced_measures,
             sampler=_sample_manocha_reduced, lhs=_lhs_manocha, rhs=_rhs_manocha_reduced,
             tol=1e-8, cost_class="single-integral", default_samples=20,
         ),
         IdentityCase(
             id="fa-erdelyi", anchor="Theorem 3.3",
-            constraints=(), measures=_fa_measures,
+            measures=_fa_measures,
             sampler=_sample_fa_erdelyi, lhs=_lhs_fa_erdelyi, rhs=_rhs_fa_erdelyi,
             tol=1e-8, cost_class="triple-integral", default_samples=20,
         ),
         IdentityCase(
             id="fk-cross-form", anchor="Eqs. (1.12)/(1.13)",
-            constraints=(_FK_DOMAIN,),
             sampler=lambda rng: fk_point(rng, _fk_args(rng)),
             lhs=_lhs_fk_cross, rhs=_rhs_fk_cross,
             tol=1e-10, cost_class="cheap", default_samples=25,

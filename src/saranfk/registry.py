@@ -6,11 +6,10 @@ evaluators, and a tolerance.  verify_identity evaluates both sides on a batch
 of points and aggregates residuals; evaluator errors are recorded as
 failures, never aborting the batch.
 
-A case's measures function maps a point to the measures its right-hand side
-integrates against; the measure classes own their hypotheses, so a drawn
-point whose measures raise DomainError is rejected with no constraint of its
-own.  The rest of the vocabulary both case modules draw and constrain with
-lives here too: Constraint, its Re(...) > 0 form _pos, and the uniform draw _u.
+Each hypothesis is stated once: a sampler draws inside it, or tests it and
+raises DomainError after its last draw, so every case consumes the same
+random stream; the measure classes raise DomainError for the measures'
+hypotheses.  sample_parameters rejects a draw on either.
 """
 
 from __future__ import annotations
@@ -100,17 +99,6 @@ class ParameterPoint:
         return {**self.values, **self.arguments}
 
 
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    check: Callable[[ParameterPoint], bool]
-
-
-def _pos(name: str, fn) -> Constraint:
-    """Constraint Re(fn(symbols)) > 0 over the point's flattened symbols."""
-    return Constraint(name, lambda pt, f=fn: complex(f(pt.flat())).real > 0.0)
-
-
 def _u(rng, lo, hi) -> float:
     """One uniform draw from [lo, hi), the samplers' basic step."""
     return float(rng.uniform(lo, hi))
@@ -121,13 +109,13 @@ Evaluator = Callable[[ParameterPoint, EvalSettings], complex]
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """Registry entry pairing a parameter sampler with LHS/RHS evaluators;
-    measures(symbols) lists the measures the RHS integrates against and
-    raises DomainError where one does not exist."""
+    """Registry entry pairing a parameter sampler with LHS/RHS evaluators.
+    sampler(rng) raises DomainError, only after its last draw, for a draw
+    outside the hypotheses; measures(symbols) lists the measures the RHS
+    integrates against and raises DomainError where one does not exist."""
 
     id: str
     anchor: str
-    constraints: tuple
     sampler: Callable[[np.random.Generator], ParameterPoint]
     lhs: Evaluator
     rhs: Evaluator
@@ -169,8 +157,8 @@ REJECTION_CAP = 2000
 def sample_parameters(
     case: IdentityCase, seed: int, count: int
 ) -> list[ParameterPoint]:
-    """Deterministic batch of points whose measures exist and which satisfy
-    the case's constraints, by rejection sampling with a hard attempt cap."""
+    """Deterministic batch of points that neither the sampler nor the
+    measures reject, by rejection sampling with a hard attempt cap."""
     if not 1 <= count <= 10_000:
         raise ConfigError(f"sample count must lie in 1..10000, got {count}")
     rng = _case_rng(case.id, seed)
@@ -180,15 +168,14 @@ def sample_parameters(
         attempts += 1
         if attempts > REJECTION_CAP * count:
             raise ConfigError(
-                f"{case.id}: rejection cap exceeded; sampler, measures and constraints disagree"
+                f"{case.id}: rejection cap exceeded; the sampler or measures reject nearly every draw"
             )
-        pt = case.sampler(rng)
         try:
+            pt = case.sampler(rng)
             case.measures(pt.flat())
         except DomainError:
             continue
-        if all(c.check(pt) for c in case.constraints):
-            points.append(pt)
+        points.append(pt)
     return points
 
 

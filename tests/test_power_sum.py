@@ -16,7 +16,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings
+from hypothesis import example, given, settings as hsettings
 from hypothesis import strategies as st
 
 from saranfk import PoleError
@@ -28,8 +28,10 @@ MAX_TERMS = 250_000
 
 
 def mp_hyper(upper, lower, zs) -> np.ndarray:
+    """The 30-digit mpmath value at each z; zeroprec lets mpmath return an
+    exact zero, such as 2F1(2, 3; 1; -0.5), instead of raising."""
     with mpmath.workdps(30):
-        return np.array([complex(mpmath.hyper(list(upper), list(lower), complex(z))) for z in zs])
+        return np.array([complex(mpmath.hyper(list(upper), list(lower), complex(z), zeroprec=1000)) for z in zs])
 
 
 def assert_no_less_accurate(got, ref, want, margin):
@@ -53,6 +55,7 @@ _DISC = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)), _real(0.0,
 
 @hsettings(max_examples=60, deadline=None)
 @given(a=_real(-3, 3), b=_real(-3, 3), c=_real(0.1, 4), zs=st.lists(_real(-0.9, 0.9), min_size=2, max_size=64))
+@example(a=2, b=3, c=1, zs=[0, -0.5])  # 2F1(2, 3; 1; -0.5) = 0 exactly
 def test_real_2f1_route_no_less_accurate(a, b, c, zs):
     z = np.array(zs)
     a, b = _snap_terminating(a), _snap_terminating(b)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import mpmath
@@ -24,7 +25,7 @@ from saranfk.classical_cases import _f2_rows, fk_erdelyi_inner_tables
 from saranfk.core import q_pochhammer_table
 from saranfk.measures import DirichletMeasure, HypergeometricMeasure, hypergeometric_density, measure_rule
 from saranfk.series import _series_len
-from saranfk.registry import Constraint, ParameterPoint
+from saranfk.registry import ParameterPoint
 
 ALL_IDS = [
     "euler-1", "euler-2", "bateman", "erdelyi-1", "erdelyi-2", "erdelyi-3",
@@ -35,6 +36,47 @@ ALL_IDS = [
     "gasper-discrete", "fk-discrete", "fk-discrete-limits",
     "qfk-erdelyi", "qfk-erdelyi-simplified", "phik-cross-form",
 ]
+
+
+def off_pole_lattice(value, q, n):
+    """value at least 4% from each point q^-m, m = 0..n, of the pole lattice."""
+    return all(abs(value - q**-m) >= 0.04 * q**-m for m in range(n + 1))
+
+
+def off_integers(x):
+    return abs(x - round(x)) > 0.05
+
+
+FK_DOMAIN = [("(x, y, z) in the F_K domain", lambda v: in_domain_fk(v["x"], v["y"], v["z"]))]
+F2_DISC = [("|y| + |z| < 1", lambda v: abs(v["y"]) + abs(v["z"]) < 1)]
+
+# The hypotheses each sampler keeps beyond those its measures own: the F_K
+# domain, the F2 disc, the unit polydisc of the Phi_K cross form, and the
+# engineering margins of erdelyi-3, gasper-discrete and fk-discrete.
+SAMPLER_HYPOTHESES = {
+    "erdelyi-3": [
+        ("lam - nu > 0.3", lambda v: v["lam"] - v["nu"] > 0.3),
+        ("lam - nu off the integers", lambda v: off_integers(v["lam"] - v["nu"])),
+    ],
+    "fk-erdelyi": FK_DOMAIN,
+    "fk-cross-form": FK_DOMAIN,
+    "f2-curious": F2_DISC,
+    "f2-reduction-proof": F2_DISC,
+    "phik-cross-form": [("max |arg| < 1", lambda v: max(abs(v[k]) for k in "xyz") < 1)],
+    "gasper-discrete": [
+        ("derived bases off the pole lattice at q = 0.3, 0.5, 0.7", lambda v: all(
+            off_pole_lattice(v["gamma"] * v["mu"] / (v["lam"] * v["nu"]), q, int(v["n"]))
+            and off_pole_lattice(q ** (1.0 - v["n"]) / v["lam"], q, int(v["n"]))
+            for q in (0.3, 0.5, 0.7))),
+    ],
+    "fk-discrete": [
+        ("gl1 = gamma1 + lam1 - alpha1 - mu1 > 0", lambda v: v["gamma1"] + v["lam1"] - v["alpha1"] - v["mu1"] > 0),
+        ("gl2 = gamma2 + lam2 - beta2 - mu2 > 0", lambda v: v["gamma2"] + v["lam2"] - v["beta2"] - v["mu2"] > 0),
+        ("mu1 > 0", lambda v: v["mu1"] > 0),
+        ("mu2 > 0", lambda v: v["mu2"] > 0),
+        ("alpha1, beta2 off the integers", lambda v: off_integers(v["alpha1"]) and off_integers(v["beta2"])),
+    ],
+}
 
 
 class TestRegistryShape:
@@ -82,12 +124,13 @@ class TestSampling:
             assert v["gamma3"] > v["beta1"] > 0
             assert in_domain_fk(pt.arguments["x"], pt.arguments["y"], pt.arguments["z"])
 
-    def test_every_sampler_satisfies_constraints(self):
-        for case in builtin_registry():
-            for pt in sample_parameters(case, 3, 4):
-                for c in case.constraints:
-                    assert c.check(pt), f"{case.id}: {c.name}"
-                specs = case.measures(pt.flat())
+    def test_every_sampler_keeps_its_hypotheses(self):
+        for case, seed in itertools.product(builtin_registry(), range(4)):
+            for pt in sample_parameters(case, seed, 4):
+                v = pt.flat()
+                for name, holds in SAMPLER_HYPOTHESES.get(case.id, ()):
+                    assert holds(v), f"{case.id}: {name}"
+                specs = case.measures(v)
                 assert all(isinstance(m, (DirichletMeasure, HypergeometricMeasure)) for m in specs), case.id
 
     def test_erdelyi1_argument_cap(self):
@@ -97,10 +140,12 @@ class TestSampling:
 
     def test_rejection_cap(self):
         case = registry_lookup("euler-1")
-        impossible = dataclasses.replace(
-            case,
-            constraints=(Constraint("never", lambda pt: False),),
-        )
+
+        def never(rng):
+            case.sampler(rng)
+            raise DomainError("outside the hypotheses")
+
+        impossible = dataclasses.replace(case, sampler=never)
         with pytest.raises(ConfigError):
             sample_parameters(impossible, 1, 2)
 
@@ -149,6 +194,21 @@ SEED_42_DIGESTS = {
 }
 
 
+# The same digests at seeds 1, 2 and 3 for the cases whose samplers reject
+# draws themselves, which pins the random stream each rejection consumes.
+REJECTING_SAMPLER_DIGESTS = {
+    (1, "erdelyi-3"): "b545a0456be3fb21de339b4371dd1f41b9465946064df63acef6156c815f1c99",
+    (1, "gasper-discrete"): "0f27d06a3d66cc950cad6e1317037c6397c1cdfdd363cc859cf893279e351988",
+    (1, "fk-discrete"): "3c420fdb6126b423aefcf5dae0851bf80fbab394e4864ee3f21f0bf08ca7a710",
+    (2, "erdelyi-3"): "c1661f8c7dc48951384f9c3b576b5718810d49562c079779a10ce1d026c593c3",
+    (2, "gasper-discrete"): "12c5cb31046d851705f1f8bd35135667bc58f27b41c49c73a74b80a7b5a98711",
+    (2, "fk-discrete"): "c78419afd52ef4d9e4bb6680bcefab3fa933004e5d6aa0b72e22b2b54855134d",
+    (3, "erdelyi-3"): "1e538dd3c4a0af6b3feee071000b63520b8439151a8c1ba7b7821dd87c2f7dae",
+    (3, "gasper-discrete"): "f12bc7ccce5a99ce6b87b8a1eaea2e2b235f7466c10daee9d964d2472235cdd5",
+    (3, "fk-discrete"): "9f6fa781e81ddb6c377b86894dde7f87f33fe9a09ea1818a6c6735c1c63a55e6",
+}
+
+
 def point_digest(points) -> str:
     blob = json.dumps([[list(p.values.items()), list(p.arguments.items())] for p in points])
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -159,6 +219,12 @@ class TestStoredPoints:
     def test_seed_42_points_unchanged(self, case_id):
         case = registry_lookup(case_id)
         assert point_digest(sample_parameters(case, 42, case.default_samples)) == SEED_42_DIGESTS[case_id]
+
+    @pytest.mark.parametrize("seed, case_id", list(REJECTING_SAMPLER_DIGESTS))
+    def test_rejecting_sampler_points_unchanged(self, seed, case_id):
+        case = registry_lookup(case_id)
+        digest = point_digest(sample_parameters(case, seed, case.default_samples))
+        assert digest == REJECTING_SAMPLER_DIGESTS[seed, case_id]
 
     def test_every_identity_stored(self):
         assert [c.id for c in builtin_registry()] == list(SEED_42_DIGESTS)
