@@ -7,6 +7,7 @@ lattice-sum code relies on.  Powers use the principal branch throughout.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,10 @@ POLE_TOL = 1e-9
 
 
 def is_nonpositive_integer(z, tol: float = POLE_TOL) -> bool:
-    """True when z is within tol of {0, -1, -2, ...}."""
+    """True when z is within tol of {0, -1, -2, ...}; DomainError if z is not finite."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"parameter {z} is not finite")
     if abs(z.imag) > tol:
         return False
     r = round(z.real)
@@ -154,8 +157,10 @@ def q_pochhammer_table(a, nmax: int, q: float) -> np.ndarray:
 
 
 def q_termination_index(base, q: float, tol: float = 1e-9):
-    """Return n when base == q^{-n} for some integer n >= 0, else None."""
+    """n when base == q^{-n} for an integer n >= 0, else None; DomainError if base is not finite."""
     b = complex(base)
+    if not cmath.isfinite(b):
+        raise DomainError(f"base {b} is not finite")
     if abs(b) < 1.0 + 1e-12:
         return 0 if abs(b - 1.0) < tol else None
     n = round(-math.log(abs(b)) / math.log(q))

@@ -54,7 +54,7 @@ class DirichletMeasure:
     beta: complex
 
     def __post_init__(self):
-        if min(complex(self.alpha).real, complex(self.beta).real) <= 0:
+        if not all(complex(v).real > 0 for v in (self.alpha, self.beta)):
             raise DomainError("Dirichlet measure needs min(Re a, Re b) > 0")
 
 
@@ -69,7 +69,7 @@ class HypergeometricMeasure:
 
     def __post_init__(self):
         a, b, g, e = (complex(v) for v in (self.alpha, self.beta, self.gamma, self.eta))
-        if min(e.real, g.real, (e + g - a - b).real) <= 0:
+        if not all(v.real > 0 for v in (e, g, e + g - a - b)):
             raise DomainError(
                 "hypergeometric measure needs min(Re eta, Re gamma, Re(eta+gamma-alpha-beta)) > 0"
             )
@@ -108,7 +108,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadratureRule:
 
     Cached per (a, b, n); the cache is shared process-wide and lock-guarded.
     """
-    if a_exp <= -1 or b_exp <= -1:
+    if not (a_exp > -1 and b_exp > -1):
         raise DomainError("Jacobi exponents must exceed -1")
     if not (0 < n <= 256):
         raise DomainError("rule size must lie in 1..256")
@@ -122,6 +122,8 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadratureRule:
     x, w = sp.roots_jacobi(n, b_exp, a_exp)
     nodes = (x + 1.0) / 2.0
     weights = w / 2.0 ** (a_exp + b_exp + 1.0)
+    # Every caller shares the cached arrays, so an in-place edit raises.
+    nodes.flags.writeable = weights.flags.writeable = False
     rule = QuadratureRule(nodes, weights, (float(a_exp), float(b_exp)))
     with _RULE_LOCK:
         _RULE_CACHE[key] = rule

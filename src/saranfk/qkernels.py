@@ -27,19 +27,18 @@ terminating r_phi_s with r = s + 2 whose cut-off array n matches an upper
 entry q^-n and an argument W q^n, the 3phi1 of the q-measure density and of
 the limit weights.  _lattice_sum sums it as one q-binomial convolution over
 the whole lattice, and leaves it to the recurrence where (q; q)_max n is not
-a normal double or a sum is not finite.  A second family skips it too: a
-non-terminating r_phi_s with r = s + 1 whose parameters vary only along axes
-on which the argument is constant, the shifted 2phi1 and 3phi2 tables of
-phi_k_p_tables.  Its n-th term is C[params, n] z^n, and _family_sum sums it
-as one matrix product by series._power_sum, the core of the classical
-node-array pFq route, growing its length as _grow does until the last three
-terms pass the term loops' estimate; a vanishing denominator leaves the
-series to the recurrence, which raises PoleError.  Tables follow the dtype of
-their inputs: real exponents and arguments sum in float64.  Every (a;q)_k table
-comes from core._q_tables, which stacks the bases of a build in one call; the
-row of a base q^-r is exactly zero past k = r, as the terms of r_phi_s are.
-The one exception is the densities' (q^x; q)_n / (q; q)_n, a cumulative
-product of factor ratios, since (q; q)_n alone underflows near q = 1.
+a normal double or a sum is not finite.  phi_k_p_tables skips it too for
+its shifted 2phi1 and 3phi2 tables, whose n-th term is C[p, n] X^n:
+_family_sum sums them as one matrix product by series._power_sum, the core
+of the classical node-array pFq route, growing its length as _grow does until
+the last three terms pass the term loops' estimate; a vanishing denominator
+leaves the table to the recurrence, which raises PoleError.  Tables follow
+the dtype of their inputs: real exponents and arguments sum in float64.
+Every (a;q)_k table comes from core._q_tables, which stacks the bases of a
+build in one call; the row of a base q^-r is exactly zero past k = r, as the
+terms of r_phi_s are.  The one exception is the densities'
+(q^x; q)_n / (q; q)_n, a cumulative product of factor ratios, since
+(q; q)_n alone underflows near q = 1.
 
 Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
 decomposition against three lattice rules, and `_shift_sum` the one
@@ -145,43 +144,37 @@ def _lattice_sum(uppers, lowers, z, ta, q: float, dtype):
     return total if np.isfinite(total).all() else None
 
 
-def _family_sum(params, nup: int, z, q: float, tol: float, max_terms: int, shape, dtype):
-    """A non-terminating r_phi_s family with r = s + 1 by series._power_sum,
-    or None.
+# The recurrence's cap on the terms of a non-terminating series.
+_MAX_TERMS = 5000
 
-    It applies where the parameter arrays (params, the nup uppers first) vary
-    along some axes and z only along others: the n-th term is then
-    C[params, n] z^n, with C from one _q_tables call, summed at margin 0.25
-    from N = _series_len(max|z|, tol) terms.  Returns (value, N, converged,
-    estimate) like the recurrence, or None where a denominator (b; q)_n or
-    (q; q)_n vanishes, or where _power_sum declines, which the recurrence
-    then decides."""
-    ps, zs = ((1,) * (len(shape) - len(s)) + s for s in (
-        np.broadcast_shapes(*(v.shape for v in params)), np.shape(z)))
-    if (2 * nup != len(params) + 1 or math.prod(ps) < 2
-            or any(a > 1 and b > 1 for a, b in zip(ps, zs))):
-        return None
-    bases = np.concatenate([*(v.ravel() for v in params), [q]])
-    ends = list(accumulate(v.size for v in params))
+
+def _family_sum(uppers, lowers, X, ctx: QContext, tol: float):
+    """The shifted r_phi_s table of phi_k_p_tables, r = s + 1, by
+    series._power_sum, as an array of shape X.shape + (uppers[0].size,).
+
+    uppers[0] is the array of shifted bases and every other entry a scalar,
+    so the n-th term is C[p, n] X^n, with C from one _q_tables call, summed at
+    margin 0.25 from N = _series_len(max|X|, tol) terms.  Where a denominator
+    (b; q)_n or (q; q)_n vanishes, or _power_sum declines, _rphis_array's
+    recurrence sums the table.  Returns (value, terms, converged, estimate)."""
+    q, x = ctx.q, np.asarray(X)
+    P, nlow = len(uppers[0]), len(lowers) + 1
+    bases = np.concatenate([uppers[0], uppers[1:], lowers, [q]])
+    dtype = np.complex128 if np.iscomplexobj(bases) or np.iscomplexobj(x) else np.float64
 
     def coef(N):
         tables = _q_tables(bases, N, q)
-        rows = [tables[e - v.size : e].reshape((1,) * (len(ps) - v.ndim) + v.shape + (N + 1,))
-                for e, v in zip(ends, params)]
-        den = math.prod(rows[nup:]) * tables[-1]
+        den = math.prod(tables[-nlow:])
         if not (abs(den) >= 1e-280).all():
             return None
-        return (math.prod(rows[:nup]) / den).reshape(-1, N + 1)
+        return math.prod([tables[:P], *tables[P:-nlow]]) / den
 
-    N = max(_series_len(float(np.abs(z).max()), tol), 8)
-    res = _power_sum(coef, z, tol, 0.25, max_terms, N)
+    N = max(_series_len(float(np.abs(x).max()), tol), 8)
+    res = _power_sum(coef, x.astype(dtype), tol, 0.25, _MAX_TERMS, N)
     if res is None:
-        return None
+        return _rphis_array(uppers, lowers, x[..., None], ctx, tol)
     total, N, converged, est = res
-    axes = [i for i, s in enumerate(zs) if s > 1] + [i for i, s in enumerate(ps) if s > 1]
-    value = total.reshape([s for s in zs if s > 1] + [s for s in ps if s > 1])
-    value = value.transpose(np.argsort(axes)).reshape(shape).astype(dtype, copy=False)
-    return value, N, converged, est
+    return total.reshape(x.shape + (P,)).astype(dtype, copy=False), N, converged, est
 
 
 def _rphis_array(
@@ -191,7 +184,7 @@ def _rphis_array(
     ctx: QContext,
     tol: float = 1e-12,
     terminate_after=None,
-    max_terms: int = 5000,
+    max_terms: int = _MAX_TERMS,
 ):
     """Basic hypergeometric series with full broadcasting over parameters and
     argument.  Returns (value array, terms, converged, tail estimate).
@@ -199,10 +192,8 @@ def _rphis_array(
     terminate_after gives, per broadcast element, the index of the last
     nonzero term; later terms are forced to zero.  An array terminate_after
     first tries _lattice_sum, the convolution of a 3phi1-type series along a
-    q-lattice; where it declines, and for an int, the block recurrence sums
-    the series.  Without terminate_after, _family_sum is tried first: an
-    r = s + 1 family whose parameters vary only along axes on which z is
-    constant is one matrix product of a coefficient table and the powers of z.
+    q-lattice; where it declines, for an int, and without terminate_after,
+    the block recurrence sums the series.
     """
     q = ctx.q
     spow = 1 + len(lowers) - len(uppers)
@@ -251,11 +242,7 @@ def _rphis_array(
             ops.append((np.multiply, [sign * q ** (ell * spow) for ell in ells]))
         return ops, poles
 
-    if ta is None:
-        family = _family_sum(arrays[:-1], len(uppers), zop.value, q, tol, max_terms, shape, dtype)
-        if family is not None:
-            return family
-    else:
+    if ta is not None:
         total = None
         if isinstance(terminate_after, np.ndarray):
             total = _lattice_sum(uppers, lowers, np.asarray(z), ta, q, dtype)
@@ -333,7 +320,7 @@ def _axis_size(zval, tol: float, terminations) -> int:
     if terminations:
         return min(terminations) + 1
     az = abs(complex(zval))
-    if az >= 1.0:
+    if not az < 1.0:
         raise DomainError("phi3 argument must satisfy |arg| < 1 unless terminating")
     return _series_len(az, tol, 10, 64)
 
@@ -426,12 +413,8 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
     tables = _q_tables([qa2, qb1, *u3, q**p.gamma3, *l3, q], pmax, q)
     coef = np.divide(*np.multiply.reduceat(tables, [0, 2 + len(u3)], axis=0))
     shifts = q ** np.arange(pmax + 1, dtype=np.float64)
-    A, _, okA, _ = _rphis_array(
-        [qb1 * shifts, q**p.alpha1, *u1], [q**p.gamma1, *l1], np.asarray(X)[..., None], ctx, tol
-    )
-    B, _, okB, _ = _rphis_array(
-        [qa2 * shifts, q**p.beta2, *u2], [q**p.gamma2, *l2], np.asarray(Y)[..., None], ctx, tol
-    )
+    A, _, okA, _ = _family_sum([qb1 * shifts, q**p.alpha1, *u1], [q**p.gamma1, *l1], X, ctx, tol)
+    B, _, okB, _ = _family_sum([qa2 * shifts, q**p.beta2, *u2], [q**p.gamma2, *l2], Y, ctx, tol)
     return coef, A, B, okA, okB
 
 
@@ -464,7 +447,7 @@ def phi_k_q(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
     mismatch beyond 100*tol raises ConvergenceError.  converged holds only
     when the triple series and both 2phi1 tables of the reexpansion converged.
     """
-    if max(abs(x), abs(y), abs(z)) >= 1.0:
+    if not all(abs(v) < 1.0 for v in (x, y, z)):
         raise DomainError("Phi_K requires |x| < 1, |y| < 1, |z| < 1")
     value, nterms, ok, est = _phi_k_sum(p, [_ONE_NODE] * 3, x, y, z, ctx, tol)
     triple = phi3(_phi_k_spec(p, ctx.q), x, y, z, ctx, tol)

@@ -43,6 +43,7 @@ to 512 terms, with bit-identical real results.  An operand every term shares
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -732,6 +733,8 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
         if is_nonpositive_integer(ell):
             raise PoleError(f"pFq lower parameter {ell} is a non-positive integer")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"pFq argument {z} is not finite")
     terminating = any(is_nonpositive_integer(u) for u in upper)
     if len(upper) > len(lower) + 1 and not terminating and z != 0:
         raise DomainError("pFq with p > q+1 diverges for z != 0")
@@ -896,6 +899,8 @@ def _chain_sum(a1, a2, b, c, zs, tol: float) -> SeriesResult:
     prod(|v_i| + d_i) - |prod v_i|; the product has converged when every
     piece has and that bound is within tol."""
     outer = [a1, *b, a2]
+    if not all(cmath.isfinite(complex(v)) for v in (*outer, *c, *zs)):
+        raise DomainError("chain parameters and arguments must be finite")
     runs = [list(g) for live, g in groupby(range(len(zs)), lambda i: zs[i] != 0) if live]
     exact = []
     pieces = []
@@ -1247,9 +1252,9 @@ def generic_f_a(
         if is_nonpositive_integer(g):
             raise PoleError(f"generic_f_a parameter {name} is a non-positive integer")
     x1, x2, x3, x4 = (complex(v) for v in (x1, x2, x3, x4))
-    if abs(x1) >= 1.0 or abs(x2) >= 1.0:
+    if not (abs(x1) < 1.0 and abs(x2) < 1.0):
         raise DomainError("generic_f_a needs |x1| < 1 and |x2| < 1")
-    if a.decay_bound * max(abs(x3), abs(x4)) >= 1.0:
+    if not all(a.decay_bound * abs(v) < 1.0 for v in (x3, x4)):
         raise DomainError("decay bound times max(|x3|, |x4|) must stay below 1")
 
     r3 = min(0.95, a.decay_bound * abs(x3) / (1.0 - abs(x1)))

@@ -42,6 +42,20 @@ class TestGaussJacobiRule:
     def test_cache_returns_same_rule(self):
         assert gauss_jacobi_rule(0.25, 0.5, 16) is gauss_jacobi_rule(0.25, 0.5, 16)
 
+    def test_cached_rule_is_read_only(self):
+        # Every later caller shares the cached arrays: an in-place edit of a
+        # returned rule, or of a Dirichlet rule's nodes, raises instead of
+        # changing them.
+        r = gauss_jacobi_rule(0.25, 0.5, 8)
+        with pytest.raises(ValueError):
+            r.weights[:] = 0.0
+        t, _ = measure_rule(DirichletMeasure(2.0, 3.0), 16)
+        with pytest.raises(ValueError):
+            t *= 0.5
+        assert r.weights.sum() == pytest.approx(float(sps.beta(1.25, 1.5)), rel=1e-13)
+        mean = integrate_measure(lambda x: x, DirichletMeasure(2.0, 3.0), 16)
+        assert mean == pytest.approx(0.4, rel=1e-13)
+
 
 class TestDirichletMeasure:
     def test_uniform(self):

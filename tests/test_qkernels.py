@@ -552,15 +552,24 @@ def mp_qhyper(uppers, lowers, X, q) -> complex:
 
 
 def spy_family(monkeypatch):
-    """Patch _family_sum to record, per call, whether it took the series."""
-    taken = []
-    family = qkernels._family_sum
+    """Patch _family_sum to record, per call, whether it took the series:
+    whether the _power_sum it called returned a sum."""
+    taken, sums = [], []
+    family, power_sum = qkernels._family_sum, qkernels._power_sum
 
-    def spy(*args, **kwargs):
-        out = family(*args, **kwargs)
-        taken.append(out is not None)
+    def spy_power_sum(*args, **kwargs):
+        out = power_sum(*args, **kwargs)
+        sums.append(out is not None)
         return out
 
+    def spy(*args, **kwargs):
+        before = len(sums)
+        try:
+            return family(*args, **kwargs)
+        finally:
+            taken.append(sums[before:] == [True])
+
+    monkeypatch.setattr(qkernels, "_power_sum", spy_power_sum)
     monkeypatch.setattr(qkernels, "_family_sum", spy)
     return taken
 
@@ -610,12 +619,11 @@ class TestFamilyRoute:
         taken = spy_family(monkeypatch)
         got = phi_k_p_tables(FAMILY_P, X, X, ctx, pmax)
         assert taken == [True, True] and got[3] and got[4]
-        monkeypatch.setattr(qkernels, "_family_sum", lambda *args, **kwargs: None)
-        want = phi_k_p_tables(FAMILY_P, X, X, ctx, pmax)
         shifts = q ** np.arange(pmax + 1.0)
         p = FAMILY_P
-        for table, loop, (sh, a, c) in zip(got[1:3], want[1:3], (
+        for table, (sh, a, c) in zip(got[1:3], (
                 (p.beta1, p.alpha1, p.gamma1), (p.alpha2, p.beta2, p.gamma2))):
+            loop = _rphis_array([q**sh * shifts, q**a], [q**c], np.asarray(X)[..., None], ctx, 1e-13)[0]
             assert table.shape == loop.shape
             assert np.all(np.abs(table - loop) <= 1e-14 * (1.0 + np.abs(loop)))
             for j in (0, 5, pmax):
@@ -623,40 +631,49 @@ class TestFamilyRoute:
                 assert abs(table[..., j].item() - ref) <= 1e-14 * (1.0 + abs(ref)), j
 
     def test_lower_pole_still_raises(self, monkeypatch):
-        q = 0.5
+        # FkParams rejects a gamma on the pole lattice, so the lower exponent
+        # that extra adds to gamma slot 1 sits there: (q^-3; q)_4 vanishes,
+        # the family declines and the recurrence raises.
         taken = spy_family(monkeypatch)
+        extra = ((0.4, -3.0), (1.2, 0.8), (0.3, 1.4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PoleError):
-                _rphis_array([q**0.3 * q ** np.arange(5.0), 0.4], [q**-3],
-                             np.array([0.2, -0.3])[:, None], QContext(q=q))
+                phi_k_p_tables(FAMILY_P, np.array([0.2, -0.3]), 0.1, QContext(q=0.5), 4, extra=extra)
         assert taken == [False]
 
     def test_only_phi_k_p_tables_take_it_in_the_verdict(self, monkeypatch):
         # Every phi_k_p_tables family takes it (546 at seed 42), grids and
-        # one-node point values alike; no other _rphis_array caller does.
+        # one-node point values alike; no other caller reaches _family_sum.
         taken = spy_family(monkeypatch)
         calls = []
-        rphis_array = qkernels._rphis_array
+        family = qkernels._family_sum
 
-        def spy(uppers, lowers, z, *args, **kwargs):
-            before = len(taken)
-            out = rphis_array(uppers, lowers, z, *args, **kwargs)
-            calls.append((sys._getframe(1).f_code.co_name, np.size(z), True in taken[before:]))
-            return out
+        def spy(uppers, lowers, X, *args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, np.size(X)))
+            return family(uppers, lowers, X, *args, **kwargs)
 
-        monkeypatch.setattr(qkernels, "_rphis_array", spy)
-        monkeypatch.setattr(q_cases, "_rphis_array", spy)
+        monkeypatch.setattr(qkernels, "_family_sum", spy)
         for case in q_cases.build():
             for q in (0.2, 0.5, 0.7):
                 assert verify_identity(case, seed=42, settings=EvalSettings(q=q)).passed
-        callers = {name for name, _, _ in calls}
-        assert {"phi_k_p_tables", "_lhs_2phi1", "_rhs_gasper1", "_rhs_gasper3"} <= callers
-        for name, _, took in calls:
-            assert took == (name == "phi_k_p_tables"), name
-        assert sum(took for *_, took in calls) == 546
-        sizes = {size for name, size, _ in calls if name == "phi_k_p_tables"}
+        assert {name for name, _ in calls} == {"phi_k_p_tables"}
+        assert len(taken) == 546 and all(taken)
+        sizes = {size for _, size in calls}
         assert 1 in sizes and max(sizes) > 1
+
+    def test_other_rphis_families_never_reach_it(self, monkeypatch):
+        # Scalar rphis and the gasper-q node arrays go to the recurrence
+        # without a test for the table layout.
+        taken = spy_family(monkeypatch)
+        rphis([0.3, 0.4], [0.7], 0.2, QContext(q=0.5))
+        for case_id in ("gasper-q-erdelyi-1", "gasper-q-erdelyi-3"):
+            case = registry_lookup(case_id)
+            for q in (0.2, 0.5, 0.7):
+                s = EvalSettings.default().with_q(q)
+                for pt in sample_parameters(case, 42, case.default_samples):
+                    case.rhs(pt, s)
+        assert taken == []
 
 
 def mp_weight_limit(which, p, q, idx):

@@ -425,16 +425,18 @@ Q_SERIES_IDS = [
 class TestQSeriesHonesty:
     @pytest.mark.parametrize("case_id", Q_SERIES_IDS)
     def test_unconverged_q_series_fails_the_point(self, monkeypatch, case_id):
-        # Every r_phi_s array sum now reports converged=False: the 2phi1 and
-        # 3phi2 factors, the Phi_K tables and the shift factor must fail it.
-        rphis_array = qkernels._rphis_array
+        # Every r_phi_s array sum, the Phi_K tables' power route included,
+        # now reports converged=False: the 2phi1 and 3phi2 factors, the Phi_K
+        # tables and the shift factor must fail it.
+        def unconverged(series_sum):
+            def patched(*args, **kwargs):
+                value, terms, _, est = series_sum(*args, **kwargs)
+                return value, terms, False, est
+            return patched
 
-        def unconverged(*args, **kwargs):
-            value, terms, _, est = rphis_array(*args, **kwargs)
-            return value, terms, False, est
-
-        monkeypatch.setattr(qkernels, "_rphis_array", unconverged)
-        monkeypatch.setattr(q_cases, "_rphis_array", unconverged)
+        for name in ("_rphis_array", "_family_sum"):
+            monkeypatch.setattr(qkernels, name, unconverged(getattr(qkernels, name)))
+        monkeypatch.setattr(q_cases, "_rphis_array", qkernels._rphis_array)
         res = verify_identity(registry_lookup(case_id), seed=42, count=1)
         assert not res.passed
         assert res.failures[0].message.startswith("ConvergenceError")

@@ -18,6 +18,7 @@ from saranfk import (
     DirichletMeasure,
     DiscreteFkParams,
     DomainError,
+    FkParams,
     HypergeometricMeasure,
     Phi3Spec,
     PoleError,
@@ -29,16 +30,21 @@ from saranfk import (
     dirichlet_density,
     discrete_weight,
     fk_L,
+    gauss_2f1,
     generic_f_a,
     hyper_pfq,
     hypergeometric_density,
     integrate_measure,
     measure_rule,
     phi3,
+    phi_k_q,
+    q_gamma,
     q_moment,
     q_pochhammer_inf,
     qshift_operator_kernel,
+    rphis,
 )
+from saranfk import qkernels
 from saranfk.cli import main
 from saranfk.core import pochhammer
 from saranfk.measures import _slot_exponents
@@ -99,6 +105,29 @@ class TestTypedErrors:
             dirichlet_density(DirichletMeasure(0.5, 0.6), t)
         with pytest.raises(DomainError):
             hypergeometric_density(HypergeometricMeasure(0.3, 0.4, 1.2, 1.1), t)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: gauss_2f1(0.5, 0.7, math.inf, 0.3), id="2f1-c-inf"),
+        pytest.param(lambda: gauss_2f1(math.nan, 0.7, 1.5, 0.3), id="2f1-a-nan"),
+        pytest.param(lambda: rphis([math.nan], [0.7], 0.3, CTX), id="rphis-upper-nan"),
+        pytest.param(lambda: q_gamma(math.nan, CTX), id="q_gamma-nan"),
+        pytest.param(lambda: FkParams(0.5, 0.7, 0.9, 0.6, math.nan, 1.3, 1.1), id="FkParams-gamma1-nan"),
+        pytest.param(lambda: phi3(Phi3Spec(a=(0.3,)), math.nan, 0.1, 0.1, CTX), id="phi3-x-nan"),
+        pytest.param(lambda: phi_k_q(FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1), 0.1, math.nan, 0.1, CTX),
+                     id="phi_k_q-y-nan"),
+        pytest.param(lambda: hyper_pfq([0.5, 0.7], [1.5], math.nan), id="pfq-z-nan"),
+        pytest.param(lambda: appell_f2(math.nan, 0.7, 0.8, 1.5, 1.6, 0.1, 0.1), id="f2-a-nan"),
+        pytest.param(lambda: fk_L(math.nan, 0.7, [0.6, 0.8], [1.4, 1.6, 1.8], [0.1, 0.2, 0.15]), id="fk_L-a1-nan"),
+        pytest.param(lambda: generic_f_a(delta_sequence(), 0.5, 0.6, 1.5, 0.7, 0.8, 1.6, 0.1, 0.1, math.nan, 0.1),
+                     id="f_a-x3-nan"),
+        pytest.param(lambda: DirichletMeasure(math.nan, 1.0), id="dirichlet-nan"),
+        pytest.param(lambda: HypergeometricMeasure(math.nan, 0.5, 1.5, 1.0), id="hypergeometric-nan"),
+    ])
+    def test_non_finite_input(self, call):
+        # Raised before any sum: the engines would otherwise fail in round()
+        # or run to their term caps and return NaN.
+        with pytest.raises(DomainError):
+            call()
 
     def test_shift_kernel_non_convergent_k_sum(self):
         # alpha2 < eta2 makes |w z| q^(alpha2 - eta2) = 0.99 q^-0.7 > 1.
@@ -179,13 +208,16 @@ class TestFallbackBranches:
         assert got == pytest.approx(want, rel=1e-13)
         assert integrate_measure(lambda t: 2.0, spec, 32) == pytest.approx(2.0, rel=1e-13)
 
-    def test_family_sum_declines_a_non_finite_sum(self):
-        params = [np.array([[0.3], [0.4]]), np.array([[0.5], [0.6]]), np.array([[0.7], [0.8]])]
-        z = np.array([[1e200, 2e200, 3e200]])
+    def test_family_sum_declines_a_non_finite_sum(self, monkeypatch):
+        # _power_sum declines the overflowing table, and the recurrence that
+        # sums it instead reports it unconverged.
+        sums = []
+        power_sum = qkernels._power_sum
+        monkeypatch.setattr(qkernels, "_power_sum", lambda *args: sums.append(power_sum(*args)) or sums[-1])
+        X = np.array([1e200, 2e200, 3e200])
         with np.errstate(all="ignore"):
-            assert _family_sum(params, 2, z, 0.5, 1e-12, 5000, (2, 3), np.float64) is None
-            _, _, converged, _ = _rphis_array(params[:2], params[2:], z, CTX)
-        assert not converged
+            _, _, converged, _ = _family_sum([np.array([0.3, 0.4]), 0.5], [0.7], X, CTX, 1e-12)
+        assert sums == [None] and not converged
 
     @pytest.mark.parametrize("shift", [1.0, 1.001])
     def test_lattice_sum_declines_off_lattice_upper(self, shift):
