@@ -17,7 +17,8 @@ a constant and a t^(gamma-alpha-beta) branch as t -> 0, which a single Jacobi
 rule resolves only at an algebraic rate; instead the interval is split at 1/2
 and the 2F1 factor is expanded through its z -> 1-z connection formula on the
 left half, giving three endpoint-matched Jacobi pieces whose remainders are
-analytic.  Each piece then converges spectrally.
+analytic.  Each piece then converges spectrally.  The Jacobi rules come from
+one eigenvalue call and one weight pass each (_golub_welsch).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 import scipy.special as sp
 
 from .core import _as_scalar
-from .errors import DomainError
-from .series import _checked, _connection_coeffs, _connection_ok, _series_2f1_near_one, _series_2f1_raw
+from .errors import ConvergenceError, DomainError
+from .series import _checked, _connection_coeffs, _connection_ok, _series_2f1_near_one, _series_2f1_raw, _series_pfq
 
 __all__ = [
     "DirichletMeasure",
@@ -103,6 +104,30 @@ _RULE_CACHE: dict[tuple[float, float, int], QuadratureRule] = {}
 _RULE_LOCK = Lock()
 
 
+def _golub_welsch(a_exp: float, b_exp: float, n: int):
+    """Nodes and weights of the n-point rule for t^a (1-t)^b on [0,1], from
+    (1-x)^al (1+x)^be on [-1,1], al = b, be = a, x = 2t-1.  The nodes are the
+    eigenvalues of the recurrence's Jacobi matrix (Golub & Welsch, Math. Comp.
+    23, 1969), from one LAPACK dsterf call, whose coefficients have positive
+    denominators for exponents above -1.  The weights 1 / ((1-x)(1+x) P_n'^2),
+    P_n' = (n+al+be+1)/2 P_(n-1)^(al+1, be+1), are scaled to the mass B(a+1, b+1)."""
+    from scipy.linalg.lapack import dsterf  # kept out of `import saranfk`
+
+    al, be = b_exp, a_exp
+    k = np.arange(1.0, n)
+    s = 2.0 * k + al + be
+    diag = np.concatenate([[(be - al) / (al + be + 2.0)], (be - al) * (be + al) / (s * (s + 2.0))])
+    off = 2.0 / s * np.sqrt((k + al) * (k + be) / (s + 1.0))
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + al + be) / (s[1:] - 1.0))
+    x, info = dsterf(diag, off) if n > 1 else (diag, 0)
+    if info:
+        raise ConvergenceError(f"LAPACK dsterf did not converge for the {n}-point rule (info {info})")
+    dp = sp.eval_jacobi(n - 1, al + 1.0, be + 1.0, x)
+    dp /= np.abs(dp).max()  # keeps dp^2 in range for large exponents
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return (x + 1.0) / 2.0, w * (sp.beta(a_exp + 1.0, b_exp + 1.0) / w.sum())
+
+
 def gauss_jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadratureRule:
     """Gauss-Jacobi rule for integral(t^a (1-t)^b f(t), t=0..1).
 
@@ -117,11 +142,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadratureRule:
         hit = _RULE_CACHE.get(key)
     if hit is not None:
         return hit
-    # scipy's rule lives on [-1,1] with weight (1-x)^alpha (1+x)^beta; the
-    # affine map x = 2t-1 sends it to t^beta (1-t)^alpha on [0,1].
-    x, w = sp.roots_jacobi(n, b_exp, a_exp)
-    nodes = (x + 1.0) / 2.0
-    weights = w / 2.0 ** (a_exp + b_exp + 1.0)
+    nodes, weights = _golub_welsch(*key)
     # Every caller shares the cached arrays, so an in-place edit raises.
     nodes.flags.writeable = weights.flags.writeable = False
     rule = QuadratureRule(nodes, weights, (float(a_exp), float(b_exp)))
@@ -229,7 +250,7 @@ def _hypergeometric_rule(spec: HypergeometricMeasure, order: int, tol: float = 1
         # in s/2, into the weights.
         r = gauss_jacobi_rule(expo.real - 1.0, 0.0, order)
         half = r.nodes / 2.0
-        f = _checked(*_series_2f1_raw(upper, lower, half, tol, 100_000))
+        f = _checked(*_series_pfq(upper, lower, half, tol, 100_000))
         w = r.weights * 2.0 ** (-expo.real) * const * coef * np.power(1.0 - half, far - 1.0) * f
         if expo.imag != 0.0:
             w = w * np.power(half, 1j * expo.imag)

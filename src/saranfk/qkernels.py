@@ -404,10 +404,12 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
     exponents.  extra gives, per gamma slot j, one exponent pair (u_j, l_j)
     whose factor (q^u_j; q) / (q^l_j; q) joins that slot's index, so A, B
     become 3phi2 tables: Corollary 4.2 with (eta_j, lam_j) and nu_j as gamma_j.
-    Tables take the dtype of the parameters and arguments.  Returns (coef, A,
-    B, A converged, B converged).
+    Tables take the dtype of the parameters and arguments.  A gamma whose
+    base q^gamma_j is some q^-n, possible for a complex gamma_j, raises
+    PoleError.  Returns (coef, A, B, A converged, B converged).
     """
     q = ctx.q
+    _check_lower_poles([q**p.gamma1, q**p.gamma2, q**p.gamma3], q)
     (u1, l1), (u2, l2), (u3, l3) = [([q**u], [q**l]) for u, l in extra] or [([], [])] * 3
     qa2, qb1 = q**p.alpha2, q**p.beta1
     tables = _q_tables([qa2, qb1, *u3, q**p.gamma3, *l3, q], pmax, q)

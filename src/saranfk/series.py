@@ -344,9 +344,14 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
         converged = bool((ests <= tol).all())
         if converged or N >= max_terms:
             # The product's strided partial sums lose digits where terms cancel.
+            # A row whose bound sum_n |C[r, n]| max|z|^n passes at every
+            # argument needs no magnitude product of its own.
             cancel = np.iscomplexobj(C) or np.iscomplexobj(zflat) or min(C.min(), zflat.min()) < 0.0
-            if cancel and not (powers(np.abs(zflat), np.abs(C)) <= 4.0 * (1.0 + np.abs(total))).all():
-                return None
+            if cancel:
+                absC, room = np.abs(C), 4.0 * (1.0 + np.abs(total))
+                rows = absC @ top ** np.arange(N + 1.0) > room.min(axis=0)
+                if rows.any() and not (powers(np.abs(zflat), absC[rows]) <= room[:, rows]).all():
+                    return None
             return total, N, converged, float(ests[-1])
         N = min(max_terms, int(1.5 * N) + 8)
     return None

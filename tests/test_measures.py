@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from saranfk import (
+    ConvergenceError,
     DirichletMeasure,
     DomainError,
     HypergeometricMeasure,
@@ -19,7 +28,91 @@ from saranfk import (
 from saranfk.core import pochhammer
 
 
+def mp_jacobi_pair(n, al, be, x):
+    """(P_n, P_(n-1)) of the Jacobi polynomials P^(al, be) at x, n >= 1, by
+    the three-term recurrence."""
+    p0, p1 = mpmath.mpf(1), (al - be) / 2 + (al + be + 2) * x / 2
+    for m in range(1, n):
+        c = 2 * m + al + be
+        p0, p1 = p1, (((c + 1) * (al * al - be * be) + c * (c + 1) * (c + 2) * x) * p1
+                      - 2 * (m + al) * (m + be) * (c + 2) * p0) / (2 * (m + 1) * (m + al + be + 1) * c)
+    return p1, p0
+
+
+def mp_gauss_jacobi(a, b, n, start):
+    """40-digit nodes and weights of the n-point rule for t^a (1-t)^b on
+    [0,1]: Newton from the double nodes start, and the closed-form weights
+    Gamma(n+al+1) Gamma(n+be+1) / (Gamma(n+al+be+1) n! (1-x^2) P_n'(x)^2),
+    al = b, be = a, x = 2t-1."""
+    with mpmath.workdps(40):
+        al, be = mpmath.mpf(b), mpmath.mpf(a)
+        const = (mpmath.gamma(n + al + 1) * mpmath.gamma(n + be + 1)
+                 / (mpmath.gamma(n + al + be + 1) * mpmath.factorial(n)))
+
+        def value_and_slope(x):
+            p, pm = mp_jacobi_pair(n, al, be, x)
+            c = 2 * n + al + be
+            return p, (n * (al - be - c * x) * p + 2 * (n + al) * (n + be) * pm) / (c * (1 - x * x))
+
+        nodes, weights = [], []
+        for t in start:
+            x = 2 * mpmath.mpf(float(t)) - 1
+            for _ in range(2):
+                p, dp = value_and_slope(x)
+                x -= p / dp
+            dp = value_and_slope(x)[1]
+            nodes.append((x + 1) / 2)
+            weights.append(const / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
 class TestGaussJacobiRule:
+    @pytest.mark.parametrize("a,b", [
+        (-0.5761431307605054, -0.5889806024089861),
+        (-0.5629798797348019, 0.0),
+        (-0.48833035653605994, 0.10488892150148565),
+    ])
+    def test_against_40_digits(self, a, b):
+        # Exponents of seed-42 verdict rules where scipy's roots_jacobi
+        # weights are 2.7e-11 to 3.6e-11 off.
+        r = gauss_jacobi_rule(a, b, 64)
+        nodes, weights = mp_gauss_jacobi(a, b, 64, r.nodes)
+        for t, w, t_ref, w_ref in zip(r.nodes, r.weights, nodes, weights):
+            assert abs(t - t_ref) <= 2e-15
+            assert abs((w - w_ref) / w_ref) <= 1e-12
+
+    @hsettings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.floats(-0.95, 3.0, exclude_min=True, exclude_max=True),
+           b=st.floats(-0.95, 3.0, exclude_min=True, exclude_max=True),
+           n=st.sampled_from([1, 2, 3, 24, 32, 64]))
+    def test_rule_shape_mass_and_moments(self, a, b, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = gauss_jacobi_rule(a, b, n)
+        t, w = r.nodes, r.weights
+        assert t[0] > 0.0 and t[-1] < 1.0 and np.all(np.diff(t) > 0.0) and np.all(w > 0.0)
+        assert w.sum() == pytest.approx(sps.beta(a + 1, b + 1), rel=1e-13)
+        # The endpoint node's absolute rounding moves the moments by up to
+        # about 5e-11 at a or b near -0.95 and n = 64.
+        for k in range(1, min(2 * n - 1, 3) + 1):
+            assert w @ t**k == pytest.approx(sps.beta(a + 1 + k, b + 1), rel=1e-10)
+
+    def test_builder_leaves_scipy_linalg_unloaded_on_import(self):
+        # The rule builder imports LAPACK when it first runs, not with the package.
+        root = Path(__file__).resolve().parents[1]
+        code = ("import sys, saranfk; saranfk.builtin_registry(); "
+                "print('scipy.linalg' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=dict(os.environ, PYTHONPATH="src"),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def test_eigenvalue_failure_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (d, 3))
+        with pytest.raises(ConvergenceError):
+            gauss_jacobi_rule(0.125, 0.375, 8)
+
     def test_legendre_nodes_closed_form(self):
         r = gauss_jacobi_rule(0.0, 0.0, 2)
         want = np.array([(3 - math.sqrt(3)) / 6, (3 + math.sqrt(3)) / 6])

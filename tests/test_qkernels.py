@@ -642,6 +642,18 @@ class TestFamilyRoute:
                 phi_k_p_tables(FAMILY_P, np.array([0.2, -0.3]), 0.1, QContext(q=0.5), 4, extra=extra)
         assert taken == [False]
 
+    def test_complex_gamma_on_the_pole_lattice_raises(self, monkeypatch):
+        # FkParams checks only the non-positive integers, but q^gamma1 with
+        # gamma1 = -3 + 2 pi i / ln q is q^-3 up to rounding.  The bases are
+        # checked before any table is summed, where the recurrence's pole
+        # test would pass the rounded zero and return a table near 1e11.
+        q = 0.5
+        p = dataclasses.replace(FAMILY_P, gamma1=-3.0 + 2j * math.pi / math.log(q))
+        taken = spy_family(monkeypatch)
+        with pytest.raises(PoleError):
+            phi_k_p_tables(p, np.array([0.2, -0.3]), 0.1, QContext(q=q), 4)
+        assert taken == []
+
     def test_only_phi_k_p_tables_take_it_in_the_verdict(self, monkeypatch):
         # Every phi_k_p_tables family takes it (546 at seed 42), grids and
         # one-node point values alike; no other caller reaches _family_sum.

@@ -397,7 +397,7 @@ class TestRecordHonesty:
             ("fk-cross-form", classical_cases, "saran_fk_triple"),
             ("fk-cross-form", classical_cases, "saran_fk_reexpand"),
             ("phik-cross-form", q_cases, "phi3"),
-            ("erdelyi-3", measures, "_series_2f1_raw"),
+            ("erdelyi-3", measures, "_series_pfq"),
         ],
     )
     def test_unconverged_engine_fails_every_point(self, monkeypatch, case_id, module, name):
