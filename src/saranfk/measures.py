@@ -17,14 +17,14 @@ a constant and a t^(gamma-alpha-beta) branch as t -> 0, which a single Jacobi
 rule resolves only at an algebraic rate; instead the interval is split at 1/2
 and the 2F1 factor is expanded through its z -> 1-z connection formula on the
 left half, giving three endpoint-matched Jacobi pieces whose remainders are
-analytic.  Each piece then converges spectrally.  The Jacobi rules come from
-one eigenvalue call and one weight pass each (_golub_welsch).
+analytic.  Each piece then converges spectrally.  gauss_jacobi_rule builds
+each Jacobi rule where it is used, from one eigenvalue call and one weight
+pass; nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,19 +100,22 @@ class QuadratureRule:
     exponents: tuple[float, float]
 
 
-_RULE_CACHE: dict[tuple[float, float, int], QuadratureRule] = {}
-_RULE_LOCK = Lock()
-
-
-def _golub_welsch(a_exp: float, b_exp: float, n: int):
-    """Nodes and weights of the n-point rule for t^a (1-t)^b on [0,1], from
-    (1-x)^al (1+x)^be on [-1,1], al = b, be = a, x = 2t-1.  The nodes are the
-    eigenvalues of the recurrence's Jacobi matrix (Golub & Welsch, Math. Comp.
-    23, 1969), from one LAPACK dsterf call, whose coefficients have positive
-    denominators for exponents above -1.  The weights 1 / ((1-x)(1+x) P_n'^2),
-    P_n' = (n+al+be+1)/2 P_(n-1)^(al+1, be+1), are scaled to the mass B(a+1, b+1)."""
+def gauss_jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadratureRule:
+    """Gauss-Jacobi rule for integral(t^a (1-t)^b f(t), t=0..1), built on each
+    call from (1-x)^al (1+x)^be on [-1,1], al = b, be = a, x = 2t-1.  The nodes
+    are the eigenvalues of the recurrence's Jacobi matrix (Golub & Welsch, Math.
+    Comp. 23, 1969), from one LAPACK dsterf call, whose coefficients have
+    positive denominators for exponents above -1.  The weights
+    1 / ((1-x)(1+x) P_n'^2), P_n' = (n+al+be+1)/2 P_(n-1)^(al+1, be+1), are
+    scaled to the mass B(a+1, b+1).  Exponents above 256 are rejected: past
+    them the weights of the larger rules overflow or lose their mass."""
+    if not (-1 < a_exp <= 256 and -1 < b_exp <= 256):
+        raise DomainError("Jacobi exponents must lie in (-1, 256]")
+    if not (0 < n <= 256 and n == int(n)):
+        raise DomainError("rule size must be an integer in 1..256")
     from scipy.linalg.lapack import dsterf  # kept out of `import saranfk`
 
+    a_exp, b_exp, n = float(a_exp), float(b_exp), int(n)
     al, be = b_exp, a_exp
     k = np.arange(1.0, n)
     s = 2.0 * k + al + be
@@ -125,30 +128,7 @@ def _golub_welsch(a_exp: float, b_exp: float, n: int):
     dp = sp.eval_jacobi(n - 1, al + 1.0, be + 1.0, x)
     dp /= np.abs(dp).max()  # keeps dp^2 in range for large exponents
     w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return (x + 1.0) / 2.0, w * (sp.beta(a_exp + 1.0, b_exp + 1.0) / w.sum())
-
-
-def gauss_jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadratureRule:
-    """Gauss-Jacobi rule for integral(t^a (1-t)^b f(t), t=0..1).
-
-    Cached per (a, b, n); the cache is shared process-wide and lock-guarded.
-    """
-    if not (a_exp > -1 and b_exp > -1):
-        raise DomainError("Jacobi exponents must exceed -1")
-    if not (0 < n <= 256):
-        raise DomainError("rule size must lie in 1..256")
-    key = (float(a_exp), float(b_exp), int(n))
-    with _RULE_LOCK:
-        hit = _RULE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    nodes, weights = _golub_welsch(*key)
-    # Every caller shares the cached arrays, so an in-place edit raises.
-    nodes.flags.writeable = weights.flags.writeable = False
-    rule = QuadratureRule(nodes, weights, (float(a_exp), float(b_exp)))
-    with _RULE_LOCK:
-        _RULE_CACHE[key] = rule
-    return rule
+    return QuadratureRule((x + 1.0) / 2.0, w * (sp.beta(a_exp + 1.0, b_exp + 1.0) / w.sum()), (a_exp, b_exp))
 
 
 def dirichlet_density(spec: DirichletMeasure, t):

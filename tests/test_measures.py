@@ -132,20 +132,31 @@ class TestGaussJacobiRule:
         with pytest.raises(DomainError):
             gauss_jacobi_rule(0.0, 0.0, 300)
 
-    def test_cache_returns_same_rule(self):
-        assert gauss_jacobi_rule(0.25, 0.5, 16) is gauss_jacobi_rule(0.25, 0.5, 16)
+    @pytest.mark.parametrize("n", [64, 64.0, np.int64(64)])
+    def test_integer_valued_sizes(self, n):
+        assert gauss_jacobi_rule(0.0, 0.0, n).nodes.shape == (64,)
 
-    def test_cached_rule_is_read_only(self):
-        # Every later caller shares the cached arrays: an in-place edit of a
-        # returned rule, or of a Dirichlet rule's nodes, raises instead of
-        # changing them.
-        r = gauss_jacobi_rule(0.25, 0.5, 8)
-        with pytest.raises(ValueError):
-            r.weights[:] = 0.0
+    @pytest.mark.parametrize("a,b,n", [(0.0, 0.0, 2.5), (math.inf, 0.0, 8), (0.0, 1e308, 8), (300.0, 300.0, 256)])
+    def test_bad_input_raises_before_lapack(self, monkeypatch, a, b, n):
+        # Past the checks a fractional size would round down, an infinite or
+        # huge exponent would fail inside dsterf, and (300, 300, 256) would
+        # have zero weights.
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: pytest.fail("LAPACK called"))
+        with pytest.raises(DomainError):
+            gauss_jacobi_rule(a, b, n)
+
+    def test_each_call_builds_its_own_rule(self):
+        # Callers own the arrays they get: an in-place edit of one rule, or of
+        # a Dirichlet rule's nodes, leaves every later rule as it was.
+        r, again = gauss_jacobi_rule(0.25, 0.5, 8), gauss_jacobi_rule(0.25, 0.5, 8)
+        assert np.array_equal(r.nodes, again.nodes) and np.array_equal(r.weights, again.weights)
+        assert not (np.shares_memory(r.nodes, again.nodes) or np.shares_memory(r.weights, again.weights))
+        r.weights[:] = 0.0
         t, _ = measure_rule(DirichletMeasure(2.0, 3.0), 16)
-        with pytest.raises(ValueError):
-            t *= 0.5
-        assert r.weights.sum() == pytest.approx(float(sps.beta(1.25, 1.5)), rel=1e-13)
+        t *= 0.5
+        assert np.array_equal(gauss_jacobi_rule(0.25, 0.5, 8).weights, again.weights)
         mean = integrate_measure(lambda x: x, DirichletMeasure(2.0, 3.0), 16)
         assert mean == pytest.approx(0.4, rel=1e-13)
 

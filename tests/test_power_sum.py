@@ -182,3 +182,14 @@ def test_converged_error_within_estimate_near_a_terminating_parameter():
     value, _, ok, est = _eval_2f1(1j, 3.121575810339679e-10j, 1.0, z, TOL)
     want = mp_hyper((1j, 3.121575810339679e-10j), (1.0,), z)
     assert not ok or np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= est
+
+
+@pytest.mark.xfail(strict=True, reason="_sum_terms and _power_sum divide the largest term by 1 + the largest "
+                   "partial sum over all elements, so the z = 0.875 element (|S| = 0.10) is judged against "
+                   "the z = 0 element's |S| = 1 and stops early")
+def test_converged_error_within_estimate_beside_a_larger_element():
+    z = np.array([0.0, 0.875])
+    value, _, ok, est = _eval_2f1(-2j, 2.5 - 1j, 1 + 2j, z, TOL)
+    want = mp_hyper((-2j, 2.5 - 1j), (1 + 2j,), z)
+    assert ok
+    assert np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= est
