@@ -10,35 +10,20 @@ parameters genuinely live at base level.
 Numerics.  Series are summed by term recurrence: ratios of the form
 (1 - a q^l) / (1 - b q^l) stay moderate even when individual q-shifted
 factorials overflow (upper parameters q^{-n} with large n), so terminating
-series on the q-lattice evaluate stably.  Terminating series are cut off
-explicitly (`terminate_after`): past the termination index the analytic terms
-are zero, but rounding residue would be re-amplified by the q^{-l} step
-factors of series with fewer denominator than numerator parameters.  The
-r_phi_s terms are formed in blocks by series._sum_terms, with the ratios of a
-block built in one vectorized expression; the stopping index, the pole check
-and the termination cut-off are those of a term-at-a-time loop.  A series of
-one element is summed in Python scalars, to the bit for real ones.  phi3 and
-jackson_integral grow their index boxes and lattices through series._grow,
-with the boundary slabs as tails, and the first sizes of the series and of
-the Phi_K p-sum come from series._series_len, as in series.  q_measure_rule
-keeps its own cut-off: it returns a lattice rule, not a sum, and evaluates
-only the nodes a doubled lattice adds.  One family skips the recurrence: a
-terminating r_phi_s with r = s + 2 whose cut-off array n matches an upper
-entry q^-n and an argument W q^n, the 3phi1 of the q-measure density and of
-the limit weights.  _lattice_sum sums it as one q-binomial convolution over
-the whole lattice, and leaves it to the recurrence where (q; q)_max n is not
-a normal double or a sum is not finite.  phi_k_p_tables skips it too for
-its shifted 2phi1 and 3phi2 tables, whose n-th term is C[p, n] X^n:
-_family_sum sums them as one matrix product by series._power_sum, the core
-of the classical node-array pFq route, growing its length as _grow does until
-the last three terms pass the term loops' estimate; a vanishing denominator
-leaves the table to the recurrence, which raises PoleError.  Tables follow
-the dtype of their inputs: real exponents and arguments sum in float64.
-Every (a;q)_k table comes from core._q_tables, which stacks the bases of a
-build in one call; the row of a base q^-r is exactly zero past k = r, as the
-terms of r_phi_s are.  The one exception is the densities'
-(q^x; q)_n / (q; q)_n, a cumulative product of factor ratios, since
-(q; q)_n alone underflows near q = 1.
+series on the q-lattice evaluate stably, cut off exactly at their
+termination index (`terminate_after`).  series._sum_terms forms the terms
+in blocks and series._stop ends them; a terminating sum reports its
+rounding floor.  phi3 and jackson_integral grow their index boxes and
+lattices through series._grow, with the boundary slabs as tails.
+q_measure_rule keeps its own cut-off: it returns a lattice rule, not a sum,
+and evaluates only the nodes a doubled lattice adds.  Two families skip the
+recurrence: _lattice_sum sums the terminating 3phi1 of the q-measure
+densities and limit weights as one q-binomial convolution, and _family_sum
+the shifted tables of phi_k_p_tables by series._power_sum.  Every (a;q)_k
+table comes from core._q_tables, which stacks the bases of a build in one
+call; the row of a base q^-r is exactly zero past k = r.  The one exception
+is the densities' (q^x; q)_n / (q; q)_n, a cumulative product of factor
+ratios, since (q; q)_n alone underflows near q = 1.
 
 Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
 decomposition against three lattice rules, and `_shift_sum` the one
@@ -67,7 +52,8 @@ from .core import (
 from .errors import ConvergenceError, DomainError, PoleError
 from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _rule_sum, _slot_inverse
 from .series import (
-    FkParams, SeriesResult, _Same, _checked, _face_tails, _grow, _power_sum, _series_len, _sum_terms,
+    FkParams, SeriesResult, _Same, _checked, _face_tails, _grow, _power_sum, _series_len, _stop,
+    _sum_terms,
 )
 
 __all__ = [
@@ -104,21 +90,22 @@ def _check_lower_poles(lowers, q: float, below: int | None = None):
 
 
 def _lattice_sum(uppers, lowers, z, ta, q: float, dtype):
-    """The terminating r_phi_s with r = s + 2 along a q-lattice, or None.
-
-    It applies where one upper entry is an array equal to q^-n, n = ta, and
-    z q^-n is one value W, each to 8 ulp, and every other entry is a scalar.
-    W is the middle of the sorted z q^-n, which most of them round to, so a
-    lattice cut into blocks sums with the W of the whole.  By
-    (q^-n; q)_k = (-1)^k q^(k(k-1)/2 - nk) (q; q)_n / (q; q)_(n-k) every row
-    is one q-binomial convolution,
+    """The terminating r_phi_s with r = s + 2 along a q-lattice and 8 sum |t|
+    (below), or None.  It applies where one upper entry is an array equal to
+    q^-n, n = ta, and z q^-n is one value W, each to 8 ulp, and every other
+    entry is a scalar.  W is the middle of the sorted z q^-n, which most of
+    them round to, so a lattice cut into blocks sums with the W of the whole.
+    By (q^-n; q)_k = (-1)^k q^(k(k-1)/2 - nk) (q; q)_n / (q; q)_(n-k) every
+    row is one q-binomial convolution,
 
         S(n) = (q; q)_n sum_{k<=n} c_k / (q; q)_(n-k),
         c_k = prod (A; q)_k / (prod (C; q)_k (q; q)_k) W^k,
 
     of two sequences no n changes.  None also where (q; q)_K, K = max n, is
     not a normal double, or where a sum is not finite: the term recurrence
-    then decides, with its pole and overflow behaviour."""
+    then decides, with its pole and overflow behaviour.  sum |t| is the same
+    convolution of |c_k|, 8 times over for the rounding floor: each term
+    counts the 8 ulp its inputs are taken to, more than its products carry."""
     var = [i for i, u in enumerate(uppers) if np.ndim(u)]
     if (len(uppers) != len(lowers) + 2 or len(var) != 1 or not ta.size
             or any(np.ndim(b) for b in lowers)):
@@ -141,7 +128,8 @@ def _lattice_sum(uppers, lowers, z, ta, q: float, dtype):
         num = np.prod(tables[1 : len(uppers)], axis=0)
         c = num / (np.prod(tables[len(uppers) :], axis=0) * qq) * W ** np.arange(K + 1)
         total = (qq * np.convolve(c, 1.0 / qq)[: K + 1]).astype(dtype)[ta]
-    return total if np.isfinite(total).all() else None
+        absum = (qq * np.convolve(np.abs(c), 1.0 / qq)[: K + 1])[ta]
+    return (total, 8.0 * absum) if np.isfinite(total).all() else None
 
 
 # The recurrence's cap on the terms of a non-terminating series.
@@ -187,26 +175,21 @@ def _rphis_array(
     max_terms: int = _MAX_TERMS,
 ):
     """Basic hypergeometric series with full broadcasting over parameters and
-    argument.  Returns (value array, terms, converged, tail estimate).
+    argument.  Returns (value array, terms, converged, estimate).
 
     terminate_after gives, per broadcast element, the index of the last
-    nonzero term; later terms are forced to zero.  An array terminate_after
-    first tries _lattice_sum, the convolution of a 3phi1-type series along a
-    q-lattice; where it declines, for an int, and without terminate_after,
-    the block recurrence sums the series.
+    nonzero term; later terms are forced to zero, since the q^{-l} step
+    factors of r > s + 1 would amplify their rounding residue.  An array
+    terminate_after first tries _lattice_sum; where it declines, for an int,
+    and without terminate_after, the block recurrence sums the series.
     """
     q = ctx.q
     spow = 1 + len(lowers) - len(uppers)
     arrays = [np.asarray(v) for v in (*uppers, *lowers, z)]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    if terminate_after is not None:
-        ta = np.broadcast_to(np.asarray(terminate_after, dtype=np.int64), shape)
-        nsteps = int(ta.max()) if ta.size else 0
-    else:
-        ta = None
-        nsteps = max_terms
-    cplx = any(np.iscomplexobj(a) for a in arrays)
-    dtype = np.complex128 if cplx else np.float64
+    ta = None if terminate_after is None else np.broadcast_to(np.asarray(terminate_after, dtype=np.int64), shape)
+    nsteps = max_terms if ta is None else int(ta.max()) if ta.size else 0
+    dtype = np.complex128 if any(np.iscomplexobj(a) for a in arrays) else np.float64
     zop = _Same(np.asarray(z).astype(dtype))
     sign = -1.0 if spow % 2 else 1.0
     # Ratios span the parameters' axes, or all axes when terminate_after does.
@@ -242,15 +225,11 @@ def _rphis_array(
             ops.append((np.multiply, [sign * q ** (ell * spow) for ell in ells]))
         return ops, poles
 
-    if ta is not None:
-        total = None
-        if isinstance(terminate_after, np.ndarray):
-            total = _lattice_sum(uppers, lowers, np.asarray(z), ta, q, dtype)
-        if total is None:
-            total, _, _, _ = _sum_terms(block, shape, dtype, nsteps)
-        return total, nsteps, bool(np.isfinite(total).all()), 0.0
-    total, ell, small, est = _sum_terms(block, shape, dtype, nsteps, tol, 0.25)
-    return total, ell, small >= 3 and ell >= 8, est
+    lattice = isinstance(terminate_after, np.ndarray) and _lattice_sum(uppers, lowers, np.asarray(z), ta, q, dtype)
+    if lattice:  # the whole sum as one row of a terminating series
+        total, absum = lattice
+        return total, nsteps, *_stop((absum[None], total[None]), 0.0, nsteps - 1, None, tol, 0, nsteps, nsteps)[2:4]
+    return _sum_terms(block, shape, dtype, nsteps, tol, None if ta is not None else 0.25)[:4]
 
 
 def rphis(upper, lower, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:

@@ -8,37 +8,18 @@ from shifted 2F1 products.
 
 Truncation follows one rule.  An engine measures the part of the series it
 summed last (a term, the last index shell, the summed boundary faces of an
-index box, or the last slab of a chain axis), and _tail_est turns it into the
-estimate tail / (margin (1 + |partial sum|)): margin 1 - r for terms falling
-like r^n (r = max|z| for a direct 2F1 or pFq with p = q + 1, and margin 0.03
-for a terminating one at |z| >= 1, 0.5 for other pFq; r observed for F_K
-shells and chain slabs, times 0.25 and 0.025), 0.2 for box faces.  A series
-has converged only once that estimate is at most tol, so converged=True
-implies est_trunc_error <= tol.  Term loops stop after three such terms in a
-row (eight at least, and not before n passes -Re(c) of a negative lower
-parameter).  Block engines, the F_K triple series among them, go through
-_grow, which also takes an error floor no growth reduces (the rounding of the
-triple series and of the chain).  Its caps are 560 shells for the triple
-series, 320 per axis for the convolution box (96 for phi3) and, for the chain,
-2000^2 entries per link between neighbouring axes, so an axis reaches 2000
-beside one as long and 64000 beside short ones (an end argument near 1).
-First sizes come from _series_len, or from the domain ratio for the triple
-series.
-
-A direct pFq over quadrature nodes (2F1 in _eval_2f1's direct and Pfaff
-parts, the 3F2 of erdelyi-3) is one coefficient row times the powers of its
-arguments, which _series_pfq sums by _power_sum, as qkernels' table families
-do.  The other term recurrences, of pFq and of r_phi_s, go through
-_sum_terms.  It forms the terms in blocks from one vectorized ratio
-expression per block and a short loop over its rows, then applies the
-stopping rule to the rows in order, so a series stops at the same term as
-when summed one term at a time.  The first block has 8 rows; each next one is
-sized from the observed decay of the last, to end just past the predicted
-stop (8 rows at least, twice the last at most, and twice the last while the
-terms do not yet fall), with width times array size within 2^15 elements.  A
-series of one element runs them in Python scalars, in blocks of 8, 16, ... up
-to 512 terms, with bit-identical real results.  An operand every term shares
-(the argument z) is passed once, not per row.
+index box, or the last slab of a chain axis) against the partial sum, as
+tail / (margin (1 + |S|)): margin 1 - r for terms falling like r^n (r =
+max|z| for a direct 2F1 or pFq with p = q + 1, 0.03 for a terminating one
+at |z| >= 1, 0.5 for other pFq, 0.25 for r_phi_s; r observed for F_K shells
+and chain slabs, times 0.25 and 0.025), 0.2 for box faces.  A series has
+converged once that and the rounding floor, which no more terms reduce, are
+at most tol; est_trunc_error is the larger.  The term drivers, _sum_terms
+for term recurrences and _power_sum for a coefficient row times the powers
+of many arguments, leave the stop to _stop, per element; a terminating sum
+reports its floor.  Block engines grow through _grow, each to its own cap.
+An upper parameter within pole tolerance of a non-positive integer is
+rounded onto it, and the estimate carries the first term that cuts off.
 """
 
 from __future__ import annotations
@@ -124,6 +105,20 @@ def _snap_terminating(a):
     return a
 
 
+def _snapped(upper, lower, z):
+    """The upper parameters through _snap_terminating, and the estimate that
+    adds: the first term it cuts off, from the parameters as given, at
+    max|z| and over the margin max(1 - max|z|, 0.03); 0.0 if none moved."""
+    snapped = [_snap_terminating(u) for u in upper]
+    if snapped == list(upper):
+        return snapped, 0.0
+    top, term = float(np.max(np.abs(z))), 1.0
+    for k in range(min(-round(s) for s in snapped if is_nonpositive_integer(s)) + 1):
+        term *= math.prod(complex(u) + k for u in upper) * top
+        term /= math.prod((complex(c) + k for c in lower), start=k + 1.0)
+    return snapped, abs(term) / max(1.0 - top, 0.03)
+
+
 # ---------------------------------------------------------------------------
 # Truncation core
 # ---------------------------------------------------------------------------
@@ -132,10 +127,8 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _tail_est(tail, margin: float, total) -> float:
-    """Relative truncation estimate tail / (margin (1 + |total|)).
-
-    Every stopping test compares this value with tol, so a series reported
-    as converged never reports an estimate above tol."""
+    """Relative truncation estimate tail / (margin (1 + |total|)) of the
+    block engines; _grow compares it with tol."""
     return tail / (margin * (1.0 + abs(total)))
 
 
@@ -185,6 +178,52 @@ def _face_tails(tensor: np.ndarray, complete=()) -> list:
     ]
 
 
+def _stop(rows, absum, n, margin, tol, run, lo, end):
+    """The stopping rule of every term driver.  rows holds |t| and the partial
+    sum S after terms n + 1, n + 2, ..., per element i: a pair of arrays with
+    a leading row per term or, for one element, an iterator of pairs, read
+    only up to the stop; absum is 1 + sum |t_i| before them, or a bound.
+    A row's tail is max_i |t_i| / (margin (1 + |S_i|)), formed per element
+    once the shared bound max|t| / (margin (1 + max|S|)) of a row is within
+    tol.  The sum stops at the first row past lo terms that ends a run of
+    three tails within tol (none for margin None, a terminating sum), or at
+    end terms, with the floor max_i eps (absum_i + sqrt(m) |S_i|) /
+    (1 + |S_i|) over its m terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 4.2).  Returns (stopping row or None,
+    run, converged, estimate: the larger of tail and floor, or the last
+    tail where no row stops, absum through that row)."""
+    if not isinstance(rows, tuple):
+        for last, (m, s) in enumerate(rows):
+            s, absum = abs(s), absum + m
+            e = 0.0 if margin is None else m / (margin * (1.0 + s))
+            run = run + 1 if e <= tol else 0
+            ok = (run >= 3 or margin is None) and n + last + 1 >= lo
+            if ok or n + last + 1 >= end:
+                floor = _EPS * (absum + math.sqrt(n + last + 1) * s) / (1.0 + s)
+                return last, run, ok and floor <= tol, max(floor, e), absum
+        return None, run, False, e, absum
+    j, R = None, len(rows[0])
+    mags, sums = rows[0].reshape(R, -1), np.abs(rows[1]).reshape(R, -1)
+    tails, near = [0.0] * R, margin is None
+    if not near:
+        tails = [m / (margin * (1.0 + s)) for m, s in zip(mags.max(axis=1).tolist(), sums.max(axis=1).tolist())]
+        if near := min(tails) <= tol:
+            tails = (mags / (margin * (1.0 + sums))).max(axis=1).tolist()
+    for last, e in enumerate(tails):
+        run = run + 1 if e <= tol else 0
+        ok = (run >= 3 or margin is None) and n + last + 1 >= lo
+        if ok or n + last + 1 >= end:
+            j = last
+            break
+    absum = absum + mags[: last + 1].sum(axis=0)
+    if j is None:
+        return None, run, False, e, absum
+    if not near:
+        e = float((mags[j] / (margin * (1.0 + sums[j]))).max())
+    floor = _EPS * float(((absum + math.sqrt(n + j + 1) * sums[j]) / (1.0 + sums[j])).max())
+    return j, run, ok and floor <= tol, max(floor, e), absum
+
+
 # A block of W terms holds at most this many elements per array, so an input
 # of this size or more is summed one term per block; so does each piece of
 # _power_sum's power matrix.
@@ -200,132 +239,111 @@ class _Same:
     value: object
 
 
-def _sum_terms(block, shape, dtype, max_terms, tol=None, margin=1.0, min_terms=8):
+def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
     """Partial sums 1 + t_1 + ... + t_n of a term-ratio recurrence, formed W
-    terms at a time.
+    terms at a time, and _stop's verdict on them (margin None for a
+    terminating series of max_terms steps): (partial sum, n, converged,
+    estimate, 1 + sum |t| per element, flat).
 
     block(n0, W) describes the steps from term n to term n+1 for n = n0 ..
     n0+W-1 as (ops, poles).  ops lists (ufunc, operand) pairs, applied in
     order to term n, each operand with one leading row per step or a _Same
     that every step shares; poles is None or a bool per row, True where that
-    step's denominator vanished.  A short loop over the rows forms each term
-    with the same operations, in the same order, as a term-at-a-time loop
-    over arrays, so real series keep their values to the bit.  A series of
-    one element takes them in _sum_scalar instead, and again here if a
-    denominator vanishes there.
-
-    With tol given, the sum stops at the first n >= min_terms that ends a run
-    of three terms with _tail_est(max|t_n|, margin, max|S_n|) <= tol; the
-    rule runs in Python over the per-row maxima.  Otherwise it runs max_terms
-    steps.  A pole row reached before the stop raises PoleError; its
-    denominators are not divided by.  W starts at 8.  After a block that
-    does not stop the sum, the next W is the number of rows the rule is
-    predicted to need, from the block's last estimate and the fall of its
-    per-row max|t| over its second half, plus one, clipped to [8, 2W]; it
-    is 2W where those maxima do not fall, or without tol.  Only block
-    boundaries depend on W, never the terms or the stop.  W times the
-    broadcast size stays within _BLOCK_ELEMS.
-
-    Returns (partial sum, n, trailing run of small terms, last estimate).
-    """
-    if math.prod(shape) == 1:
-        try:
-            return _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms)
-        except ZeroDivisionError:
-            pass  # numpy gives inf or nan, or warns, as the caller's errstate says
-    term = np.ones(shape, dtype=dtype)
-    total = np.ones(shape, dtype=dtype)
-    cap = max(1, _BLOCK_ELEMS // max(1, term.size))
-    width, small, n, est = 8, 0, 0, math.inf
-    while n < max_terms:
+    step's denominator vanished (PoleError if the sum reaches it).  A short
+    loop over the rows forms each term as a term-at-a-time loop over arrays
+    would, so real series keep their values to the bit; for one element
+    _sum_scalar forms them in Python scalars until a denominator vanishes.
+    W starts at 8 and doubles, within _SCALAR_WIDTH for one element and
+    _BLOCK_ELEMS / size for arrays; after an array block whose per-row
+    max|t| falls, it is the number of rows the rule is predicted to need
+    plus one, within [8, 2W]: only block boundaries depend on W."""
+    scalar = math.prod(shape) == 1
+    if scalar:
+        state = [np.ones((), dtype=dtype).item()] * 2
+    else:
+        term, total = np.ones(shape, dtype=dtype), np.ones(shape, dtype=dtype)
+    cap = _SCALAR_WIDTH if scalar else max(1, _BLOCK_ELEMS // max(1, math.prod(shape)))
+    lo = max_terms if margin is None else min_terms
+    if not max_terms:  # no steps: the constant term alone
+        return np.ones(shape, dtype=dtype)[()], 0, *_stop(iter([(1.0, 1.0)]), 0.0, -1, margin, tol, 0, lo, 0)[2:]
+    absum, width, run, n = 1.0, 8, 0, 0
+    while True:
         W = min(width, cap, max_terms - n)
         width = 2 * W
         ops, poles = block(n, W)
-        steps = np.empty((W,) + shape, dtype=dtype)
-        sums = np.empty_like(steps)
-        (first, f0), *rest = [(uf, [f.value] * W if isinstance(f, _Same) else f) for uf, f in ops]
-        for j in range(W):
-            # [j, ...] keeps a 0-d view for scalar series, which out= needs.
-            step = steps[j, ...]
-            first(term, f0[j], out=step)
-            for uf, f in rest:
-                uf(step, f[j], out=step)
-            term = step
-            total = np.add(total, step, out=sums[j, ...])
         rows = int(np.argmax(poles)) if poles is not None and poles.any() else W
-        if tol is not None and rows:
-            tails = np.abs(steps[:rows]).reshape(rows, -1).max(axis=1).tolist()
-            tops = np.abs(sums[:rows]).reshape(rows, -1).max(axis=1).tolist()
-            for j in range(rows):
-                est = _tail_est(tails[j], margin, tops[j])
-                if est <= tol:
-                    small += 1
-                    if small >= 3 and n + j + 1 >= min_terms:
-                        return sums[j].copy(), n + j + 1, small, est
-                else:
-                    small = 0
-            # Where the row maxima fall, by r per row over the block's second
-            # half, the run of three small terms ends about log(tol / est) /
-            # log(r) + 2 rows on: the next block takes one row more, within
-            # [8, 2W].  Rising or flat terms keep doubling.
-            h = rows // 2
-            log_r = 0.0
-            if 0 < tails[-1] < tails[h]:
-                log_r = (math.log(tails[-1]) - math.log(tails[h])) / (rows - 1 - h)
-            if log_r < 0 and tol > 0 and math.isfinite(est):
-                need = 3 - small if small else math.ceil((math.log(tol) - math.log(est)) / log_r) + 2
-                width = min(max(need + 1, min_terms - n - W, 8), 2 * W)
+        if scalar and rows:
+            start = state[:]
+            try:
+                j, run, converged, est, absum = _stop(scan := _sum_scalar(state, ops, rows), absum, n, margin, tol,
+                                                      run, lo, max_terms)
+                scan.close()
+                if j is not None:
+                    return np.full(shape, state[1], dtype=dtype)[()], n + j + 1, converged, est, absum
+            except ZeroDivisionError:
+                # numpy gives inf or nan, or warns, as the caller's errstate says.
+                scalar = False
+                term, total = (np.full(shape, v, dtype=dtype) for v in start)
+        if not scalar:
+            steps = np.empty((W,) + shape, dtype=dtype)
+            sums = np.empty_like(steps)
+            (first, f0), *rest = [(uf, [f.value] * W if isinstance(f, _Same) else f) for uf, f in ops]
+            for j in range(W):
+                # [j, ...] keeps a 0-d view for scalar series, which out= needs.
+                step = steps[j, ...]
+                first(term, f0[j], out=step)
+                for uf, f in rest:
+                    uf(step, f[j], out=step)
+                term = step
+                total = np.add(total, step, out=sums[j, ...])
+            if rows:
+                mags = np.abs(steps[:rows])
+                j, run, converged, est, absum = _stop((mags, sums[:rows]), absum, n, margin, tol, run, lo, max_terms)
+                if j is not None:
+                    return sums[j].copy()[()], n + j + 1, converged, est, absum
+                # Tails falling by r per row end a run of three log(tol / est) / log(r) + 2 rows on.
+                peaks = mags.reshape(rows, -1).max(axis=1)
+                h = rows // 2
+                if margin is not None and 0 < peaks[-1] < peaks[h] and tol > 0 and math.isfinite(est):
+                    log_r = (math.log(peaks[-1]) - math.log(peaks[h])) / (rows - 1 - h)
+                    need = 3 - run if run else math.ceil((math.log(tol) - math.log(est)) / log_r) + 2
+                    width = min(max(need + 1, min_terms - n - W, 8), 2 * W)
         if rows < W:
             raise PoleError("series denominator factor vanished")
         n += W
-    return total.copy()[()], n, small, est
 
 
-def _sum_scalar(block, shape, dtype, max_terms, tol, margin, min_terms):
-    """_sum_terms for one element in Python scalars, the rule tested after each
-    term: the row loop's operations in its order, so real series keep every
-    bit.  Python raises ZeroDivisionError where numpy gives inf or nan."""
-    term = total = np.ones((), dtype=dtype).item()
-    width, small, n, est = 8, 0, 0, math.inf
-    while n < max_terms:
-        W = min(width, _SCALAR_WIDTH, max_terms - n)
-        width *= 2
-        ops, poles = block(n, W)
-        rows = int(np.argmax(poles)) if poles is not None and poles.any() else W
-        fns = [_PY_OPS[uf] for uf, _ in ops]
-        cols = [repeat(np.asarray(f.value).item(), rows) if isinstance(f, _Same)
-                else np.asarray(f).ravel()[:rows].tolist() for _, f in ops]
-        for j, vals in enumerate(zip(*cols)):
+def _sum_scalar(state, ops, rows):
+    """(|t|, partial sum) of a _sum_terms block's first rows for one element in
+    Python scalars, formed as read by the row loop's operations in its order
+    from state's term and sum, where the last ones read are left on close."""
+    fns = [_PY_OPS[uf] for uf, _ in ops]
+    cols = [repeat(np.asarray(f.value).item(), rows) if isinstance(f, _Same)
+            else np.asarray(f).ravel()[:rows].tolist() for _, f in ops]
+    term, total = state
+    try:
+        for vals in zip(*cols):
             for fn, v in zip(fns, vals):
                 term = fn(term, v)
             total += term
-            if tol is None:
-                continue
-            est = _tail_est(abs(term), margin, abs(total))
-            if est <= tol:
-                small += 1
-                if small >= 3 and n + j + 1 >= min_terms:
-                    return np.full(shape, total, dtype=dtype)[()], n + j + 1, small, est
-            else:
-                small = 0
-        if rows < W:
-            raise PoleError("series denominator factor vanished")
-        n += W
-    return np.full(shape, total, dtype=dtype)[()], n, small, est
+            yield abs(term), total
+    finally:
+        state[:] = term, total
 
 
 def _power_sum(coef, z, tol, margin, max_terms, N):
     """sum_n C[:, n] z^n for every row of C = coef(N) and argument in z, as
     (z^n) @ C^T of shape (z.size, rows), its power matrix formed for as many
     arguments at a time as keep it within _BLOCK_ELEMS entries.  N grows to
-    min(max_terms, 1.5 N + 8) until the last three terms, max|C[:, n]|
-    max|z|^n, pass _tail_est with margin against the largest |sum|.  Returns
-    (sums, N, converged, last estimate), or None, leaving the series to the
-    caller's recurrence, where a power row would exceed _BLOCK_ELEMS, coef
-    returns None (a vanishing denominator), a sum is not finite or its terms
-    add in magnitude past 4 (1 + |sum|).  Overflow there is not warned of."""
+    min(max_terms, 1.5 N + 8) until _stop accepts the last three terms.
+    Returns (sums, N, converged, estimate), or None, leaving the series to
+    the caller's recurrence, where a power row would exceed _BLOCK_ELEMS,
+    coef returns None (a vanishing denominator), a sum is not finite or its
+    terms add in magnitude past 4 (1 + |sum|), so that its floor is at most
+    eps (4 + sqrt(N + 1)).  Overflow there is not warned of."""
     zflat = np.ravel(z)
-    top = float(np.abs(zflat).max())
+    az = np.abs(zflat)
+    top = float(az.max())
 
     def powers(w, D):
         return np.concatenate([np.vander(w[i : i + step], N + 1, increasing=True) @ D.T
@@ -339,20 +357,29 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
             total = powers(zflat, C)
             if not np.isfinite(total).all():
                 return None
-            tails = np.abs(C[:, -3:]).max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)
-        ests = _tail_est(tails, margin, float(np.abs(total).max()))
-        converged = bool((ests <= tol).all())
-        if converged or N >= max_terms:
+            last = np.abs(C[:, -3:])
+            peak = float((last.max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)).max())
+        mag = np.abs(total)
+        # The last three terms as one row of their largest |t|, shared first.
+        if _stop(iter([(peak, float(mag.max()))]), 0.0, N - 1, margin, tol, 2, 0, max_terms)[0] is not None:
             # The product's strided partial sums lose digits where terms cancel.
             # A row whose bound sum_n |C[r, n]| max|z|^n passes at every
             # argument needs no magnitude product of its own.
-            cancel = np.iscomplexobj(C) or np.iscomplexobj(zflat) or min(C.min(), zflat.min()) < 0.0
-            if cancel:
-                absC, room = np.abs(C), 4.0 * (1.0 + np.abs(total))
+            if np.iscomplexobj(C) or np.iscomplexobj(zflat) or min(C.min(), zflat.min()) < 0.0:
+                absC, room = np.abs(C), 4.0 * (1.0 + mag)
                 rows = absC @ top ** np.arange(N + 1.0) > room.min(axis=0)
-                if rows.any() and not (powers(np.abs(zflat), absC[rows]) <= room[:, rows]).all():
+                if rows.any() and not (powers(az, absC[rows]) <= room[:, rows]).all():
                     return None
-            return total, N, converged, float(ests[-1])
+            # Per element |t| / (1 + |S|) against S = 0, first bounded by max|t| / (1 + min|S|).
+            bound = 4.0 + math.sqrt(N + 1.0)
+            res = _stop(iter([(peak / (1.0 + float(mag.min())), 0.0)]), bound, N - 1, margin, tol, 2, 0, max_terms)
+            if not res[2]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mags = (last.T[:, None, :] * az[:, None] ** np.arange(N - 2.0, N + 1.0)[:, None, None]).max(axis=0)
+                    rel = float((mags / (1.0 + mag)).max())
+                res = _stop(iter([(rel, 0.0)]), bound, N - 1, margin, tol, 2, 0, max_terms)
+            if res[0] is not None:
+                return total, N, res[2], res[3]
         N = min(max_terms, int(1.5 * N) + 8)
     return None
 
@@ -362,14 +389,12 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
 # ---------------------------------------------------------------------------
 
 
-def _series_2f1_raw(upper, lower, z, tol, max_terms, min_terms=8):
+def _pfq_terms(upper, lower, z, tol, max_terms):
     """Direct power series of pFq(upper; lower; z) for any p and q (2F1, the
-    3F2 of erdelyi-3, hyper_pfq), broadcasting over all inputs.  The terms are
-    formed as (a+n)(b+n)... / ((n+1)(c+n)...) z, in that order.
-
-    The margin of the stopping rule is 1 - max|z| for p = q + 1, or 0.03 for
-    a terminating such series at |z| >= 1, and 0.5 otherwise.  Returns (value
-    array, terms, converged, relative tail estimate).
+    3F2 of erdelyi-3, hyper_pfq), broadcasting over all inputs, as
+    _sum_terms returns it.  The terms are formed as (a+n)(b+n)... /
+    ((n+1)(c+n)...) z, in that order, with margin 1 - max|z| for p = q + 1
+    (0.03 for a terminating such series at |z| >= 1) and 0.5 otherwise.
     """
     arrs = [np.asarray(v) for v in (*upper, *lower, z)]
     shape = np.broadcast_shapes(*(v.shape for v in arrs))
@@ -380,7 +405,7 @@ def _series_2f1_raw(upper, lower, z, tol, max_terms, min_terms=8):
     margin = 0.5 if len(upper) != len(lower) + 1 else 1.0 - top if top < 1.0 else 0.03
     # Terms may fall and then jump where a lower parameter c + n passes
     # zero, so the series runs past n = -Re(c) before it may stop.
-    min_terms = max(min_terms, 2 + math.ceil(-min((float(v.real.min()) for v in lower), default=0.0)))
+    min_terms = max(8, 2 + math.ceil(-min((float(v.real.min()) for v in lower), default=0.0)))
     col = (1,) * max((v.ndim for v in params), default=0)
     zop = _Same(z)
 
@@ -396,8 +421,12 @@ def _series_2f1_raw(upper, lower, z, tol, max_terms, min_terms=8):
             den = den * (c + n)
         return [(np.multiply, num), (np.true_divide, den), (np.multiply, zop)], None
 
-    total, n, small, est = _sum_terms(block, shape, dtype, max_terms, tol, margin, min_terms)
-    return total, n, small >= 3, est
+    return _sum_terms(block, shape, dtype, max_terms, tol, margin, min_terms)
+
+
+def _series_2f1_raw(upper, lower, z, tol, max_terms):
+    """_pfq_terms as (value array, terms, converged, relative estimate)."""
+    return _pfq_terms(upper, lower, z, tol, max_terms)[:4]
 
 
 def _series_pfq(upper, lower, z, tol, max_terms):
@@ -443,19 +472,6 @@ def _connection_coeffs(a, b, c):
     return A, B
 
 
-def _abs_terms(upper, lower, w, n: int):
-    """1 + |t_1| + ... + |t_n| of the pFq series in w with scalar parameters:
-    the scale of its rounding."""
-    k = np.arange(n, dtype=np.float64)
-    num, den = np.ones(n), k + 1.0
-    for u in upper:
-        num = num * (u + k)
-    for c in lower:
-        den = den * (c + k)
-    coef = np.cumprod(np.abs(num / den) * np.abs(w)[..., None], axis=-1)
-    return 1.0 + coef.sum(axis=-1)
-
-
 def _series_2f1_near_one(a, b, c, w, tol, max_terms):
     """2F1(a, b; c; 1-w) = A s1 + B w^cab s2 by the connection formula, for
     small |w| and scalar a, b, c.  Taking w itself spares callers that hold
@@ -476,12 +492,11 @@ def _series_2f1_near_one(a, b, c, w, tol, max_terms):
     cab = c - a - b
     c1 = a + b - c + 1.0
     A, B = _connection_coeffs(a, b, c)
-    s1, n1, ok1, e1 = _series_2f1_raw((a, b), (c1,), w, tol, max_terms)
-    s2, n2, ok2, e2 = _series_2f1_raw((c - a, c - b), (cab + 1.0,), w, tol, max_terms)
+    s1, n1, ok1, e1, abs1 = _pfq_terms((a, b), (c1,), w, tol, max_terms)
+    s2, n2, ok2, e2, abs2 = _pfq_terms((c - a, c - b), (cab + 1.0,), w, tol, max_terms)
     Bp = B * np.power(w, cab)
     out = A * s1 + Bp * s2
-    t1 = np.abs(A) * _abs_terms((a, b), (c1,), w, n1)
-    t2 = np.abs(Bp) * _abs_terms((c - a, c - b), (cab + 1.0,), w, n2)
+    t1, t2 = np.abs(A) * abs1, np.abs(Bp) * abs2
     x = np.array([c, cab, c - a, c - b, c, -cab, a, b])
     psi = sp.psi(x if x.imag.any() else x.real)
     with np.errstate(invalid="ignore"):
@@ -566,7 +581,10 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
     """
     if is_nonpositive_integer(c):
         raise PoleError(f"2F1 lower parameter c={c} is a non-positive integer")
-    a, b = _snap_terminating(a), _snap_terminating(b)
+    (a, b), cut = _snapped((a, b), (c,), z)
+    if cut:
+        value, terms, converged, est = _eval_2f1(a, b, c, z, tol, max_terms)
+        return value, terms, converged and est + cut <= tol, est + cut
 
     zarr = np.asarray(z)
     if zarr.size >= _PROXY_MIN and not np.iscomplexobj(zarr):
@@ -667,8 +685,10 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
     """F[k] = 2F1(a+k, b; c; z) for k < K, stacked on a new first axis, over
     a scalar or array z with scalar a, b and c.
 
-    Two seed series by _eval_2f1 (ConvergenceError if either does not
-    converge), then DLMF 15.5.11 run forward,
+    Two seed series by _eval_2f1, converged or, for a tol below their
+    rounding floor, within eps (5 + sqrt(n)), the floor of n terms whose |t|
+    add to at most 4 (1 + |S|) (ConvergenceError otherwise), then DLMF
+    15.5.11 run forward,
 
         (a+k)(1-z) F[k+1] = (2(a+k) - c + (b-a-k) z) F[k] + (c-a-k) F[k-1].
 
@@ -679,11 +699,16 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
     non-positive integer the first term vanishes and F is the small
     solution; the error is then eps (1-z)^-k, relative to the growth that
     the callers' outer series is built to absorb."""
-    F0 = _checked(*_eval_2f1(a, b, c, z, tol))
+
+    def seed(ak):
+        value, n, converged, est = _eval_2f1(ak, b, c, z, tol)
+        return _checked(value, n, converged or tol < est <= _EPS * (5.0 + math.sqrt(n)), est)
+
+    F0 = seed(a)
     F = np.empty((K,) + np.shape(F0), dtype=np.result_type(F0, a, b, c, z))
     F[0] = F0
     if K > 1:
-        F[1] = _checked(*_eval_2f1(a + 1.0, b, c, z, tol))
+        F[1] = seed(a + 1.0)
     k0 = -round(complex(a).real) if is_nonpositive_integer(a) else 0
     if np.ndim(z) == 0:
         # Python scalars: the same operations in the same order as on arrays,
@@ -696,7 +721,7 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
     for k in range(1, K - 1):
         ak = a + k
         if k == k0:
-            G[k + 1] = _checked(*_eval_2f1(ak + 1.0, b, c, z, tol))
+            G[k + 1] = seed(ak + 1.0)
             continue
         step = ((2.0 * ak - c) / ak + (b - ak) / ak * z) * inv
         G[k + 1] = step * G[k] + (c - ak) / ak * inv * G[k - 1]
@@ -728,18 +753,16 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
     """Generalized hypergeometric sum_n prod(upper)_n / prod(lower)_n z^n / n!.
 
     Entire for p <= q; requires |z| < 1 for p = q + 1 unless an upper
-    parameter terminates the series.  The estimate is the larger of the tail
-    estimate and the rounding term eps (sum|t_n| + sqrt(n) |S|) / (1 + |S|),
-    and the result is converged only when it is at most tol; the sum stops
-    on the tail alone.
+    parameter terminates the series.  The estimate and the flag are _stop's,
+    tail and rounding floor, with the term a snapped upper parameter cuts off.
     """
-    upper = [_snap_terminating(u) for u in upper]
     for ell in lower:
         if is_nonpositive_integer(ell):
             raise PoleError(f"pFq lower parameter {ell} is a non-positive integer")
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"pFq argument {z} is not finite")
+    upper, cut = _snapped(upper, lower, z)
     terminating = any(is_nonpositive_integer(u) for u in upper)
     if len(upper) > len(lower) + 1 and not terminating and z != 0:
         raise DomainError("pFq with p > q+1 diverges for z != 0")
@@ -750,10 +773,7 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
     # parts rounds the same way.
     total, n, converged, est = _series_2f1_raw(
         upper, lower, z.real if z.imag == 0 else z, tol, max_terms)
-    value = _as_scalar(total)
-    rounding = _EPS * (float(_abs_terms(upper, lower, z, n)) + math.sqrt(n) * abs(value))
-    est = max(est, _tail_est(rounding, 1.0, value))
-    return SeriesResult(value, n, converged and est <= tol, est)
+    return SeriesResult(_as_scalar(total), n, converged and est + cut <= tol, est + cut)
 
 
 # ---------------------------------------------------------------------------

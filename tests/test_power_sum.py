@@ -67,6 +67,9 @@ def test_real_2f1_route_no_less_accurate(a, b, c, zs):
 
 @hsettings(max_examples=40, deadline=None)
 @given(a=_cplx(-3, 3), b=_cplx(-3, 3), c=_cplx(0.1, 4), zs=st.lists(_DISC, min_size=2, max_size=64))
+# |z| = 0.9000000000000001 sends the last argument to the Pfaff route, and
+# the z = 0.875 element (|S| = 0.10) is summed beside the z = 0 one (|S| = 1).
+@example(a=-2j, b=2.5 - 1j, c=1 + 2j, zs=[0, 0.875, 0.3880588651187996 + 0.8120408346891856j])
 def test_complex_2f1_route_no_less_accurate(a, b, c, zs):
     z = np.array(zs)
     a, b = _snap_terminating(a), _snap_terminating(b)
@@ -103,8 +106,9 @@ class TestEdges:
             coef = [mpmath.rf(-3, n) * mpmath.rf(0.7, n) / (mpmath.rf(1.9, n) * mpmath.factorial(n))
                     for n in range(4)]
             want = np.array([float(sum(cn * mpmath.mpf(z) ** n for n, cn in enumerate(coef))) for z in self.Z])
-        assert ok and est == 0.0
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * (1.0 + np.abs(want)))
+        err = np.abs(got - want) / (1.0 + np.abs(want))
+        assert ok and 0.0 < est <= TOL
+        assert np.all(err <= 4 * np.finfo(float).eps) and err.max() <= est
 
     def test_negative_c_runs_past_its_pole_index(self):
         # The terms of (c)_n with c = -2.5 fall and then jump where c + n
@@ -165,29 +169,29 @@ def test_node_array_needs_no_term_recurrence(monkeypatch):
     assert ok and np.all(np.abs(value - want) <= 1e-14 * (1.0 + np.abs(want)))
 
 
-@pytest.mark.xfail(strict=True, reason="a node-array 2F1's estimate has no rounding term: where its "
-                   "terms cancel heavily, converged=True does not bound the error")
 def test_converged_error_within_estimate_under_cancellation():
+    # The alternating terms reach about 1e5 against a sum of about 1e-3: no
+    # double-precision route gets this right, and the rounding floor says so.
     z = np.array([0.6, 0.3])
     value, _, ok, est = _eval_2f1(-20.5, 15.0, 1.5, z, TOL)
     want = mp_hyper((-20.5, 15.0), (1.5,), z).real
-    assert ok
+    assert not ok
     assert np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= est
 
 
-@pytest.mark.xfail(strict=True, reason="_snap_terminating rounds an upper parameter within POLE_TOL of "
-                   "zero onto it, and the terminating sum reports converged with estimate 0")
 def test_converged_error_within_estimate_near_a_terminating_parameter():
+    # b is rounded onto 0 and the series cut after its first term; the
+    # estimate carries the term b z / c it drops.
     z = np.array([0.0, 0.5])
     value, _, ok, est = _eval_2f1(1j, 3.121575810339679e-10j, 1.0, z, TOL)
     want = mp_hyper((1j, 3.121575810339679e-10j), (1.0,), z)
     assert not ok or np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= est
+    assert est > 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="_sum_terms and _power_sum divide the largest term by 1 + the largest "
-                   "partial sum over all elements, so the z = 0.875 element (|S| = 0.10) is judged against "
-                   "the z = 0 element's |S| = 1 and stops early")
 def test_converged_error_within_estimate_beside_a_larger_element():
+    # The z = 0.875 element (|S| = 0.10) is judged against its own sum, not
+    # the z = 0 element's |S| = 1.
     z = np.array([0.0, 0.875])
     value, _, ok, est = _eval_2f1(-2j, 2.5 - 1j, 1 + 2j, z, TOL)
     want = mp_hyper((-2j, 2.5 - 1j), (1 + 2j,), z)
