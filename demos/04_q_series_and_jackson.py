@@ -94,7 +94,7 @@ print("The q-deformation of F_K")
 print("=" * 70)
 p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
 v = phi_k_q(p, 0.3, 0.25, 0.2, ctx)
-print(f"Phi_K at q=0.5:      {v.value:.15f}  (cross-checked triple vs re-expansion)")
+print(f"Phi_K at q=0.5:      {v.value:.15f}  (2phi1 re-expansion over the third index)")
 v1 = phi_k_q(p, 0.1, 0.12, 0.08, QContext(q=0.999), tol=1e-10)
 fk = saran_fk_triple(p, 0.1, 0.12, 0.08)
 print(f"Phi_K at q=0.999:    {complex(v1.value).real:.12f}")

@@ -7,29 +7,23 @@ for the base q^a); the raw-base entry points are the primitive series `rphis`
 and the discrete double-sum RHS `gasper_discrete_3phi2`, whose free
 parameters genuinely live at base level.
 
-Numerics.  Series are summed by term recurrence: ratios of the form
-(1 - a q^l) / (1 - b q^l) stay moderate even when individual q-shifted
-factorials overflow (upper parameters q^{-n} with large n), so terminating
-series on the q-lattice evaluate stably, cut off exactly at their
-termination index (`terminate_after`).  series._sum_terms forms the terms
-in blocks and series._stop ends them; a terminating sum reports its
-rounding floor.  phi3 and jackson_integral grow their index boxes and
-lattices through series._grow, with the boundary slabs as tails.
-q_measure_rule keeps its own cut-off: it returns a lattice rule, not a sum,
-and evaluates only the nodes a doubled lattice adds.  Two families skip the
-recurrence: _lattice_sum sums the terminating 3phi1 of the q-measure
-densities and limit weights as one q-binomial convolution, and _family_sum
-the shifted tables of phi_k_p_tables by series._power_sum.  Every (a;q)_k
-table comes from core._q_tables, which stacks the bases of a build in one
-call; the row of a base q^-r is exactly zero past k = r.  The one exception
-is the densities' (q^x; q)_n / (q; q)_n, a cumulative product of factor
-ratios, since (q; q)_n alone underflows near q = 1.
+Numerics.  Series are summed by term recurrence (series._sum_terms): ratios
+(1 - a q^l) / (1 - b q^l) stay moderate where q-shifted factorials overflow,
+so a terminating series on the q-lattice cuts off exactly at its termination
+index (`terminate_after`) and reports its rounding floor.  _lattice_sum sums
+the terminating 3phi1 of the q-measure densities and limit weights as one
+q-binomial convolution, and _family_sum the shifted tables of phi_k_p_tables
+by series._power_sum.  Every (a;q)_k table comes from core._q_tables, one
+stacked call per build (the row of a base q^-r is zero past k = r), except
+the densities' (q^x; q)_n / (q; q)_n, a cumulative product of factor ratios,
+since (q; q)_n alone underflows near q = 1.
 
-Phi_K.  `_phi_k_sum` is the one sum of the q-F_K through its third-index
-decomposition against three lattice rules, and `_shift_sum` the one
-shift-operator sum; a point value is the rule sum over one-node rules.
-The discrete identity's weighted triple sum and its weights are exact finite
-sums that cancel heavily, and are formed in long double.
+Sums.  phi3, jackson_integral, the Phi_K sum `_phi_k_sum` and the
+shift-operator sum `_shift_sum` grow through series._grow; q_measure_rule,
+which returns a lattice rule, keeps its own cut-off.  `_phi_k_sum` sums the
+q-F_K once, over its third index against three lattice rules: `phi_k_q` is
+that sum at one node, and `phi3` the independent triple series.  The
+discrete identity's sums cancel heavily and are formed in long double.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from .core import (
 from .errors import ConvergenceError, DomainError, PoleError
 from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _rule_sum, _slot_inverse
 from .series import (
-    FkParams, SeriesResult, _Same, _checked, _face_tails, _grow, _power_sum, _series_len, _stop,
+    FkParams, SeriesResult, _Same, _checked, _face_tails, _floor, _grow, _power_sum, _series_len, _shell_rate,
     _sum_terms,
 )
 
@@ -226,9 +220,10 @@ def _rphis_array(
         return ops, poles
 
     lattice = isinstance(terminate_after, np.ndarray) and _lattice_sum(uppers, lowers, np.asarray(z), ta, q, dtype)
-    if lattice:  # the whole sum as one row of a terminating series
+    if lattice:  # a terminating sum, whose estimate is its floor
         total, absum = lattice
-        return total, nsteps, *_stop((absum[None], total[None]), 0.0, nsteps - 1, None, tol, 0, nsteps, nsteps)[2:4]
+        est = _floor(absum, nsteps, total)
+        return total, nsteps, est <= tol, est
     return _sum_terms(block, shape, dtype, nsteps, tol, None if ta is not None else 0.25)[:4]
 
 
@@ -306,9 +301,9 @@ def _axis_size(zval, tol: float, terminations) -> int:
 
 def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
     """Triple basic hypergeometric series, summed over an adaptive index box
-    with the joint q-shifted factorials gathered from cumulative tables.
-    ConvergenceError when a box sums to a value that is not finite: a larger
-    box keeps every term of it."""
+    with the joint q-shifted factorials gathered from cumulative tables; the
+    estimate includes 4 times the box's _floor.  ConvergenceError when a box
+    sums to a value that is not finite: a larger box keeps every term of it."""
     q = ctx.q
     spec.validate(q)
     x, y, z = complex(x), complex(y), complex(z)
@@ -352,7 +347,7 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
         total = tensor.sum()
         if not np.isfinite(total):
             raise ConvergenceError(f"phi3 gave the non-finite value {_as_scalar(total)}")
-        return total, _face_tails(tensor, complete), 0.0, tensor.size
+        return total, _face_tails(tensor, complete), 4.0 * _floor(np.abs(tensor).sum(), tensor.size, total), tensor.size
 
     return _grow(build, sizes, [96, 96, 96], tol, 0.2)
 
@@ -363,15 +358,9 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
 
 
 def _phi_k_spec(p: FkParams, q: float) -> Phi3Spec:
-    return Phi3Spec(
-        bp=(q**p.alpha2,),
-        bpp=(q**p.beta1,),
-        c=(q**p.alpha1,),
-        cp=(q**p.beta2,),
-        h=(q**p.gamma1,),
-        hp=(q**p.gamma2,),
-        hpp=(q**p.gamma3,),
-    )
+    """Phi_K as a phi3 triple series, the independent form of phi_k_q."""
+    return Phi3Spec(bp=(q**p.alpha2,), bpp=(q**p.beta1,), c=(q**p.alpha1,), cp=(q**p.beta2,),
+                    h=(q**p.gamma1,), hp=(q**p.gamma2,), hpp=(q**p.gamma3,))
 
 
 def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-13, extra=()):
@@ -401,43 +390,52 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
 
 # The one node 1 with weight 1, whose rule sums are point values; it has no node axis.
 _ONE_NODE = (np.float64(1.0), np.float64(1.0))
+_PMAX = 800  # the cap on the p rows of the Phi_K decomposition
 
 
-def _phi_k_sum(p: FkParams, rules, x, y, z, ctx: QContext, tol: float, extra=()):
+def _slab_build(terms, rates, ok, complete=()):
+    """A _grow build (total, tails, floor, terms) of a table of terms.  Axis
+    i's tail is its last slab of |t| over 1 - r, r the slabs' rate as
+    _shell_rate reads it and at least rates[i], the rate they approach: a
+    bound on the slabs it drops while they fall at least that fast.  It is
+    0.0 for an axis of length one or in complete.  The floor is _floor's, or
+    inf unless ok (the tables converged)."""
+    mags, total = np.abs(terms), terms.sum()
+    slabs = [mags.sum(axis=tuple(j for j in range(terms.ndim) if j != i)).tolist() for i in range(terms.ndim)]
+    tails = [0.0 if len(s) < 2 or i in complete else s[-1] / (1.0 - _shell_rate(s, len(s) - 1, r))
+             for i, (s, r) in enumerate(zip(slabs, rates))]
+    return total, tails, _floor(mags.sum(), terms.size, total) if ok else math.inf, terms.size
+
+
+def _phi_k_sum(p: FkParams, rules, x, y, z, ctx: QContext, tol: float, extra=()) -> SeriesResult:
     """Phi_K(x t1, y t2, z t3) summed against three lattice rules (t_j, w_j)
     through its third-index decomposition (`phi_k_p_tables`, with extra):
 
         sum_p coef[p] (sum_i w1_i A_ip) (sum_j w2_j B_jp) sum_l w3_l (z t3_l)^p.
 
-    Three _ONE_NODE rules give the point value Phi_K(x, y, z).  Returns
-    (value, terms, converged, relative size of the last p term).
+    Three _ONE_NODE rules give the point value Phi_K(x, y, z).  The rows
+    p <= P grow through _grow from P = _series_len(|z| max t3, tol, 8, 160)
+    to _PMAX, judged by _slab_build at the rate |z| max t3.
     """
     (t1, w1), (t2, w2), (t3, w3) = rules
-    pmax = _series_len(abs(z) * float(np.max(t3)), tol, 8, 160)
-    coef, A, B, okA, okB = phi_k_p_tables(p, x * t1, y * t2, ctx, pmax, tol * 1e-2, extra)
-    rows = coef * _rule_sum(w1, A) * _rule_sum(w2, B) * _moment_powers(t3, w3, z, pmax)
-    total = rows.sum()
-    return _as_scalar(total), rows.size, okA and okB, float(np.abs(rows[-1])) / (1.0 + abs(total))
+    zmag = abs(z) * float(np.max(t3))
+
+    def build(sizes):
+        (pmax,) = sizes
+        coef, A, B, okA, okB = phi_k_p_tables(p, x * t1, y * t2, ctx, pmax, tol * 1e-2, extra)
+        rows = coef * _rule_sum(w1, A) * _rule_sum(w2, B) * _moment_powers(t3, w3, z, pmax)
+        return _slab_build(rows, [zmag], okA and okB)
+
+    return _grow(build, [_series_len(zmag, tol, 8, 160)], [_PMAX], tol, 1.0)
 
 
 def phi_k_q(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
-    """q-analogue of Saran's F_K with exponent parameters.
-
-    Evaluates both the triple series and the 2phi1 reexpansion (`_phi_k_sum`
-    at one node), cross-checks them, and returns the reexpansion value; a
-    mismatch beyond 100*tol raises ConvergenceError.  converged holds only
-    when the triple series and both 2phi1 tables of the reexpansion converged.
-    """
+    """q-analogue of Saran's F_K with exponent parameters, summed once: by the
+    2phi1 reexpansion over its third index, `_phi_k_sum` at one node.  The
+    triple series `phi3` of `_phi_k_spec` is its independent form."""
     if not all(abs(v) < 1.0 for v in (x, y, z)):
         raise DomainError("Phi_K requires |x| < 1, |y| < 1, |z| < 1")
-    value, nterms, ok, est = _phi_k_sum(p, [_ONE_NODE] * 3, x, y, z, ctx, tol)
-    triple = phi3(_phi_k_spec(p, ctx.q), x, y, z, ctx, tol)
-    diff = abs(complex(value) - complex(triple.value)) / (1.0 + abs(value))
-    if diff > 100.0 * tol:
-        raise ConvergenceError(
-            f"Phi_K cross-form mismatch {diff:.3e} beyond {100.0 * tol:.1e}"
-        )
-    return SeriesResult(value, nterms + triple.terms_used, ok and triple.converged, max(est, diff))
+    return _phi_k_sum(p, [_ONE_NODE] * 3, x, y, z, ctx, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +661,7 @@ def _shift_factor(t, arg, shift, upper, lower, ctx: QContext):
 
 def _shift_sum(
     p: QfkShiftParams, rules, x, y, z, ctx: QContext, tol: float, kmax: int | None = None
-):
+) -> SeriesResult:
     """The shift-operator k-sum of the q-F_K against lattice rules (t_j, w_j)
     for u, v and w; one-node rules give the point value at (u, v, w):
 
@@ -677,9 +675,10 @@ def _shift_sum(
     v y q^(k + eta2)).  With u = q^n these arguments depend on m = n + k
     alone, so FA and FB are tabulated once per m, from the smallest lattice
     index to the largest plus kmax, and indexed by n + k.  zmag = |z| times
-    the largest w-node sets both cutoffs; an explicit kmax overrides the k
-    one.  Returns (value, terms, converged, relative size of the last k and
-    p slabs).
+    the largest w-node sets both first cutoffs.  The k <= kmax, p <= pmax
+    box grows through _grow, k to 300 and p to _PMAX, judged by _slab_build
+    at the rates zmag q^(alpha2 - eta2) and zmag; an explicit kmax is kept,
+    and its axis counts as complete.
     """
     (tu, wu), (tv, wv), (tw, ww) = rules
     q = ctx.q
@@ -687,36 +686,29 @@ def _shift_sum(
     base = zmag * q ** (p.alpha2 - p.eta2)
     if zmag != 0 and base >= 0.999:
         raise ConvergenceError("shift-operator k-sum is non-convergent: |wz| q^(a2-e2) >= 1")
-    if kmax is None:
-        kmax = 0 if zmag == 0 else int(
-            np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(base, 1e-12))), 8, 300)
-        )
-    ks = np.arange(kmax + 1, dtype=np.float64)
-    ck = np.divide(*_q_tables([q**p.eta2, q], kmax, q))
-    ck = ck * (q ** (p.alpha2 - p.eta2)) ** ks
-    A, _ = _shift_factor(tu[:, None], x, p.lam3 + ks, p.lam1 - p.eta1, p.lam1, ctx)
-    B, _ = _shift_factor(tv[:, None], y, p.eta2 + ks, p.lam2 - p.mu2, p.lam2, ctx)
     nu, nv = (np.rint(np.log(t) / math.log(q)).astype(np.int64) for t in (tu, tv))
-    mu, mv = (np.arange(n.min(), n.max() + kmax + 1) for n in (nu, nv))
-    inner = FkParams(
-        alpha1=p.alpha1,
-        alpha2=p.alpha2 - p.eta2,
-        beta1=p.beta1 - p.lam3,
-        beta2=p.beta2,
-        gamma1=p.alpha1 - p.lam1 + p.eta1,
-        gamma2=p.beta2 - p.lam2 + p.mu2,
-        gamma3=p.beta1 - p.lam3,
-    )
-    pmax = _series_len(zmag, tol, 8, 160)
-    coef, FA, FB, okA, okB = phi_k_p_tables(
-        inner, x * q ** (p.lam3 + mu), y * q ** (p.eta2 + mv), ctx, pmax, tol=tol * 1e-2)
-    k = np.arange(kmax + 1)
-    SU = np.einsum("i,ik,ikp->kp", wu, A, FA[nu[:, None] + k - mu[0]])
-    SV = np.einsum("j,jk,jkp->kp", wv, B, FB[nv[:, None] + k - mv[0]])
-    kp = np.add.outer(k, np.arange(pmax + 1))
-    terms = ck[:, None] * coef * SU * SV * _moment_powers(tw, ww, z, kmax + pmax)[kp]
-    total = terms.sum()
-    return _as_scalar(total), terms.size, okA and okB, max(_face_tails(terms)) / (1.0 + abs(total))
+    inner = FkParams(alpha1=p.alpha1, alpha2=p.alpha2 - p.eta2, beta1=p.beta1 - p.lam3, beta2=p.beta2,
+                     gamma1=p.alpha1 - p.lam1 + p.eta1, gamma2=p.beta2 - p.lam2 + p.mu2, gamma3=p.beta1 - p.lam3)
+    cut = kmax is not None
+
+    def build(sizes):
+        kmax, pmax = sizes
+        k = np.arange(kmax + 1)
+        ck = np.divide(*_q_tables([q**p.eta2, q], kmax, q)) * (q ** (p.alpha2 - p.eta2)) ** k.astype(np.float64)
+        A, _ = _shift_factor(tu[:, None], x, p.lam3 + k, p.lam1 - p.eta1, p.lam1, ctx)
+        B, _ = _shift_factor(tv[:, None], y, p.eta2 + k, p.lam2 - p.mu2, p.lam2, ctx)
+        mu, mv = (np.arange(n.min(), n.max() + kmax + 1) for n in (nu, nv))
+        coef, FA, FB, okA, okB = phi_k_p_tables(
+            inner, x * q ** (p.lam3 + mu), y * q ** (p.eta2 + mv), ctx, pmax, tol=tol * 1e-2)
+        SU = np.einsum("i,ik,ikp->kp", wu, A, FA[nu[:, None] + k - mu[0]])
+        SV = np.einsum("j,jk,jkp->kp", wv, B, FB[nv[:, None] + k - mv[0]])
+        kp = np.add.outer(k, np.arange(pmax + 1))
+        terms = ck[:, None] * coef * SU * SV * _moment_powers(tw, ww, z, kmax + pmax)[kp]
+        return _slab_build(terms, [base, zmag], okA and okB, complete=[0] if cut else [])
+
+    if not cut:
+        kmax = int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(base, 1e-12))), 8, 300)) if zmag else 0
+    return _grow(build, [kmax, _series_len(zmag, tol, 8, 160)], [kmax if cut else 300, _PMAX], tol, 1.0)
 
 
 def qshift_operator_kernel(

@@ -13,11 +13,11 @@ tail / (margin (1 + |S|)): margin 1 - r for terms falling like r^n (r =
 max|z| for a direct 2F1 or pFq with p = q + 1, 0.03 for a terminating one
 at |z| >= 1, 0.5 for other pFq, 0.25 for r_phi_s; r observed for F_K shells
 and chain slabs, times 0.25 and 0.025), 0.2 for box faces.  A series has
-converged once that and the rounding floor, which no more terms reduce, are
-at most tol; est_trunc_error is the larger.  The term drivers, _sum_terms
-for term recurrences and _power_sum for a coefficient row times the powers
-of many arguments, leave the stop to _stop, per element; a terminating sum
-reports its floor.  Block engines grow through _grow, each to its own cap.
+converged once that and the rounding floor (_floor), which no more terms
+reduce, are at most tol; est_trunc_error is the larger.  The term drivers,
+_sum_terms through _stop and _power_sum for a coefficient row times the
+powers of many arguments, judge per element; a terminating sum reports its
+floor.  Block engines grow through _grow, each to its own cap.
 An upper parameter within pole tolerance of a non-positive integer is
 rounded onto it, and the estimate carries the first term that cuts off.
 """
@@ -132,6 +132,17 @@ def _tail_est(tail, margin: float, total) -> float:
     return tail / (margin * (1.0 + abs(total)))
 
 
+def _floor(absum, n=0, total=0.0):
+    """The rounding floor eps (sum |t| + sqrt(n) |S|) / (1 + |S|) of n terms t
+    whose magnitudes add to absum and which sum to S, the largest over array
+    elements (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 4.2); no more terms reduce it.  Terms whose |t| add to at most
+    k (1 + |S|) have a floor of at most _floor(k + sqrt(n))."""
+    s = abs(total)
+    floor = _EPS * (absum + math.sqrt(n) * s) / (1.0 + s)
+    return float(floor.max()) if isinstance(floor, np.ndarray) else floor
+
+
 def _series_len(ratio: float, tol: float, lo=24, hi=220) -> int:
     """First truncation length of a series whose terms fall like ratio^n:
     where ratio^n reaches tol/100, plus 8, clipped to [lo, hi].  A zero ratio
@@ -179,19 +190,17 @@ def _face_tails(tensor: np.ndarray, complete=()) -> list:
 
 
 def _stop(rows, absum, n, margin, tol, run, lo, end):
-    """The stopping rule of every term driver.  rows holds |t| and the partial
-    sum S after terms n + 1, n + 2, ..., per element i: a pair of arrays with
-    a leading row per term or, for one element, an iterator of pairs, read
-    only up to the stop; absum is 1 + sum |t_i| before them, or a bound.
-    A row's tail is max_i |t_i| / (margin (1 + |S_i|)), formed per element
-    once the shared bound max|t| / (margin (1 + max|S|)) of a row is within
-    tol.  The sum stops at the first row past lo terms that ends a run of
-    three tails within tol (none for margin None, a terminating sum), or at
-    end terms, with the floor max_i eps (absum_i + sqrt(m) |S_i|) /
-    (1 + |S_i|) over its m terms (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 4.2).  Returns (stopping row or None,
-    run, converged, estimate: the larger of tail and floor, or the last
-    tail where no row stops, absum through that row)."""
+    """The stopping rule of _sum_terms.  rows holds |t| and the partial sum S
+    after terms n + 1, n + 2, ..., per element i: a pair of arrays with a
+    leading row per term or, for one element, an iterator of pairs, read
+    only up to the stop; absum is 1 + sum |t_i| before them.  A row's tail
+    is max_i |t_i| / (margin (1 + |S_i|)), formed per element once the
+    shared bound max|t| / (margin (1 + max|S|)) of a row is within tol.  The
+    sum stops at the first row past lo terms that ends a run of three tails
+    within tol (none for margin None, a terminating sum), or at end terms,
+    with the _floor of its terms.  Returns (stopping row or None, run,
+    converged, estimate: the larger of tail and floor, or the last tail
+    where no row stops, absum through that row)."""
     if not isinstance(rows, tuple):
         for last, (m, s) in enumerate(rows):
             s, absum = abs(s), absum + m
@@ -199,7 +208,7 @@ def _stop(rows, absum, n, margin, tol, run, lo, end):
             run = run + 1 if e <= tol else 0
             ok = (run >= 3 or margin is None) and n + last + 1 >= lo
             if ok or n + last + 1 >= end:
-                floor = _EPS * (absum + math.sqrt(n + last + 1) * s) / (1.0 + s)
+                floor = _floor(absum, n + last + 1, s)
                 return last, run, ok and floor <= tol, max(floor, e), absum
         return None, run, False, e, absum
     j, R = None, len(rows[0])
@@ -220,7 +229,7 @@ def _stop(rows, absum, n, margin, tol, run, lo, end):
         return None, run, False, e, absum
     if not near:
         e = float((mags[j] / (margin * (1.0 + sums[j]))).max())
-    floor = _EPS * float(((absum + math.sqrt(n + j + 1) * sums[j]) / (1.0 + sums[j])).max())
+    floor = _floor(absum, n + j + 1, sums[j])
     return j, run, ok and floor <= tol, max(floor, e), absum
 
 
@@ -264,8 +273,9 @@ def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
         term, total = np.ones(shape, dtype=dtype), np.ones(shape, dtype=dtype)
     cap = _SCALAR_WIDTH if scalar else max(1, _BLOCK_ELEMS // max(1, math.prod(shape)))
     lo = max_terms if margin is None else min_terms
-    if not max_terms:  # no steps: the constant term alone
-        return np.ones(shape, dtype=dtype)[()], 0, *_stop(iter([(1.0, 1.0)]), 0.0, -1, margin, tol, 0, lo, 0)[2:]
+    if not max_terms:  # no steps: the constant term alone, converged where nothing follows it
+        floor, tail = _floor(1.0, 0, 1.0), 0.0 if margin is None else 1.0 / (margin * 2.0)
+        return np.ones(shape, dtype=dtype)[()], 0, margin is None and floor <= tol, max(floor, tail), 1.0
     absum, width, run, n = 1.0, 8, 0, 0
     while True:
         W = min(width, cap, max_terms - n)
@@ -335,12 +345,13 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
     """sum_n C[:, n] z^n for every row of C = coef(N) and argument in z, as
     (z^n) @ C^T of shape (z.size, rows), its power matrix formed for as many
     arguments at a time as keep it within _BLOCK_ELEMS entries.  N grows to
-    min(max_terms, 1.5 N + 8) until _stop accepts the last three terms.
-    Returns (sums, N, converged, estimate), or None, leaving the series to
-    the caller's recurrence, where a power row would exceed _BLOCK_ELEMS,
-    coef returns None (a vanishing denominator), a sum is not finite or its
-    terms add in magnitude past 4 (1 + |sum|), so that its floor is at most
-    eps (4 + sqrt(N + 1)).  Overflow there is not warned of."""
+    min(max_terms, 1.5 N + 8) until the per-element tail of the last three
+    terms is within tol.  Returns (sums, N, converged, estimate), or None,
+    leaving the series to the caller's recurrence, where a power row would
+    exceed _BLOCK_ELEMS, coef returns None (a vanishing denominator), a sum
+    is not finite or its terms add in magnitude past 4 (1 + |sum|), so that
+    its floor is at most _floor(4 + sqrt(N + 1)).  Overflow there is not
+    warned of."""
     zflat = np.ravel(z)
     az = np.abs(zflat)
     top = float(az.max())
@@ -360,8 +371,8 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
             last = np.abs(C[:, -3:])
             peak = float((last.max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)).max())
         mag = np.abs(total)
-        # The last three terms as one row of their largest |t|, shared first.
-        if _stop(iter([(peak, float(mag.max()))]), 0.0, N - 1, margin, tol, 2, 0, max_terms)[0] is not None:
+        # The last three terms' largest |t| against the largest |S| first.
+        if peak / (margin * (1.0 + float(mag.max()))) <= tol or N >= max_terms:
             # The product's strided partial sums lose digits where terms cancel.
             # A row whose bound sum_n |C[r, n]| max|z|^n passes at every
             # argument needs no magnitude product of its own.
@@ -370,16 +381,15 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
                 rows = absC @ top ** np.arange(N + 1.0) > room.min(axis=0)
                 if rows.any() and not (powers(az, absC[rows]) <= room[:, rows]).all():
                     return None
-            # Per element |t| / (1 + |S|) against S = 0, first bounded by max|t| / (1 + min|S|).
-            bound = 4.0 + math.sqrt(N + 1.0)
-            res = _stop(iter([(peak / (1.0 + float(mag.min())), 0.0)]), bound, N - 1, margin, tol, 2, 0, max_terms)
-            if not res[2]:
+            # Per element |t| / (1 + |S|), first bounded by max|t| / (1 + min|S|).
+            tail = peak / (1.0 + float(mag.min())) / margin
+            if not tail <= tol:
                 with np.errstate(over="ignore", invalid="ignore"):
                     mags = (last.T[:, None, :] * az[:, None] ** np.arange(N - 2.0, N + 1.0)[:, None, None]).max(axis=0)
-                    rel = float((mags / (1.0 + mag)).max())
-                res = _stop(iter([(rel, 0.0)]), bound, N - 1, margin, tol, 2, 0, max_terms)
-            if res[0] is not None:
-                return total, N, res[2], res[3]
+                    tail = float((mags / (1.0 + mag)).max()) / margin
+            if tail <= tol or N >= max_terms:
+                floor = _floor(4.0 + math.sqrt(N + 1.0))
+                return total, N, tail <= tol and floor <= tol, max(floor, tail)
         N = min(max_terms, int(1.5 * N) + 8)
     return None
 
@@ -686,9 +696,9 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
     a scalar or array z with scalar a, b and c.
 
     Two seed series by _eval_2f1, converged or, for a tol below their
-    rounding floor, within eps (5 + sqrt(n)), the floor of n terms whose |t|
-    add to at most 4 (1 + |S|) (ConvergenceError otherwise), then DLMF
-    15.5.11 run forward,
+    rounding floor, within _floor(5 + sqrt(n)), that of n terms whose |t|
+    add to at most 4 (1 + |S|) after the first (ConvergenceError otherwise),
+    then DLMF 15.5.11 run forward,
 
         (a+k)(1-z) F[k+1] = (2(a+k) - c + (b-a-k) z) F[k] + (c-a-k) F[k-1].
 
@@ -702,7 +712,7 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
 
     def seed(ak):
         value, n, converged, est = _eval_2f1(ak, b, c, z, tol)
-        return _checked(value, n, converged or tol < est <= _EPS * (5.0 + math.sqrt(n)), est)
+        return _checked(value, n, converged or tol < est <= _floor(5.0 + math.sqrt(n)), est)
 
     F0 = seed(a)
     F = np.empty((K,) + np.shape(F0), dtype=np.result_type(F0, a, b, c, z))
@@ -846,8 +856,8 @@ def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
     backward one gives each axis's last slabs: an axis reports its last slab
     over 1 - r, r as _shell_rate reads them, with _grow's margin 0.025, a tenth
     of saran_fk_triple's, so the two forms converged at tol agree well within
-    it.  The estimate also covers rounding, 4 eps (sqrt(sum N_i) |S| +
-    sum |t|) / (1 + |S|), which no growth reduces."""
+    it.  The estimate also covers rounding, 4 times the _floor of the sum
+    |S| and sum |t| over sum N_i terms, which no growth reduces."""
     L = len(zs)
     v = np.array([a1, a2, *b, *c, *zs]) + 0.0
     a1, a2 = v[0], v[1]
@@ -886,7 +896,6 @@ def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
         scale = np.ldexp(1.0, fwd[-1][1])
         total = signed @ scale
         absum = fwd[-1][0] @ scale
-        rounding = _tail_est(4 * _EPS * (math.sqrt(sum(sizes)) * abs(total) + absum), 1.0, total)
         bwd = [(np.ones(sizes[-1]), np.zeros(sizes[-1], dtype=np.int64))]
         for i in range(L - 2, -1, -1):
             # Node 0 needs its backward message only on the slabs its tail reads.
@@ -900,7 +909,7 @@ def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
             e = (fe[-4:] + be[-4:]).tolist()
             rate = _shell_rate([math.ldexp(x, y - max(e)) for x, y in zip(m, e)], len(m) - 1, 0.0)
             tails.append(math.ldexp(m[-1], e[-1]) / (1.0 - rate))
-        return total, tails, rounding, sum(n * m for n, m in zip(sizes, sizes[1:]))
+        return total, tails, 4.0 * _floor(absum, sum(sizes), total), sum(n * m for n, m in zip(sizes, sizes[1:]))
 
     sizes = [_series_len(r, tol, 10, _CHAIN_CAP) for r in rates]
     return _grow(build, sizes, caps, tol, 0.025)
@@ -1068,9 +1077,8 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
 
     N starts from the domain ratio and grows through _grow to at most 560.  A
     build returns the shell sum plus its geometric tail at the observed shell
-    rate r, the tail |last shell| / (1 - r) at margin 0.25, and the rounding
-    floor 4 eps (sqrt(N) |S| + sum |t|) / (1 + |S|), which also bounds the
-    FFT's rounding.
+    rate r, the tail |last shell| / (1 - r) at margin 0.25, and 4 times the
+    _floor of N terms, which also bounds the FFT's rounding.
     """
     if not in_domain_fk(x, y, z):
         raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
@@ -1137,8 +1145,7 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         total = shells.sum()
         rate = _shell_rate(shells, N - 1, 0.0)
         corr = shells[-1] * rate / (1.0 - rate)
-        rounding = _tail_est(4 * _EPS * (math.sqrt(N) * abs(total) + absum), 1.0, total)
-        return total + corr, [abs(shells[-1]) + abs(corr)], rounding, N * (N + 1) * (N + 2) // 6
+        return total + corr, [abs(shells[-1]) + abs(corr)], 4.0 * _floor(absum, N, total), N * (N + 1) * (N + 2) // 6
 
     return _grow(build, [N], [560], tol, 0.25)
 
@@ -1272,7 +1279,7 @@ def generic_f_a(
     2F1(alpha2+n, beta2; gamma2; x2) x3^m x4^n, both families by the
     recurrence of _shifted_2f1 (ConvergenceError if a seed series does not
     converge).  The M x N box grows through _grow; its estimate includes
-    the rounding floor 4 eps (sqrt(M N) |S| + sum |t|) / (1 + |S|)."""
+    4 times the _floor of M N terms."""
     for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
         if is_nonpositive_integer(g):
             raise PoleError(f"generic_f_a parameter {name} is a non-positive integer")
@@ -1292,8 +1299,7 @@ def generic_f_a(
         coefs = a.table(M - 1, N - 1)
         tensor = coefs * np.outer(f1 * np.power(x3, np.arange(M)), f2 * np.power(x4, np.arange(N)))
         total = tensor.sum()
-        rounding = 4 * _EPS * (math.sqrt(M * N) * abs(total) + float(np.abs(tensor).sum()))
-        return total, _face_tails(tensor), _tail_est(rounding, 1.0, total), M + N + tensor.size
+        return total, _face_tails(tensor), 4.0 * _floor(float(np.abs(tensor).sum()), M * N, total), M + N + tensor.size
 
     sizes = [_series_len(r3, tol, 12, 220), _series_len(r4, tol, 12, 220)]
     return _grow(build, sizes, [320, 320], tol, 0.2)

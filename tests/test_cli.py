@@ -127,14 +127,14 @@ EVAL_GOLDEN = [
     ("fk_L --a1 0.5 --a2 0.7 --b 0.6,0.8 --cc 1.4,1.6,1.8 --zs 0.1,0.2,0.15",
      "value: 1.156435650249628\nterms_used: 1716\nconverged: True\nest_trunc_error: 4.868e-15\n"),
     (f"phik {FK_OPTS} --q 0.5",
-     "value: 1.2090090571814778\nterms_used: 16701\nconverged: True\nest_trunc_error: 3.016e-16\n"),
+     "value: 1.2090090571814778\nterms_used: 26\nconverged: True\nest_trunc_error: 7.412e-16\n"),
     ("rphis --upper 0.5,0.3 --lower 0.7 --z 0.4 --q 0.5",
      "value: 2.796471799011412\nterms_used: 35\nconverged: True\nest_trunc_error: 1.181e-13\n"),
     ("rphis --upper 0.5 --lower '' --z 0.4 --q 0.3",
      "value: 1.4621424425272849\nterms_used: 34\nconverged: True\nest_trunc_error: 7.789e-14\n"),
     ("""phi3 --spec-json '{"a": [0.4], "b": [0.5], "c": [0.6], "h": [0.7], "hp": [0.8], "hpp": [0.3]}'"""
      " --x 0.1 --y 0.2 --z 0.15 --q 0.6",
-     "value: 3.6331537928969215\nterms_used: 16675\nconverged: True\nest_trunc_error: 7.091e-19\n"),
+     "value: 3.6331537928969215\nterms_used: 16675\nconverged: True\nest_trunc_error: 9.063e-14\n"),
     ("qgamma --x 2.5 --q 0.3", "value: 1.123947629202302\n"),
     ("qbeta --x 1.5 --y 2.5 --q 0.5", "value: 0.41767178687136935\n"),
     ("measure-moment --measure dirichlet --params 0.8,1.3 --ell 2", "value: 0.22119815668202816\n"),

@@ -272,23 +272,31 @@ class TestPhiKq:
         assert complex(got) == pytest.approx(want, rel=1e-12)
 
     def test_cross_form_internal(self, ctx05):
-        # phi_k_q raises if the triple series and reexpansion ever split.
+        # The reexpansion that phi_k_q sums agrees with phi3, the triple series.
         p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
         r = phi_k_q(p, 0.3, 0.25, 0.2, ctx05)
-        assert r.converged
+        triple = phi3(qkernels._phi_k_spec(p, ctx05.q), 0.3, 0.25, 0.2, ctx05)
+        assert r.converged and triple.converged
+        assert abs(complex(r.value) - complex(triple.value)) <= 1e-12 * (1 + abs(r.value))
 
     def test_unconverged_part_is_reported(self, ctx05, monkeypatch):
-        from saranfk import qkernels
-
         p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
-        real_phi3 = qkernels.phi3
+        real_family_sum = qkernels._family_sum
 
-        def stalled_phi3(*args, **kwargs):
-            r = real_phi3(*args, **kwargs)
-            return dataclasses.replace(r, converged=False)
+        def stalled_a_table(uppers, lowers, X, ctx, tol):
+            value, terms, converged, est = real_family_sum(uppers, lowers, X, ctx, tol)
+            return value, terms, converged and not np.all(X == 0.3), est
 
-        monkeypatch.setattr(qkernels, "phi3", stalled_phi3)
+        monkeypatch.setattr(qkernels, "_family_sum", stalled_a_table)
         assert not phi_k_q(p, 0.3, 0.25, 0.2, ctx05).converged
+
+    # Rows falling like z^p: 160 of them leave 6e-9 of the sum at z = 0.9.
+    # Values: the decomposition with 800 rows, within 5e-15 of a 30-digit
+    # triple sum.
+    @pytest.mark.parametrize("z,want", [(0.9, 2.013823627048529), (0.95, 2.5658997240330943)])
+    def test_slow_third_index_within_estimate(self, z, want):
+        r = phi_k_q(FkParams(0.5, 0.7, 0.6, 0.8, 1.2, 1.3, 1.4), 0.01, 0.01, z, QContext(q=0.9))
+        assert not r.converged or abs(r.value - want) <= r.est_trunc_error * (1 + abs(want))
 
     def test_tables_follow_input_dtype(self, ctx05):
         p = FkParams(0.5, 0.7, 0.9, 0.6, 1.5, 1.3, 1.1)
@@ -834,6 +842,17 @@ class TestShiftKernel:
     def test_off_lattice_rejected(self, ctx05):
         with pytest.raises(DomainError):
             qshift_operator_kernel(self.SP, 0.4, 0.5, 0.25, 0.2, 0.2, 0.1, ctx05)
+
+    def test_slow_p_sum_raises_or_is_right(self):
+        # At z = 0.97 the p rows fall like 0.97^p, and 160 of them leave
+        # 0.7% of the sum (32.866).  Value: the sum with 3000 p rows.
+        sp = QfkShiftParams(alpha1=0.6, alpha2=0.9, beta1=0.8, beta2=0.7, gamma3=1.5, eta1=0.9, eta2=0.4,
+                            mu2=0.8, lam1=0.6, lam2=0.6, lam3=0.5)
+        try:
+            got = qshift_operator_kernel(sp, 0.5, 0.25, 1.0, 0.27, 0.21, 0.97, QContext(q=0.5))
+        except ConvergenceError:
+            return
+        assert got == pytest.approx(33.1019575340949, rel=1e-11)
 
     # Values at one-node lattice points (q^nu, q^nv, q^nw) from the per-node
     # Phi_K tables, which the k-sum now indexes by lattice index plus k.

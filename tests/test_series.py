@@ -7,12 +7,14 @@ import pytest
 
 from saranfk import (
     CoeffSequence2D,
+    ConvergenceError,
     DomainError,
     EvalSettings,
     FkParams,
     Phi3Spec,
     PoleError,
     QContext,
+    QfkShiftParams,
     appell_f2,
     convolve2d,
     delta_sequence,
@@ -25,6 +27,7 @@ from saranfk import (
     in_domain_fk,
     phi3,
     phi_k_q,
+    qshift_operator_kernel,
     registry_lookup,
     rphis,
     sample_parameters,
@@ -652,6 +655,42 @@ class TestConvergedImpliesEstimateWithinTol:
         for r in results:
             assert r.converged
             assert r.est_trunc_error <= tol
+
+
+_TINY = 1e-18  # below the rounding floor of every double-precision sum
+_FK = FkParams(0.7, 0.9, 1.1, 0.6, 1.8, 2.0, 1.4)
+_CTX = QContext(q=0.5)
+_SHIFT = QfkShiftParams(alpha1=0.8, alpha2=1.1, beta1=0.9, beta2=0.7, gamma3=1.5,
+                        eta1=0.9, eta2=0.6, mu2=1.0, lam1=0.5, lam2=0.8, lam3=0.4)
+
+
+@pytest.mark.parametrize("converged", [
+    pytest.param(lambda: gauss_2f1(0.8, 1.1, 1.9, 0.62, _TINY).converged, id="gauss_2f1"),
+    pytest.param(lambda: series._eval_2f1(0.8, 1.1, 1.9, np.array([0.1, 0.3, 0.62]), _TINY)[2],
+                 id="_eval_2f1-nodes"),
+    pytest.param(lambda: hyper_pfq([0.4, 0.9, 1.3], [1.7, 0.8], 0.3, _TINY).converged, id="hyper_pfq"),
+    pytest.param(lambda: appell_f2(0.5, 0.5, 0.5, 1.5, 1.5, 0.3, 0.35, _TINY).converged, id="appell_f2"),
+    pytest.param(lambda: saran_fk_triple(_FK, 0.25, 0.2, 0.3, _TINY).converged, id="saran_fk_triple"),
+    pytest.param(lambda: saran_fk_reexpand(_FK, 0.25, 0.2, 0.3, _TINY).converged, id="saran_fk_reexpand"),
+    pytest.param(lambda: fk_L(0.5, 0.8, [1.0, 1.2, 0.9], [1.5, 1.1, 1.3, 1.7], [0.25, 0.2, 0.15, 0.3],
+                              _TINY).converged, id="fk_L"),
+    pytest.param(lambda: generic_f_a(geometric_sequence(0.3), 0.5, 0.7, 1.5, 0.8, 0.9, 1.7,
+                                     0.3, 0.2, 0.2, 0.2, _TINY).converged, id="generic_f_a"),
+    pytest.param(lambda: rphis([0.5**0.4, 0.5**0.9], [0.5**1.3], 0.3, _CTX, _TINY).converged, id="rphis"),
+    pytest.param(lambda: rphis([0.5**0.4, 0.5**-6], [0.5**1.3], 0.3, _CTX, _TINY).converged,
+                 id="rphis-terminating"),
+    pytest.param(lambda: phi3(Phi3Spec(a=(0.4,), b=(0.5,), c=(0.6,), h=(0.7,), hp=(0.8,), hpp=(0.3,)),
+                              0.1, 0.2, 0.15, QContext(q=0.6), _TINY).converged, id="phi3"),
+    pytest.param(lambda: phi_k_q(_FK, 0.25, 0.2, 0.3, _CTX, _TINY).converged, id="phi_k_q"),
+    # qshift_operator_kernel returns a value only where its sum converged.
+    pytest.param(lambda: qshift_operator_kernel(_SHIFT, 0.5, 0.25, 0.5, 0.27, 0.21, 0.3, _CTX, _TINY) is not None,
+                 id="qshift_operator_kernel"),
+])
+def test_tol_below_the_rounding_floor_is_never_converged(converged):
+    try:
+        assert not converged()
+    except ConvergenceError:
+        pass
 
 
 class TestGrow:
