@@ -17,9 +17,8 @@ from __future__ import annotations
 
 
 import numpy as np
-import scipy.special as sps
 
-from .core import pochhammer_table
+from .core import pochhammer_table, sp
 from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _slot_exponents, measure_rule
 from .errors import DomainError
 from .registry import IdentityCase, ParameterPoint, _u
@@ -343,8 +342,8 @@ def _rhs_fk_erdelyi(pt, s):
     v = pt.flat()
     IU, IV, Mw, M = fk_erdelyi_inner_tables(pt, s)
     m = np.arange(M, dtype=np.float64)
-    c1 = pochhammer_table(v["alpha2"] - v["eta2"], M - 1) / sps.gamma(m + 1.0)
-    c2 = pochhammer_table(v["eta2"], M - 1) / sps.gamma(m + 1.0)
+    c1 = pochhammer_table(v["alpha2"] - v["eta2"], M - 1) / sp.gamma(m + 1.0)
+    c2 = pochhammer_table(v["eta2"], M - 1) / sp.gamma(m + 1.0)
     idx = np.add.outer(np.arange(M), np.arange(M))
     smat = Mw[idx] * np.power(v["z"], np.add.outer(m, m))
     return complex(np.einsum("m,n,mn,mn,mn->", c1, c2, IU, IV, smat))

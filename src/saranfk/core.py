@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -27,6 +26,24 @@ __all__ = [
     "q_pochhammer",
     "q_pochhammer_inf",
 ]
+
+
+class _Special:
+    """Stand-in for scipy.special, imported on the first read of one of its
+    functions rather than with the package, whose own sums never need it.
+    The function is then cached here, so later reads are one lookup."""
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        import scipy.special
+
+        value = getattr(scipy.special, name)
+        setattr(self, name, value)
+        return value
+
+
+sp = _Special()
 
 # Largest argument of exp with a finite double result.
 _LOG_MAX = math.log(np.finfo(np.float64).max)
@@ -94,8 +111,15 @@ def log_gamma(z):
 
 
 def gamma(z):
-    """Gamma(z) via exp(log_gamma)."""
-    return _as_scalar(np.exp(log_gamma(z)))
+    """Gamma(z): math.gamma for a real z, exp(log_gamma) for a complex one;
+    rejects the poles, and raises ConvergenceError where Gamma(z) overflows."""
+    z = _as_scalar(z)
+    if is_nonpositive_integer(z):
+        raise PoleError(f"gamma pole at z={z}")
+    try:
+        return _as_scalar(math.gamma(z) if isinstance(z, float) else cmath.exp(log_gamma(z)))
+    except OverflowError:
+        raise ConvergenceError(f"gamma({z}) is not finite") from None
 
 
 def pochhammer(a, n: int):

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special as sp
 
-from .core import _as_scalar
+from .core import _as_scalar, sp
 from .errors import ConvergenceError, DomainError
 from .series import _checked, _connection_coeffs, _connection_ok, _series_2f1_near_one, _series_2f1_raw, _series_pfq
 

@@ -36,7 +36,7 @@ import numpy as np
 from .classical_cases import (_measure, _measures, erdelyi_fk, erdelyi_measures, fk_params, fk_point, lam_measures,
                               slot_measures)
 from .core import _q_tables, q_pochhammer_inf
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .measures import DirichletMeasure, _moment_powers
 from .qkernels import (
     _ONE_NODE,
@@ -546,7 +546,7 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
     ctx = s.qctx
     x, y, z = v["x"], v["y"], v["z"]
     (tu, wu), (tv, wv), (tw, ww) = _q_rules(_simplified_measures(v), s)
-    K = _series_len(abs(z), s.series_tol, 8, 240)
+    K = _series_len(abs(z), s.series_tol, 8, cap := 240)
     baseU = tu * x * q ** v["beta1"]
     baseV = tv * y * q ** v["alpha2"]
     prefU = q_pochhammer_inf(baseU, ctx) / q_pochhammer_inf(tu * x, ctx)
@@ -557,7 +557,11 @@ def _rhs_qfk_simplified(pt, s: EvalSettings):
     SU = (wu * prefU) @ (1.0 / tabs[2 : 2 + len(tu)])
     SV = (wv * prefV) @ (1.0 / tabs[2 + len(tu) :])
     SW = _moment_powers(tw, ww, z, K)
-    return complex((cK * SU * SV * SW).sum())
+    terms = cK * SU * SV * SW
+    total = terms.sum()
+    if K == cap and np.abs(terms[-3:]).max() / (1.0 + abs(total)) > s.series_tol:
+        raise ConvergenceError(f"the k-sum is still moving after {cap} rows")
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------

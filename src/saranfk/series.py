@@ -32,10 +32,9 @@ from itertools import accumulate, groupby, repeat
 from typing import Callable
 
 import numpy as np
-import scipy.special as sp
 from numpy.polynomial.chebyshev import chebval
 
-from .core import _as_scalar, is_nonpositive_integer, pochhammer_table
+from .core import _as_scalar, is_nonpositive_integer, pochhammer_table, sp
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [

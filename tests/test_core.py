@@ -11,6 +11,7 @@ from saranfk import (
     ConvergenceError,
     QContext,
     PoleError,
+    gamma,
     log_gamma,
     pochhammer,
     q_beta,
@@ -40,6 +41,32 @@ class TestLogGamma:
     def test_pole_rejection(self, z):
         with pytest.raises(PoleError):
             log_gamma(z)
+
+
+class TestGamma:
+    @pytest.mark.parametrize("z", [-20.5, -3.25, -0.5, 0.1, 0.5, 1.0, 3.7, 25.0, 171.5, 171.6])
+    def test_real_against_mpmath(self, z):
+        got = gamma(z)
+        assert isinstance(got, float)
+        with mpmath.workdps(40):
+            want = mpmath.gamma(mpmath.mpf(z))
+            assert abs((got - want) / want) <= 1e-15
+
+    @pytest.mark.parametrize("z", [1 + 1j, -0.5 + 0.5j, 10 - 3j, 0.3 + 20j])
+    def test_complex_against_mpmath(self, z):
+        with mpmath.workdps(40):
+            want = mpmath.gamma(mpmath.mpc(z))
+            assert abs((gamma(z) - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("z", [200.0, 171.7, 180 + 1j])
+    def test_overflow_raises(self, z):
+        with pytest.raises(ConvergenceError):
+            gamma(z)
+
+    @pytest.mark.parametrize("z", [0, -3, -2 + 1e-12j])
+    def test_pole_rejection(self, z):
+        with pytest.raises(PoleError):
+            gamma(z)
 
 
 class TestPochhammer:

@@ -441,6 +441,15 @@ class TestQSeriesHonesty:
         assert not res.passed
         assert res.failures[0].message.startswith("ConvergenceError")
 
+    def test_truncated_qfk_simplified_k_sum_raises(self):
+        # At z = 0.97 the k-sum's 240 rows return 53.36813 against 53.40305
+        # with 3000 allowed, 6.5e-4 relative; the sampler draws z <= 0.3.
+        case = registry_lookup("qfk-erdelyi-simplified")
+        pt = sample_parameters(case, 0, 1)[0]
+        pt = dataclasses.replace(pt, arguments={**pt.arguments, "z": 0.97})
+        with pytest.raises(ConvergenceError):
+            case.rhs(pt, EvalSettings(q=0.5))
+
 
 def qfk_phi3_rhs_restated(v, s):
     """Corollary 4.2's right-hand side with its own tables: coef[p] =
