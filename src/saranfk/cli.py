@@ -40,7 +40,7 @@ from .qkernels import (
     q_moment,
     rphis,
 )
-from .registry import EvalSettings, builtin_registry, verify_identity
+from .registry import EvalSettings, builtin_registry, registry_lookup, verify_identity
 from .series import FkParams, appell_f2, fk_L, gauss_2f1, hyper_pfq, saran_fk_reexpand
 
 
@@ -155,22 +155,9 @@ def _cmd_eval(ns) -> int:
     return 0
 
 
-def _resolve_cases(raw: str):
-    registry = builtin_registry()
-    if raw == "all":
-        return list(registry)
-    by_id = {c.id: c for c in registry}
-    out = []
-    for cid in raw.split(","):
-        cid = cid.strip()
-        if cid not in by_id:
-            raise SaranFKError(f"unknown identity id {cid!r}")
-        out.append(by_id[cid])
-    return out
-
-
 def _run_verification(ns) -> list[dict]:
-    cases = _resolve_cases(ns.identities)
+    cases = builtin_registry() if ns.identities == "all" else [
+        registry_lookup(cid.strip()) for cid in ns.identities.split(",")]
     seed = int(ns.seed)
     # QContext rejects a q outside (0, 1) before any identity runs.
     q_values = [QContext(q=float(q)).q for q in ns.q] if ns.q else [0.5]

@@ -93,6 +93,13 @@ class QContext:
             object.__setattr__(self, "inf_product_terms", _auto_inf_terms(self.q))
 
 
+def _check_indices(**indices):
+    """DomainError unless every index is a non-negative int."""
+    for name, k in indices.items():
+        if not isinstance(k, (int, np.integer)) or k < 0:
+            raise DomainError(f"{name} must be a non-negative int, got {k!r}")
+
+
 def _as_scalar(value):
     """Collapse a 0-d result to a python float/complex, dropping a zero
     imaginary part."""
@@ -124,8 +131,7 @@ def gamma(z):
 
 def pochhammer(a, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1) as an exact product."""
-    if n < 0:
-        raise ValueError("pochhammer order must be non-negative")
+    _check_indices(n=n)
     out = 1.0 + 0.0j
     for j in range(n):
         out *= complex(a) + j
@@ -147,8 +153,7 @@ def pochhammer_table(a, nmax: int) -> np.ndarray:
 
 def q_pochhammer(a, n: int, ctx: QContext):
     """q-shifted factorial (a;q)_n = prod_{j<n} (1 - a q^j); (a;q)_0 = 1."""
-    if n < 0:
-        raise ValueError("q_pochhammer order must be non-negative")
+    _check_indices(n=n)
     out = 1.0 + 0.0j
     qj = 1.0
     for _ in range(n):
@@ -314,7 +319,8 @@ def q_beta(x, y, ctx: QContext):
 
 def q_binomial(k: int, p: int, ctx: QContext):
     """Gaussian binomial coefficient (q;q)_k / ((q;q)_p (q;q)_{k-p})."""
-    if not (0 <= p <= k):
-        raise ValueError(f"q_binomial requires 0 <= p <= k, got k={k}, p={p}")
+    _check_indices(k=k, p=p)
+    if p > k:
+        raise DomainError(f"q_binomial requires 0 <= p <= k, got k={k}, p={p}")
     tab = _q_tables(ctx.q, k, ctx.q)
     return float(tab[k] / (tab[p] * tab[k - p]))

@@ -24,6 +24,7 @@ pass; nothing is cached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -296,17 +297,6 @@ def integrate_product(f: Callable, specs: Sequence[MeasureSpec], order: int = 32
     """
     if len(specs) > 4:
         raise DomainError("product integration supports at most 4 axes")
-    rules = [measure_rule(s, order) for s in specs]
-    k = len(rules)
-    grids = []
-    for i, (t, _) in enumerate(rules):
-        shape = [1] * k
-        shape[i] = t.size
-        grids.append(t.reshape(shape))
-    vals = np.asarray(f(*grids))
-    wgrid = rules[0][1].reshape([-1] + [1] * (k - 1))
-    for i, (_, w) in enumerate(rules[1:], start=1):
-        shape = [1] * k
-        shape[i] = w.size
-        wgrid = wgrid * w.reshape(shape)
-    return _as_scalar(np.sum(wgrid * vals))
+    nodes, weights = zip(*(measure_rule(s, order) for s in specs))
+    vals = np.asarray(f(*np.ix_(*nodes)))
+    return _as_scalar(np.sum(math.prod(np.ix_(*weights)) * vals))

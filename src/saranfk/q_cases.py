@@ -31,6 +31,8 @@ cross-form sampler (`fk_point`) come from `classical_cases`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .classical_cases import (_measure, _measures, erdelyi_fk, erdelyi_measures, fk_params, fk_point, lam_measures,
@@ -229,11 +231,7 @@ def _jv_coeff_tensor(v, k: int, mode: str, sizes, q: float) -> np.ndarray:
         else:
             vec = tabs[j - 1, :n] / tabs[k, :n]
         axes.append(vec)
-    tensor = axes[0].reshape((-1,) + (1,) * (k - 1))
-    for j in range(1, k):
-        shape = [1] * k
-        shape[j] = sizes[j]
-        tensor = tensor * axes[j].reshape(shape)
+    tensor = math.prod(np.ix_(*axes))
     if mode == "hyper":
         tensor = tensor * tabs[k + 1][np.indices(sizes).sum(axis=0)]
     return tensor
@@ -250,16 +248,13 @@ def _lhs_joshi_vyas(pt, s: EvalSettings):
     k, mode = JV_VARIANTS[int(v["variant"])]
     q = s.q
     sizes = _jv_sizes(v, k, mode, s.series_tol)
-    tensor = _jv_coeff_tensor(v, k, mode, sizes, q)
+    vecs = []
     for j in range(1, k + 1):
         n = sizes[j - 1]
         qnu, qlam, qgam, qeta = _q_tables(
             [q ** v[f"{sym}{j}"] for sym in ("nu", "lam", "gamma", "eta")], n - 1, q)
-        vec = qnu * qlam / (qgam * qeta) * v[f"z{j}"] ** np.arange(n)
-        shape = [1] * k
-        shape[j - 1] = n
-        tensor = tensor * vec.reshape(shape)
-    return complex(tensor.sum())
+        vecs.append(qnu * qlam / (qgam * qeta) * v[f"z{j}"] ** np.arange(n))
+    return complex(math.prod(np.ix_(*vecs), start=_jv_coeff_tensor(v, k, mode, sizes, q)).sum())
 
 
 def _rhs_joshi_vyas(pt, s: EvalSettings):
@@ -268,13 +263,9 @@ def _rhs_joshi_vyas(pt, s: EvalSettings):
     v = pt.flat()
     k, mode = JV_VARIANTS[int(v["variant"])]
     sizes = _jv_sizes(v, k, mode, s.series_tol)
-    tensor = _jv_coeff_tensor(v, k, mode, sizes, s.q)
-    for j, (t, w) in enumerate(_q_rules(_slot_axes_measures(v), s), start=1):
-        vec = _moment_powers(t, w, v[f"z{j}"], sizes[j - 1] - 1)
-        shape = [1] * k
-        shape[j - 1] = sizes[j - 1]
-        tensor = tensor * vec.reshape(shape)
-    return complex(tensor.sum())
+    vecs = [_moment_powers(t, w, v[f"z{j}"], sizes[j - 1] - 1)
+            for j, (t, w) in enumerate(_q_rules(_slot_axes_measures(v), s), start=1)]
+    return complex(math.prod(np.ix_(*vecs), start=_jv_coeff_tensor(v, k, mode, sizes, s.q)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     QContext,
     _as_scalar,
+    _check_indices,
     _q_tables,
     q_gamma,
     q_pochhammer_inf,
@@ -457,15 +458,13 @@ def jackson_integral(f, k: int, ctx: QContext):
     tolerance (margin 1); ConvergenceError when it reaches its cap first.  The
     tolerance is the only cut-off: a smaller one gives longer lattices.
     """
+    _check_indices(k=k)
     if not (1 <= k <= 3):
         raise DomainError("jackson_integral supports dimensions 1..3")
     q = ctx.q
 
     def build(sizes):
-        grids = [
-            q ** np.arange(n, dtype=np.float64).reshape([n if j == i else 1 for j in range(k)])
-            for i, n in enumerate(sizes)
-        ]
+        grids = np.ix_(*(q ** np.arange(n, dtype=np.float64) for n in sizes))
         weighted = (1.0 - q) ** k * math.prod(grids) * np.asarray(f(*grids))
         return weighted.sum(), _face_tails(weighted), 0.0, weighted.size
 
@@ -603,8 +602,7 @@ def q_measure_rule(spec: QMeasureSpec):
 
 def q_moment(spec: QMeasureSpec, ell: int):
     """Closed-form lattice moment integral(t^ell d mu)."""
-    if ell < 0:
-        raise ValueError("moment order must be non-negative")
+    _check_indices(ell=ell)
     q = spec.ctx.q
     if isinstance(spec, QDirichletMeasure):
         a, b = complex(spec.alpha), complex(spec.beta)
@@ -732,6 +730,8 @@ def qshift_operator_kernel(
     have upper entries 1/u and 1/v and therefore terminate exactly there.
     ConvergenceError if a table of the sum did not converge.
     """
+    if kmax is not None:
+        _check_indices(kmax=kmax)
     for t in (u, v, w):
         _lattice_index(t, ctx.q)
     rules = [(np.array([float(np.real(t))]), np.ones(1)) for t in (u, v, w)]
@@ -757,13 +757,6 @@ class DiscreteFkParams:
     mu1: float
     mu2: float
     mu3: float
-
-
-def _check_indices(**indices):
-    """DomainError unless every index is a non-negative int."""
-    for name, k in indices.items():
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise DomainError(f"{name} must be a non-negative int, got {k!r}")
 
 
 def _discrete_weights(which: str, r: int, p: DiscreteFkParams, q: float) -> np.ndarray:

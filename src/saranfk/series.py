@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .core import _as_scalar, is_nonpositive_integer, pochhammer_table, sp
+from .core import _as_scalar, _check_indices, is_nonpositive_integer, pochhammer_table, sp
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
@@ -193,9 +193,8 @@ def _stop(rows, absum, n, margin, tol, run, lo, end):
     after terms n + 1, n + 2, ..., per element i: a pair of arrays with a
     leading row per term or, for one element, an iterator of pairs, read
     only up to the stop; absum is 1 + sum |t_i| before them.  A row's tail
-    is max_i |t_i| / (margin (1 + |S_i|)), formed per element once the
-    shared bound max|t| / (margin (1 + max|S|)) of a row is within tol.  The
-    sum stops at the first row past lo terms that ends a run of three tails
+    is max_i |t_i| / (margin (1 + |S_i|)), formed per element.  The sum
+    stops at the first row past lo terms that ends a run of three tails
     within tol (none for margin None, a terminating sum), or at end terms,
     with the _floor of its terms.  Returns (stopping row or None, run,
     converged, estimate: the larger of tail and floor, or the last tail
@@ -212,11 +211,7 @@ def _stop(rows, absum, n, margin, tol, run, lo, end):
         return None, run, False, e, absum
     j, R = None, len(rows[0])
     mags, sums = rows[0].reshape(R, -1), np.abs(rows[1]).reshape(R, -1)
-    tails, near = [0.0] * R, margin is None
-    if not near:
-        tails = [m / (margin * (1.0 + s)) for m, s in zip(mags.max(axis=1).tolist(), sums.max(axis=1).tolist())]
-        if near := min(tails) <= tol:
-            tails = (mags / (margin * (1.0 + sums))).max(axis=1).tolist()
+    tails = [0.0] * R if margin is None else (mags / (margin * (1.0 + sums))).max(axis=1).tolist()
     for last, e in enumerate(tails):
         run = run + 1 if e <= tol else 0
         ok = (run >= 3 or margin is None) and n + last + 1 >= lo
@@ -226,8 +221,6 @@ def _stop(rows, absum, n, margin, tol, run, lo, end):
     absum = absum + mags[: last + 1].sum(axis=0)
     if j is None:
         return None, run, False, e, absum
-    if not near:
-        e = float((mags[j] / (margin * (1.0 + sums[j]))).max())
     floor = _floor(absum, n + j + 1, sums[j])
     return j, run, ok and floor <= tol, max(floor, e), absum
 
@@ -262,9 +255,7 @@ def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
     would, so real series keep their values to the bit; for one element
     _sum_scalar forms them in Python scalars until a denominator vanishes.
     W starts at 8 and doubles, within _SCALAR_WIDTH for one element and
-    _BLOCK_ELEMS / size for arrays; after an array block whose per-row
-    max|t| falls, it is the number of rows the rule is predicted to need
-    plus one, within [8, 2W]: only block boundaries depend on W."""
+    _BLOCK_ELEMS / size for arrays: only block boundaries depend on W."""
     scalar = math.prod(shape) == 1
     if scalar:
         state = [np.ones((), dtype=dtype).item()] * 2
@@ -310,13 +301,6 @@ def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
                 j, run, converged, est, absum = _stop((mags, sums[:rows]), absum, n, margin, tol, run, lo, max_terms)
                 if j is not None:
                     return sums[j].copy()[()], n + j + 1, converged, est, absum
-                # Tails falling by r per row end a run of three log(tol / est) / log(r) + 2 rows on.
-                peaks = mags.reshape(rows, -1).max(axis=1)
-                h = rows // 2
-                if margin is not None and 0 < peaks[-1] < peaks[h] and tol > 0 and math.isfinite(est):
-                    log_r = (math.log(peaks[-1]) - math.log(peaks[h])) / (rows - 1 - h)
-                    need = 3 - run if run else math.ceil((math.log(tol) - math.log(est)) / log_r) + 2
-                    width = min(max(need + 1, min_terms - n - W, 8), 2 * W)
         if rows < W:
             raise PoleError("series denominator factor vanished")
         n += W
@@ -765,6 +749,7 @@ def hyper_pfq(upper, lower, z, tol: float = 1e-12, max_terms: int = 200_000) -> 
     parameter terminates the series.  The estimate and the flag are _stop's,
     tail and rounding floor, with the term a snapped upper parameter cuts off.
     """
+    _check_indices(max_terms=max_terms)
     for ell in lower:
         if is_nonpositive_integer(ell):
             raise PoleError(f"pFq lower parameter {ell} is a non-positive integer")

@@ -50,8 +50,8 @@ from saranfk.core import (
     q_pochhammer_inf_ratio,
     q_pochhammer_table,
 )
-from saranfk import q_cases
-from saranfk import qkernels
+from saranfk import classical_cases, q_cases
+from saranfk import qkernels, series
 from saranfk.qkernels import (
     _lattice_size,
     _lattice_sum,
@@ -703,6 +703,30 @@ class TestFamilyRoute:
         assert len(taken) == 546 and all(taken)
         sizes = {size for _, size in calls}
         assert 1 in sizes and max(sizes) > 1
+
+    def test_classical_node_arrays_never_reach_the_recurrence(self, monkeypatch):
+        # The classical identities sum their node arrays by the power route
+        # or the Chebyshev proxy; _sum_terms sums only their one-element
+        # series (405 at seed 42), so its array blocks need no tuning for them.
+        arrays, routed = [], []
+        terms, power = series._sum_terms, series._power_sum
+
+        def spy_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
+            # margin is None for a terminating series.
+            if margin is not None and math.prod(shape) > 1:
+                arrays.append(shape)
+            return terms(block, shape, dtype, max_terms, tol, margin, min_terms)
+
+        def spy_power(*args):
+            res = power(*args)
+            routed.append(res is not None)
+            return res
+
+        monkeypatch.setattr(series, "_sum_terms", spy_terms)
+        monkeypatch.setattr(series, "_power_sum", spy_power)
+        for case in classical_cases.build():
+            assert verify_identity(case, seed=42, settings=EvalSettings.default()).passed
+        assert arrays == [] and any(routed)
 
     def test_other_rphis_families_never_reach_it(self, monkeypatch):
         # Scalar rphis and the gasper-q node arrays go to the recurrence

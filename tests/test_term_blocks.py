@@ -1,7 +1,7 @@
 """Block-summed term recurrences against the term-at-a-time loops they replace.
 
 `_series_2f1_raw` and `_rphis_array` form their terms W at a time, W = 8
-first and then sized from the observed decay (fewer for large arrays), and
+first and then doubling (within a cap that is lower for large arrays), and
 apply the stopping rule to the rows afterwards.  The reference loop below
 forms one term per step and states the rule once, tested after each term.
 Both must stop at the same term with the same flag; real series give
@@ -368,7 +368,7 @@ def test_size_one_series_at_the_term_cap():
 
 
 # ---------------------------------------------------------------------------
-# Block widths sized from the observed decay
+# Doubling blocks over geometric and rising terms
 # ---------------------------------------------------------------------------
 
 
@@ -392,16 +392,15 @@ def counted_sum(ratios, tol, max_terms, margin=1.0):
 
 @pytest.mark.parametrize("size", [4, 64])
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.9, 0.97])
-def test_geometric_blocks_form_few_spare_rows(r, size):
-    # Margin 1 - r, as for a direct 2F1 at max|z| = r.  Widths 8, 16, 32, ...
-    # formed 31, 240 and 107 rows past the stop at r = 0.3, 0.9 and 0.97;
-    # blocks sized from the decay form at most 8.
+def test_geometric_blocks_stop_as_the_term_loop(r, size):
+    # Margin 1 - r, as for a direct 2F1 at max|z| = r: the doubling blocks
+    # form rows past the stop, but stop at its term with its value.
     rows = np.broadcast_to(r * np.linspace(0.5, 1.0, size), (5000, size))
     want = ref_stop(rows, 1e-12, 5000, 1.0 - r)
     got, formed = counted_sum(rows, 1e-12, 5000, 1.0 - r)
     assert want[2]
     assert_same(got, want)
-    assert want[1] <= formed <= want[1] + 8
+    assert want[1] <= formed
 
 
 def test_rising_terms_reach_their_stop():

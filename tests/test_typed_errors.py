@@ -35,6 +35,7 @@ from saranfk import (
     hyper_pfq,
     hypergeometric_density,
     integrate_measure,
+    jackson_integral,
     measure_rule,
     phi3,
     phi_k_q,
@@ -46,12 +47,14 @@ from saranfk import (
 )
 from saranfk import qkernels
 from saranfk.cli import main
-from saranfk.core import pochhammer
+from saranfk.core import pochhammer, q_binomial, q_pochhammer
 from saranfk.measures import _slot_exponents
 from saranfk.qkernels import _family_sum, _lattice_sum, _rphis_array
 from saranfk.series import CoeffSequence2D, convolve2d
 
 CTX = QContext(q=0.5)
+SHIFT = QfkShiftParams(alpha1=0.8, alpha2=1.1, beta1=0.9, beta2=0.7, gamma3=1.5, eta1=0.9, eta2=0.6, mu2=1.0,
+                       lam1=0.5, lam2=0.8, lam3=0.4)
 
 
 class TestTypedErrors:
@@ -126,6 +129,24 @@ class TestTypedErrors:
     def test_non_finite_input(self, call):
         # Raised before any sum: the engines would otherwise fail in round()
         # or run to their term caps and return NaN.
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: hyper_pfq([0.5], [1.5], 0.3, max_terms=-1), id="pfq-max_terms-negative"),
+        pytest.param(lambda: hyper_pfq([0.5], [1.5], 0.3, max_terms=2.5), id="pfq-max_terms-float"),
+        pytest.param(lambda: q_moment(QDirichletMeasure(0.5, 0.6, CTX), 2.5), id="q_moment-float"),
+        pytest.param(lambda: jackson_integral(lambda t: t, 2.5, CTX), id="jackson-float"),
+        pytest.param(lambda: qshift_operator_kernel(SHIFT, 0.5, 0.25, 0.5, 0.27, 0.21, 0.3, CTX, kmax=-1),
+                     id="shift-kmax-negative"),
+        pytest.param(lambda: qshift_operator_kernel(SHIFT, 0.5, 0.25, 0.5, 0.27, 0.21, 0.3, CTX, kmax=2.5),
+                     id="shift-kmax-float"),
+        pytest.param(lambda: q_binomial(5, 2.5, CTX), id="q_binomial-float"),
+        pytest.param(lambda: pochhammer(3, 2.5), id="pochhammer-float"),
+        pytest.param(lambda: q_pochhammer(0.3, 2.5, CTX), id="q_pochhammer-float"),
+    ])
+    def test_index_not_a_non_negative_int(self, call):
+        # core._check_indices rejects these before any sum or table lookup.
         with pytest.raises(DomainError):
             call()
 
