@@ -30,6 +30,7 @@ from .series import (
     _series_len,
     _series_pfq,
     _shifted_2f1,
+    _shifted_2f1_rows,
     appell_f2,
     convolve2d,
     delta_sequence,
@@ -436,14 +437,15 @@ def _lhs_manocha(pt, s):
 def _f2_rows(a, b, c, lam, eta, X, Y, K: int, tol) -> np.ndarray:
     """Appell F2(a; b, c; lam, eta; X, Y) over node arrays, broadcast, by its
     rows sum_{m<K} (a)_m (b)_m / ((lam)_m m!) X^m 2F1(a+m, c; eta; Y), the
-    2F1 family from _shifted_2f1 over Y.  The rows are summed one at a time,
-    not by a BLAS mat-vec, which may start threads at this size."""
-    G = _shifted_2f1(a, c, eta, Y, K, tol)
+    2F1 family streamed from _shifted_2f1_rows over Y.  Each row is added as
+    its member arrives, so the family is never held whole; not by a BLAS
+    mat-vec either, which may start threads at this size."""
+    G = _shifted_2f1_rows(a, c, eta, Y, K, tol)
     row = np.ones_like(X)
-    total = row * G[0]
-    for m in range(K - 1):
+    total = row * next(G)
+    for m, Gm in enumerate(G):
         row = row * ((a + m) * (b + m) / ((lam + m) * (m + 1.0)) * X)
-        total += row * G[m + 1]
+        total += row * Gm
     return total
 
 

@@ -51,6 +51,12 @@ _LOG_MAX = math.log(np.finfo(np.float64).max)
 # Distance below which a value counts as sitting on the pole lattice Z_{<=0}.
 POLE_TOL = 1e-9
 
+# The one working-memory budget: a table that is reduced as soon as it is
+# built (series._sum_terms' blocks, series._power_sum's power matrix,
+# series.saran_fk_triple's coefficient rows, q_pochhammer_inf's factors) is
+# formed at most this many entries at a time.
+_BLOCK_ELEMS = 1 << 15
+
 
 def is_nonpositive_integer(z, tol: float = POLE_TOL) -> bool:
     """True when z is within tol of {0, -1, -2, ...}; DomainError if z is not finite."""
@@ -87,16 +93,15 @@ class QContext:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
         if self.jackson_tail_tol <= 0:
             raise ValueError("jackson_tail_tol must be positive")
-        if self.inf_product_terms < 0:
-            raise ValueError("inf_product_terms must be non-negative")
+        _check_indices(inf_product_terms=self.inf_product_terms)
         if self.inf_product_terms == 0:
             object.__setattr__(self, "inf_product_terms", _auto_inf_terms(self.q))
 
 
 def _check_indices(**indices):
-    """DomainError unless every index is a non-negative int."""
+    """DomainError unless every index is a non-negative int (a bool is not)."""
     for name, k in indices.items():
-        if not isinstance(k, (int, np.integer)) or k < 0:
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
             raise DomainError(f"{name} must be a non-negative int, got {k!r}")
 
 
@@ -140,6 +145,7 @@ def pochhammer(a, n: int):
 
 def pochhammer_table(a, nmax: int) -> np.ndarray:
     """Array [(a)_0, (a)_1, ..., (a)_nmax] via cumulative products."""
+    _check_indices(nmax=nmax)
     a = complex(a)
     aval = a.real if a.imag == 0.0 else a
     dtype = np.float64 if a.imag == 0.0 else np.complex128
@@ -169,6 +175,7 @@ def q_pochhammer_table(a, nmax: int, q: float) -> np.ndarray:
     so terminating series built from the table stay exactly finite instead of
     accumulating rounding residue.
     """
+    _check_indices(nmax=nmax)
     a = complex(a)
     aval = a.real if a.imag == 0.0 else a
     dtype = np.float64 if a.imag == 0.0 else np.complex128
@@ -224,14 +231,19 @@ def _q_tables(bases, n: int, q, shift=0) -> np.ndarray:
 def q_pochhammer_inf(a, ctx: QContext):
     """(a;q)_inf as a truncated product with an a posteriori tail check.
 
-    Accepts scalars or numpy arrays; arrays are mapped elementwise.
+    Accepts scalars or numpy arrays; arrays are mapped elementwise, the
+    factor table formed for as many elements at a time as keep it within
+    _BLOCK_ELEMS entries.  Each product runs over its factors in order, so
+    the values do not depend on that slicing.
     """
     arr = np.asarray(a)
     if np.any(np.abs(arr) >= 1e10):
         raise DomainError("q_pochhammer_inf is ill-posed for |a| >= 1e10")
     n = ctx.inf_product_terms
     powers = ctx.q ** np.arange(n, dtype=np.float64)
-    out = np.prod(1.0 - np.multiply.outer(arr, powers), axis=-1)
+    flat, step = arr.ravel(), max(1, _BLOCK_ELEMS // n)
+    out = np.concatenate([np.prod(1.0 - np.multiply.outer(flat[i : i + step], powers), axis=-1)
+                          for i in range(0, max(1, flat.size), step)]).reshape(arr.shape)
     # One extra factor must be negligible, otherwise the truncation is unsound.
     extra = np.abs(arr) * ctx.q**n
     if np.any(extra > 1e-13 * np.maximum(1.0, np.abs(out))):

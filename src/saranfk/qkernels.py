@@ -377,6 +377,7 @@ def phi_k_p_tables(p: FkParams, X, Y, ctx: QContext, pmax: int, tol: float = 1e-
     base q^gamma_j is some q^-n, possible for a complex gamma_j, raises
     PoleError.  Returns (coef, A, B, A converged, B converged).
     """
+    _check_indices(pmax=pmax)
     q = ctx.q
     _check_lower_poles([q**p.gamma1, q**p.gamma2, q**p.gamma3], q)
     (u1, l1), (u2, l2), (u3, l3) = [([q**u], [q**l]) for u, l in extra] or [([], [])] * 3

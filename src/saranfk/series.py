@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .core import _as_scalar, _check_indices, is_nonpositive_integer, pochhammer_table, sp
+from .core import _BLOCK_ELEMS, _as_scalar, _check_indices, is_nonpositive_integer, pochhammer_table, sp
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
@@ -225,10 +225,8 @@ def _stop(rows, absum, n, margin, tol, run, lo, end):
     return j, run, ok and floor <= tol, max(floor, e), absum
 
 
-# A block of W terms holds at most this many elements per array, so an input
-# of this size or more is summed one term per block; so does each piece of
-# _power_sum's power matrix.
-_BLOCK_ELEMS = 1 << 15
+# A block of W terms holds at most _BLOCK_ELEMS elements per array, so an
+# input of that size or more is summed one term per block.
 _SCALAR_WIDTH = 512  # rows per block of a one-element series, held as lists
 _PY_OPS = {np.multiply: operator.mul, np.true_divide: operator.truediv}
 
@@ -674,9 +672,10 @@ def _checked(value, terms, converged, est):
     return value
 
 
-def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
-    """F[k] = 2F1(a+k, b; c; z) for k < K, stacked on a new first axis, over
-    a scalar or array z with scalar a, b and c.
+def _shifted_2f1_rows(a, b, c, z, K: int, tol: float):
+    """Yield F[k] = 2F1(a+k, b; c; z) for k < K, one at a time in the dtype
+    of a, b, c, z and the first seed, over a scalar or array z with scalar a,
+    b and c.
 
     Two seed series by _eval_2f1, converged or, for a tol below their
     rounding floor, within _floor(5 + sqrt(n)), that of n terms whose |t|
@@ -691,35 +690,48 @@ def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
     the stable direction: errors stay relative to F.  If b is near a
     non-positive integer the first term vanishes and F is the small
     solution; the error is then eps (1-z)^-k, relative to the growth that
-    the callers' outer series is built to absorb."""
+    the callers' outer series is built to absorb.  Only the two latest
+    members are held."""
 
     def seed(ak):
         value, n, converged, est = _eval_2f1(ak, b, c, z, tol)
         return _checked(value, n, converged or tol < est <= _floor(5.0 + math.sqrt(n)), est)
 
     F0 = seed(a)
-    F = np.empty((K,) + np.shape(F0), dtype=np.result_type(F0, a, b, c, z))
-    F[0] = F0
-    if K > 1:
-        F[1] = seed(a + 1.0)
+    dtype = np.result_type(F0, a, b, c, z)
+    prev = np.asarray(F0, dtype)
+    yield prev
+    if K < 2:
+        return
+    cur = np.asarray(seed(a + 1.0), dtype)
+    yield cur
     k0 = -round(complex(a).real) if is_nonpositive_integer(a) else 0
-    if np.ndim(z) == 0:
+    scalar = np.ndim(z) == 0
+    if scalar:
         # Python scalars: the same operations in the same order as on arrays,
         # without numpy's per-operation overhead on 0-d values.
         a, b, c, z = (np.asarray(v).item() for v in (a, b, c, z))
-        G = F.tolist()
-    else:
-        G = F
+        prev, cur = prev.item(), cur.item()
     inv = 1.0 / (1.0 - z)
     for k in range(1, K - 1):
         ak = a + k
         if k == k0:
-            G[k + 1] = seed(ak + 1.0)
-            continue
-        step = ((2.0 * ak - c) / ak + (b - ak) / ak * z) * inv
-        G[k + 1] = step * G[k] + (c - ak) / ak * inv * G[k - 1]
-    if G is not F:
-        F[...] = G
+            new = seed(ak + 1.0)
+        else:
+            step = ((2.0 * ak - c) / ak + (b - ak) / ak * z) * inv
+            new = step * cur + (c - ak) / ak * inv * prev
+        prev, cur = cur, new if scalar else np.asarray(new, dtype)
+        yield dtype.type(cur) if scalar else cur
+
+
+def _shifted_2f1(a, b, c, z, K: int, tol: float) -> np.ndarray:
+    """The K members of _shifted_2f1_rows stacked on a new first axis."""
+    rows = _shifted_2f1_rows(a, b, c, z, K, tol)
+    F0 = next(rows)
+    F = np.empty((K,) + F0.shape, dtype=F0.dtype)
+    F[0] = F0
+    for k, row in enumerate(rows, 1):
+        F[k] = row
     return F
 
 
@@ -1057,7 +1069,10 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
     convolution in (m, n) of T1 TJ2[., p] and T2 T3[p] TJ1[., p] at s - p, so
     all p are summed by FFT: rows p0 .. are shifted right by p - p0, and the
     products of their transforms summed before one inverse transform.  Each
-    chunk of rows uses length 2 (N - p0), and no buffer exceeds N^2 entries.
+    chunk of rows uses length 2 (N - p0).  The tables are built, and their
+    rows transformed, in blocks of max(8, _BLOCK_ELEMS // N) rows (one block
+    up to N = 181), each chunk's spectra added in row order, so no buffer
+    holds more than about 2 _BLOCK_ELEMS entries.
 
     N starts from the domain ratio and grows through _grow to at most 560.  A
     build returns the shell sum plus its geometric tail at the observed shell
@@ -1099,33 +1114,46 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
         xm = ratio_coef(p.alpha1, p.gamma1, x if x.imag else x.real)
         yn = ratio_coef(p.beta2, p.gamma2, y if y.imag else y.real)
         zp = ratio_coef(None, p.gamma3, z if z.imag else z.real, extra_fact=True)
+        fb1, fa2 = over_fact(p.beta1), over_fact(p.alpha2)
         idx = np.arange(N, dtype=np.int64)
-        np_idx = idx[:, None] + idx[None, :]
         lb = sp.gammaln(np.arange(2 * N - 1) + 1.0)
-        # C(n+p, n) only where n + p < N: the shells past N are not summed,
-        # and there it overflows.
-        binom = np.zeros((N, N))
-        np.exp(lb[np_idx] - lb[:N, None] - lb[None, :N], out=binom, where=np_idx < N)
-        # Row p of A is T1 TJ2[., p], of B T2 T3[p] TJ1[., p] (TJ1 and TJ2
-        # are symmetric); both vanish past N - p.
-        A = over_fact(p.beta1)[np_idx] * binom * xm[None, :]
-        B = over_fact(p.alpha2)[np_idx] * binom * (zp[:, None] * yn[None, :])
         shells = np.zeros(N, dtype=np.complex128 if cplx else np.float64)
-        p0 = 0
-        while p0 < N:
-            K = N - p0
-            rows = min(K, max(8, K // 2))
-            L = 2 * K
-            # Row j written at stride L + 1 and read at stride L lies j
-            # places to the right: shifted by p - p0 before the transform.
-            flat = np.zeros(rows * (L + 1), dtype=A.dtype)
-            flat.reshape(rows, L + 1)[:, :K] = A[p0 : p0 + rows, :K]
-            spectra = fwd(flat[: rows * L].reshape(rows, L)) * fwd(B[p0 : p0 + rows, :K], L)
-            shells[p0:] += inv(spectra.sum(axis=0), L)[:K]
-            p0 += rows
-        # sum |t|: row p of |A| at m meets the sum of row p of |B| over
-        # n < N - m.
-        absum = float((np.abs(A) * np.cumsum(np.abs(B), axis=1)[:, ::-1]).sum())
+        absum, acc = 0.0, None
+        p0, K = 0, N
+        rows = min(K, max(8, K // 2))
+        R = max(8, _BLOCK_ELEMS // N)
+        for r0 in range(0, N, R):
+            r1 = min(N, r0 + R)
+            np_idx = idx[r0:r1, None] + idx[None, :]
+            # C(n+p, n) only where n + p < N: the shells past N are not summed,
+            # and there it overflows.
+            binom = np.zeros((r1 - r0, N))
+            np.exp(lb[np_idx] - lb[r0:r1, None] - lb[None, :N], out=binom, where=np_idx < N)
+            # Row p of A is T1 TJ2[., p], of B T2 T3[p] TJ1[., p] (TJ1 and TJ2
+            # are symmetric); both vanish past N - p.
+            A = fb1[np_idx] * binom * xm[None, :]
+            B = fa2[np_idx] * binom * (zp[r0:r1, None] * yn[None, :])
+            # sum |t|: row p of |A| at m meets the sum of row p of |B| over
+            # n < N - m.
+            absum += float((np.abs(A) * np.cumsum(np.abs(B), axis=1)[:, ::-1]).sum())
+            r = r0
+            while r < r1:
+                # Rows r .. end - 1 of the chunk from p0: the j-th of them is
+                # written from j (L + 1) + r - p0 and read from j L, so row p
+                # lies p - p0 places to the right before the transform.
+                end, L, j0 = min(r1, p0 + rows), 2 * K, r - p0
+                flat = np.zeros(j0 + (end - r) * (L + 1), dtype=A.dtype)
+                flat[j0:].reshape(end - r, L + 1)[:, :K] = A[r - r0 : end - r0, :K]
+                spectra = fwd(flat[: (end - r) * L].reshape(end - r, L)) * fwd(B[r - r0 : end - r0, :K], L)
+                # The chunk's spectra added in row order, as one sum over it would.
+                if acc is not None:
+                    spectra[0] += acc
+                acc, r = spectra.sum(axis=0), end
+                if r == p0 + rows:
+                    shells[p0:] += inv(acc, L)[:K]
+                    acc, p0 = None, p0 + rows
+                    K = N - p0
+                    rows = min(K, max(8, K // 2))
         total = shells.sum()
         rate = _shell_rate(shells, N - 1, 0.0)
         corr = shells[-1] * rate / (1.0 - rate)
@@ -1194,6 +1222,7 @@ def geometric_sequence(r: float) -> CoeffSequence2D:
 def fk_diagonal_sequence(a1, a2, g3, probe: int = 60) -> CoeffSequence2D:
     """Diagonal sequence (a1)_n (a2)_n / (n! (g3)_n) on m = n, zero elsewhere.
     Feeding it to the convolution family reproduces Saran's F_K."""
+    _check_indices(probe=probe)
     t1 = pochhammer_table(a1, probe)
     t2 = pochhammer_table(a2, probe)
     t3 = pochhammer_table(g3, probe)

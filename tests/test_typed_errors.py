@@ -30,6 +30,7 @@ from saranfk import (
     dirichlet_density,
     discrete_weight,
     fk_L,
+    fk_diagonal_sequence,
     gauss_2f1,
     generic_f_a,
     hyper_pfq,
@@ -47,9 +48,9 @@ from saranfk import (
 )
 from saranfk import qkernels
 from saranfk.cli import main
-from saranfk.core import pochhammer, q_binomial, q_pochhammer
+from saranfk.core import pochhammer, pochhammer_table, q_binomial, q_pochhammer, q_pochhammer_table
 from saranfk.measures import _slot_exponents
-from saranfk.qkernels import _family_sum, _lattice_sum, _rphis_array
+from saranfk.qkernels import _family_sum, _lattice_sum, _rphis_array, phi_k_p_tables
 from saranfk.series import CoeffSequence2D, convolve2d
 
 CTX = QContext(q=0.5)
@@ -144,9 +145,21 @@ class TestTypedErrors:
         pytest.param(lambda: q_binomial(5, 2.5, CTX), id="q_binomial-float"),
         pytest.param(lambda: pochhammer(3, 2.5), id="pochhammer-float"),
         pytest.param(lambda: q_pochhammer(0.3, 2.5, CTX), id="q_pochhammer-float"),
+        pytest.param(lambda: pochhammer(3, True), id="pochhammer-bool"),
+        pytest.param(lambda: pochhammer_table(0.5, -1), id="pochhammer_table-negative"),
+        pytest.param(lambda: pochhammer_table(0.5, 2.5), id="pochhammer_table-float"),
+        pytest.param(lambda: q_pochhammer_table(0.5, -1, 0.5), id="q_pochhammer_table-negative"),
+        pytest.param(lambda: fk_diagonal_sequence(0.5, 0.6, 1.5, probe=2.5), id="fk_diagonal-probe-float"),
+        pytest.param(lambda: phi_k_p_tables(FkParams(0.5, 0.6, 0.7, 0.8, 1.1, 1.2, 1.3), 0.1, 0.1, CTX, -1),
+                     id="phi_k_p_tables-negative"),
+        pytest.param(lambda: phi_k_p_tables(FkParams(0.5, 0.6, 0.7, 0.8, 1.1, 1.2, 1.3), 0.1, 0.1, CTX, 2.5),
+                     id="phi_k_p_tables-float"),
+        pytest.param(lambda: QContext(q=0.5, inf_product_terms=2.5), id="qcontext-inf_terms-float"),
+        pytest.param(lambda: QContext(q=0.5, inf_product_terms=True), id="qcontext-inf_terms-bool"),
     ])
     def test_index_not_a_non_negative_int(self, call):
-        # core._check_indices rejects these before any sum or table lookup.
+        # core._check_indices rejects these before any sum or table lookup;
+        # a bool is not an index.
         with pytest.raises(DomainError):
             call()
 
