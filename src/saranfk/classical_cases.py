@@ -611,82 +611,31 @@ def _rhs_fk_cross(pt, s):
 
 
 def build() -> tuple[IdentityCase, ...]:
-    return (
-        IdentityCase(
-            id="euler-1", anchor="Eq. (1.2)",
-            measures=_euler1_measures,
-            sampler=_sample_euler, lhs=_lhs_2f1, rhs=_rhs_euler1,
-            tol=1e-9, cost_class="single-integral", default_samples=50,
-        ),
-        IdentityCase(
-            id="euler-2", anchor="Eq. (1.3)",
-            measures=_euler2_measures,
-            sampler=_sample_euler2, lhs=_lhs_2f1, rhs=_rhs_euler2,
-            tol=1e-9, cost_class="single-integral", default_samples=50,
-        ),
-        IdentityCase(
-            id="bateman", anchor="Eq. (1.5)",
-            measures=lam_measures,
-            sampler=_sample_bateman, lhs=_lhs_2f1, rhs=_rhs_bateman,
-            tol=1e-9, cost_class="single-integral", default_samples=50,
-        ),
-        IdentityCase(
-            id="erdelyi-1", anchor="Eq. (1.6)",
-            measures=lam_measures,
-            sampler=_sample_erdelyi1, lhs=_lhs_2f1, rhs=_rhs_erdelyi1,
-            tol=1e-9, cost_class="single-integral", default_samples=50,
-        ),
-        IdentityCase(
-            id="erdelyi-2", anchor="Eq. (1.7)",
-            measures=_erdelyi2_measures,
-            sampler=_sample_erdelyi2, lhs=_lhs_2f1, rhs=_rhs_erdelyi2,
-            tol=1e-9, cost_class="single-integral", default_samples=50,
-        ),
-        IdentityCase(
-            id="erdelyi-3", anchor="Eq. (1.8)",
-            measures=slot_measures,
-            sampler=_sample_erdelyi3, lhs=_lhs_2f1, rhs=_rhs_erdelyi3,
-            tol=1e-9, cost_class="single-integral", default_samples=50,
-        ),
-        IdentityCase(
-            id="fk-erdelyi", anchor="Theorem 1.1",
-            measures=erdelyi_measures,
-            sampler=_sample_fk_erdelyi, lhs=_lhs_fk_erdelyi, rhs=_rhs_fk_erdelyi,
-            tol=1e-6, cost_class="triple-integral", default_samples=10,
-        ),
-        IdentityCase(
-            id="f2-curious", anchor="Theorem 3.2",
-            measures=_f2_curious_measures,
-            sampler=_sample_f2_curious, lhs=_lhs_f2_curious, rhs=_rhs_f2_curious,
-            tol=1e-8, cost_class="single-integral", default_samples=20,
-        ),
-        IdentityCase(
-            id="f2-reduction-proof", anchor="Eqs. (3.7)+Pfaff",
-            sampler=_sample_f2_reduction, lhs=_lhs_f2_reduction, rhs=_rhs_f2_reduction,
-            tol=1e-10, cost_class="cheap", default_samples=25,
-        ),
-        IdentityCase(
-            id="manocha", anchor="Eq. (3.10)",
-            measures=_manocha_measures,
-            sampler=_sample_manocha, lhs=_lhs_manocha, rhs=_rhs_manocha,
-            tol=1e-8, cost_class="single-integral", default_samples=20,
-        ),
-        IdentityCase(
-            id="manocha-reduced", anchor="Eq. (3.11)",
-            measures=_manocha_reduced_measures,
-            sampler=_sample_manocha_reduced, lhs=_lhs_manocha, rhs=_rhs_manocha_reduced,
-            tol=1e-8, cost_class="single-integral", default_samples=20,
-        ),
-        IdentityCase(
-            id="fa-erdelyi", anchor="Theorem 3.3",
-            measures=_fa_measures,
-            sampler=_sample_fa_erdelyi, lhs=_lhs_fa_erdelyi, rhs=_rhs_fa_erdelyi,
-            tol=1e-8, cost_class="triple-integral", default_samples=20,
-        ),
-        IdentityCase(
-            id="fk-cross-form", anchor="Eqs. (1.12)/(1.13)",
-            sampler=lambda rng: fk_point(rng, _fk_args(rng)),
-            lhs=_lhs_fk_cross, rhs=_rhs_fk_cross,
-            tol=1e-10, cost_class="cheap", default_samples=25,
-        ),
+    # One row per identity: id, anchor, sampler, lhs, rhs, tol, cost class,
+    # default samples and, where the right-hand side integrates, its measures.
+    rows = (
+        ("euler-1", "Eq. (1.2)", _sample_euler, _lhs_2f1, _rhs_euler1, 1e-9, "single-integral", 50, _euler1_measures),
+        ("euler-2", "Eq. (1.3)", _sample_euler2, _lhs_2f1, _rhs_euler2, 1e-9, "single-integral", 50, _euler2_measures),
+        ("bateman", "Eq. (1.5)", _sample_bateman, _lhs_2f1, _rhs_bateman, 1e-9, "single-integral", 50, lam_measures),
+        ("erdelyi-1", "Eq. (1.6)", _sample_erdelyi1, _lhs_2f1, _rhs_erdelyi1,
+         1e-9, "single-integral", 50, lam_measures),
+        ("erdelyi-2", "Eq. (1.7)", _sample_erdelyi2, _lhs_2f1, _rhs_erdelyi2,
+         1e-9, "single-integral", 50, _erdelyi2_measures),
+        ("erdelyi-3", "Eq. (1.8)", _sample_erdelyi3, _lhs_2f1, _rhs_erdelyi3,
+         1e-9, "single-integral", 50, slot_measures),
+        ("fk-erdelyi", "Theorem 1.1", _sample_fk_erdelyi, _lhs_fk_erdelyi, _rhs_fk_erdelyi,
+         1e-6, "triple-integral", 10, erdelyi_measures),
+        ("f2-curious", "Theorem 3.2", _sample_f2_curious, _lhs_f2_curious, _rhs_f2_curious,
+         1e-8, "single-integral", 20, _f2_curious_measures),
+        ("f2-reduction-proof", "Eqs. (3.7)+Pfaff", _sample_f2_reduction, _lhs_f2_reduction, _rhs_f2_reduction,
+         1e-10, "cheap", 25),
+        ("manocha", "Eq. (3.10)", _sample_manocha, _lhs_manocha, _rhs_manocha,
+         1e-8, "single-integral", 20, _manocha_measures),
+        ("manocha-reduced", "Eq. (3.11)", _sample_manocha_reduced, _lhs_manocha, _rhs_manocha_reduced,
+         1e-8, "single-integral", 20, _manocha_reduced_measures),
+        ("fa-erdelyi", "Theorem 3.3", _sample_fa_erdelyi, _lhs_fa_erdelyi, _rhs_fa_erdelyi,
+         1e-8, "triple-integral", 20, _fa_measures),
+        ("fk-cross-form", "Eqs. (1.12)/(1.13)", lambda rng: fk_point(rng, _fk_args(rng)), _lhs_fk_cross, _rhs_fk_cross,
+         1e-10, "cheap", 25),
     )
+    return tuple(IdentityCase(*row[:7], False, *row[7:]) for row in rows)

@@ -571,82 +571,32 @@ def _lhs_phik_cross(pt, s: EvalSettings):
 
 
 def build() -> tuple[IdentityCase, ...]:
-    return (
-        IdentityCase(
-            id="gasper-q-erdelyi-1", anchor="Eq. (2.1)",
-            measures=lam_measures,
-            sampler=_sample_gasper1, lhs=_lhs_2phi1, rhs=_rhs_gasper1,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=8,
-        ),
-        IdentityCase(
-            id="gasper-q-erdelyi-3", anchor="Eq. (2.3)",
-            measures=slot_measures,
-            sampler=_sample_gasper3, lhs=_lhs_2phi1, rhs=_rhs_gasper3,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=8,
-        ),
-        IdentityCase(
-            id="ernst-q-bateman", anchor="Bateman-type q-integral",
-            measures=_ernst_measures,
-            sampler=_sample_ernst, lhs=_lhs_phi_k, rhs=_rhs_ernst,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
-        ),
-        IdentityCase(
-            id="joshi-vyas-general", anchor="Theorem 4.1",
-            measures=_slot_axes_measures,
-            sampler=_sample_joshi_vyas, lhs=_lhs_joshi_vyas, rhs=_rhs_joshi_vyas,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=9,
-        ),
-        IdentityCase(
-            id="qfk-phi3", anchor="Corollary 4.2",
-            measures=_slot_axes_measures,
-            sampler=_sample_qfk_phi3, lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
-        ),
-        IdentityCase(
-            id="qfk-phi3-x0", anchor="Corollary 4.2 at x=0",
-            measures=_slot_axes_measures,
-            sampler=lambda rng: _sample_qfk_phi3(rng, x_zero=True),
-            lhs=_lhs_phi_k, rhs=_rhs_qfk_phi3,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
-        ),
-        IdentityCase(
-            id="qfk-lr", anchor="Corollary 4.3",
-            measures=_qfk_lr_measures,
-            sampler=_sample_qfk_lr, lhs=_lhs_phi_k, rhs=_rhs_qfk_lr,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
-        ),
-        IdentityCase(
-            id="gasper-discrete", anchor="Eq. (2.4)",
-            sampler=_sample_gasper_discrete, lhs=_lhs_gasper_discrete, rhs=_rhs_gasper_discrete,
-            tol=1e-12, cost_class="cheap", uses_q=True, default_samples=10,
-        ),
-        IdentityCase(
-            id="fk-discrete", anchor="Theorem 4.4",
-            sampler=_sample_fk_discrete, lhs=_lhs_fk_discrete, rhs=_rhs_fk_discrete,
-            tol=1e-12, cost_class="cheap", uses_q=True, default_samples=10,
-        ),
-        IdentityCase(
-            id="fk-discrete-limits", anchor="Eqs. (4.6)-(4.9)",
-            measures=_fk_limits_measures,
-            sampler=_sample_fk_limits, lhs=_lhs_phi_k, rhs=_rhs_fk_limits,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=5,
-        ),
-        IdentityCase(
-            id="qfk-erdelyi", anchor="Theorem 4.6",
-            measures=erdelyi_measures,
-            sampler=_sample_qfk_erdelyi, lhs=_lhs_qfk_erdelyi, rhs=_rhs_qfk_erdelyi,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
-        ),
-        IdentityCase(
-            id="qfk-erdelyi-simplified", anchor="Corollary 4.7",
-            measures=_simplified_measures,
-            sampler=_sample_qfk_simplified, lhs=_lhs_qfk_erdelyi, rhs=_rhs_qfk_simplified,
-            tol=1e-8, cost_class="q-lattice", uses_q=True, default_samples=6,
-        ),
-        IdentityCase(
-            id="phik-cross-form", anchor="Eqs. (1.15)/(1.16)",
-            sampler=lambda rng: fk_point(rng, _qargs(rng)),
-            lhs=_lhs_phik_cross, rhs=_lhs_phi_k,
-            tol=1e-10, cost_class="cheap", uses_q=True, default_samples=15,
-        ),
+    # One row per identity: id, anchor, sampler, lhs, rhs, tol, cost class,
+    # default samples and, where the right-hand side integrates, its measures.
+    rows = (
+        ("gasper-q-erdelyi-1", "Eq. (2.1)", _sample_gasper1, _lhs_2phi1, _rhs_gasper1,
+         1e-8, "q-lattice", 8, lam_measures),
+        ("gasper-q-erdelyi-3", "Eq. (2.3)", _sample_gasper3, _lhs_2phi1, _rhs_gasper3,
+         1e-8, "q-lattice", 8, slot_measures),
+        ("ernst-q-bateman", "Bateman-type q-integral", _sample_ernst, _lhs_phi_k, _rhs_ernst,
+         1e-8, "q-lattice", 6, _ernst_measures),
+        ("joshi-vyas-general", "Theorem 4.1", _sample_joshi_vyas, _lhs_joshi_vyas, _rhs_joshi_vyas,
+         1e-8, "q-lattice", 9, _slot_axes_measures),
+        ("qfk-phi3", "Corollary 4.2", _sample_qfk_phi3, _lhs_phi_k, _rhs_qfk_phi3,
+         1e-8, "q-lattice", 6, _slot_axes_measures),
+        ("qfk-phi3-x0", "Corollary 4.2 at x=0", lambda rng: _sample_qfk_phi3(rng, x_zero=True), _lhs_phi_k,
+         _rhs_qfk_phi3, 1e-8, "q-lattice", 6, _slot_axes_measures),
+        ("qfk-lr", "Corollary 4.3", _sample_qfk_lr, _lhs_phi_k, _rhs_qfk_lr, 1e-8, "q-lattice", 6, _qfk_lr_measures),
+        ("gasper-discrete", "Eq. (2.4)", _sample_gasper_discrete, _lhs_gasper_discrete, _rhs_gasper_discrete,
+         1e-12, "cheap", 10),
+        ("fk-discrete", "Theorem 4.4", _sample_fk_discrete, _lhs_fk_discrete, _rhs_fk_discrete, 1e-12, "cheap", 10),
+        ("fk-discrete-limits", "Eqs. (4.6)-(4.9)", _sample_fk_limits, _lhs_phi_k, _rhs_fk_limits,
+         1e-8, "q-lattice", 5, _fk_limits_measures),
+        ("qfk-erdelyi", "Theorem 4.6", _sample_qfk_erdelyi, _lhs_qfk_erdelyi, _rhs_qfk_erdelyi,
+         1e-8, "q-lattice", 6, erdelyi_measures),
+        ("qfk-erdelyi-simplified", "Corollary 4.7", _sample_qfk_simplified, _lhs_qfk_erdelyi, _rhs_qfk_simplified,
+         1e-8, "q-lattice", 6, _simplified_measures),
+        ("phik-cross-form", "Eqs. (1.15)/(1.16)", lambda rng: fk_point(rng, _qargs(rng)), _lhs_phik_cross, _lhs_phi_k,
+         1e-10, "cheap", 15),
     )
+    return tuple(IdentityCase(*row[:7], True, *row[7:]) for row in rows)

@@ -20,7 +20,7 @@ since (q; q)_n alone underflows near q = 1.
 
 Sums.  phi3, jackson_integral, the Phi_K sum `_phi_k_sum` and the
 shift-operator sum `_shift_sum` grow through series._grow; q_measure_rule,
-which returns a lattice rule, keeps its own cut-off.  `_phi_k_sum` sums the
+which returns a lattice rule, doubles its lattice itself.  `_phi_k_sum` sums the
 q-F_K once, over its third index against three lattice rules: `phi_k_q` is
 that sum at one node, and `phi3` the independent triple series.  The
 discrete identity's sums cancel heavily and are formed in long double.
@@ -47,8 +47,8 @@ from .core import (
 from .errors import ConvergenceError, DomainError, PoleError
 from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _rule_sum, _slot_inverse
 from .series import (
-    FkParams, SeriesResult, _Same, _checked, _face_tails, _floor, _grow, _power_sum, _series_len, _shell_rate,
-    _sum_terms,
+    FkParams, SeriesResult, _Same, _checked, _floor, _grow, _power_sum, _ratio_rate, _series_len, _shell_rate,
+    _slab_build, _sum_terms, _tail,
 )
 
 __all__ = [
@@ -136,10 +136,10 @@ def _family_sum(uppers, lowers, X, ctx: QContext, tol: float):
     series._power_sum, as an array of shape X.shape + (uppers[0].size,).
 
     uppers[0] is the array of shifted bases and every other entry a scalar,
-    so the n-th term is C[p, n] X^n, with C from one _q_tables call, summed at
-    margin 0.25 from N = _series_len(max|X|, tol) terms.  Where a denominator
-    (b; q)_n or (q; q)_n vanishes, or _power_sum declines, _rphis_array's
-    recurrence sums the table.  Returns (value, terms, converged, estimate)."""
+    so the n-th term is C[p, n] X^n, with C from one _q_tables call, summed
+    from N = _series_len(max|X|, tol) terms.  Where a denominator (b; q)_n
+    or (q; q)_n vanishes, or _power_sum declines, _rphis_array's recurrence
+    sums the table.  Returns (value, terms, converged, estimate)."""
     q, x = ctx.q, np.asarray(X)
     P, nlow = len(uppers[0]), len(lowers) + 1
     bases = np.concatenate([uppers[0], uppers[1:], lowers, [q]])
@@ -153,7 +153,7 @@ def _family_sum(uppers, lowers, X, ctx: QContext, tol: float):
         return math.prod([tables[:P], *tables[P:-nlow]]) / den
 
     N = max(_series_len(float(np.abs(x).max()), tol), 8)
-    res = _power_sum(coef, x.astype(dtype), tol, 0.25, _MAX_TERMS, N)
+    res = _power_sum(coef, x.astype(dtype), tol, _ratio_rate(uppers, lowers, x, q), _MAX_TERMS, N)
     if res is None:
         return _rphis_array(uppers, lowers, x[..., None], ctx, tol)
     total, N, converged, est = res
@@ -225,7 +225,8 @@ def _rphis_array(
         total, absum = lattice
         est = _floor(absum, nsteps, total)
         return total, nsteps, est <= tol, est
-    return _sum_terms(block, shape, dtype, nsteps, tol, None if ta is not None else 0.25)[:4]
+    rate = None if ta is not None else _ratio_rate(uppers, lowers, z, q)
+    return _sum_terms(block, shape, dtype, nsteps, tol, rate)[:4]
 
 
 def rphis(upper, lower, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
@@ -302,8 +303,9 @@ def _axis_size(zval, tol: float, terminations) -> int:
 
 def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
     """Triple basic hypergeometric series, summed over an adaptive index box
-    with the joint q-shifted factorials gathered from cumulative tables; the
-    estimate includes 4 times the box's _floor.  ConvergenceError when a box
+    with the joint q-shifted factorials gathered from cumulative tables,
+    judged by _slab_build at the rates |x|, |y|, |z|, 4 times its _floor
+    included.  ConvergenceError when a box
     sums to a value that is not finite: a larger box keeps every term of it."""
     q = ctx.q
     spec.validate(q)
@@ -345,12 +347,13 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
         for j, idx in zip((6, 8, 10, 12), (m + n + p, m + n, n + p, m + p)):
             if groups[j] or groups[j + 1]:
                 tensor = tensor * (prods[j] / prods[j + 1])[idx]
-        total = tensor.sum()
-        if not np.isfinite(total):
-            raise ConvergenceError(f"phi3 gave the non-finite value {_as_scalar(total)}")
-        return total, _face_tails(tensor, complete), 4.0 * _floor(np.abs(tensor).sum(), tensor.size, total), tensor.size
+        build = _slab_build(tensor, rates, complete, 4.0)
+        if not np.isfinite(build[0]):
+            raise ConvergenceError(f"phi3 gave the non-finite value {_as_scalar(build[0])}")
+        return build
 
-    return _grow(build, sizes, [96, 96, 96], tol, 0.2)
+    rates = [abs(v) for v in (x, y, z)]
+    return _grow(build, sizes, [96, 96, 96], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +398,6 @@ _ONE_NODE = (np.float64(1.0), np.float64(1.0))
 _PMAX = 800  # the cap on the p rows of the Phi_K decomposition
 
 
-def _slab_build(terms, rates, ok, complete=()):
-    """A _grow build (total, tails, floor, terms) of a table of terms.  Axis
-    i's tail is its last slab of |t| over 1 - r, r the slabs' rate as
-    _shell_rate reads it and at least rates[i], the rate they approach: a
-    bound on the slabs it drops while they fall at least that fast.  It is
-    0.0 for an axis of length one or in complete.  The floor is _floor's, or
-    inf unless ok (the tables converged)."""
-    mags, total = np.abs(terms), terms.sum()
-    slabs = [mags.sum(axis=tuple(j for j in range(terms.ndim) if j != i)).tolist() for i in range(terms.ndim)]
-    tails = [0.0 if len(s) < 2 or i in complete else s[-1] / (1.0 - _shell_rate(s, len(s) - 1, r))
-             for i, (s, r) in enumerate(zip(slabs, rates))]
-    return total, tails, _floor(mags.sum(), terms.size, total) if ok else math.inf, terms.size
-
-
 def _phi_k_sum(p: FkParams, rules, x, y, z, ctx: QContext, tol: float, extra=()) -> SeriesResult:
     """Phi_K(x t1, y t2, z t3) summed against three lattice rules (t_j, w_j)
     through its third-index decomposition (`phi_k_p_tables`, with extra):
@@ -426,9 +415,9 @@ def _phi_k_sum(p: FkParams, rules, x, y, z, ctx: QContext, tol: float, extra=())
         (pmax,) = sizes
         coef, A, B, okA, okB = phi_k_p_tables(p, x * t1, y * t2, ctx, pmax, tol * 1e-2, extra)
         rows = coef * _rule_sum(w1, A) * _rule_sum(w2, B) * _moment_powers(t3, w3, z, pmax)
-        return _slab_build(rows, [zmag], okA and okB)
+        return _slab_build(rows, [zmag], floors=1.0 if okA and okB else math.inf)
 
-    return _grow(build, [_series_len(zmag, tol, 8, 160)], [_PMAX], tol, 1.0)
+    return _grow(build, [_series_len(zmag, tol, 8, 160)], [_PMAX], tol)
 
 
 def phi_k_q(p: FkParams, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesResult:
@@ -455,8 +444,8 @@ def jackson_integral(f, k: int, ctx: QContext):
 
     f receives open-mesh arrays of lattice values and must broadcast.  Each
     axis starts at max(40, log_q ctx.jackson_tail_tol) points and grows
-    through _grow until its boundary slab of the weighted sum is within that
-    tolerance (margin 1); ConvergenceError when it reaches its cap first.  The
+    through _grow until its _slab_build tail at the rate q is within that
+    tolerance; ConvergenceError when it reaches its cap first.  The
     tolerance is the only cut-off: a smaller one gives longer lattices.
     """
     _check_indices(k=k)
@@ -467,10 +456,10 @@ def jackson_integral(f, k: int, ctx: QContext):
     def build(sizes):
         grids = np.ix_(*(q ** np.arange(n, dtype=np.float64) for n in sizes))
         weighted = (1.0 - q) ** k * math.prod(grids) * np.asarray(f(*grids))
-        return weighted.sum(), _face_tails(weighted), 0.0, weighted.size
+        return _slab_build(weighted, [q] * k)
 
     cap = {1: 20000, 2: 2000, 3: 500}[k]
-    r = _grow(build, [_lattice_size(ctx)] * k, [cap] * k, ctx.jackson_tail_tol, 1.0)
+    r = _grow(build, [_lattice_size(ctx)] * k, [cap] * k, ctx.jackson_tail_tol)
     if not r.converged:
         raise ConvergenceError("Jackson lattice tail bound not met at cutoff cap")
     return r.value
@@ -576,24 +565,24 @@ def _measure_decay(spec: QMeasureSpec) -> float:
 def q_measure_rule(spec: QMeasureSpec):
     """Lattice nodes and effective weights of a q-measure, so that
     integral(f d mu) ~ weights @ f(nodes).  The lattice starts where the
-    measure's decay reaches spec.ctx.jackson_tail_tol and doubles until its
-    tail bound, relative to that tolerance, holds, evaluating only the nodes
-    it adds.  It stops at 4000 nodes, or sooner at the last n whose q^n is a
-    normal double: past it t = 0 and t^(a-1) is not finite."""
+    measure's decay reaches spec.ctx.jackson_tail_tol and doubles until the
+    _tail of its weights, at least at the rate q^decay, is within that
+    tolerance, evaluating only the nodes it adds.  It stops at 4000 nodes, or
+    sooner at the last n whose q^n is a normal double: past it t = 0 and
+    t^(a-1) is not finite."""
     ctx = spec.ctx
     q = ctx.q
     cap = min(4000, math.floor(math.log(np.finfo(np.float64).tiny) / math.log(q)))
-    N = min(cap, _lattice_size(ctx, max(_measure_decay(spec), 0.05)))
+    decay = _measure_decay(spec)
+    N = min(cap, _lattice_size(ctx, max(decay, 0.05)))
     t = w = np.empty(0)
     for _ in range(4):
         n = np.arange(t.size, N)
         tn = q ** n.astype(np.float64)
         t = np.concatenate([t, tn])
         w = np.concatenate([w, (1.0 - q) * tn * _q_density_lattice(spec, n)])
-        # Geometric extrapolation of the dropped tail from the last weights.
-        rhat = min(float(np.abs(w[-1]) / max(np.abs(w[-2]), 1e-300)), 0.98)
-        tail = float(np.abs(w[-1])) * (1.0 + rhat / (1.0 - rhat))
-        if tail <= ctx.jackson_tail_tol * (1.0 + float(np.abs(w).sum())):
+        last = np.abs(w[-4:]).tolist()
+        if _tail(last[3], _shell_rate(last, 3, q**decay)) <= ctx.jackson_tail_tol * (1.0 + float(np.abs(w).sum())):
             return t, w
         if N >= cap:
             break
@@ -703,11 +692,11 @@ def _shift_sum(
         SV = np.einsum("j,jk,jkp->kp", wv, B, FB[nv[:, None] + k - mv[0]])
         kp = np.add.outer(k, np.arange(pmax + 1))
         terms = ck[:, None] * coef * SU * SV * _moment_powers(tw, ww, z, kmax + pmax)[kp]
-        return _slab_build(terms, [base, zmag], okA and okB, complete=[0] if cut else [])
+        return _slab_build(terms, [base, zmag], [0] if cut else [], 1.0 if okA and okB else math.inf)
 
     if not cut:
         kmax = int(np.clip(math.ceil(math.log(tol * 1e-2) / math.log(max(base, 1e-12))), 8, 300)) if zmag else 0
-    return _grow(build, [kmax, _series_len(zmag, tol, 8, 160)], [kmax if cut else 300, _PMAX], tol, 1.0)
+    return _grow(build, [kmax, _series_len(zmag, tol, 8, 160)], [kmax if cut else 300, _PMAX], tol)
 
 
 def qshift_operator_kernel(

@@ -6,20 +6,20 @@ extension) through one chain engine, F_K again as a triple series, shifted
 2F1 families by their contiguous recurrence, and the convolution family built
 from shifted 2F1 products.
 
-Truncation follows one rule.  An engine measures the part of the series it
-summed last (a term, the last index shell, the summed boundary faces of an
-index box, or the last slab of a chain axis) against the partial sum, as
-tail / (margin (1 + |S|)): margin 1 - r for terms falling like r^n (r =
-max|z| for a direct 2F1 or pFq with p = q + 1, 0.03 for a terminating one
-at |z| >= 1, 0.5 for other pFq, 0.25 for r_phi_s; r observed for F_K shells
-and chain slabs, times 0.25 and 0.025), 0.2 for box faces.  A series has
-converged once that and the rounding floor (_floor), which no more terms
-reduce, are at most tol; est_trunc_error is the larger.  The term drivers,
-_sum_terms through _stop and _power_sum for a coefficient row times the
-powers of many arguments, judge per element; a terminating sum reports its
-floor.  Block engines grow through _grow, each to its own cap.
-An upper parameter within pole tolerance of a non-positive integer is
-rounded onto it, and the estimate carries the first term that cuts off.
+Truncation follows one rule, _tail: the part of a series not summed is its
+last term, shell, slab or face times 1 / (1 - r), where r is the larger of
+the rate observed over the last few and an a priori bound on the ratio from
+there on; r >= 1 bounds nothing, so the series grows or is unconverged.  The
+term drivers (_sum_terms, judged by _stop, and _power_sum for a coefficient
+row times the powers of many arguments) take as r _ratio_rate, a supremum
+over all later term ratios of a pFq or an r_phi_s read once per block; their
+estimate is the larger of the tail, relative to 1 + |S|, and the rounding
+floor (_floor), which no more terms reduce.  Block engines grow through
+_grow, each to its own cap, judge each axis by _slab_build or their own
+shells, and add the axes' tails to the floor.  A series has converged once
+its estimate is at most tol; a terminating sum reports its floor.  An upper
+parameter within pole tolerance of a non-positive integer is rounded onto
+it, and the estimate carries the terms that cut off.
 """
 
 from __future__ import annotations
@@ -106,16 +106,17 @@ def _snap_terminating(a):
 
 def _snapped(upper, lower, z):
     """The upper parameters through _snap_terminating, and the estimate that
-    adds: the first term it cuts off, from the parameters as given, at
-    max|z| and over the margin max(1 - max|z|, 0.03); 0.0 if none moved."""
+    adds: the _tail of the first term it cuts off, from the parameters as
+    given, at max|z| and the rate _ratio_rate bounds from there (inf where
+    that is 1 or more); 0.0 if none moved."""
     snapped = [_snap_terminating(u) for u in upper]
     if snapped == list(upper):
         return snapped, 0.0
-    top, term = float(np.max(np.abs(z))), 1.0
-    for k in range(min(-round(s) for s in snapped if is_nonpositive_integer(s)) + 1):
+    top, term, cut = float(np.max(np.abs(z))), 1.0, min(-round(s) for s in snapped if is_nonpositive_integer(s))
+    for k in range(cut + 1):
         term *= math.prod(complex(u) + k for u in upper) * top
         term /= math.prod((complex(c) + k for c in lower), start=k + 1.0)
-    return snapped, abs(term) / max(1.0 - top, 0.03)
+    return snapped, _tail(abs(term), _ratio_rate(upper, lower, z)(cut + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +126,72 @@ def _snapped(upper, lower, z):
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _tail_est(tail, margin: float, total) -> float:
-    """Relative truncation estimate tail / (margin (1 + |total|)) of the
-    block engines; _grow compares it with tol."""
-    return tail / (margin * (1.0 + abs(total)))
+def _tail(last, rate: float) -> float:
+    """The one tail rule: what follows a last term, shell, slab or face of
+    size last, each at most rate times the one before, is at most
+    last / (1 - rate); 0.0 for a zero last, inf for rate >= 1."""
+    if not last:
+        return 0.0
+    return last / (1.0 - rate) if rate < 1.0 else math.inf
+
+
+def _shell_rate(shells, s: int, fallback: float, noise=0.0) -> float:
+    """The rate of _tail for shells (or slabs) up to shell s: the largest
+    |shells[k] / shells[k - 1]| over k = s, s - 1, s - 2, read only where
+    shell k - 1 exceeds noise (the sum's rounding level), and fallback, the
+    a priori rate.  Not capped: the shells may fall slower than the domain
+    ratio (joint Pochhammer growth)."""
+    rate = fallback
+    for k in (s, s - 1, s - 2):
+        if k >= 1 and abs(shells[k - 1]) > noise:
+            rate = max(rate, abs(shells[k] / shells[k - 1]))
+    return rate
+
+
+def _ratio_rate(upper, lower, z, q=None):
+    """n -> a bound on sup_(k >= n) |t_(k+1) / t_k| over every element of the
+    term ratio z prod(a_i + k) / ((k + 1) prod(b_j + k)) of a pFq or, given
+    q, z prod(1 - a_i q^k) / ((1 - q^(k+1)) prod(1 - b_j q^k)) (-q^k)^(1+s-r)
+    of an r_phi_s.  With w = k and v = -Re b, or w = q^-k and v = |b|, an
+    upper a paired in order with a lower b (1, or q, among them) gives
+    |a + k| / |b + k| or |1 - a q^k| / |1 - b q^k| <= 1 + |a - b| / (w - v),
+    an unpaired lower 1 / (w - v) and an unpaired upper no bound.  These
+    fall with k once w > every v, and the bound is inf before (Johansson,
+    "Computing hypergeometric functions rigorously", ACM TOMS 45(3), 2019,
+    on tail bounds)."""
+    top = _top(abs(_item(z)))
+    if top == 0.0:
+        return lambda n: 0.0
+    if len(upper) > len(lower) + 1:
+        return lambda n: math.inf
+    lows = [_item(b) for b in (*lower, 1.0 if q is None else q)]
+    gaps = [_top(abs(_item(a) - b)) for a, b in zip(upper, lows)]
+    poles = [_top(-b.real if q is None else abs(b)) for b in lows]
+    paired, single, first = poles[: len(gaps)], poles[len(gaps) :], max(poles)
+
+    def rate(n):
+        w = n if q is None else 1.0 / qn if (qn := q**n) else math.inf
+        if w <= first:
+            return math.inf
+        bound = top
+        for d, v in zip(gaps, paired):
+            bound *= 1.0 + d / (w - v)
+        for v in single:
+            bound /= w - v
+        return bound
+
+    return rate
+
+
+def _item(v):
+    """A scalar as a Python number, an array as an array."""
+    v = np.asarray(v)
+    return v.item() if v.ndim == 0 else v
+
+
+def _top(v) -> float:
+    """The largest element of an _item."""
+    return float(v.max()) if isinstance(v, np.ndarray) else v
 
 
 def _floor(absum, n=0, total=0.0):
@@ -151,78 +214,100 @@ def _series_len(ratio: float, tol: float, lo=24, hi=220) -> int:
     return min(max(math.ceil(math.log(tol * 1e-2) / math.log(min(ratio, 0.98))) + 8, lo), hi)
 
 
-def _grow(build, sizes, caps, tol: float, margin: float) -> SeriesResult:
+def _grow(build, sizes, caps, tol: float) -> SeriesResult:
     """Sum a block, growing it until it is accepted.
 
-    build(sizes) returns (total, tails, floor, terms): a tail measure per axis
-    (0.0 once complete) and the relative error no growth reduces (rounding,
-    or inf where an inner series failed).  The block is accepted when its
-    total is finite and floor and each _tail_est(tail, margin, total) are
-    <= tol (a NaN fails); the largest is reported.  Each failing axis grows in
-    turn to min(cap, int(1.5 n) + 8) until then or until all failing axes are
-    capped.  caps lists the caps per axis, or is a function of the sizes that
-    returns them, read again before each axis grows."""
+    build(sizes) returns (total, tails, floor, terms): per axis the _tail of
+    the part past it (0.0 once complete) and the relative error no growth
+    reduces (rounding, or inf where an inner series failed).  The terms a
+    box leaves out lie past one axis or more, and its sum is rounded too, so
+    its estimate is the floor plus the tails over 1 + |total|.  The block is
+    accepted when its total is finite and the estimate is <= tol (a NaN
+    fails).  Otherwise, unless the floor alone exceeds tol, each axis whose
+    tail exceeds an equal share of tol - floor grows in turn to
+    min(cap, int(1.5 n) + 8), until the block is accepted or all of them are
+    capped.  caps lists the caps per axis, or is a function of the sizes
+    that returns them, read again before each axis grows."""
     sizes = list(sizes)
     cap = caps if callable(caps) else lambda sizes: caps
     terms = 0
     while True:
         total, tails, floor, n = build(sizes)
         terms += n
-        ests = [_tail_est(t, margin, total) for t in tails]
-        failing = [i for i, e in enumerate(ests) if not e <= tol]
-        converged = floor <= tol and not failing and bool(np.isfinite(total))
-        grow = [i for i in failing if sizes[i] < cap(sizes)[i]]
-        if converged or not grow:
-            est = float(max(np.max(ests), floor))
-            return SeriesResult(_as_scalar(total), terms, converged, est)
+        scale = 1.0 + abs(total)
+        ests = [t / scale for t in tails]
+        est = floor + sum(ests)
+        converged = bool(est <= tol and cmath.isfinite(total))
+        share = (tol - floor) / len(ests)
+        grow = [] if converged or not share > 0.0 else [
+            i for i, e in enumerate(ests) if not e <= share and sizes[i] < cap(sizes)[i]]
+        if not grow:
+            return SeriesResult(_as_scalar(total), terms, converged, float(est))
         for i in grow:
             sizes[i] = min(cap(sizes)[i], int(1.5 * sizes[i]) + 8)
 
 
-def _face_tails(tensor: np.ndarray, complete=()) -> list:
-    """Summed absolute terms on the last slab of each axis of an index box;
-    0.0 for an axis of length one or one listed in complete."""
-    return [
-        0.0 if n < 2 or i in complete else float(np.abs(np.take(tensor, n - 1, axis=i)).sum())
-        for i, n in enumerate(tensor.shape)
-    ]
+def _slab_build(terms, rates, complete=(), floors=1.0):
+    """A _grow build (total, tails, floor, terms) of a table of terms.  Axis
+    i's tail is the _tail of its last slab of |t| at the rate _shell_rate
+    reads over its last four slabs, above the rounding level
+    eps (sum |t| + sqrt(n) |S|), and at least rates[i], the rate they
+    approach; 0.0 for an axis of length one or in complete.  The floor is
+    floors times _floor's, or inf for floors = inf (an inner series failed)."""
+    total, part, edges = terms.sum(), np.abs(terms), []
+    # Axis i's slabs from |t| summed over the axes before it, by sums over
+    # a leading axis, the fast kind; after the last, part is sum |t|.
+    for i in range(terms.ndim):
+        edges.append(part[-4:].reshape(min(4, len(part)), -1).sum(axis=1).tolist())
+        part = part.sum(axis=0)
+    noise = _EPS * (part + math.sqrt(terms.size) * abs(total))
+    tails = [0.0 if len(s) < 2 or i in complete else _tail(s[-1], _shell_rate(s, len(s) - 1, r, noise))
+             for i, (s, r) in enumerate(zip(edges, rates))]
+    floor = math.inf if floors == math.inf else floors * _floor(part, terms.size, total)
+    return total, tails, floor, terms.size
 
 
-def _stop(rows, absum, n, margin, tol, run, lo, end):
+def _stop(rows, absum, n, rate, tol, end):
     """The stopping rule of _sum_terms.  rows holds |t| and the partial sum S
     after terms n + 1, n + 2, ..., per element i: a pair of arrays with a
     leading row per term or, for one element, an iterator of pairs, read
     only up to the stop; absum is 1 + sum |t_i| before them.  A row's tail
-    is max_i |t_i| / (margin (1 + |S_i|)), formed per element.  The sum
-    stops at the first row past lo terms that ends a run of three tails
-    within tol (none for margin None, a terminating sum), or at end terms,
-    with the _floor of its terms.  Returns (stopping row or None, run,
-    converged, estimate: the larger of tail and floor, or the last tail
-    where no row stops, absum through that row)."""
+    is max_i _tail(|t_i|, r) / (1 + |S_i|) at the block's rate bound
+    r = rate(n) or, where that fails and the row's |t| / (1 + |S|) is within
+    tol, at rate(m) for its own term m.  rate None marks a terminating sum,
+    whose tails are zero.  The sum stops at the first row whose tail is
+    within tol (a terminating one only at end terms) or at end terms, with
+    the _floor of its terms.  Returns (stopping row or None, converged,
+    estimate: the larger of tail and floor, or the last tail where no row
+    stops, absum through that row)."""
+    k = 0.0 if rate is None else _tail(1.0, rate(n))
     if not isinstance(rows, tuple):
         for last, (m, s) in enumerate(rows):
-            s, absum = abs(s), absum + m
-            e = 0.0 if margin is None else m / (margin * (1.0 + s))
-            run = run + 1 if e <= tol else 0
-            ok = (run >= 3 or margin is None) and n + last + 1 >= lo
-            if ok or n + last + 1 >= end:
-                floor = _floor(absum, n + last + 1, s)
-                return last, run, ok and floor <= tol, max(floor, e), absum
-        return None, run, False, e, absum
+            s, absum, at = abs(s), absum + m, n + last + 1
+            e = m and m * k / (1.0 + s)
+            if e > tol >= m / (1.0 + s):
+                e = _tail(m, rate(at)) / (1.0 + s)
+            ok = e <= tol and (rate is not None or at >= end)
+            if ok or at >= end:
+                floor = _floor(absum, at, s)
+                return last, ok and floor <= tol, max(floor, e), absum
+        return None, False, e, absum
     j, R = None, len(rows[0])
     mags, sums = rows[0].reshape(R, -1), np.abs(rows[1]).reshape(R, -1)
-    tails = [0.0] * R if margin is None else (mags / (margin * (1.0 + sums))).max(axis=1).tolist()
-    for last, e in enumerate(tails):
-        run = run + 1 if e <= tol else 0
-        ok = (run >= 3 or margin is None) and n + last + 1 >= lo
-        if ok or n + last + 1 >= end:
+    raw = [0.0] * R if rate is None else (mags / (1.0 + sums)).max(axis=1).tolist()
+    for last, t in enumerate(raw):
+        at, e = n + last + 1, t and t * k
+        if e > tol >= t:
+            e = _tail(t, rate(at))
+        ok = e <= tol and (rate is not None or at >= end)
+        if ok or at >= end:
             j = last
             break
     absum = absum + mags[: last + 1].sum(axis=0)
     if j is None:
-        return None, run, False, e, absum
+        return None, False, e, absum
     floor = _floor(absum, n + j + 1, sums[j])
-    return j, run, ok and floor <= tol, max(floor, e), absum
+    return j, ok and floor <= tol, max(floor, e), absum
 
 
 # A block of W terms holds at most _BLOCK_ELEMS elements per array, so an
@@ -238,11 +323,13 @@ class _Same:
     value: object
 
 
-def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
+def _sum_terms(block, shape, dtype, max_terms, tol, rate=None):
     """Partial sums 1 + t_1 + ... + t_n of a term-ratio recurrence, formed W
-    terms at a time, and _stop's verdict on them (margin None for a
-    terminating series of max_terms steps): (partial sum, n, converged,
-    estimate, 1 + sum |t| per element, flat).
+    terms at a time, and _stop's verdict on them: (partial sum, n,
+    converged, estimate, 1 + sum |t| per element, flat).  rate(n0) bounds
+    |t_(k+1) / t_k| for all k >= n0 over every element (_ratio_rate), read
+    once per block and for the rows near the stop; None marks a terminating
+    series of max_terms steps.
 
     block(n0, W) describes the steps from term n to term n+1 for n = n0 ..
     n0+W-1 as (ops, poles).  ops lists (ufunc, operand) pairs, applied in
@@ -260,11 +347,10 @@ def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
     else:
         term, total = np.ones(shape, dtype=dtype), np.ones(shape, dtype=dtype)
     cap = _SCALAR_WIDTH if scalar else max(1, _BLOCK_ELEMS // max(1, math.prod(shape)))
-    lo = max_terms if margin is None else min_terms
     if not max_terms:  # no steps: the constant term alone, converged where nothing follows it
-        floor, tail = _floor(1.0, 0, 1.0), 0.0 if margin is None else 1.0 / (margin * 2.0)
-        return np.ones(shape, dtype=dtype)[()], 0, margin is None and floor <= tol, max(floor, tail), 1.0
-    absum, width, run, n = 1.0, 8, 0, 0
+        floor, tail = _floor(1.0, 0, 1.0), 0.0 if rate is None else _tail(1.0, rate(0)) / 2.0
+        return np.ones(shape, dtype=dtype)[()], 0, tail <= tol and floor <= tol, max(floor, tail), 1.0
+    absum, width, n = 1.0, 8, 0
     while True:
         W = min(width, cap, max_terms - n)
         width = 2 * W
@@ -273,8 +359,7 @@ def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
         if scalar and rows:
             start = state[:]
             try:
-                j, run, converged, est, absum = _stop(scan := _sum_scalar(state, ops, rows), absum, n, margin, tol,
-                                                      run, lo, max_terms)
+                j, converged, est, absum = _stop(scan := _sum_scalar(state, ops, rows), absum, n, rate, tol, max_terms)
                 scan.close()
                 if j is not None:
                     return np.full(shape, state[1], dtype=dtype)[()], n + j + 1, converged, est, absum
@@ -296,7 +381,7 @@ def _sum_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
                 total = np.add(total, step, out=sums[j, ...])
             if rows:
                 mags = np.abs(steps[:rows])
-                j, run, converged, est, absum = _stop((mags, sums[:rows]), absum, n, margin, tol, run, lo, max_terms)
+                j, converged, est, absum = _stop((mags, sums[:rows]), absum, n, rate, tol, max_terms)
                 if j is not None:
                     return sums[j].copy()[()], n + j + 1, converged, est, absum
         if rows < W:
@@ -322,17 +407,18 @@ def _sum_scalar(state, ops, rows):
         state[:] = term, total
 
 
-def _power_sum(coef, z, tol, margin, max_terms, N):
+def _power_sum(coef, z, tol, rate, max_terms, N):
     """sum_n C[:, n] z^n for every row of C = coef(N) and argument in z, as
     (z^n) @ C^T of shape (z.size, rows), its power matrix formed for as many
     arguments at a time as keep it within _BLOCK_ELEMS entries.  N grows to
-    min(max_terms, 1.5 N + 8) until the per-element tail of the last three
-    terms is within tol.  Returns (sums, N, converged, estimate), or None,
-    leaving the series to the caller's recurrence, where a power row would
-    exceed _BLOCK_ELEMS, coef returns None (a vanishing denominator), a sum
-    is not finite or its terms add in magnitude past 4 (1 + |sum|), so that
-    its floor is at most _floor(4 + sqrt(N + 1)).  Overflow there is not
-    warned of."""
+    min(max_terms, 1.5 N + 8) until the per-element _tail of the last term
+    at rate(N), the rows' bound on sup_(k >= N) |C[:, k+1] / C[:, k]| max|z|,
+    is within tol.  Returns (sums, N, converged, estimate), or None, leaving
+    the series to the caller's recurrence, where a power row would exceed
+    _BLOCK_ELEMS, coef returns None (a vanishing denominator), a sum is not
+    finite or its terms add in magnitude past 4 (1 + |sum|), so that its
+    floor is at most _floor(4 + sqrt(N + 1)).  Overflow there is not warned
+    of."""
     zflat = np.ravel(z)
     az = np.abs(zflat)
     top = float(az.max())
@@ -349,11 +435,12 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
             total = powers(zflat, C)
             if not np.isfinite(total).all():
                 return None
-            last = np.abs(C[:, -3:])
-            peak = float((last.max(axis=0) * top ** np.arange(N - 2.0, N + 1.0)).max())
+            last = np.abs(C[:, -1])
+            peak = float(last.max()) * top**N
+        r = rate(N)
         mag = np.abs(total)
-        # The last three terms' largest |t| against the largest |S| first.
-        if peak / (margin * (1.0 + float(mag.max()))) <= tol or N >= max_terms:
+        # The last term's largest |t| against the largest |S| first.
+        if _tail(peak, r) / (1.0 + float(mag.max())) <= tol or N >= max_terms:
             # The product's strided partial sums lose digits where terms cancel.
             # A row whose bound sum_n |C[r, n]| max|z|^n passes at every
             # argument needs no magnitude product of its own.
@@ -363,11 +450,10 @@ def _power_sum(coef, z, tol, margin, max_terms, N):
                 if rows.any() and not (powers(az, absC[rows]) <= room[:, rows]).all():
                     return None
             # Per element |t| / (1 + |S|), first bounded by max|t| / (1 + min|S|).
-            tail = peak / (1.0 + float(mag.min())) / margin
+            tail = _tail(peak, r) / (1.0 + float(mag.min()))
             if not tail <= tol:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    mags = (last.T[:, None, :] * az[:, None] ** np.arange(N - 2.0, N + 1.0)[:, None, None]).max(axis=0)
-                    tail = float((mags / (1.0 + mag)).max()) / margin
+                    tail = _tail(float((last * az[:, None] ** N / (1.0 + mag)).max()), r)
             if tail <= tol or N >= max_terms:
                 floor = _floor(4.0 + math.sqrt(N + 1.0))
                 return total, N, tail <= tol and floor <= tol, max(floor, tail)
@@ -384,19 +470,13 @@ def _pfq_terms(upper, lower, z, tol, max_terms):
     """Direct power series of pFq(upper; lower; z) for any p and q (2F1, the
     3F2 of erdelyi-3, hyper_pfq), broadcasting over all inputs, as
     _sum_terms returns it.  The terms are formed as (a+n)(b+n)... /
-    ((n+1)(c+n)...) z, in that order, with margin 1 - max|z| for p = q + 1
-    (0.03 for a terminating such series at |z| >= 1) and 0.5 otherwise.
+    ((n+1)(c+n)...) z, in that order, and judged at the rate _ratio_rate.
     """
     arrs = [np.asarray(v) for v in (*upper, *lower, z)]
     shape = np.broadcast_shapes(*(v.shape for v in arrs))
     dtype = np.complex128 if any(np.iscomplexobj(v) for v in arrs) else np.float64
     *params, z = (v.astype(dtype) for v in arrs)
     upper, lower = params[: len(upper)], params[len(upper) :]
-    top = float(np.abs(z).max())
-    margin = 0.5 if len(upper) != len(lower) + 1 else 1.0 - top if top < 1.0 else 0.03
-    # Terms may fall and then jump where a lower parameter c + n passes
-    # zero, so the series runs past n = -Re(c) before it may stop.
-    min_terms = max(8, 2 + math.ceil(-min((float(v.real.min()) for v in lower), default=0.0)))
     col = (1,) * max((v.ndim for v in params), default=0)
     zop = _Same(z)
 
@@ -412,7 +492,7 @@ def _pfq_terms(upper, lower, z, tol, max_terms):
             den = den * (c + n)
         return [(np.multiply, num), (np.true_divide, den), (np.multiply, zop)], None
 
-    return _sum_terms(block, shape, dtype, max_terms, tol, margin, min_terms)
+    return _sum_terms(block, shape, dtype, max_terms, tol, _ratio_rate(upper, lower, z))
 
 
 def _series_2f1_raw(upper, lower, z, tol, max_terms):
@@ -424,7 +504,7 @@ def _series_pfq(upper, lower, z, tol, max_terms):
     """_series_2f1_raw, or _power_sum where p = q + 1, every parameter is a
     scalar and z holds two or more arguments, all with |z| < 1: they share
     one coefficient row, the cumulative product of the term ratios
-    (a+n)(b+n)... / ((n+1)(c+n)...), summed at margin 1 - max|z| from
+    (a+n)(b+n)... / ((n+1)(c+n)...), judged at the rate _ratio_rate from
     N = _series_len(max|z|, tol) terms, or past -Re(c) of a negative lower
     parameter.  Where _power_sum declines, the recurrence sums the series."""
     z = np.asarray(z)
@@ -438,7 +518,7 @@ def _series_pfq(upper, lower, z, tol, max_terms):
                 return np.cumprod(np.concatenate([[1.0], num / den]))[None] if den.all() else None
 
             N = max(_series_len(top, tol), 8, 2 + math.ceil(-min((complex(c).real for c in lower), default=0.0)))
-            res = _power_sum(coef, z, tol, 1.0 - top, max_terms, N)
+            res = _power_sum(coef, z, tol, _ratio_rate(upper, lower, z), max_terms, N)
             if res is not None:
                 return (res[0].reshape(z.shape), *res[1:])
     return _series_2f1_raw(upper, lower, z, tol, max_terms)
@@ -483,8 +563,10 @@ def _series_2f1_near_one(a, b, c, w, tol, max_terms):
     cab = c - a - b
     c1 = a + b - c + 1.0
     A, B = _connection_coeffs(a, b, c)
-    s1, n1, ok1, e1, abs1 = _pfq_terms((a, b), (c1,), w, tol, max_terms)
-    s2, n2, ok2, e2, abs2 = _pfq_terms((c - a, c - b), (cab + 1.0,), w, tol, max_terms)
+    # Each series is summed to tol / 4, so that both tails and the rounding
+    # fit within tol.
+    s1, n1, ok1, e1, abs1 = _pfq_terms((a, b), (c1,), w, tol / 4, max_terms)
+    s2, n2, ok2, e2, abs2 = _pfq_terms((c - a, c - b), (cab + 1.0,), w, tol / 4, max_terms)
     Bp = B * np.power(w, cab)
     out = A * s1 + Bp * s2
     t1, t2 = np.abs(A) * abs1, np.abs(Bp) * abs2
@@ -502,7 +584,7 @@ def _series_2f1_near_one(a, b, c, w, tol, max_terms):
     d_low = t1 * np.sum(1.0 / np.abs(c1 + np.arange(n1)))
     d_low += t2 * np.sum(1.0 / np.abs(cab + 1.0 + np.arange(n2)))
     rounding += (abs(a) + abs(b) + abs(c) + 1.0) * (d_cab + d_low)
-    est = e1 + e2 + float(np.max(_tail_est(_EPS * rounding, 1.0, out)))
+    est = e1 + e2 + float(np.max(_EPS * rounding / (1.0 + np.abs(out))))
     return out, n1 + n2, ok1 and ok2 and est <= tol, est
 
 
@@ -549,8 +631,8 @@ def _proxy_2f1(a, b, c, z, tol, max_terms):
         terms += n
         coef = T @ f
         top = float(np.max(np.abs(f)))
-        tail = _tail_est(float(np.abs(coef[-4:]).sum()), 1.0, top)
-        est = e + tail + _tail_est(coef.size * _EPS * float(np.abs(coef).sum()), 1.0, top)
+        est = e + float(np.abs(coef[-4:]).sum()) / (1.0 + top)
+        est += coef.size * _EPS * float(np.abs(coef).sum()) / (1.0 + top)
         if not ok or est <= tol:
             x = (2.0 * z - (hi + lo)) / (hi - lo)
             return chebval(x, coef), terms, ok, est
@@ -621,23 +703,22 @@ def _eval_2f1(a, b, c, z, tol, max_terms=250_000):
         converged = converged and ok
         est = max(est, e)
 
-    def direct(Z, B=b):
+    def direct(Z, B=b, tol=tol):
         return _series_pfq((a, B), (c,), Z, tol, max_terms)
 
-    def slow(Z, B=b, cap=max_terms):
-        # Past |z| = 0.9 the terms fall like r^n, r the ratio of the last
-        # step, which a + b > c + 1 keeps above |z|: summed to tol / 2, the
-        # estimate is scaled by (1 - |z|) / (1 - r).
-        v, n, ok, e = _series_2f1_raw((a, B), (c,), Z, tol / 2, cap)
-        top = float(np.max(np.abs(Z)))
-        r = max(top, top * abs((a + n) * (B + n) / ((c + n) * (n + 1.0))))
-        e = e * (1.0 - top) / (1.0 - r) if r < 1.0 else math.inf
-        return v, n, ok and e <= tol, e
+    def slow(Z, B=b, tol=tol, cap=max_terms):
+        # Past |z| = 0.9 the direct series by its term recurrence, whose rate
+        # bound covers terms that fall slower than |z|^n (a + b > c + 1).
+        return _series_2f1_raw((a, B), (c,), Z, tol, cap)
 
     def pfaff(Z, series=direct):
-        # A real Z here lies below 1/2, so 1 - Z > 0.
-        v, n, ok, e = series(Z / (Z - 1.0), c - b)
-        return np.power(1.0 - Z, -a) * v, n, ok, e
+        # A real Z here lies below 1/2, so 1 - Z > 0.  The series' estimate,
+        # relative to 1 + |S|, is carried to 1 + |pref S|: at most
+        # max(1, |pref|) times as large, which the tol it is summed to allows.
+        pref = np.power(1.0 - Z, -a)
+        v, n, ok, e = series(Z / (Z - 1.0), c - b, tol / max(1.0, float(np.max(np.abs(pref)))))
+        e = float(np.max(e * np.abs(pref) * (1.0 + np.abs(v)) / (1.0 + np.abs(pref * v))))
+        return pref * v, n, ok and e <= tol, e
 
     def near_one(Z):
         # Near an integer c - a - b the connection formula cancels and its
@@ -849,11 +930,10 @@ def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
     Node i multiplies a message by z^n / ((c)_n n!) (and (a1)_n, (a2)_n at the
     ends), the Hankel link (b_i)_{j+k} carries it on; tables are mantissas and
     powers of two, so no box n_i < N_i overflows.  The forward pass sums, the
-    backward one gives each axis's last slabs: an axis reports its last slab
-    over 1 - r, r as _shell_rate reads them, with _grow's margin 0.025, a tenth
-    of saran_fk_triple's, so the two forms converged at tol agree well within
-    it.  The estimate also covers rounding, 4 times the _floor of the sum
-    |S| and sum |t| over sum N_i terms, which no growth reduces."""
+    backward one gives each axis's last slabs: an axis reports the _tail of
+    its last slab at the rate _shell_rate reads over its last four.  The
+    estimate also covers rounding, 4 times the _floor of the sum |S| and
+    sum |t| over sum N_i terms, which no growth reduces."""
     L = len(zs)
     v = np.array([a1, a2, *b, *c, *zs]) + 0.0
     a1, a2 = v[0], v[1]
@@ -904,11 +984,11 @@ def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
             m = (fm[-4:] * bm[-4:]).tolist()
             e = (fe[-4:] + be[-4:]).tolist()
             rate = _shell_rate([math.ldexp(x, y - max(e)) for x, y in zip(m, e)], len(m) - 1, 0.0)
-            tails.append(math.ldexp(m[-1], e[-1]) / (1.0 - rate))
+            tails.append(_tail(math.ldexp(m[-1], e[-1]), rate))
         return total, tails, 4.0 * _floor(absum, sum(sizes), total), sum(n * m for n, m in zip(sizes, sizes[1:]))
 
     sizes = [_series_len(r, tol, 10, _CHAIN_CAP) for r in rates]
-    return _grow(build, sizes, caps, tol, 0.025)
+    return _grow(build, sizes, caps, tol)
 
 
 def _chain_sum(a1, a2, b, c, zs, tol: float) -> SeriesResult:
@@ -1040,18 +1120,6 @@ def in_domain_fk(x, y, z) -> bool:
     return ax < 1.0 and ay < 1.0 and az < (1.0 - ax) * (1.0 - ay)
 
 
-def _shell_rate(shells: np.ndarray, s: int, fallback: float) -> float:
-    """Observed geometric decay rate near shell s.
-
-    The true rate can exceed the domain ratio (joint Pochhammer growth), so
-    the stopping margin must come from the computed shells themselves."""
-    rate = fallback
-    for k in (s, s - 1, s - 2):
-        if k >= 1 and shells[k - 1] != 0:
-            rate = max(rate, abs(shells[k] / shells[k - 1]))
-    return min(rate, 0.99)
-
-
 def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
     """Saran F_K by direct triple-series summation, accumulated over index
     shells m+n+p = s so the geometric tail bound on the convergence region
@@ -1075,9 +1143,10 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
     holds more than about 2 _BLOCK_ELEMS entries.
 
     N starts from the domain ratio and grows through _grow to at most 560.  A
-    build returns the shell sum plus its geometric tail at the observed shell
-    rate r, the tail |last shell| / (1 - r) at margin 0.25, and 4 times the
-    _floor of N terms, which also bounds the FFT's rounding.
+    build returns the shell sum plus its geometric extrapolation at the rate
+    r that _shell_rate reads over the last four shells, the _tail of the last
+    shell at r, |last shell| / (1 - r), and 8 times the _floor of N terms,
+    which also bounds the FFT's rounding and that of the terms' products.
     """
     if not in_domain_fk(x, y, z):
         raise DomainError(f"arguments ({x}, {y}, {z}) outside D_K")
@@ -1155,11 +1224,16 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
                     K = N - p0
                     rows = min(K, max(8, K // 2))
         total = shells.sum()
-        rate = _shell_rate(shells, N - 1, 0.0)
-        corr = shells[-1] * rate / (1.0 - rate)
-        return total + corr, [abs(shells[-1]) + abs(corr)], 4.0 * _floor(absum, N, total), N * (N + 1) * (N + 2) // 6
+        # Shells at the sum's rounding level are FFT noise, not decay.
+        rate = _shell_rate(shells, N - 1, 0.0, _EPS * (absum + math.sqrt(N) * abs(total)))
+        corr = shells[-1] * rate / (1.0 - rate) if rate < 1.0 else 0.0
+        # 8 floors: each term is a product of up to 2N roundings (cumulative
+        # tables, exp of log-gamma differences), which a plain sum's floor does
+        # not count; test_saran_fk_triple_long_products needs 4.5 at N = 276.
+        floor = 8.0 * _floor(absum, N, total)
+        return total + corr, [_tail(abs(shells[-1]), rate)], floor, N * (N + 1) * (N + 2) // 6
 
-    return _grow(build, [N], [560], tol, 0.25)
+    return _grow(build, [N], [560], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1291,7 +1365,9 @@ def generic_f_a(
     """Double series sum a(m,n) 2F1(alpha1+m, beta1; gamma1; x1)
     2F1(alpha2+n, beta2; gamma2; x2) x3^m x4^n, both families by the
     recurrence of _shifted_2f1 (ConvergenceError if a seed series does not
-    converge).  The M x N box grows through _grow; its estimate includes
+    converge).  The M x N box grows through _grow, judged by _slab_build at
+    the rates r3 = decay |x3| / (1 - |x1|) and r4 = decay |x4| / (1 - |x2|)
+    (at most 0.95) that its rows and columns approach; its estimate includes
     4 times the _floor of M N terms."""
     for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
         if is_nonpositive_integer(g):
@@ -1311,8 +1387,8 @@ def generic_f_a(
         f2 = _shifted_2f1(alpha2, beta2, gamma2, x2, N, tol * 1e-2)
         coefs = a.table(M - 1, N - 1)
         tensor = coefs * np.outer(f1 * np.power(x3, np.arange(M)), f2 * np.power(x4, np.arange(N)))
-        total = tensor.sum()
-        return total, _face_tails(tensor), 4.0 * _floor(float(np.abs(tensor).sum()), M * N, total), M + N + tensor.size
+        total, tails, floor, _ = _slab_build(tensor, [r3, r4], floors=4.0)
+        return total, tails, floor, M + N + tensor.size
 
     sizes = [_series_len(r3, tol, 12, 220), _series_len(r4, tol, 12, 220)]
-    return _grow(build, sizes, [320, 320], tol, 0.2)
+    return _grow(build, sizes, [320, 320], tol)

@@ -161,6 +161,29 @@ def test_fk_L5_against_nested_sum(a, w, s, signs):
     check(fk_L(a1, a2, b, c, zs), oracle, zs)
 
 
+@pytest.mark.parametrize(
+    "params, x, y, z",
+    [
+        ((1.4426159767589923, 1.9016325450681597, 0.7585289096404244, 1.1437409008305996,
+          2.8674817234010104, 2.925527269915171, 0.28771734171200014), 0.57233975189246, 0.018346257927840615,
+         0.31306331800088283),
+        ((2.138381498717787, 2.3869535055153577, 2.7970072719239116, 0.6192584866056522,
+          1.953164441687068, 0.6021400407173942, 1.4407666355971511), 0.4007987040732248, 0.5525769111606036,
+         0.16606462980905515),
+    ],
+    ids=["N264", "N276"],
+)
+def test_saran_fk_triple_long_products(params, x, y, z):
+    # N = 264 and 276 shells: each term is a product of up to 2N roundings,
+    # 4.2 and 4.5 times the floor of a plain sum of the terms.
+    p = FkParams(*params)
+    with mpmath.workdps(30):
+        oracle = fk_reexpansion_oracle(p, x, y, z)
+    r = saran_fk_triple(p, x, y, z)
+    assert r.converged
+    assert abs(complex(r.value) - complex(oracle)) <= r.est_trunc_error * (1 + abs(complex(r.value)))
+
+
 P = FkParams(0.7, 0.9, 0.6, 0.8, 1.3, 1.5, 1.7)
 
 

@@ -141,7 +141,7 @@ class TestEdges:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert series._power_sum(coef, np.array([0.5, -0.5]), TOL, 0.5, MAX_TERMS, 24) is None
+            assert series._power_sum(coef, np.array([0.5, -0.5]), TOL, lambda n: 0.5, MAX_TERMS, 24) is None
 
     def test_heavily_cancelling_series_keeps_the_recurrence(self):
         # At z = -0.875 the terms of (1 - z)^-3 add in magnitude to about 450

@@ -643,17 +643,18 @@ class TestFamilyRoute:
 
     @pytest.mark.parametrize("X", [0.3, np.array([-0.45])], ids=["scalar", "one"])
     def test_one_element_argument_takes_it(self, monkeypatch, X):
-        # A point value's tables: one node, parameters varying along p.
+        # A point value's tables: one node, parameters varying along p,
+        # summed to the 1e-14 they are checked at, as the grids are.
         q, pmax = 0.5, 12
         ctx = QContext(q=q)
         taken = spy_family(monkeypatch)
-        got = phi_k_p_tables(FAMILY_P, X, X, ctx, pmax)
+        got = phi_k_p_tables(FAMILY_P, X, X, ctx, pmax, 1e-14)
         assert taken == [True, True] and got[3] and got[4]
         shifts = q ** np.arange(pmax + 1.0)
         p = FAMILY_P
         for table, (sh, a, c) in zip(got[1:3], (
                 (p.beta1, p.alpha1, p.gamma1), (p.alpha2, p.beta2, p.gamma2))):
-            loop = _rphis_array([q**sh * shifts, q**a], [q**c], np.asarray(X)[..., None], ctx, 1e-13)[0]
+            loop = _rphis_array([q**sh * shifts, q**a], [q**c], np.asarray(X)[..., None], ctx, 1e-14)[0]
             assert table.shape == loop.shape
             assert np.all(np.abs(table - loop) <= 1e-14 * (1.0 + np.abs(loop)))
             for j in (0, 5, pmax):
@@ -711,11 +712,11 @@ class TestFamilyRoute:
         arrays, routed = [], []
         terms, power = series._sum_terms, series._power_sum
 
-        def spy_terms(block, shape, dtype, max_terms, tol, margin=None, min_terms=8):
-            # margin is None for a terminating series.
-            if margin is not None and math.prod(shape) > 1:
+        def spy_terms(block, shape, dtype, max_terms, tol, rate=None):
+            # rate is None for a terminating series.
+            if rate is not None and math.prod(shape) > 1:
                 arrays.append(shape)
-            return terms(block, shape, dtype, max_terms, tol, margin, min_terms)
+            return terms(block, shape, dtype, max_terms, tol, rate)
 
         def spy_power(*args):
             res = power(*args)

@@ -396,9 +396,9 @@ class TestSaranFkTripleShells:
     def test_build_matches_plane_loop(self, monkeypatch, params, args):
         builds = []
 
-        def grow(build, sizes, caps, tol, margin):
+        def grow(build, sizes, caps, tol):
             builds.append(build)
-            return _grow(build, sizes, caps, tol, margin)
+            return _grow(build, sizes, caps, tol)
 
         monkeypatch.setattr(series, "_grow", grow)
         p = FkParams(*params)
@@ -698,7 +698,7 @@ class TestGrow:
         def build(sizes):
             return float("nan"), [0.0], 1e-14, 1
 
-        r = _grow(build, [4], [8], 1e-12, 1.0)
+        r = _grow(build, [4], [8], 1e-12)
         assert not r.converged
 
     def test_nan_estimate_fails_and_grows(self):
@@ -708,7 +708,7 @@ class TestGrow:
             seen.append(sizes[0])
             return 1.0, [float("nan")], 1e-14, 1
 
-        r = _grow(build, [4], [20], 1e-12, 1.0)
+        r = _grow(build, [4], [20], 1e-12)
         assert not r.converged
         assert seen[-1] == 20
 
@@ -719,7 +719,7 @@ class TestGrow:
             seen.append(sizes[0])
             return 1.0, [0.0], 1e-9, 1
 
-        r = _grow(build, [4], [20], 1e-12, 1.0)
+        r = _grow(build, [4], [20], 1e-12)
         assert not r.converged
         assert r.est_trunc_error == 1e-9
         assert seen == [4]
@@ -733,7 +733,7 @@ class TestGrow:
             seen.append(tuple(sizes))
             return 1.0, [1.0, 1.0], 0.0, 1
 
-        r = _grow(build, [4, 4], lambda s: [400 // s[1], 400 // s[0]], 1e-12, 1.0)
+        r = _grow(build, [4, 4], lambda s: [400 // s[1], 400 // s[0]], 1e-12)
         assert not r.converged
         assert seen == [(4, 4), (14, 14), (28, 14)]
 
@@ -804,6 +804,7 @@ class TestPfqRounding:
         assert abs(r.value - want) <= r.est_trunc_error * (1.0 + abs(r.value))
 
     def test_negative_lower_runs_past_its_pole(self):
-        # Terms may jump where c + n passes zero, so the sum runs at least
-        # 2 + ceil(9.5) = 12 terms, as every direct series does.
-        assert hyper_pfq([0.5, 3.0], [-9.5], 0.001).terms_used == 12
+        # Terms may jump where c + n passes zero: the rate bound is inf until
+        # n > -Re(c) = 9.5, so the sum runs to t_10 before it may stop, and the
+        # bound from there on covers the jump at c + 10 = 0.5.
+        assert hyper_pfq([0.5, 3.0], [-9.5], 0.001).terms_used == 10

@@ -3,8 +3,9 @@
 `_series_2f1_raw` and `_rphis_array` form their terms W at a time, W = 8
 first and then doubling (within a cap that is lower for large arrays), and
 apply the stopping rule to the rows afterwards.  The reference loop below
-forms one term per step and states the rule once, tested after each term.
-Both must stop at the same term with the same flag; real series give
+forms one term per step and states the rule once, tested after each term,
+with the rate bound read at the first step of each block.  Both must stop at
+the same term with the same flag; real series give
 bit-identical values, complex ones agree to 1e-12 (1 + |v|), and estimates
 agree to 1e-9, since a block adds its |t| in its own order.  A series of one
 element (shape (), (1,) or (1, 1)) is summed in Python scalars instead of the
@@ -27,47 +28,66 @@ EDGE_STOPS = {8, 15, 16, 17, 23, 24, 25}
 EPS = np.finfo(np.float64).eps
 
 
-def ref_sum(step, shape, dtype, max_terms, tol, margin, min_terms=8):
+def block_starts(size, max_terms):
+    """The first steps of _sum_terms' blocks: widths 8, 16, 32, ..., each
+    within 512 rows for one element and 2^15 / size for arrays."""
+    cap = 512 if size == 1 else max(1, 2**15 // size)
+    n, width = 0, 8
+    while n < max_terms:
+        yield n
+        W = min(width, cap, max_terms - n)
+        n, width = n + W, 2 * W
+
+
+def ref_sum(step, shape, dtype, max_terms, tol, rate):
     """1 + t_1 + ... + t_n, t_{n+1} = step(n, t_n), one term at a time.
 
-    The rule: a term's tail is max_i |t_i| / (margin (1 + |S_i|)) over the
-    elements i, and the sum stops at the first n >= min_terms that ends a
-    run of three tails <= tol.  Its floor is
+    The rule: with r = rate(n0) at the first step n0 of the block that forms
+    the term, the term's tail is max_i |t_i| / ((1 - r) (1 + |S_i|)) over the
+    elements i (0 for t = 0, inf for r >= 1); where that exceeds tol but
+    max_i |t_i| / (1 + |S_i|) does not, r is rate(n) for the term t_n
+    itself.  The sum stops at the first term whose tail is <= tol.  Its floor is
     max_i eps (1 + sum |t_i| + sqrt(n) |S_i|) / (1 + |S_i|).  It has
     converged when it stopped and its floor is <= tol; the estimate is the
-    larger of the last tail and the floor.  margin None marks a terminating
+    larger of the last tail and the floor.  rate None marks a terminating
     series: tail zero, max_terms steps, stopped at the end."""
     term = np.ones(shape, dtype=dtype)
     total = np.ones(shape, dtype=dtype)
     absum = np.ones(shape)
-    run, n, tail = 0, 0, 0.0
-    stopped = margin is None
+    n, tail = 0, 0.0
+    stopped = rate is None
+    starts = set(block_starts(math.prod(shape), max_terms))
     while n < max_terms:
+        if rate is not None and n in starts:
+            r = rate(n)
         term = step(n, term)
         total = total + term
         absum = absum + np.abs(term)
         n += 1
-        if margin is not None:
-            tail = float(np.max(np.abs(term) / (margin * (1.0 + np.abs(total)))))
-            run = run + 1 if tail <= tol else 0
-            if run >= 3 and n >= min_terms:
+        if rate is not None:
+            rel = float(np.max(np.abs(term) / (1.0 + np.abs(total))))
+            tail = 0.0 if rel == 0.0 else rel / (1.0 - r) if r < 1.0 else math.inf
+            if tail > tol >= rel:
+                own = rate(n)
+                tail = rel / (1.0 - own) if own < 1.0 else math.inf
+            if tail <= tol:
                 stopped = True
                 break
     floor = float(np.max(EPS * (absum + math.sqrt(n) * np.abs(total)) / (1.0 + np.abs(total))))
     return total, n, stopped and floor <= tol, max(floor, tail)
 
 
-def ref_series_2f1(a, b, c, z, tol, max_terms, min_terms=8):
+def ref_series_2f1(a, b, c, z, tol, max_terms):
     arrs = [np.asarray(v) for v in (a, b, c, z)]
     shape = np.broadcast_shapes(*(v.shape for v in arrs))
     dtype = np.complex128 if any(np.iscomplexobj(v) for v in arrs) else np.float64
     a, b, c, z = (np.broadcast_to(v, shape).astype(dtype) for v in arrs)
-    top = float(np.max(np.abs(z)))
+    rate = series._ratio_rate((a, b), (c,), z)
 
     def step(n, term):
         return term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * z
 
-    return ref_sum(step, shape, dtype, max_terms, tol, 1.0 - top if top < 1.0 else 0.03, min_terms)
+    return ref_sum(step, shape, dtype, max_terms, tol, rate)
 
 
 def ref_rphis(uppers, lowers, z, ctx, tol=1e-12, terminate_after=None, max_terms=5000):
@@ -102,7 +122,8 @@ def ref_rphis(uppers, lowers, z, ctx, tol=1e-12, terminate_after=None, max_terms
             term = term * (sign * q ** (ell * spow))
         return term if ta is None else np.where(ell + 1 <= ta, term, 0.0)
 
-    return ref_sum(step, shape, dtype, nsteps, tol, None if ta is not None else 0.25)
+    rate = None if ta is not None else series._ratio_rate(uppers, lowers, zb, q)
+    return ref_sum(step, shape, dtype, nsteps, tol, rate)
 
 
 def assert_same(got, ref):
@@ -201,21 +222,22 @@ def test_pole_raises_only_where_the_term_loop_reaches_it():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ctx = QContext(q=0.5)
-        with pytest.raises(PoleError):
-            _rphis_array([0.3, 0.4], [0.5**-3], 0.2, ctx)
-        # The stop at 8 terms needs the step from term 7, whose denominator
-        # vanishes.
-        with pytest.raises(PoleError):
-            _rphis_array([0.3, 0.4], [0.5**-7], 0.001, ctx)
-        assert _rphis_array([0.3, 0.4], [0.5**-8], 0.001, ctx)[1] == 8
+        # A lower parameter q^-m keeps the rate bound inf up to step m, whose
+        # denominator vanishes, so a non-terminating sum reaches it however
+        # small its terms are before.
+        for m, z in ((3, 0.2), (7, 0.001), (8, 0.001)):
+            with pytest.raises(PoleError):
+                _rphis_array([0.3, 0.4], [0.5**-m], z, ctx)
+        # A terminating one stops before it.
         value, n, converged, _ = _rphis_array([0.3, 0.4], [0.5**-3], 0.2, ctx, terminate_after=2)
         assert (n, converged) == (2, True)
         assert value == pytest.approx(0.97745066666666667, rel=1e-14)
-        # The pole at l = 22 sits in the block of terms 9..24, past the stop.
+        # The pole at l = 22 lies in the block of steps 8..23; the term loop
+        # reaches it as well.
         ctx = QContext(q=0.9)
-        ref = ref_rphis([0.3, 0.4], [0.9**-22], 0.3, ctx)
-        assert ref[1] == 15
-        assert_same(_rphis_array([0.3, 0.4], [0.9**-22], 0.3, ctx), ref)
+        for fn in (ref_rphis, _rphis_array):
+            with pytest.raises(PoleError):
+                fn([0.3, 0.4], [0.9**-22], 0.3, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +340,14 @@ def test_size_one_pole_rows(shape):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ctx = QContext(q=0.5)
-        for k in (3, 7):
+        for k in (3, 7, 8):
             with pytest.raises(PoleError):
                 _rphis_array([0.3, 0.4], [np.full(shape, 0.5**-k)], 0.001, ctx)
-        assert _rphis_array([0.3, 0.4], [np.full(shape, 0.5**-8)], 0.001, ctx)[1] == 8
         ctx = QContext(q=0.9)
         lowers = [np.full(shape, 0.9**-22)]
-        ref = ref_rphis([0.3, 0.4], lowers, 0.3, ctx)
-        assert ref[1] == 15
-        assert_same(_rphis_array([0.3, 0.4], lowers, 0.3, ctx), ref)
+        for fn in (ref_rphis, _rphis_array):
+            with pytest.raises(PoleError):
+                fn([0.3, 0.4], lowers, 0.3, ctx)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -352,7 +373,7 @@ def test_size_one_blocks_stay_narrow():
         widths.append(W)
         return [(np.multiply, np.full(W, 0.999))], None
 
-    # A terminating series (margin None) runs all 5000 steps.
+    # A terminating series (rate None) runs all 5000 steps.
     total, n, converged, _, _ = series._sum_terms(block, (), np.float64, 5000, 1e-12)
     assert (n, converged, sum(widths)) == (5000, True, 5000)
     assert max(widths) == series._SCALAR_WIDTH
@@ -372,13 +393,12 @@ def test_size_one_series_at_the_term_cap():
 # ---------------------------------------------------------------------------
 
 
-def ref_stop(ratios, tol, max_terms, margin=1.0, min_terms=8):
+def ref_stop(ratios, tol, max_terms, rate):
     """ref_sum over ratio rows: t_{n+1} = t_n ratios[n]."""
-    return ref_sum(lambda n, term: term * ratios[n], ratios.shape[1:], np.float64, max_terms, tol, margin,
-                   min_terms)
+    return ref_sum(lambda n, term: term * ratios[n], ratios.shape[1:], np.float64, max_terms, tol, rate)
 
 
-def counted_sum(ratios, tol, max_terms, margin=1.0):
+def counted_sum(ratios, tol, max_terms, rate):
     """_sum_terms over the rows of ratios, and the rows its blocks formed."""
     formed = []
 
@@ -386,18 +406,18 @@ def counted_sum(ratios, tol, max_terms, margin=1.0):
         formed.append(W)
         return [(np.multiply, ratios[n0 : n0 + W])], None
 
-    total, n, converged, est, _ = series._sum_terms(block, ratios.shape[1:], np.float64, max_terms, tol, margin)
+    total, n, converged, est, _ = series._sum_terms(block, ratios.shape[1:], np.float64, max_terms, tol, rate)
     return (total, n, converged, est), sum(formed)
 
 
 @pytest.mark.parametrize("size", [4, 64])
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.9, 0.97])
 def test_geometric_blocks_stop_as_the_term_loop(r, size):
-    # Margin 1 - r, as for a direct 2F1 at max|z| = r: the doubling blocks
-    # form rows past the stop, but stop at its term with its value.
+    # Every ratio is at most r, the rate bound: the doubling blocks form
+    # rows past the stop, but stop at its term with its value.
     rows = np.broadcast_to(r * np.linspace(0.5, 1.0, size), (5000, size))
-    want = ref_stop(rows, 1e-12, 5000, 1.0 - r)
-    got, formed = counted_sum(rows, 1e-12, 5000, 1.0 - r)
+    want = ref_stop(rows, 1e-12, 5000, lambda n: r)
+    got, formed = counted_sum(rows, 1e-12, 5000, lambda n: r)
     assert want[2]
     assert_same(got, want)
     assert want[1] <= formed
@@ -410,9 +430,9 @@ def test_rising_terms_reach_their_stop():
     # and the element's error shows that it must be.
     x = np.array([40.0, 12.0, -25.0])
     rows = x / np.arange(1.0, 401.0)[:, None]
-    want = ref_stop(rows, 1e-12, 400)
-    got, formed = counted_sum(rows, 1e-12, 400)
-    assert want[1] == 94 and not want[2]
+    want = ref_stop(rows, 1e-12, 400, lambda n: 40.0 / (n + 1.0))
+    got, formed = counted_sum(rows, 1e-12, 400, lambda n: 40.0 / (n + 1.0))
+    assert want[1] == 93 and not want[2]
     assert_same(got, want)
     total, _, converged, est = got
     assert total[0] == pytest.approx(math.exp(40.0), rel=1e-12)
