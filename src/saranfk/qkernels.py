@@ -305,8 +305,8 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
     """Triple basic hypergeometric series, summed over an adaptive index box
     with the joint q-shifted factorials gathered from cumulative tables,
     judged by _slab_build at the rates |x|, |y|, |z|, 4 times its _floor
-    included.  ConvergenceError when a box
-    sums to a value that is not finite: a larger box keeps every term of it."""
+    included.  ConvergenceError when a box sums to a value that is not
+    finite: a larger box keeps every term of it."""
     q = ctx.q
     spec.validate(q)
     x, y, z = complex(x), complex(y), complex(z)
@@ -347,12 +347,11 @@ def phi3(spec: Phi3Spec, x, y, z, ctx: QContext, tol: float = 1e-12) -> SeriesRe
         for j, idx in zip((6, 8, 10, 12), (m + n + p, m + n, n + p, m + p)):
             if groups[j] or groups[j + 1]:
                 tensor = tensor * (prods[j] / prods[j + 1])[idx]
-        build = _slab_build(tensor, rates, complete, 4.0)
-        if not np.isfinite(build[0]):
-            raise ConvergenceError(f"phi3 gave the non-finite value {_as_scalar(build[0])}")
-        return build
+        res = _slab_build(tensor, [abs(x), abs(y), abs(z)], complete, 4.0)
+        if not np.isfinite(res[0]):
+            raise ConvergenceError(f"phi3 gave the non-finite value {_as_scalar(res[0])}")
+        return res
 
-    rates = [abs(v) for v in (x, y, z)]
     return _grow(build, sizes, [96, 96, 96], tol)
 
 
@@ -582,7 +581,7 @@ def q_measure_rule(spec: QMeasureSpec):
         t = np.concatenate([t, tn])
         w = np.concatenate([w, (1.0 - q) * tn * _q_density_lattice(spec, n)])
         last = np.abs(w[-4:]).tolist()
-        if _tail(last[3], _shell_rate(last, 3, q**decay)) <= ctx.jackson_tail_tol * (1.0 + float(np.abs(w).sum())):
+        if _tail(last[-1], _shell_rate(last, q**decay)) <= ctx.jackson_tail_tol * (1.0 + float(np.abs(w).sum())):
             return t, w
         if N >= cap:
             break

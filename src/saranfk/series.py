@@ -135,16 +135,16 @@ def _tail(last, rate: float) -> float:
     return last / (1.0 - rate) if rate < 1.0 else math.inf
 
 
-def _shell_rate(shells, s: int, fallback: float, noise=0.0) -> float:
-    """The rate of _tail for shells (or slabs) up to shell s: the largest
-    |shells[k] / shells[k - 1]| over k = s, s - 1, s - 2, read only where
-    shell k - 1 exceeds noise (the sum's rounding level), and fallback, the
+def _shell_rate(shells, fallback: float, noise=0.0) -> float:
+    """The rate of _tail after the last of shells (or slabs): the largest
+    ratio |shell / the one before| over the last four, read only where the
+    one before exceeds noise (the sum's rounding level), and fallback, the
     a priori rate.  Not capped: the shells may fall slower than the domain
     ratio (joint Pochhammer growth)."""
-    rate = fallback
-    for k in (s, s - 1, s - 2):
-        if k >= 1 and abs(shells[k - 1]) > noise:
-            rate = max(rate, abs(shells[k] / shells[k - 1]))
+    rate, last = fallback, shells[-4:]
+    for prev, shell in zip(last, last[1:]):
+        if abs(prev) > noise:
+            rate = max(rate, abs(shell / prev))
     return rate
 
 
@@ -261,7 +261,7 @@ def _slab_build(terms, rates, complete=(), floors=1.0):
         edges.append(part[-4:].reshape(min(4, len(part)), -1).sum(axis=1).tolist())
         part = part.sum(axis=0)
     noise = _EPS * (part + math.sqrt(terms.size) * abs(total))
-    tails = [0.0 if len(s) < 2 or i in complete else _tail(s[-1], _shell_rate(s, len(s) - 1, r, noise))
+    tails = [0.0 if len(s) < 2 or i in complete else _tail(s[-1], _shell_rate(s, r, noise))
              for i, (s, r) in enumerate(zip(edges, rates))]
     floor = math.inf if floors == math.inf else floors * _floor(part, terms.size, total)
     return total, tails, floor, terms.size
@@ -983,7 +983,7 @@ def _chain_run(a1, a2, b, c, zs, tol: float) -> SeriesResult:
         for (fm, fe), (bm, be) in zip(fwd, bwd):
             m = (fm[-4:] * bm[-4:]).tolist()
             e = (fe[-4:] + be[-4:]).tolist()
-            rate = _shell_rate([math.ldexp(x, y - max(e)) for x, y in zip(m, e)], len(m) - 1, 0.0)
+            rate = _shell_rate([math.ldexp(x, y - max(e)) for x, y in zip(m, e)], 0.0)
             tails.append(_tail(math.ldexp(m[-1], e[-1]), rate))
         return total, tails, 4.0 * _floor(absum, sum(sizes), total), sum(n * m for n, m in zip(sizes, sizes[1:]))
 
@@ -1225,7 +1225,7 @@ def saran_fk_triple(p: FkParams, x, y, z, tol: float = 1e-12) -> SeriesResult:
                     rows = min(K, max(8, K // 2))
         total = shells.sum()
         # Shells at the sum's rounding level are FFT noise, not decay.
-        rate = _shell_rate(shells, N - 1, 0.0, _EPS * (absum + math.sqrt(N) * abs(total)))
+        rate = _shell_rate(shells, 0.0, _EPS * (absum + math.sqrt(N) * abs(total)))
         corr = shells[-1] * rate / (1.0 - rate) if rate < 1.0 else 0.0
         # 8 floors: each term is a product of up to 2N roundings (cumulative
         # tables, exp of log-gamma differences), which a plain sum's floor does

@@ -406,7 +406,7 @@ class TestSaranFkTripleShells:
         N = 14
         total, tails, _, terms = builds[0]([N])
         shells = plane_loop_shells(p, *(complex(v) for v in args), N)
-        rate = _shell_rate(shells, N - 1, 0.0)
+        rate = _shell_rate(shells, 0.0)
         corr = shells[-1] * rate / (1.0 - rate)
         assert terms == N * (N + 1) * (N + 2) // 6
         assert abs(complex(total) - (shells.sum() + corr)) <= 1e-14 * (1 + abs(shells.sum()))
