@@ -28,7 +28,7 @@ import json
 import math
 import sys
 
-from .core import QContext, q_beta, q_gamma
+from .core import QContext, q_beta, q_gamma, sp
 from .errors import SaranFKError
 from .measures import DirichletMeasure, HypergeometricMeasure, integrate_measure
 from .qkernels import (
@@ -162,6 +162,10 @@ def _run_verification(ns) -> list[dict]:
     # QContext rejects a q outside (0, 1) before any identity runs.
     q_values = [QContext(q=float(q)).q for q in ns.q] if ns.q else [0.5]
     tol_override = _tol(ns, None)
+    # `import saranfk` defers scipy; load it here, so that no record's time
+    # holds the first import of scipy.special (read through sp) or LAPACK.
+    sp.loggamma
+    import scipy.linalg.lapack  # noqa: F401
     base = EvalSettings.default()
     records = []
     for case in cases:

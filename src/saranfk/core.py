@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConfigError, ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "QContext",
@@ -90,9 +90,9 @@ class QContext:
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must lie in (0,1), got {self.q}")
+            raise ConfigError(f"q must lie in (0,1), got {self.q}")
         if self.jackson_tail_tol <= 0:
-            raise ValueError("jackson_tail_tol must be positive")
+            raise ConfigError("jackson_tail_tol must be positive")
         _check_indices(inf_product_terms=self.inf_product_terms)
         if self.inf_product_terms == 0:
             object.__setattr__(self, "inf_product_terms", _auto_inf_terms(self.q))

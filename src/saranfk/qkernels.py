@@ -7,10 +7,12 @@ for the base q^a); the raw-base entry points are the primitive series `rphis`
 and the discrete double-sum RHS `gasper_discrete_3phi2`, whose free
 parameters genuinely live at base level.
 
-Numerics.  Series are summed by term recurrence (series._sum_terms): ratios
-(1 - a q^l) / (1 - b q^l) stay moderate where q-shifted factorials overflow,
-so a terminating series on the q-lattice cuts off exactly at its termination
-index (`terminate_after`) and reports its rounding floor.  _lattice_sum sums
+Numerics.  Series are summed by term recurrence (series._sum_terms), each
+term the one before times its ratio: _rphis_array's blocks are rows of the
+ratios z (1 - a q^l) ... / ((1 - q^(l+1)) (1 - b q^l) ...) (-q^l)^(1+s-r),
+which stay moderate where q-shifted factorials overflow, so a terminating
+series on the q-lattice cuts off exactly at its termination index
+(`terminate_after`) and reports its rounding floor.  _lattice_sum sums
 the terminating 3phi1 of the q-measure densities and limit weights as one
 q-binomial convolution, and _family_sum the shifted tables of phi_k_p_tables
 by series._power_sum.  Every (a;q)_k table comes from core._q_tables, one
@@ -47,7 +49,7 @@ from .core import (
 from .errors import ConvergenceError, DomainError, PoleError
 from .measures import DirichletMeasure, HypergeometricMeasure, _moment_powers, _rule_sum, _slot_inverse
 from .series import (
-    FkParams, SeriesResult, _Same, _checked, _floor, _grow, _power_sum, _ratio_rate, _series_len, _shell_rate,
+    FkParams, SeriesResult, _checked, _floor, _grow, _power_sum, _ratio_rate, _series_len, _shell_rate,
     _slab_build, _sum_terms, _tail,
 )
 
@@ -185,14 +187,12 @@ def _rphis_array(
     ta = None if terminate_after is None else np.broadcast_to(np.asarray(terminate_after, dtype=np.int64), shape)
     nsteps = max_terms if ta is None else int(ta.max()) if ta.size else 0
     dtype = np.complex128 if any(np.iscomplexobj(a) for a in arrays) else np.float64
-    zop = _Same(np.asarray(z).astype(dtype))
+    zs = np.asarray(z).astype(dtype)
     sign = -1.0 if spow % 2 else 1.0
-    # Ratios span the parameters' axes, or all axes when terminate_after does.
-    pdim = len(shape) if ta is not None else max((a.ndim for a in arrays[:-1]), default=0)
 
     def block(n0, W):
         ells = range(n0, n0 + W)
-        col = (W,) + (1,) * pdim
+        col = (W,) + (1,) * len(shape)
         ql = np.array([q**ell for ell in ells]).reshape(col)
         num = np.ones(col, dtype=dtype)
         for u in uppers:
@@ -212,13 +212,10 @@ def _rphis_array(
         poles = dead.reshape(W, -1).any(axis=1)
         if poles.any():
             den = np.where(dead, 1.0, den)
-        ratio = num / den
-        if ta is not None:
-            ratio = np.where(live, ratio, 0.0)
-        ops = [(np.multiply, ratio), (np.multiply, zop)]
+        ratio = (num / den if ta is None else np.where(live, num / den, 0.0)) * zs
         if spow:
-            ops.append((np.multiply, [sign * q ** (ell * spow) for ell in ells]))
-        return ops, poles
+            ratio = ratio * np.array([sign * q ** (ell * spow) for ell in ells]).reshape(col)
+        return ratio, poles
 
     lattice = isinstance(terminate_after, np.ndarray) and _lattice_sum(uppers, lowers, np.asarray(z), ta, q, dtype)
     if lattice:  # a terminating sum, whose estimate is its floor

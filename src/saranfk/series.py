@@ -10,7 +10,8 @@ Truncation follows one rule, _tail: the part of a series not summed is its
 last term, shell, slab or face times 1 / (1 - r), where r is the larger of
 the rate observed over the last few and an a priori bound on the ratio from
 there on; r >= 1 bounds nothing, so the series grows or is unconverged.  The
-term drivers (_sum_terms, judged by _stop, and _power_sum for a coefficient
+term drivers (_sum_terms, which forms each term as the one before times its
+ratio t_(n+1) / t_n and is judged by _stop, and _power_sum for a coefficient
 row times the powers of many arguments) take as r _ratio_rate, a supremum
 over all later term ratios of a pFq or an r_phi_s read once per block; their
 estimate is the larger of the tail, relative to 1 + |S|, and the rounding
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, groupby
 from typing import Callable
 
 import numpy as np
@@ -114,9 +114,14 @@ def _snapped(upper, lower, z):
         return snapped, 0.0
     top, term, cut = float(np.max(np.abs(z))), 1.0, min(-round(s) for s in snapped if is_nonpositive_integer(s))
     for k in range(cut + 1):
-        term *= math.prod(complex(u) + k for u in upper) * top
-        term /= math.prod((complex(c) + k for c in lower), start=k + 1.0)
+        term *= _pfq_ratio(upper, lower, k) * top
     return snapped, _tail(abs(term), _ratio_rate(upper, lower, z)(cut + 1))
+
+
+def _pfq_ratio(upper, lower, n):
+    """The pFq term ratio t_(n+1) / t_n over z, (a+n)(b+n)... / ((n+1)(c+n)...),
+    at a term index n or an array of them broadcast against the parameters."""
+    return math.prod(u + n for u in upper) / math.prod((c + n for c in lower), start=n + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +157,14 @@ def _ratio_rate(upper, lower, z, q=None):
     """n -> a bound on sup_(k >= n) |t_(k+1) / t_k| over every element of the
     term ratio z prod(a_i + k) / ((k + 1) prod(b_j + k)) of a pFq or, given
     q, z prod(1 - a_i q^k) / ((1 - q^(k+1)) prod(1 - b_j q^k)) (-q^k)^(1+s-r)
-    of an r_phi_s.  With w = k and v = -Re b, or w = q^-k and v = |b|, an
-    upper a paired in order with a lower b (1, or q, among them) gives
-    |a + k| / |b + k| or |1 - a q^k| / |1 - b q^k| <= 1 + |a - b| / (w - v),
-    an unpaired lower 1 / (w - v) and an unpaired upper no bound.  These
-    fall with k once w > every v, and the bound is inf before (Johansson,
-    "Computing hypergeometric functions rigorously", ACM TOMS 45(3), 2019,
-    on tail bounds)."""
+    of an r_phi_s.  With w = k and p = -b, or w = q^-k and p = b, an upper a
+    paired in order with a lower b (1, or q, among them) gives
+    |a + k| / |b + k| or |1 - a q^k| / |1 - b q^k| <= 1 + |a - b| / d, an
+    unpaired lower 1 / d and an unpaired upper no bound.  d bounds |w - p|
+    for every k >= n from below: it is the distance _reach from p to the
+    half-line [w_n, inf) that w sweeps, and the bound is inf while some d
+    is 0 (Johansson, "Computing hypergeometric functions rigorously", ACM
+    TOMS 45(3), 2019, on tail bounds)."""
     top = _top(abs(_item(z)))
     if top == 0.0:
         return lambda n: 0.0
@@ -166,18 +172,16 @@ def _ratio_rate(upper, lower, z, q=None):
         return lambda n: math.inf
     lows = [_item(b) for b in (*lower, 1.0 if q is None else q)]
     gaps = [_top(abs(_item(a) - b)) for a, b in zip(upper, lows)]
-    poles = [_top(-b.real if q is None else abs(b)) for b in lows]
-    paired, single, first = poles[: len(gaps)], poles[len(gaps) :], max(poles)
+    points = [-b if q is None else b for b in lows]
 
     def rate(n):
         w = n if q is None else 1.0 / qn if (qn := q**n) else math.inf
-        if w <= first:
-            return math.inf
         bound = top
-        for d, v in zip(gaps, paired):
-            bound *= 1.0 + d / (w - v)
-        for v in single:
-            bound /= w - v
+        for i, p in enumerate(points):
+            d = _reach(p, w)
+            if not d:
+                return math.inf
+            bound *= 1.0 + gaps[i] / d if i < len(gaps) else 1.0 / d
         return bound
 
     return rate
@@ -192,6 +196,13 @@ def _item(v):
 def _top(v) -> float:
     """The largest element of an _item."""
     return float(v.max()) if isinstance(v, np.ndarray) else v
+
+
+def _reach(p, w) -> float:
+    """The distance from p to the half-line [w, inf), the least over an array."""
+    if isinstance(p, np.ndarray):
+        return float(np.abs(p - np.maximum(p.real, w)).min())
+    return abs(p - max(p.real, w))
 
 
 def _floor(absum, n=0, total=0.0):
@@ -313,32 +324,23 @@ def _stop(rows, absum, n, rate, tol, end):
 # A block of W terms holds at most _BLOCK_ELEMS elements per array, so an
 # input of that size or more is summed one term per block.
 _SCALAR_WIDTH = 512  # rows per block of a one-element series, held as lists
-_PY_OPS = {np.multiply: operator.mul, np.true_divide: operator.truediv}
-
-
-@dataclass(frozen=True)
-class _Same:
-    """A _sum_terms operand that every step shares."""
-
-    value: object
 
 
 def _sum_terms(block, shape, dtype, max_terms, tol, rate=None):
     """Partial sums 1 + t_1 + ... + t_n of a term-ratio recurrence, formed W
     terms at a time, and _stop's verdict on them: (partial sum, n,
-    converged, estimate, 1 + sum |t| per element, flat).  rate(n0) bounds
+    converged, estimate, absum), absum being 1 + sum |t| per element as a
+    flat array, or a float for one element.  rate(n0) bounds
     |t_(k+1) / t_k| for all k >= n0 over every element (_ratio_rate), read
     once per block and for the rows near the stop; None marks a terminating
     series of max_terms steps.
 
-    block(n0, W) describes the steps from term n to term n+1 for n = n0 ..
-    n0+W-1 as (ops, poles).  ops lists (ufunc, operand) pairs, applied in
-    order to term n, each operand with one leading row per step or a _Same
-    that every step shares; poles is None or a bool per row, True where that
-    step's denominator vanished (PoleError if the sum reaches it).  A short
-    loop over the rows forms each term as a term-at-a-time loop over arrays
-    would, so real series keep their values to the bit; for one element
-    _sum_scalar forms them in Python scalars until a denominator vanishes.
+    block(n0, W) returns (ratios, poles) for the steps n = n0 .. n0+W-1:
+    ratios[j] = t_(n+1) / t_n for n = n0 + j, a row that broadcasts to
+    shape, and poles None or a bool per row, True where that step's
+    denominator vanished (PoleError if the sum reaches it).  Each term is
+    the one before times its ratio, by a loop over the rows for arrays and,
+    for one element, by _sum_scalar in Python scalars, which round alike.
     W starts at 8 and doubles, within _SCALAR_WIDTH for one element and
     _BLOCK_ELEMS / size for arrays: only block boundaries depend on W."""
     scalar = math.prod(shape) == 1
@@ -354,53 +356,35 @@ def _sum_terms(block, shape, dtype, max_terms, tol, rate=None):
     while True:
         W = min(width, cap, max_terms - n)
         width = 2 * W
-        ops, poles = block(n, W)
+        ratios, poles = block(n, W)
         rows = int(np.argmax(poles)) if poles is not None and poles.any() else W
         if scalar and rows:
-            start = state[:]
-            try:
-                j, converged, est, absum = _stop(scan := _sum_scalar(state, ops, rows), absum, n, rate, tol, max_terms)
-                scan.close()
-                if j is not None:
-                    return np.full(shape, state[1], dtype=dtype)[()], n + j + 1, converged, est, absum
-            except ZeroDivisionError:
-                # numpy gives inf or nan, or warns, as the caller's errstate says.
-                scalar = False
-                term, total = (np.full(shape, v, dtype=dtype) for v in start)
-        if not scalar:
-            steps = np.empty((W,) + shape, dtype=dtype)
+            j, converged, est, absum = _stop(scan := _sum_scalar(state, ratios, rows), absum, n, rate, tol, max_terms)
+            scan.close()
+            if j is not None:
+                return np.full(shape, state[1], dtype=dtype)[()], n + j + 1, converged, est, absum
+        elif rows:
+            steps = np.empty((rows,) + shape, dtype=dtype)
             sums = np.empty_like(steps)
-            (first, f0), *rest = [(uf, [f.value] * W if isinstance(f, _Same) else f) for uf, f in ops]
-            for j in range(W):
-                # [j, ...] keeps a 0-d view for scalar series, which out= needs.
-                step = steps[j, ...]
-                first(term, f0[j], out=step)
-                for uf, f in rest:
-                    uf(step, f[j], out=step)
-                term = step
-                total = np.add(total, step, out=sums[j, ...])
-            if rows:
-                mags = np.abs(steps[:rows])
-                j, converged, est, absum = _stop((mags, sums[:rows]), absum, n, rate, tol, max_terms)
-                if j is not None:
-                    return sums[j].copy()[()], n + j + 1, converged, est, absum
+            for j in range(rows):
+                term = np.multiply(term, ratios[j], out=steps[j])
+                total = np.add(total, term, out=sums[j])
+            j, converged, est, absum = _stop((np.abs(steps), sums), absum, n, rate, tol, max_terms)
+            if j is not None:
+                return sums[j].copy(), n + j + 1, converged, est, absum
         if rows < W:
             raise PoleError("series denominator factor vanished")
         n += W
 
 
-def _sum_scalar(state, ops, rows):
-    """(|t|, partial sum) of a _sum_terms block's first rows for one element in
-    Python scalars, formed as read by the row loop's operations in its order
-    from state's term and sum, where the last ones read are left on close."""
-    fns = [_PY_OPS[uf] for uf, _ in ops]
-    cols = [repeat(np.asarray(f.value).item(), rows) if isinstance(f, _Same)
-            else np.asarray(f).ravel()[:rows].tolist() for _, f in ops]
+def _sum_scalar(state, ratios, rows):
+    """(|t|, partial sum) after each of a _sum_terms block's first rows for
+    one element, in Python scalars from state's term and sum, where the last
+    ones read are left on close."""
     term, total = state
     try:
-        for vals in zip(*cols):
-            for fn, v in zip(fns, vals):
-                term = fn(term, v)
+        for r in np.ravel(ratios)[:rows].tolist():
+            term *= r
             total += term
             yield abs(term), total
     finally:
@@ -469,28 +453,17 @@ def _power_sum(coef, z, tol, rate, max_terms, N):
 def _pfq_terms(upper, lower, z, tol, max_terms):
     """Direct power series of pFq(upper; lower; z) for any p and q (2F1, the
     3F2 of erdelyi-3, hyper_pfq), broadcasting over all inputs, as
-    _sum_terms returns it.  The terms are formed as (a+n)(b+n)... /
-    ((n+1)(c+n)...) z, in that order, and judged at the rate _ratio_rate.
-    """
+    _sum_terms returns it: term ratios _pfq_ratio times z, judged at the
+    rate _ratio_rate."""
     arrs = [np.asarray(v) for v in (*upper, *lower, z)]
     shape = np.broadcast_shapes(*(v.shape for v in arrs))
     dtype = np.complex128 if any(np.iscomplexobj(v) for v in arrs) else np.float64
     *params, z = (v.astype(dtype) for v in arrs)
     upper, lower = params[: len(upper)], params[len(upper) :]
-    col = (1,) * max((v.ndim for v in params), default=0)
-    zop = _Same(z)
 
     def block(n0, W):
-        # One row per term index over the parameters' axes only; with scalar
-        # parameters a row is a numpy scalar, the cheapest ufunc operand.
-        n = np.arange(n0, n0 + W, dtype=np.float64).reshape((W,) + col)
-        num = upper[0] + n if upper else np.ones_like(n)
-        for u in upper[1:]:
-            num = num * (u + n)
-        den = n + 1.0
-        for c in lower:
-            den = den * (c + n)
-        return [(np.multiply, num), (np.true_divide, den), (np.multiply, zop)], None
+        n = np.arange(n0, n0 + W, dtype=np.float64).reshape((W,) + (1,) * len(shape))
+        return _pfq_ratio(upper, lower, n) * z, None
 
     return _sum_terms(block, shape, dtype, max_terms, tol, _ratio_rate(upper, lower, z))
 
@@ -504,7 +477,7 @@ def _series_pfq(upper, lower, z, tol, max_terms):
     """_series_2f1_raw, or _power_sum where p = q + 1, every parameter is a
     scalar and z holds two or more arguments, all with |z| < 1: they share
     one coefficient row, the cumulative product of the term ratios
-    (a+n)(b+n)... / ((n+1)(c+n)...), judged at the rate _ratio_rate from
+    _pfq_ratio, judged at the rate _ratio_rate from
     N = _series_len(max|z|, tol) terms, or past -Re(c) of a negative lower
     parameter.  Where _power_sum declines, the recurrence sums the series."""
     z = np.asarray(z)
@@ -512,10 +485,9 @@ def _series_pfq(upper, lower, z, tol, max_terms):
         top = float(np.abs(z).max())
         if top < 1.0:
             def coef(N):
-                k = np.arange(N, dtype=np.float64)
-                num = math.prod(u + k for u in upper)
-                den = math.prod((c + k for c in lower), start=k + 1.0)
-                return np.cumprod(np.concatenate([[1.0], num / den]))[None] if den.all() else None
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = _pfq_ratio(upper, lower, np.arange(N, dtype=np.float64))
+                return np.cumprod(np.concatenate([[1.0], ratio]))[None] if np.isfinite(ratio).all() else None
 
             N = max(_series_len(top, tol), 8, 2 + math.ceil(-min((complex(c).real for c in lower), default=0.0)))
             res = _power_sum(coef, z, tol, _ratio_rate(upper, lower, z), max_terms, N)
@@ -1099,7 +1071,7 @@ def fk_L(a1, a2, b, c, zs, tol: float = 1e-12) -> SeriesResult:
     if L not in (3, 4, 5):
         raise DomainError(f"fk_L supports L in {{3,4,5}}, got L={L}")
     if len(b) != L - 1 or len(c) != L:
-        raise ValueError("need L-1 chain parameters and L denominators")
+        raise DomainError("need L-1 chain parameters and L denominators")
     for ci in c:
         if is_nonpositive_integer(ci):
             raise PoleError("fk_L denominator parameter is a non-positive integer")
@@ -1282,7 +1254,7 @@ def delta_sequence() -> CoeffSequence2D:
 
 def geometric_sequence(r: float) -> CoeffSequence2D:
     if not (0 <= r < 1):
-        raise ValueError("geometric ratio must lie in [0,1)")
+        raise DomainError("geometric ratio must lie in [0,1)")
 
     def build(M, N):
         # Python's r**k, gathered: np.power differs from it by an ulp on

@@ -237,6 +237,27 @@ class TestList:
 
 
 class TestVerify:
+    def test_verify_loads_scipy_before_its_first_record(self):
+        # A fresh interpreter: `import saranfk` loads no scipy, and the first
+        # verify_identity that cli.main calls finds it loaded.
+        script = (
+            "import sys\n"
+            "from saranfk import cli\n"
+            "seen = []\n"
+            "verify = cli.verify_identity\n"
+            "def first(*args, **kwargs):\n"
+            "    seen.append(all(m in sys.modules for m in ('scipy.special', 'scipy.linalg.lapack')))\n"
+            "    return verify(*args, **kwargs)\n"
+            "cli.verify_identity = first\n"
+            "cli.main(['verify', '--identities', 'euler-1', '--samples', '1'])\n"
+            "print(seen[0])\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=dict(os.environ, PYTHONPATH="src"),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+
     def test_single_identity_json_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--identities", "euler-1", "--samples", "5", "--format", "json"

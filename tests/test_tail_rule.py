@@ -88,6 +88,19 @@ def test_pfq_ratio_rate_bounds_every_later_ratio():
         ratios /= (k + 1.0) * np.prod([np.abs(c + k) for c in lower], axis=0)
         for n in (0, 1, 3, 10, 40, 150):
             assert ratios[n:].max() <= rate(n) * (1.0 + 1e-12), (upper, lower, z, n)
+    # Complex lowers with real parts down to -40: |c + k| stays at least
+    # |Im c| where k passes -Re c.
+    for _ in range(200):
+        upper = list(rng.uniform(-3.0, 12.0, rng.integers(1, 4)))
+        lower = list(rng.uniform(-40.0, 3.0, len(upper) - rng.integers(0, 2))
+                     + 1j * rng.uniform(-3.0, 3.0, 1))
+        z = float(rng.uniform(-0.95, 0.95))
+        rate = _ratio_rate(upper, lower, z)
+        k = np.arange(300.0)
+        ratios = abs(z) * np.prod([np.abs(u + k) for u in upper], axis=0)
+        ratios /= (k + 1.0) * np.prod([np.abs(c + k) for c in lower], axis=0)
+        for n in (0, 1, 3, 10, 40, 150):
+            assert ratios[n:].max() <= rate(n) * (1.0 + 1e-12), (upper, lower, z, n)
 
 
 def test_q_ratio_rate_bounds_every_later_ratio():
@@ -103,6 +116,28 @@ def test_q_ratio_rate_bounds_every_later_ratio():
         ratios /= np.abs(1.0 - q * qk) * np.prod([np.abs(1.0 - c * qk) for c in lower], axis=0)
         for n in (0, 1, 3, 10, 40):
             assert ratios[n:].max() <= rate(n) * (1.0 + 1e-12), (upper, lower, z, q, n)
+    # Negative real lower bases, whose |1 - b q^k| exceeds 1.
+    for _ in range(200):
+        q = float(rng.uniform(0.1, 0.9))
+        lower = list(-rng.uniform(0.0, 3.0, rng.integers(1, 3)))
+        upper = list(rng.uniform(-3.0, 3.0, len(lower) + 1 - rng.integers(0, 2)))
+        z = float(rng.uniform(-0.95, 0.95))
+        rate = _ratio_rate(upper, lower, z, q)
+        qk = q ** np.arange(300.0)
+        ratios = abs(z) * np.prod([np.abs(1.0 - u * qk) for u in upper], axis=0) * qk ** (1 + len(lower) - len(upper))
+        ratios /= np.abs(1.0 - q * qk) * np.prod([np.abs(1.0 - c * qk) for c in lower], axis=0)
+        for n in (0, 1, 3, 10, 40):
+            assert ratios[n:].max() <= rate(n) * (1.0 + 1e-12), (upper, lower, z, q, n)
+
+
+def test_complex_lower_with_negative_real_part_stops_early():
+    # |c + k| >= |Im c| = 3 for every k, so the rate bound is finite from
+    # the first term, though Re c + k <= 0 up to k = 20.
+    r = hyper_pfq([1.5, 0.5], [-20.5 + 3j], 0.1)
+    with mpmath.workdps(30):
+        oracle = mpmath.hyper([1.5, 0.5], [-20.5 + 3j], 0.1)
+    assert r.converged and r.terms_used < 21
+    assert within(r, oracle)
 
 
 def draws(seed, count):

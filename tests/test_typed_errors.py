@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from saranfk import (
+    ConfigError,
     ConvergenceError,
     DirichletMeasure,
     DiscreteFkParams,
@@ -33,6 +34,7 @@ from saranfk import (
     fk_diagonal_sequence,
     gauss_2f1,
     generic_f_a,
+    geometric_sequence,
     hyper_pfq,
     hypergeometric_density,
     integrate_measure,
@@ -69,9 +71,9 @@ class TestTypedErrors:
             appell_f2(0.5, 0.3, 0.4, -1, 1.2, 0.1, 0.2)
 
     def test_fk_L_parameter_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             fk_L(0.5, 0.6, [0.3], [1.1, 1.2, 1.3], [0.1, 0.1, 0.1])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             fk_L(0.5, 0.6, [0.3, 0.4], [1.1, 1.2], [0.1, 0.1, 0.1])
 
     def test_fk_L_pole(self):
@@ -161,6 +163,17 @@ class TestTypedErrors:
         # core._check_indices rejects these before any sum or table lookup;
         # a bool is not an index.
         with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: geometric_sequence(1.0), DomainError, id="geometric-ratio-1"),
+        pytest.param(lambda: QContext(q=1.0), ConfigError, id="qcontext-q-1"),
+        pytest.param(lambda: QContext(q=0.5, jackson_tail_tol=0.0), ConfigError, id="qcontext-jackson-tol-0"),
+    ])
+    def test_outside_input(self, call, error):
+        # Each type is also a ValueError, which callers may catch instead.
+        assert issubclass(error, ValueError)
+        with pytest.raises(error):
             call()
 
     def test_shift_kernel_non_convergent_k_sum(self):
